@@ -87,14 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_entry(args) -> CatalogEntry | None:
-    if args.catalog:
-        return catalog(args.catalog)
-    return None
-
-
-def _load_rep(args):
-    entry = _load_entry(args)
+def _load_rep(args, entry: CatalogEntry | None):
     if entry is not None:
         rep = entry.representation
     elif args.rep:
@@ -104,12 +97,24 @@ def _load_rep(args):
         raise InputError("need --catalog or --rep")
     if args.order:
         rep = reorder_basis(rep, [b.strip() for b in args.order.split(",")])
-    return rep, entry
+    return rep
 
 
-def _dim_vector(args, rep):
+def _load_winding(args, entry: CatalogEntry | None):
+    """(upstairs module, winding) of a catalog winding or of --rep/--morphism/--target-quiver."""
+    if entry is not None and entry.morphism is not None:
+        return entry.upstairs, entry.morphism
+    if not (args.morphism and args.target_quiver and args.rep):
+        raise InputError("need a catalog winding or --rep/--morphism/--target-quiver")
+    rep = _load_rep(args, entry)
+    with open(args.target_quiver) as fh:
+        codomain = quiver_from_json(fh.read())
+    with open(args.morphism) as fh:
+        return rep, morphism_from_json(fh.read(), rep.quiver, codomain)
+
+
+def _dim_vector(args, rep, entry: CatalogEntry | None):
     if not args.dim_vector:
-        entry = _load_entry(args)
         if entry is not None:
             return dict(entry.dim_vector)
         raise InputError("need --dim-vector")
@@ -142,16 +147,14 @@ def _emit(args, data, text: str) -> None:
         print(text)
 
 
-def _quiver_of(args):
-    entry = _load_entry(args)
+def _quiver_of(args, entry: CatalogEntry | None):
     if entry is not None:
-        return entry.representation.quiver, entry
+        return entry.representation.quiver
     if args.quiver:
         with open(args.quiver) as fh:
-            return quiver_from_json(fh.read()), None
+            return quiver_from_json(fh.read())
     if args.rep:
-        rep, _ = _load_rep(args)
-        return rep.quiver, None
+        return _load_rep(args, None).quiver
     raise InputError("need --catalog, --quiver or --rep")
 
 
@@ -168,9 +171,9 @@ def _subquiver_of(args, q, entry):
 
 def _run(args) -> int:
     cmd = args.command
+    entry = catalog(args.catalog) if args.catalog else None
     if cmd == "catalog":
-        if args.catalog:
-            entry = catalog(args.catalog)
+        if entry is not None:
             data = {
                 "name": entry.name,
                 "params": list(entry.params),
@@ -184,7 +187,7 @@ def _run(args) -> int:
         return 0
 
     if cmd == "validate":
-        q, _ = _quiver_of(args)
+        q = _quiver_of(args, entry)
         problems = validate(q)
         _emit(
             args,
@@ -194,7 +197,7 @@ def _run(args) -> int:
         return 0 if not problems else 1
 
     if cmd == "tree-ext":
-        q, entry = _quiver_of(args)
+        q = _quiver_of(args, entry)
         if entry is not None and entry.upstairs is not None:
             q = entry.upstairs.quiver
         s = _subquiver_of(args, q, entry)
@@ -203,18 +206,7 @@ def _run(args) -> int:
         return 0 if ok else 1
 
     if cmd == "winding":
-        entry = _load_entry(args)
-        if entry is not None and entry.morphism is not None:
-            f = entry.morphism
-            rep = entry.upstairs
-        elif args.morphism and args.target_quiver and args.rep:
-            rep, _ = _load_rep(args)
-            with open(args.target_quiver) as fh:
-                codomain = quiver_from_json(fh.read())
-            with open(args.morphism) as fh:
-                f = morphism_from_json(fh.read(), rep.quiver, codomain)
-        else:
-            raise InputError("need a catalog winding or --rep/--morphism/--target-quiver")
+        rep, f = _load_winding(args, entry)
         winding = is_winding(f)
         strict = None
         if winding and rep is not None:
@@ -224,26 +216,19 @@ def _run(args) -> int:
         return 0 if winding and strict is not False else 1
 
     if cmd == "pushforward":
-        entry = _load_entry(args)
         if entry is not None and entry.morphism is not None:
             pushed = entry.representation
-        elif args.morphism and args.target_quiver and args.rep:
-            rep, _ = _load_rep(args)
-            with open(args.target_quiver) as fh:
-                codomain = quiver_from_json(fh.read())
-            with open(args.morphism) as fh:
-                f = morphism_from_json(fh.read(), rep.quiver, codomain)
-            pushed = push_forward(f, rep)
         else:
-            raise InputError("need a catalog winding or --rep/--morphism/--target-quiver")
+            rep, f = _load_winding(args, entry)
+            pushed = push_forward(f, rep)
         text = representation_to_json(pushed)
         _emit(args, json.loads(text), text)
         return 0
 
-    rep, entry = _load_rep(args)
+    rep = _load_rep(args, entry)
 
     if cmd == "cells":
-        e = _dim_vector(args, rep)
+        e = _dim_vector(args, rep, entry)
         cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
         keys = [c.key() for c in cells]
         _emit(args, keys, "\n".join("{" + k + "}" for k in keys))
@@ -255,7 +240,7 @@ def _run(args) -> int:
         if args.beta:
             betas = [cell_index(source.basis, [b.strip() for b in args.beta.split(",")])]
         else:
-            e = _dim_vector(args, rep)
+            e = _dim_vector(args, rep, entry)
             ambient_basis = rep.basis  # cells are indexed over the (pushed) module's grouping
             betas = [
                 cell_index(source.basis, c.elements)
@@ -287,7 +272,7 @@ def _run(args) -> int:
         )
         return 0 if result.passed else 1
 
-    e = _dim_vector(args, rep)
+    e = _dim_vector(args, rep, entry)
     budget = _budget(args)
 
     if cmd == "count":

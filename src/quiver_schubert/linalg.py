@@ -1,13 +1,15 @@
 """Exact linear algebra over prime fields and the rationals.
 
 Matrices are tuples of row tuples with integer entries.  All mod-q work
-assumes q prime; inverses go through pow(a, -1, q).
+assumes q prime; inverses go through pow(a, -1, q).  Callers that take a
+modulus from outside check it with `require_prime` first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 from typing import Iterator, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -18,26 +20,12 @@ def matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-def zero_matrix(nrows: int, ncols: int) -> Matrix:
-    return tuple((0,) * ncols for _ in range(nrows))
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def is_identity(m: Matrix) -> bool:
     return m == identity_matrix(len(m)) and all(len(r) == len(m) for r in m)
-
-
-def mat_mul_mod(a: Matrix, b: Matrix, q: int) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch in mat_mul_mod")
-    ncols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(ra[k] * b[k][j] for k in range(len(b))) % q for j in range(ncols))
-        for ra in a
-    )
 
 
 def mat_vec_mod(a: Matrix, v: Sequence[int], q: int) -> Vector:
@@ -200,9 +188,10 @@ def primes_iter() -> Iterator[int]:
         n += 1
 
 
-def first_primes(k: int) -> list[int]:
-    it = primes_iter()
-    return [next(it) for _ in range(k)]
+def require_prime(q: int) -> None:
+    """Raise ValueError unless q is a prime, so that F_q is a field."""
+    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        raise ValueError(f"modulus {q} is not a prime")
 
 
 def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import (
@@ -24,12 +24,12 @@ from .linalg import (
     lagrange_interpolate,
     mat_vec_mod,
     primes_iter,
+    require_prime,
 )
 from .representation import Representation
 from .schubert import CellIndex, cell_index, enumerate_cells
 
 DEFAULT_BUDGET = 10**8
-DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 class BudgetExceededError(RuntimeError):
@@ -219,6 +219,7 @@ def _cell_points(
 
 
 def cell_count(m: Representation, beta: CellIndex, q: int) -> int:
+    require_prime(q)
     return sum(1 for _ in _cell_points(m, beta, q))
 
 
@@ -233,6 +234,7 @@ def enumerate_subreps(
     Points stream cell by cell in lexicographic cell order, each as the
     canonical echelon representative of its per-vertex subspaces.
     """
+    require_prime(q)
     _check_budget(m, e, q, budget)
     for beta in enumerate_cells(m.basis, e, m.quiver.vertices):
         for subspaces in _cell_points(m, beta, q):
@@ -266,14 +268,14 @@ def count(
     primes: Sequence[int] = (2, 3, 5),
     budget: int = DEFAULT_BUDGET,
 ) -> list[CountReport]:
+    for q in primes:
+        require_prime(q)
+        _check_budget(m, e, q, budget)
+    cells = enumerate_cells(m.basis, e, m.quiver.vertices)
     reports = []
     for q in primes:
-        _check_budget(m, e, q, budget)
-        per_cell: dict[str, int] = {}
-        for beta in enumerate_cells(m.basis, e, m.quiver.vertices):
-            per_cell[beta.key()] = sum(1 for _ in _cell_points(m, beta, q))
-        total = sum(per_cell.values())
-        reports.append(CountReport(q, total, per_cell))
+        per_cell = {beta.key(): cell_count(m, beta, q) for beta in cells}
+        reports.append(CountReport(q, sum(per_cell.values()), per_cell))
     return reports
 
 
@@ -305,7 +307,7 @@ class CountingPolynomial:
                 parts.append(c_str)
             else:
                 x = "x" if d == 1 else f"x^{d}"
-                parts.append(x if c == 1 else f"{c_str}*{x}")
+                parts.append(x if c == 1 else f"-{x}" if c == -1 else f"{c_str}*{x}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> str:
@@ -334,16 +336,12 @@ def counting_polynomial(
     bound = sum(e.get(v, 0) * (m.rank(v) - e.get(v, 0)) for v in m.quiver.vertices)
     needed = max(bound + 1, 2)
     if primes is None:
-        it = primes_iter()
-        ps = sorted({next(it) for _ in range(needed)} | set(DEFAULT_PRIMES))[:needed]
+        ps = list(islice(primes_iter(), needed))
     else:
         ps = list(primes)
         if len(ps) < needed:
             raise ValueError(f"need at least {needed} primes, got {len(ps)}")
-    samples = []
-    for q in ps:
-        total = sum(r.total for r in count(m, e, primes=[q], budget=budget))
-        samples.append((q, total))
+    samples = [(r.prime, r.total) for r in count(m, e, primes=ps, budget=budget)]
     coeffs = lagrange_interpolate(samples)
     return CountingPolynomial(tuple(coeffs), bound, tuple(samples))
 

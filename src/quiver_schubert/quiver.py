@@ -29,15 +29,6 @@ class Quiver:
                 return a
         raise KeyError(name)
 
-    def arrows_from(self, v: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.src == v]
-
-    def arrows_to(self, v: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.tgt == v]
-
-    def incident(self, v: str) -> list[Arrow]:
-        return [a for a in self.arrows if a.src == v or a.tgt == v]
-
 
 def quiver(vertices: Iterable[str], arrows: Iterable[tuple[str, str, str]]) -> Quiver:
     return Quiver(tuple(vertices), tuple(Arrow(n, s, t) for n, s, t in arrows))
@@ -173,6 +164,27 @@ def difference_of(t: Quiver, s: Subquiver) -> Subquiver:
         verts.add(a.src)
         verts.add(a.tgt)
     return Subquiver(t, frozenset(verts), frozenset(a.name for a in arrows))
+
+
+def distances_to(t: Quiver, s: Subquiver) -> dict[str, int]:
+    """Undirected distance to S of every vertex reached from S along the arrows of T-S.
+
+    An S-arrow joins two vertices at distance 0, so walking T-S alone
+    gives the same distances as walking all of T.
+    """
+    adj: dict[str, set[str]] = {v: set() for v in t.vertices}
+    for a in t.arrows:
+        if a.name not in s.arrows:
+            adj[a.src].add(a.tgt)
+            adj[a.tgt].add(a.src)
+    dist = dict.fromkeys(s.vertices, 0)
+    frontier = set(s.vertices)
+    d = 0
+    while frontier:
+        d += 1
+        frontier = {w for v in frontier for w in adj[v] if w not in dist}
+        dist.update(dict.fromkeys(frontier, d))
+    return dist
 
 
 def quotient_by(t: Quiver, s: Subquiver) -> Quiver:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, identity_matrix, is_identity, matrix
-from .quiver import Quiver, QuiverMorphism, Subquiver, full_subquiver, quiver
-from .quiver import quiver_from_json, quiver_to_json
+from .quiver import Quiver, QuiverMorphism, Subquiver, difference_of, distances_to, full_subquiver
+from .quiver import quiver, quiver_from_json, quiver_to_json
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ class OrderedBasis:
         return OrderedBasis(self.order, {b: vertex_map[v] for b, v in self.vertex_of.items()})
 
 
-def ordered_basis(order: Sequence[str], vertex_of: Mapping[str, str]) -> OrderedBasis:
-    return OrderedBasis(tuple(order), dict(vertex_of))
-
-
 @dataclass(frozen=True)
 class Representation:
     quiver: Quiver
@@ -128,10 +124,6 @@ def representation(
     if problems:
         raise ValueError("; ".join(problems))
     return rep
-
-
-def _submatrix(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
-    return tuple(tuple(m[r][c] for c in cols) for r in rows)
 
 
 def restrict(m: Representation, s: Subquiver) -> Representation:
@@ -243,13 +235,10 @@ def identity_image(m: Representation, arrow_name: str, b: str) -> str:
     return tgt[src.index(b)]
 
 
-def is_ordered_above(
-    m: Representation, s: Subquiver, directed_paths: bool = False
-) -> tuple[bool, list[str]]:
+def is_ordered_above(m: Representation, s: Subquiver) -> tuple[bool, list[str]]:
     """Check the four clauses of the order-above-S condition, with diagnostics.
 
-    Paths out of S are undirected walks with pairwise-distinct vertices by
-    default; set directed_paths to follow arrow orientations only.
+    Paths out of S are undirected walks with pairwise-distinct vertices.
     """
     diagnostics: list[str] = []
     pos = m.basis._positions()
@@ -264,15 +253,14 @@ def is_ordered_above(
         diagnostics.append(f"basis does not induce a vertex order: {exc}")
         key = None
 
-    diff = _difference(m, s)
+    diff = difference_of(m.quiver, s)
     if key is not None:
         boundary = sorted(v for v in s.vertices if v in diff.vertices)
         steps: dict[str, list[str]] = {}
         for name in diff.arrows:
             a = m.quiver.arrow(name)
             steps.setdefault(a.src, []).append(a.tgt)
-            if not directed_paths:
-                steps.setdefault(a.tgt, []).append(a.src)
+            steps.setdefault(a.tgt, []).append(a.src)
         outside = {v for v in m.quiver.vertices if v not in s.vertices}
 
         def walk(path: list[str]) -> None:
@@ -296,12 +284,6 @@ def is_ordered_above(
     return not diagnostics, diagnostics
 
 
-def _difference(m: Representation, s: Subquiver):
-    from .quiver import difference_of
-
-    return difference_of(m.quiver, s)
-
-
 def order_above_extension(m: Representation, s: Subquiver) -> Representation:
     """Reorder blocks so the basis is ordered above S, keeping per-vertex orders.
 
@@ -310,24 +292,10 @@ def order_above_extension(m: Representation, s: Subquiver) -> Representation:
     vertices by undirected distance from S, so every path out of S is
     increasing.
     """
-    diff = _difference(m, s)
-    for name in sorted(diff.arrows):
+    for name in sorted(difference_of(m.quiver, s).arrows):
         if not is_identity(m.matrices[name]):
             raise ValueError(f"arrow {name!r} in T-S is not an identity matrix")
-    dist = {v: 0 for v in s.vertices}
-    frontier = sorted(s.vertices)
-    adj: dict[str, set[str]] = {v: set() for v in m.quiver.vertices}
-    for name in diff.arrows:
-        a = m.quiver.arrow(name)
-        adj[a.src].add(a.tgt)
-        adj[a.tgt].add(a.src)
-    d = 0
-    while frontier:
-        d += 1
-        nxt = sorted({w for v in frontier for w in adj[v] if w not in dist})
-        for w in nxt:
-            dist[w] = d
-        frontier = nxt
+    dist = distances_to(m.quiver, s)
     unreached = [v for v in m.quiver.vertices if v not in dist]
     if unreached:
         raise ValueError(f"vertices {unreached} are not connected to S through T-S")
@@ -371,7 +339,6 @@ def thin_representation(
 __all__ = [
     "OrderedBasis",
     "Representation",
-    "ordered_basis",
     "representation",
     "restrict",
     "push_forward",

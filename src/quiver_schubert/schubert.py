@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, int_det
 from .quiver import (
     Quiver,
     QuiverMorphism,
     Subquiver,
+    difference_of,
     identity_morphism,
     is_strictly_ordered,
     is_tree_extension,
@@ -422,7 +423,12 @@ class PreconditionError(ValueError):
     """A theorem's hypotheses are not met; distinct from a failed check."""
 
 
-def _check_tree_setup(m: Representation, s: Subquiver) -> None:
+def check_tree_setup(m: Representation, s: Subquiver) -> None:
+    """Hypotheses shared by the tree-extension theorems and the (H) check.
+
+    T must be a tree extension of S and the basis ordered above S, which
+    includes identity matrices on every arrow of T-S.
+    """
     if not is_tree_extension(m.quiver, s):
         raise PreconditionError("T is not a tree extension of S")
     ok, diag = is_ordered_above(m, s)
@@ -470,49 +476,41 @@ def _peel_schedule(
     return schedule
 
 
+def _closed_under_identity_images(m: Representation, s: Subquiver, beta: CellIndex) -> bool:
+    """Pivot criterion: beta holds the image of each of its elements along every arrow of T-S."""
+    beta_set = beta.as_set()
+    return all(
+        identity_image(m, name, b) in beta_set
+        for name in sorted(difference_of(m.quiver, s).arrows)
+        for b in m.basis.block(m.quiver.arrow(name).src)
+        if b in beta_set
+    )
+
+
 def tree_cell_emptiness(
-    m: Representation,
-    s: Subquiver,
-    beta: CellIndex,
-    base_is_empty: bool | Callable[[CellIndex], bool] | None = None,
+    m: Representation, s: Subquiver, beta: CellIndex, base_is_empty: bool | None = None
 ) -> bool:
     """True iff the cell is empty, by the tree-extension criterion.
 
-    The answer for the base cell over S comes from `base_is_empty`
-    (a bool, or a callable on the restricted cell index); when omitted,
-    cells over an arrowless S are nonempty and otherwise the oracle
-    decides over F_2 and F_3.
+    The cell is empty when beta fails the pivot criterion, and otherwise
+    exactly when its base cell over S is empty.  The caller decides the
+    base cell through `base_is_empty`; it may be omitted only when S has
+    no arrows, where every base cell is nonempty.
     """
-    _check_tree_setup(m, s)
-    from .quiver import difference_of
-
-    diff = difference_of(m.quiver, s)
-    beta_set = beta.as_set()
-    for name in sorted(diff.arrows):
-        a = m.quiver.arrow(name)
-        for b in m.basis.block(a.src):
-            if b in beta_set and identity_image(m, name, b) not in beta_set:
-                return True
-    beta_s = CellIndex(tuple(b for b in beta.elements if m.basis.vertex_of[b] in s.vertices))
-    if callable(base_is_empty):
-        return bool(base_is_empty(beta_s))
-    if base_is_empty is not None:
-        return bool(base_is_empty)
-    if not s.arrows:
-        return False
-    from .oracle import cell_count
-    from .representation import restrict
-
-    ms = restrict(m, s)
-    return all(cell_count(ms, beta_s, q) == 0 for q in (2, 3))
+    check_tree_setup(m, s)
+    if base_is_empty is None:
+        if s.arrows:
+            raise PreconditionError("S has arrows: pass base_is_empty for the base cell over S")
+        base_is_empty = False
+    return not _closed_under_identity_images(m, s, beta) or base_is_empty
 
 
 def tree_cell_dimension(
     m: Representation, s: Subquiver, beta: CellIndex, peel: str = "largest"
 ) -> int:
     """Exponent n with C_beta(M) = C_{beta_S}(M_S) x A^n, by end peeling."""
-    _check_tree_setup(m, s)
-    if tree_cell_emptiness(m, s, beta, base_is_empty=False):
+    check_tree_setup(m, s)
+    if not _closed_under_identity_images(m, s, beta):
         raise ValueError("cell is empty over S by the pivot criterion")
     pos = {b: i for i, b in enumerate(m.basis.order)}
     beta_set = set(beta.elements)
@@ -558,11 +556,9 @@ def grassmannian_fibration(
     """
     if not is_tree_extension(m.quiver, s):
         raise PreconditionError("T is not a tree extension of S")
-    from .quiver import difference_of
-
     for name in sorted(difference_of(m.quiver, s).arrows):
         mat = m.matrices[name]
-        if len(mat) != len(mat[0] if mat else ()) or abs(_det(mat)) != 1:
+        if len(mat) != len(mat[0] if mat else ()) or abs(int_det(mat)) != 1:
             raise PreconditionError(f"arrow {name!r} in T-S is not invertible over every field")
     fibres = []
     for end, arrow_name, case in _peel_schedule(m, s, peel="largest"):
@@ -574,12 +570,6 @@ def grassmannian_fibration(
         else:
             fibres.append((ep, eq))
     return fibres
-
-
-def _det(mat: Matrix) -> int:
-    from .linalg import int_det
-
-    return int_det(mat)
 
 
 # ---------------------------------------------------------------------------

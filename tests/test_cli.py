@@ -4,6 +4,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from quiver_schubert.cli import main
 from quiver_schubert.quiver import quiver, quiver_to_json
 
@@ -177,3 +179,14 @@ def test_golden_json_schemas():
     code, out, _ = run(["hypothesis-h", "--catalog", "ex_4_5_1", "--json"])
     data = json.loads(out)
     assert set(data) == {"pair", "passed", "reason", "triples"}
+
+
+@pytest.mark.parametrize("primes", ["4", "9", "-3", "0", "1"])
+def test_non_prime_modulus_is_an_input_error(primes):
+    for cmd in ("count", "verify-affine"):
+        code, out, err = run([cmd, "--catalog", "two_lines", "--primes", "2," + primes])
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and "not a prime" in err
+        assert len(err.strip().splitlines()) == 1
+    code, out, err = run(["count", "--catalog", "two_lines", "--primes", primes])
+    assert code == 2 and out == "" and "not a prime" in err

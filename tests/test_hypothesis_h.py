@@ -161,3 +161,13 @@ def test_pass_implies_empty_iff_empty():
                 empty = tree_cell_emptiness(m, e.subquiver, beta, base_is_empty=False)
                 pushed_count = cell_count(e.representation, cell_index(e.representation.basis, elems), 2)
                 assert (pushed_count == 0) == empty, (spec, elems)
+
+
+def test_notes_are_distinct_for_every_catalog_winding():
+    specs = [f"kronecker_{kind}({n})" for kind in ("preprojective", "preinjective") for n in (1, 2, 3)]
+    for spec in specs + ["ex_4_5_1", "ex_4_5_2", "ex_4_5_5"]:
+        e = catalog(spec)
+        notes = check_hypothesis_h(e.upstairs, e.subquiver, e.morphism).notes
+        assert len(notes) == len(set(notes)), spec
+    e = catalog("ex_4_5_5")
+    assert len(check_hypothesis_h(e.upstairs, e.subquiver, e.morphism).notes) == 2

@@ -1,5 +1,7 @@
 """Oracle: enumeration, cell assignment, counting, interpolation, certificates."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import independent_total, random_tree_extension
@@ -8,7 +10,9 @@ from quiver_schubert.linalg import gaussian_binomial
 from quiver_schubert.oracle import (
     AffineCertificateError,
     BudgetExceededError,
+    CountingPolynomial,
     assign_cell,
+    cell_count,
     count,
     counting_polynomial,
     enumerate_subreps,
@@ -346,3 +350,30 @@ def test_empty_grassmannian_polynomial_zero():
     poly = counting_polynomial(rep, {"1": 2, "2": 0})
     assert poly.to_text() == "0"
     assert euler_characteristic(rep, {"1": 2, "2": 0}).chi == 0
+
+
+@pytest.mark.parametrize("q", [4, 9, -3, 0, 1])
+def test_moduli_must_be_prime(q):
+    rep = catalog("two_lines").representation
+    e = {"1": 1, "2": 1}
+    beta = cell_index(rep.basis, ["b1", "b3"])
+    calls = [
+        lambda: count(rep, e, primes=[q]),
+        lambda: cell_count(rep, beta, q),
+        lambda: next(enumerate_subreps(rep, e, q)),
+        lambda: verify_affine(rep, e, primes=(2, q)),
+        lambda: counting_polynomial(rep, e, primes=(2, 3, q)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not a prime"):
+            call()
+
+
+def test_counting_polynomial_text_unit_coefficients():
+    def text(*coeffs):
+        return CountingPolynomial(tuple(Fraction(c) for c in coeffs), len(coeffs) - 1, ()).to_text()
+
+    assert text(3, -1) == "-x + 3"
+    assert text(0, 0, -1) == "-x^2"
+    assert text(1, -1, 1) == "x^2 - x + 1"
+    assert text(1, -2) == "-2*x + 1"

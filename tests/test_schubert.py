@@ -9,7 +9,7 @@ from conftest import chart_coordinates, fold_winding
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import column_echelon_max_pivot
 from quiver_schubert.oracle import _cell_points, assign_cell, cell_count
-from quiver_schubert.quiver import subquiver
+from quiver_schubert.quiver import full_subquiver, subquiver
 from quiver_schubert.representation import restrict
 from quiver_schubert.schubert import (
     PreconditionError,
@@ -379,3 +379,33 @@ def test_cell_type():
     rep = catalog("two_lines").representation
     beta = cell_index(rep.basis, ["b2", "b4"])
     assert cell_type(rep.basis, beta) == {"1": 1, "2": 1}
+
+
+def _flag_over_two_vertices():
+    entry = catalog("flag(4;1,2,3)")
+    rep = entry.representation
+    s = full_subquiver(rep.quiver, ["1", "2"])
+    cells = enumerate_cells(rep.basis, entry.dim_vector, rep.quiver.vertices)
+    return rep, s, cells
+
+
+def test_tree_cell_emptiness_needs_base_decision_when_s_has_arrows():
+    rep, s, cells = _flag_over_two_vertices()
+    assert s.arrows == {"a1"}
+    for beta in (cells[0], cells[-1]):
+        with pytest.raises(PreconditionError):
+            tree_cell_emptiness(rep, s, beta)
+
+
+def test_tree_cell_emptiness_with_oracle_base_decision():
+    rep, s, cells = _flag_over_two_vertices()
+    ms = restrict(rep, s)
+    s_ids = set(ms.basis.order)
+    empty = 0
+    for beta in cells:
+        beta_s = cell_index(ms.basis, [b for b in beta.elements if b in s_ids])
+        base_is_empty = all(cell_count(ms, beta_s, q) == 0 for q in (2, 3))
+        decided = tree_cell_emptiness(rep, s, beta, base_is_empty=base_is_empty)
+        assert decided == (cell_count(rep, beta, 2) == 0), beta.key()
+        empty += decided
+    assert (len(cells), empty) == (96, 72)
