@@ -109,7 +109,14 @@ def solve_mod(
 def iter_solutions_mod(
     rows: Sequence[Sequence[int]], rhs: Sequence[int], nvars: int, q: int
 ) -> Iterator[Vector]:
-    """All solutions of A x = b over F_q, deterministically ordered."""
+    """All solutions of A x = b over F_q, deterministically ordered.
+
+    The solutions are particular + sum(c_i * basis_i) with the coefficient
+    tuples c in `itertools.product(range(q), repeat=len(basis))` order.
+    The vector is stepped like an odometer: each coefficient change adds
+    its basis vector once, and so does the wrap from q-1 to 0, since
+    q * basis_i = 0 mod q.
+    """
     if not rows:
         for combo in product(range(q), repeat=nvars):
             yield combo
@@ -118,13 +125,22 @@ def iter_solutions_mod(
     if solved is None:
         return
     particular, basis = solved
-    for combo in product(range(q), repeat=len(basis)):
-        vec = list(particular)
-        for coeff, bvec in zip(combo, basis):
-            if coeff:
-                for i in range(nvars):
-                    vec[i] = (vec[i] + coeff * bvec[i]) % q
+    steps = [[(i, x) for i, x in enumerate(bvec) if x] for bvec in basis]
+    vec = list(particular)
+    coeffs = [0] * len(basis)
+    while True:
         yield tuple(vec)
+        k = len(basis) - 1
+        while k >= 0:
+            for i, x in steps[k]:
+                vec[i] = (vec[i] + x) % q
+            coeffs[k] += 1
+            if coeffs[k] < q:
+                break
+            coeffs[k] = 0
+            k -= 1
+        else:
+            return
 
 
 def column_echelon_max_pivot(

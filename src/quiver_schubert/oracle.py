@@ -2,9 +2,20 @@
 
 Subrepresentations are enumerated chart by chart: one echelon chart per
 pivot-set combination, so per-cell counting is a byproduct of the
-partition rather than a post-hoc filter.  Within a chart, containment
-conditions along arrows whose other endpoint is already fixed are linear
-in the chart coordinates and are solved exactly; loops are filtered.
+partition rather than a post-hoc filter.
+
+Each cell is compiled once per call into a plan: one step per vertex in
+quiver order, holding the vertex's chart templates, the arrows to and
+from vertices placed earlier with their matrices reduced mod q, its loops
+and its frontier.  The search then walks the plan as one flat depth-first
+loop.  At each step, containment along arrows whose other endpoint is
+already placed is linear in the chart coordinates and solved exactly;
+loops are filtered.  The frontier of a step is the set of placed vertices
+that share an arrow with a vertex not yet placed; the rest of the search
+reads nothing else.  A frontier state that once extended to no point is
+dead, so later arrivals at it are skipped, which is exact.  Points come
+out in the same order as a plain recursion over the vertices would give,
+each chart in `iter_solutions_mod` order.
 """
 
 from __future__ import annotations
@@ -17,17 +28,21 @@ from typing import Iterator, Mapping, Sequence
 
 from .linalg import (
     Matrix,
+    Vector,
     column_echelon_max_pivot,
     eval_poly,
     gaussian_binomial,
     iter_solutions_mod,
     lagrange_interpolate,
-    mat_vec_mod,
     primes_iter,
     require_prime,
 )
 from .representation import Representation
 from .schubert import CellIndex, cell_index, enumerate_cells
+
+# Not called here since the chart plan applies arrow matrices itself; the
+# traced benchmark run (perfbench/layers.py) still wraps it under this module.
+from .linalg import mat_vec_mod  # noqa: F401
 
 DEFAULT_BUDGET = 10**8
 
@@ -76,6 +91,15 @@ def ambient_size(m: Representation, e: Mapping[str, int], q: int) -> int:
     return total
 
 
+def _require_distinct(primes: Sequence[int]) -> None:
+    """Raise ValueError if a prime repeats, so each sample is a different field."""
+    seen = set()
+    for q in primes:
+        if q in seen:
+            raise ValueError(f"prime {q} is repeated in {', '.join(str(p) for p in primes)}")
+        seen.add(q)
+
+
 def _check_budget(m: Representation, e: Mapping[str, int], q: int, budget: int) -> None:
     estimate = ambient_size(m, e, q)
     if estimate > budget:
@@ -83,139 +107,221 @@ def _check_budget(m: Representation, e: Mapping[str, int], q: int, budget: int) 
 
 
 class _Chart:
-    """Echelon chart of one vertex: pivot pattern plus free positions."""
+    """Echelon chart of one vertex: pivot pattern plus free positions.
+
+    Column j of a chart point is 1 in row pivot_rows[j], a free coordinate
+    in each nonpivot row above it and 0 elsewhere.  Free coordinates x are
+    numbered column by column, top to bottom: `column_free[j]` lists the
+    (row, var) pairs of column j, `row_free[k]` the (column, var) pairs of
+    row nonpivot_rows[k], and `entries` the row-major matrix as indices
+    into x + (0, 1).
+    """
 
     def __init__(self, block: Sequence[str], pivots: Sequence[str]):
-        self.block = list(block)
-        self.pivot_rows = [self.block.index(b) for b in pivots]
         self.nrows = len(block)
-        self.ncols = len(pivots)
-        self.free: list[tuple[int, int]] = []
-        pivot_set = set(self.pivot_rows)
-        for j, p in enumerate(self.pivot_rows):
-            for r in range(self.nrows):
-                if r not in pivot_set and r < p:
-                    self.free.append((r, j))
-        self.nonpivot_rows = [r for r in range(self.nrows) if r not in pivot_set]
+        self.pivot_rows = [block.index(b) for b in pivots]
+        self.nonpivot_rows = [r for r in range(self.nrows) if r not in self.pivot_rows]
+        free = [(r, j) for j, p in enumerate(self.pivot_rows) for r in self.nonpivot_rows if r < p]
+        self.nfree = len(free)
+        var = {pos: i for i, pos in enumerate(free)}
+        self.column_free = [
+            [(r, var[r, j]) for r in self.nonpivot_rows if r < p]
+            for j, p in enumerate(self.pivot_rows)
+        ]
+        self.row_free = [
+            [(j, var[r, j]) for j, p in enumerate(self.pivot_rows) if r < p]
+            for r in self.nonpivot_rows
+        ]
+        one = self.nfree + 1
+        self.entries = [
+            var.get((r, j), one if r == p else self.nfree)
+            for r in range(self.nrows)
+            for j, p in enumerate(self.pivot_rows)
+        ]
 
-    def matrix(self, values: Sequence[int]) -> Matrix:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for j, p in enumerate(self.pivot_rows):
-            out[p][j] = 1
-        for (r, j), x in zip(self.free, values):
-            out[r][j] = x
-        return tuple(tuple(row) for row in out)
+    def images(self, columns: Sequence[Vector]) -> list:
+        """Image of each chart generator under an arrow with these columns mod q.
 
-    def membership_rows(self, vec: Sequence[int], q: int):
-        """Linear conditions on the free coordinates for vec to lie in the span."""
-        rows = []
-        rhs = []
-        coeffs = [vec[p] % q for p in self.pivot_rows]
-        index = {pos: i for i, pos in enumerate(self.free)}
-        for r in self.nonpivot_rows:
-            row = [0] * len(self.free)
-            for j in range(self.ncols):
-                if (r, j) in index:
-                    row[index[(r, j)]] = coeffs[j]
+        One (constant, terms) pair per generator j: the image is
+        constant + sum(x[var] * vec for var, vec in terms).  Terms whose
+        vector is zero are dropped.
+        """
+        return [
+            (columns[p], [(var, columns[r]) for r, var in free if any(columns[r])])
+            for p, free in zip(self.pivot_rows, self.column_free)
+        ]
+
+
+class _Step:
+    """One vertex of the search plan and the arrows it meets when placed.
+
+    `incoming` and `outgoing` hold (step of the other end, generator
+    images) for arrows to and from vertices placed earlier, and `loops`
+    the generator images of loops.  `frontier` lists the earlier steps
+    that share an arrow with this step or a later one: the only placed
+    vertices the rest of the search reads.
+    """
+
+    def __init__(self, chart: _Chart):
+        self.chart = chart
+        self.incoming: list[tuple[int, list]] = []
+        self.outgoing: list[tuple[int, list]] = []
+        self.loops: list[list] = []
+        self.frontier: tuple[int, ...] = ()
+
+
+def _plan(m: Representation, beta: CellIndex, q: int) -> list[_Step]:
+    """The search plan of one cell: one step per vertex, in quiver order."""
+    beta_set = beta.as_set()
+    steps = []
+    for v in m.quiver.vertices:
+        block = m.basis.block(v)
+        steps.append(_Step(_Chart(block, [b for b in block if b in beta_set])))
+    index = {v: i for i, v in enumerate(m.quiver.vertices)}
+    last_neighbour = list(range(len(steps)))
+    for a in m.quiver.arrows:
+        s, t = index[a.src], index[a.tgt]
+        chart = steps[s].chart
+        ma = m.matrices[a.name]  # no rows when the target has rank 0
+        columns = [tuple(x % q for x in col) for col in zip(*ma)] if ma else [()] * chart.nrows
+        images = chart.images(columns)
+        if s == t:
+            steps[s].loops.append(images)
+        elif s < t:
+            steps[t].incoming.append((s, images))
+        else:
+            steps[s].outgoing.append((t, images))
+        lo, hi = min(s, t), max(s, t)
+        last_neighbour[lo] = max(last_neighbour[lo], hi)
+    for i, step in enumerate(steps):
+        step.frontier = tuple(k for k in range(i) if last_neighbour[k] >= i)
+    return steps
+
+
+def _image(image, x: Sequence[int]) -> list[int]:
+    """One generator image at chart coordinates x (entries not reduced mod q)."""
+    const, terms = image
+    w = list(const)
+    for var, vec in terms:
+        c = x[var]
+        if c:
+            w = [a + c * b for a, b in zip(w, vec)]
+    return w
+
+
+def _chart_equations(
+    steps: list[_Step], i: int, values: list, q: int
+) -> Iterator[tuple[list[int], int]]:
+    """Linear conditions (row, rhs) on step i's chart coordinates from arrows to placed vertices."""
+    chart = steps[i].chart
+    nfree = chart.nfree
+    # an earlier generator's image w lies in this chart's span:
+    # w[r] = sum_j w[pivot j] * x[r, j] on each nonpivot row r
+    for k, images in steps[i].incoming:
+        for image in images:
+            w = _image(image, values[k])
+            for r, free in zip(chart.nonpivot_rows, chart.row_free):
+                row = [0] * nfree
+                for j, var in free:
+                    row[var] = w[chart.pivot_rows[j]] % q
+                yield row, w[r] % q
+    # this chart's generator images lie in an earlier span, fixed at y:
+    # the residual w[r] - sum_c w[pivot c] * y[r, c] vanishes there
+    for k, images in steps[i].outgoing:
+        target = steps[k].chart
+        y = values[k]
+        for r, free in zip(target.nonpivot_rows, target.row_free):
+            weights = [(target.pivot_rows[c], y[var]) for c, var in free if y[var]]
+            for const, terms in images:
+                row = [0] * nfree
+                for var, vec in terms:
+                    row[var] = (vec[r] - sum(vec[p] * c for p, c in weights)) % q
+                yield row, (sum(const[p] * c for p, c in weights) - const[r]) % q
+
+
+def _chart_solutions(steps: list[_Step], i: int, values: list, q: int) -> Iterator[Vector]:
+    """Chart coordinates of step i that satisfy every arrow to a placed vertex.
+
+    Zero rows are dropped, and one with a nonzero right-hand side ends the
+    step before any elimination.
+    """
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for row, b in _chart_equations(steps, i, values, q):
+        if any(row):
             rows.append(row)
-            rhs.append(vec[r] % q)
-        return rows, rhs
+            rhs.append(b)
+        elif b:
+            return iter(())
+    return iter_solutions_mod(rows, rhs, steps[i].chart.nfree, q)
 
-    def contains(self, mat: Matrix, vec: Sequence[int], q: int) -> bool:
-        coeffs = [vec[p] % q for p in self.pivot_rows]
-        for r in range(self.nrows):
-            predicted = sum(coeffs[j] * mat[r][j] for j in range(self.ncols)) % q
-            if predicted != vec[r] % q:
-                return False
-        return True
+
+def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
+    """Loop filter: every loop maps each generator back into the span."""
+    chart = step.chart
+    for images in step.loops:
+        for image in images:
+            w = _image(image, x)
+            for r, free in zip(chart.nonpivot_rows, chart.row_free):
+                if (w[r] - sum(w[chart.pivot_rows[j]] * x[var] for j, var in free)) % q:
+                    return False
+    return True
 
 
 def _cell_points(
     m: Representation, beta: CellIndex, q: int
 ) -> Iterator[dict[str, Matrix]]:
-    """All F_q points of one Schubert cell, as per-vertex echelon matrices."""
-    beta_set = beta.as_set()
-    charts = {}
-    for v in m.quiver.vertices:
-        block = m.basis.block(v)
-        charts[v] = _Chart(block, [b for b in block if b in beta_set])
-    order = list(m.quiver.vertices)
-    matrices_mod = {a.name: tuple(tuple(x % q for x in r) for r in m.matrices[a.name]) for a in m.quiver.arrows}
+    """All F_q points of one Schubert cell, as per-vertex echelon matrices.
 
-    def extend(i: int, assigned: dict[str, Matrix]) -> Iterator[dict[str, Matrix]]:
-        if i == len(order):
-            yield dict(assigned)
-            return
-        v = order[i]
-        chart = charts[v]
-        rows: list[list[int]] = []
-        rhs: list[int] = []
-        incoming = []
-        outgoing = []
-        loops = []
-        for a in m.quiver.arrows:
-            if a.src == v and a.tgt == v:
-                loops.append(a)
-            elif a.tgt == v and a.src in assigned:
-                incoming.append(a)
-            elif a.src == v and a.tgt in assigned:
-                outgoing.append(a)
-        for a in incoming:
-            src_mat = assigned[a.src]
-            ncols = len(src_mat[0]) if src_mat else 0
-            for jcol in range(ncols):
-                gen = [row[jcol] for row in src_mat]
-                vec = mat_vec_mod(matrices_mod[a.name], gen, q)
-                r2, b2 = chart.membership_rows(vec, q)
-                rows.extend(r2)
-                rhs.extend(b2)
-        for a in outgoing:
-            tgt_chart = charts[a.tgt]
-            tgt_mat = assigned[a.tgt]
-            ma = matrices_mod[a.name]
-            for j in range(chart.ncols):
-                # image of generator j is affine-linear in the free coordinates
-                base = [0] * len(chart.block)
-                base[chart.pivot_rows[j]] = 1
-                const_vec = mat_vec_mod(ma, base, q)
-                coeff_vecs = [
-                    (var_idx, [ma[k][r] % q for k in range(len(ma))])
-                    for var_idx, (r, jj) in enumerate(chart.free)
-                    if jj == j
-                ]
-                for rp in tgt_chart.nonpivot_rows:
-                    row = [0] * len(chart.free)
-                    predicted_const = sum(
-                        tgt_mat[rp][c] * const_vec[tgt_chart.pivot_rows[c]]
-                        for c in range(tgt_chart.ncols)
-                    )
-                    for var_idx, cvec in coeff_vecs:
-                        contrib = cvec[rp] - sum(
-                            tgt_mat[rp][c] * cvec[tgt_chart.pivot_rows[c]]
-                            for c in range(tgt_chart.ncols)
-                        )
-                        row[var_idx] = contrib % q
-                    rows.append(row)
-                    rhs.append((predicted_const - const_vec[rp]) % q)
-        for values in iter_solutions_mod(rows, rhs, len(chart.free), q):
-            mat = chart.matrix(values)
-            ok = True
-            for a in loops:
-                ma = matrices_mod[a.name]
-                for j in range(chart.ncols):
-                    gen = [row[j] for row in mat]
-                    vec = mat_vec_mod(ma, gen, q)
-                    if not chart.contains(mat, vec, q):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                assigned[v] = mat
-                yield from extend(i + 1, assigned)
-                del assigned[v]
-
-    yield from extend(0, {})
+    Depth-first over the plan's steps with an explicit stack.  The state
+    entering step i is keyed by the chart coordinates at its frontier;
+    once a state has extended to no point it is dead, and later arrivals
+    at it are skipped.
+    """
+    order = m.quiver.vertices
+    steps = _plan(m, beta, q)
+    n = len(steps)
+    if n == 0:
+        yield {}
+        return
+    values: list = [()] * n
+    mats: list = [()] * n
+    pending: list = [iter(())] * n
+    keys: list = [None] * n
+    points_before = [0] * n
+    dead: set = set()
+    points = 0
+    pending[0] = _chart_solutions(steps, 0, values, q)
+    i = 0
+    while i >= 0:
+        step = steps[i]
+        chart = step.chart
+        ncols = len(chart.pivot_rows)
+        for x in pending[i]:
+            if step.loops and not _loops_hold(step, x, q):
+                continue
+            values[i] = x
+            if ncols:
+                flat = map((x + (0, 1)).__getitem__, chart.entries)
+                mats[i] = tuple(zip(*[flat] * ncols))
+            else:
+                mats[i] = ((),) * chart.nrows
+            if i + 1 == n:
+                points += 1
+                yield dict(zip(order, mats))
+                continue
+            key = (i + 1,) + tuple(values[k] for k in steps[i + 1].frontier)
+            if key in dead:
+                continue
+            i += 1
+            keys[i] = key
+            points_before[i] = points
+            pending[i] = _chart_solutions(steps, i, values, q)
+            break
+        else:
+            if i and points == points_before[i]:
+                dead.add(keys[i])
+            i -= 1
 
 
 def cell_count(m: Representation, beta: CellIndex, q: int) -> int:
@@ -339,6 +445,7 @@ def counting_polynomial(
         ps = list(islice(primes_iter(), needed))
     else:
         ps = list(primes)
+        _require_distinct(ps)
         if len(ps) < needed:
             raise ValueError(f"need at least {needed} primes, got {len(ps)}")
     samples = [(r.prime, r.total) for r in count(m, e, primes=ps, budget=budget)]
@@ -379,6 +486,7 @@ def verify_affine(
     """
     if len(primes) < 2:
         raise ValueError("verify_affine needs at least two primes")
+    _require_distinct(primes)
     reports = count(m, e, primes=primes, budget=budget)
     evidence = f"numerical evidence at primes {{{', '.join(str(q) for q in primes)}}}"
     verdicts = []

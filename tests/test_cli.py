@@ -190,3 +190,14 @@ def test_non_prime_modulus_is_an_input_error(primes):
         assert len(err.strip().splitlines()) == 1
     code, out, err = run(["count", "--catalog", "two_lines", "--primes", primes])
     assert code == 2 and out == "" and "not a prime" in err
+
+
+@pytest.mark.parametrize(
+    "cmd, primes",
+    [("poly", "2,2,3"), ("verify-affine", "3,3"), ("euler", "2,2"), ("poincare", "2,2")],
+)
+def test_repeated_prime_is_an_input_error(cmd, primes):
+    code, out, err = run([cmd, "--catalog", "two_lines", "--primes", primes])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "is repeated" in err
+    assert len(err.strip().splitlines()) == 1

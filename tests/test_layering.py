@@ -1,7 +1,11 @@
-"""Module layering: package imports sit at module top, and schubert never reaches the oracle."""
+"""Module layering: package imports sit at module top, schubert never reaches the
+oracle, and every name the traced benchmark run wraps still resolves."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import quiver_schubert
 
@@ -41,3 +45,30 @@ def test_no_function_local_package_imports():
 def test_schubert_does_not_import_oracle():
     tree = dict(_modules())["schubert.py"]
     assert not [n for n in _package_imports(tree) if "oracle" in n.split(".")]
+
+
+def _load_perfbench(name: str):
+    path = PACKAGE.parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_resolve_and_restore():
+    layers, spans = _load_perfbench("layers"), _load_perfbench("spans")
+    names = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    ns = SimpleNamespace(**{n: importlib.import_module(f"quiver_schubert.{n}") for n in names})
+    owners = list(vars(ns).values()) + [ns.hypothesis_h.WindingContext]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    try:
+        layers.instrument(tracer, ns)
+        entry = ns.catalog.catalog("two_lines")
+        (report,) = ns.oracle.count(entry.representation, entry.dim_vector, primes=(3,))
+    finally:
+        tracer.restore()
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert report.total == 7
+    assert tracer.calls["oracle._cell_points"] == len(report.per_cell)
+    assert tracer.counters["oracle._cell_points.points"] == 7

@@ -377,3 +377,17 @@ def test_counting_polynomial_text_unit_coefficients():
     assert text(0, 0, -1) == "-x^2"
     assert text(1, -1, 1) == "x^2 - x + 1"
     assert text(1, -2) == "-2*x + 1"
+
+
+def test_repeated_primes_are_rejected():
+    rep = catalog("two_lines").representation
+    e = {"1": 1, "2": 1}
+    calls = [
+        lambda: counting_polynomial(rep, e, primes=(2, 2, 3)),
+        lambda: verify_affine(rep, e, primes=(3, 3)),
+        lambda: euler_characteristic(rep, e, primes=(2, 2)),
+        lambda: poincare_polynomial(rep, e, primes=(2, 3, 2)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="prime . is repeated"):
+            call()
