@@ -38,7 +38,7 @@ from .representation import (
     representation_from_json,
     representation_to_json,
 )
-from .schubert import PreconditionError, cell_index, enumerate_cells, generate_equations
+from .schubert import PreconditionError, cell_index, cell_type, enumerate_cells, generate_equations
 
 
 class InputError(ValueError):
@@ -125,6 +125,19 @@ def _dim_vector(args, rep, entry: CatalogEntry | None):
             f"(vertex order: {', '.join(rep.quiver.vertices)})"
         )
     return dict(zip(rep.quiver.vertices, parts))
+
+
+def _check_beta_type(rep, beta, e) -> None:
+    """A --beta must index a cell of the dimension vector, counted over rep's blocks."""
+    vertices = rep.quiver.vertices
+    got = cell_type(rep.basis, beta)
+    have = [got.get(v, 0) for v in vertices]
+    want = [e.get(v, 0) for v in vertices]
+    if have != want:
+        raise InputError(
+            f"--beta has type ({','.join(map(str, have))}) but the dimension vector is "
+            f"({','.join(map(str, want))}) (vertex order: {', '.join(vertices)})"
+        )
 
 
 def _primes(args, default=(2, 3, 5)):
@@ -238,7 +251,10 @@ def _run(args) -> int:
         f = entry.morphism if entry is not None else None
         source = entry.upstairs if (entry is not None and entry.upstairs is not None) else rep
         if args.beta:
-            betas = [cell_index(source.basis, [b.strip() for b in args.beta.split(",")])]
+            beta = cell_index(source.basis, [b.strip() for b in args.beta.split(",")])
+            if entry is not None or args.dim_vector:
+                _check_beta_type(rep, beta, _dim_vector(args, rep, entry))
+            betas = [beta]
         else:
             e = _dim_vector(args, rep, entry)
             ambient_basis = rep.basis  # cells are indexed over the (pushed) module's grouping

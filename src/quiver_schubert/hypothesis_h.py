@@ -11,6 +11,7 @@ known over S belong to the induction's base case and are exempt.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from .linalg import is_identity
@@ -50,13 +51,24 @@ class RelevantPair:
 
 @dataclass
 class WindingContext:
-    """Shared data for the pair/triple combinatorics of one winding."""
+    """Shared data for the pair/triple combinatorics of one winding.
+
+    Each fibre is sorted once, with its positions, and so are each
+    fibre's arrows; Psi keys are memoised per pair.  The tables fill on
+    first use of an image, so a vertex with an empty basis block raises
+    PreconditionError from the same calls as a fresh sort would.
+    """
 
     rep: Representation
     sub: Subquiver
     morphism: QuiverMorphism
     vertex_key: dict[str, int] = field(init=False)
     distance: dict[str, int] = field(init=False)
+    _fibres: dict[str, tuple[list[str], list[int]]] = field(init=False, repr=False, compare=False)
+    _fibre_arrows: dict[str, list[Arrow]] = field(init=False, repr=False, compare=False)
+    _psi_keys: dict[tuple[str, str], tuple[int, int, int, int]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.morphism.domain != self.rep.quiver:
@@ -65,6 +77,7 @@ class WindingContext:
             raise PreconditionError("S must be nonempty")
         self.vertex_key = self.rep.basis.vertex_key(self.rep.quiver.vertices)
         self.distance = distances_to(self.rep.quiver, self.sub)
+        self._fibres, self._fibre_arrows, self._psi_keys = {}, {}, {}
 
     def pos(self, v: str) -> int:
         key = self.vertex_key.get(v)
@@ -72,11 +85,22 @@ class WindingContext:
             raise PreconditionError(f"vertex {v!r} has an empty basis block")
         return key
 
+    def _sorted_fibre(self, v: str) -> tuple[list[str], list[int]]:
+        """The fibre over v in basis order, with the position of each vertex."""
+        if v not in self._fibres:
+            fibre = sorted(self.morphism.fibre_vertices(v), key=self.pos)
+            self._fibres[v] = (fibre, [self.pos(p) for p in fibre])
+        return self._fibres[v]
+
     def fibre(self, v: str) -> list[str]:
-        return sorted(self.morphism.fibre_vertices(v), key=self.pos)
+        return list(self._sorted_fibre(v)[0])
 
     def fibre_arrows(self, name: str) -> list[Arrow]:
-        return sorted(self.morphism.fibre_arrows(name), key=lambda a: self.pos(a.src))
+        if name not in self._fibre_arrows:
+            self._fibre_arrows[name] = sorted(
+                self.morphism.fibre_arrows(name), key=lambda a: self.pos(a.src)
+            )
+        return list(self._fibre_arrows[name])
 
     def is_relevant(self, p: str, p_prime: str) -> bool:
         return (
@@ -86,21 +110,26 @@ class WindingContext:
         )
 
     def epsilon(self, p: str, p_prime: str) -> int:
+        """Number of vertices v in the fibre of p with pos(p) <= pos(v) < pos(p')."""
         image = self.morphism.vertex_map[p]
         lo, hi = self.pos(p), self.pos(p_prime)
-        return sum(1 for v in self.fibre(image) if lo <= self.pos(v) < hi)
+        positions = self._sorted_fibre(image)[1]
+        return max(0, bisect_left(positions, hi) - bisect_left(positions, lo))
 
     def delta(self, p: str, p_prime: str) -> int:
         return max(self.distance[p], self.distance[p_prime])
 
     def psi_key(self, p: str, p_prime: str) -> tuple[int, int, int, int]:
         """Extended Psi comparator: non-relevant pairs sort below relevant ones."""
-        return (
-            1 if self.is_relevant(p, p_prime) else 0,
-            self.epsilon(p, p_prime),
-            self.delta(p, p_prime),
-            self.pos(p_prime),
-        )
+        key = self._psi_keys.get((p, p_prime))
+        if key is None:
+            key = self._psi_keys[(p, p_prime)] = (
+                1 if self.is_relevant(p, p_prime) else 0,
+                self.epsilon(p, p_prime),
+                self.delta(p, p_prime),
+                self.pos(p_prime),
+            )
+        return key
 
 
 def relevant_pairs(ctx: WindingContext) -> list[RelevantPair]:
@@ -213,6 +242,13 @@ class HypothesisResult:
     notes: tuple[str, ...] = ()
 
     def witness_json(self) -> str:
+        """The verdict with its evidence.
+
+        A failure is witnessed by its pair and that pair's triples.  A pass
+        adds the excused equations (`exceptions`: pair, triple, type) and
+        the deduplicated `notes`; a failure never carries either, since the
+        check stops at the first failing pair.
+        """
         data = {
             "passed": self.passed,
             "reason": self.reason,
@@ -221,6 +257,12 @@ class HypothesisResult:
                 {"triple": list(tr.triple), "type": tr.type.value} for tr in self.triples
             ],
         }
+        if self.passed:
+            data["exceptions"] = [
+                {"pair": list(pair), "triple": list(tr.triple), "type": tr.type.value}
+                for pair, tr in self.exceptions
+            ]
+            data["notes"] = list(self.notes)
         return json.dumps(data, sort_keys=True)
 
 

@@ -25,7 +25,11 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def is_identity(m: Matrix) -> bool:
-    return m == identity_matrix(len(m)) and all(len(r) == len(m) for r in m)
+    """Square with ones on the diagonal and zeros elsewhere, tested in place."""
+    n = len(m)
+    return all(
+        len(row) == n and row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(m)
+    )
 
 
 def mat_vec_mod(a: Matrix, v: Sequence[int], q: int) -> Vector:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, int_det
+from .linalg import int_det
 from .quiver import (
     Quiver,
     QuiverMorphism,
@@ -148,54 +148,6 @@ Monomial = tuple[tuple[int, int], ...]  # ((var index, exponent), ...) sorted
 class Poly:
     terms: Mapping[Monomial, int] = field(hash=False)
 
-    @staticmethod
-    def zero() -> "Poly":
-        return Poly({})
-
-    @staticmethod
-    def const(c: int) -> "Poly":
-        return Poly({(): c}) if c else Poly({})
-
-    @staticmethod
-    def var(i: int) -> "Poly":
-        return Poly({((i, 1),): 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            c2 = out.get(m, 0) + c
-            if c2:
-                out[m] = c2
-            else:
-                out.pop(m, None)
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + Poly({m: -c for m, c in other.terms.items()})
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                exps: dict[int, int] = dict(m1)
-                for v, e in m2:
-                    exps[v] = exps.get(v, 0) + e
-                m = tuple(sorted(exps.items()))
-                c = out.get(m, 0) + c1 * c2
-                if c:
-                    out[m] = c
-                else:
-                    out.pop(m, None)
-        return Poly(out)
-
-    def scale(self, c: int) -> "Poly":
-        if c == 0:
-            return Poly({})
-        return Poly({m: c * x for m, x in self.terms.items()})
-
     def evaluate(self, values: Sequence[int], q: int) -> int:
         total = 0
         for m, c in self.terms.items():
@@ -288,11 +240,12 @@ class CellEquationSystem:
 def cell_variables(basis, beta: CellIndex, ambient_vertex_of: Mapping[str, str]) -> list[tuple[str, str]]:
     """Free coordinate positions (b', b) of the echelon chart."""
     pos = {b: i for i, b in enumerate(basis.order)}
+    beta_set = beta.as_set()
     out = []
     for b in beta.elements:
         for bp in basis.order:
             if (
-                bp not in beta.as_set()
+                bp not in beta_set
                 and pos[bp] < pos[b]
                 and ambient_vertex_of[bp] == ambient_vertex_of[b]
             ):
@@ -310,6 +263,12 @@ def generate_equations(
     subrepresentation conditions of M itself in echelon coordinates.
     Rows indexed by pivot elements are trivially satisfied and skipped;
     identically-zero polynomials are dropped.
+
+    Assembly is sparse.  Every chart entry is a monomial with coefficient
+    1 or absent, so the right factor M_a W_{a.src,s} is built once per
+    fibre arrow a and source fibre vertex s from the nonzero entries of
+    M_a, and each equation sums monomial coefficients in a dict; zero
+    products are never formed.
     """
     f = fibred_via if fibred_via is not None else identity_morphism(m.quiver)
     if f.domain != m.quiver:
@@ -324,41 +283,33 @@ def generate_equations(
     ambient_vertex_of = {b: f.vertex_map[basis.vertex_of[b]] for b in basis.order}
     variables = cell_variables(basis, beta, ambient_vertex_of)
     var_index = {pair: i for i, pair in enumerate(variables)}
+    block = {v: basis.block(v) for v in m.quiver.vertices}
+    beta_rows = {v: [(i, b) for i, b in enumerate(blk) if b in beta_set] for v, blk in block.items()}
+    cols = {v: [b for _, b in rows] for v, rows in beta_rows.items()}
 
-    def w_block(p: str, pprime: str) -> list[list[Poly]]:
-        rows = basis.block(p)
-        cols = [b for b in basis.block(pprime) if b in beta_set]
+    def chart_row(c: str, s: str) -> list[tuple[str, Monomial]]:
+        """Nonzero entries (column, monomial) of row c of the chart block W_{., s}."""
+        if c in beta_set:
+            return [(c, ())] if c in cols[s] else []
+        return [(bc, ((var_index[(c, bc)], 1),)) for bc in cols[s] if pos[c] < pos[bc]]
+
+    def right_factor(a, s: str) -> list[dict[str, dict[Monomial, int]]]:
+        """Rows of M_a W_{a.src,s} as {column: {monomial: coefficient}}.
+
+        Distinct source rows c give distinct monomials, so nothing cancels.
+        """
         out = []
-        for br in rows:
-            row = []
-            for bc in cols:
-                if br == bc:
-                    row.append(Poly.const(1))
-                elif br in beta_set or pos[br] > pos[bc]:
-                    row.append(Poly.zero())
-                else:
-                    row.append(Poly.var(var_index[(br, bc)]))
-            out.append(row)
+        for row in m.matrices[a.name]:
+            acc: dict[str, dict[Monomial, int]] = {}
+            for c, x in zip(block[a.src], row):
+                if x:
+                    for bc, mono in chart_row(c, s):
+                        acc.setdefault(bc, {})[mono] = x
+            out.append(acc)
         return out
 
-    def mat_poly(mat: Sequence[Sequence[Poly]], other: Sequence[Sequence[Poly]]):
-        if not mat or not other:
-            return []
-        ncols = len(other[0]) if other else 0
-        return [
-            [
-                sum((mat[i][k] * other[k][j] for k in range(len(other))), Poly.zero())
-                for j in range(ncols)
-            ]
-            for i in range(len(mat))
-        ]
-
-    def int_rows(mat: Matrix, rows: Sequence[int]) -> list[list[Poly]]:
-        return [[Poly.const(x) for x in mat[r]] for r in rows]
-
     def block_start(v: str) -> int:
-        block = basis.block(v)
-        return pos[block[0]] if block else -1
+        return pos[block[v][0]] if block[v] else -1
 
     equations = []
     for at in f.codomain.arrows:
@@ -369,50 +320,65 @@ def generate_equations(
         src_fib = sorted(
             (v for v in f.domain.vertices if f.vertex_map[v] == at.src), key=block_start
         )
+        arrow_into = {a.tgt: a for a in fibre}  # one per target, F being a winding
+        factors: dict[str, tuple[dict, list]] = {}
+
+        def factor(s: str) -> tuple[dict, list]:
+            """Right factors of every fibre arrow at s, and the nonzero beta rows among them."""
+            if s not in factors:
+                rights = {a.name: right_factor(a, s) for a in fibre}
+                lhs = [
+                    (pos[r], r, rights[a.name][k])
+                    for a in fibre
+                    for k, r in beta_rows[a.tgt]
+                    if rights[a.name][k]
+                ]
+                factors[s] = (rights, lhs)
+            return factors[s]
+
         for t in tgt_fib:
-            rows_out = [b for b in basis.block(t) if b not in beta_set]
+            rows_out = [(i, b) for i, b in enumerate(block[t]) if b not in beta_set]
             if not rows_out:
                 continue
+            arrow_t = arrow_into.get(t)
             for s in src_fib:
-                cols = [b for b in basis.block(s) if b in beta_set]
-                if not cols:
+                if not cols[s]:
                     continue
-                lhs = None
-                for a in fibre:
-                    beta_rows = [
-                        i for i, b in enumerate(basis.block(a.tgt)) if b in beta_set
-                    ]
-                    term = mat_poly(
-                        mat_poly(w_block(t, a.tgt), int_rows(m.matrices[a.name], beta_rows)),
-                        w_block(a.src, s),
-                    )
-                    if term:
-                        lhs = term if lhs is None else [
-                            [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(lhs, term)
-                        ]
-                rhs = None
-                for a in fibre:
-                    if a.tgt == t:
-                        rhs = mat_poly(
-                            [[Poly.const(x) for x in row] for row in m.matrices[a.name]],
-                            w_block(a.src, s),
-                        )
-                        break
-                block_rows = basis.block(t)
-                for i, br in enumerate(block_rows):
-                    if br in beta_set:
-                        continue
-                    for j, bc in enumerate(cols):
-                        poly = Poly.zero()
-                        if lhs:
-                            poly = poly + lhs[i][j]
-                        if rhs:
-                            poly = poly - rhs[i][j]
-                        if not poly.is_zero():
-                            equations.append(
-                                CellEquation((at.name, t, s), br, bc, poly)
-                            )
+                rights, lhs = factor(s)
+                rhs = rights[arrow_t.name] if arrow_t is not None else None
+                for i, br in rows_out:
+                    # E = sum_a W_{t,a.tgt} M_a[beta rows] W_{a.src,s} - M_{a_t} W_{a_t.src,s};
+                    # on a non-pivot row br the left chart block is w_{br,r} for r > br.
+                    acc: dict[str, dict[Monomial, int]] = {}
+                    for p, r, row in lhs:
+                        if p < pos[br]:
+                            continue
+                        w = var_index[(br, r)]
+                        for bc, poly in row.items():
+                            into = acc.setdefault(bc, {})
+                            for mono, x in poly.items():
+                                prod = _times_var(w, mono)
+                                into[prod] = into.get(prod, 0) + x
+                    if rhs is not None:
+                        for bc, poly in rhs[i].items():
+                            into = acc.setdefault(bc, {})
+                            for mono, x in poly.items():
+                                into[mono] = into.get(mono, 0) - x
+                    for bc in cols[s]:
+                        terms = {mono: x for mono, x in acc.get(bc, {}).items() if x}
+                        if terms:
+                            equations.append(CellEquation((at.name, t, s), br, bc, Poly(terms)))
     return CellEquationSystem(beta, tuple(variables), tuple(equations))
+
+
+def _times_var(i: int, mono: Monomial) -> Monomial:
+    """The monomial w_i * mono, for mono of degree at most one."""
+    if not mono:
+        return ((i, 1),)
+    (j, _), = mono
+    if i == j:
+        return ((i, 2),)
+    return ((i, 1), (j, 1)) if i < j else ((j, 1), (i, 1))
 
 
 # ---------------------------------------------------------------------------

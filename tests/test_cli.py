@@ -6,8 +6,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from quiver_schubert.catalog import catalog
 from quiver_schubert.cli import main
 from quiver_schubert.quiver import quiver, quiver_to_json
+from quiver_schubert.representation import representation_to_json
 
 
 def run(argv):
@@ -201,3 +203,40 @@ def test_repeated_prime_is_an_input_error(cmd, primes):
     assert code == 2 and out == ""
     assert err.startswith("input error:") and "is repeated" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["equations", "--catalog", "ex_4_5_1", "--beta", "3"], "type (0,1)"),
+        (["equations", "--catalog", "ex_4_5_1", "--beta", "2,4"], "type (2,0)"),
+        (["equations", "--catalog", "two_lines", "--beta", "b1,b3", "--dim-vector", "2,0"], "type (1,1)"),
+    ],
+)
+def test_equations_beta_of_the_wrong_type_is_an_input_error(argv, shown):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and shown in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_equations_beta_type_is_checked_only_against_a_known_dim_vector(tmp_path):
+    path = tmp_path / "rep.json"
+    path.write_text(representation_to_json(catalog("two_lines").representation))
+    code, out, _ = run(["equations", "--rep", str(path), "--beta", "b1"])
+    assert code == 0 and out.startswith("cell beta = {b1}")
+    code, _, err = run(["equations", "--rep", str(path), "--beta", "b1", "--dim-vector", "1,1"])
+    assert code == 2 and "type (1,0)" in err
+
+
+def test_hypothesis_h_json_carries_exceptions_and_notes():
+    code, out, _ = run(["hypothesis-h", "--catalog", "ex_4_5_5", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert set(data) == {"pair", "passed", "reason", "triples", "exceptions", "notes"}
+    assert len(data["exceptions"]) == 37
+    assert data["exceptions"][0] == {"pair": ["1", "3"], "triple": ["gt", "1", "0"], "type": "T3a"}
+    assert data["notes"] == [
+        "identity requirement for exception via 'a1' is vacuous (arrow not in S)",
+        "identity requirement for exception via 'a2' is vacuous (arrow not in S)",
+    ]
