@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .linalg import identity_matrix
 from .quiver import Quiver, QuiverMorphism, Subquiver, morphism, quiver, subquiver
 from .representation import (
     OrderedBasis,
@@ -43,10 +44,6 @@ def _jordan(m: int, lam: int) -> list[list[int]]:
     return out
 
 
-def _identity(m: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-
 def one_vertex(m: int) -> CatalogEntry:
     q = quiver(["1"], [])
     basis = OrderedBasis(tuple(f"b{i}" for i in range(1, m + 1)), {f"b{i}": "1" for i in range(1, m + 1)})
@@ -68,7 +65,7 @@ def flag(m: int, dims: Sequence[int]) -> CatalogEntry:
             order.append(b)
             vertex_of[b] = str(p)
     basis = OrderedBasis(tuple(order), vertex_of)
-    rep = representation(q, basis, {f"a{p}": _identity(m) for p in range(1, r)})
+    rep = representation(q, basis, {f"a{p}": identity_matrix(m) for p in range(1, r)})
     s = subquiver(q, ["1"])
     return CatalogEntry(
         "flag", (m, tuple(dims)), rep, {str(p): dims[p - 1] for p in range(1, r + 1)}, subquiver=s
@@ -94,7 +91,7 @@ def kronecker_regular(n: int, lam: int) -> CatalogEntry:
     order = [f"b{i}" for i in range(1, 2 * n + 1)]
     vertex_of = {f"b{i}": ("1" if i <= n else "2") for i in range(1, 2 * n + 1)}
     basis = OrderedBasis(tuple(order), vertex_of)
-    rep = representation(q, basis, {"a": _identity(n), "b": _jordan(n, lam)})
+    rep = representation(q, basis, {"a": identity_matrix(n), "b": _jordan(n, lam)})
     return CatalogEntry("kronecker_regular", (n, lam), rep, {"1": 1, "2": 1})
 
 

@@ -87,6 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reordered(args, rep):
+    """rep in the basis order given by --order, if any."""
+    if args.order:
+        return reorder_basis(rep, [b.strip() for b in args.order.split(",")])
+    return rep
+
+
 def _load_rep(args, entry: CatalogEntry | None):
     if entry is not None:
         rep = entry.representation
@@ -95,15 +102,16 @@ def _load_rep(args, entry: CatalogEntry | None):
             rep = representation_from_json(fh.read())
     else:
         raise InputError("need --catalog or --rep")
-    if args.order:
-        rep = reorder_basis(rep, [b.strip() for b in args.order.split(",")])
-    return rep
+    return _reordered(args, rep)
 
 
 def _load_winding(args, entry: CatalogEntry | None):
-    """(upstairs module, winding) of a catalog winding or of --rep/--morphism/--target-quiver."""
+    """(upstairs module, winding) of a catalog winding or of --rep/--morphism/--target-quiver.
+
+    --order reorders the upstairs basis; push-forwards taken from it follow.
+    """
     if entry is not None and entry.morphism is not None:
-        return entry.upstairs, entry.morphism
+        return _reordered(args, entry.upstairs), entry.morphism
     if not (args.morphism and args.target_quiver and args.rep):
         raise InputError("need a catalog winding or --rep/--morphism/--target-quiver")
     rep = _load_rep(args, entry)
@@ -229,16 +237,35 @@ def _run(args) -> int:
         return 0 if winding and strict is not False else 1
 
     if cmd == "pushforward":
-        if entry is not None and entry.morphism is not None:
-            pushed = entry.representation
-        else:
-            rep, f = _load_winding(args, entry)
-            pushed = push_forward(f, rep)
-        text = representation_to_json(pushed)
+        up, f = _load_winding(args, entry)
+        text = representation_to_json(push_forward(f, up))
         _emit(args, json.loads(text), text)
         return 0
 
-    rep = _load_rep(args, entry)
+    if cmd == "hypothesis-h":
+        if entry is None or entry.morphism is None:
+            raise InputError("hypothesis-h needs a catalog winding")
+        up, f = _load_winding(args, entry)
+        result = check_hypothesis_h(up, entry.subquiver, f)
+        _emit(
+            args,
+            json.loads(result.witness_json()),
+            ("PASS" if result.passed else "FAIL: " + result.reason)
+            + (
+                "\n" + "\n".join(f"  ({','.join(t.triple)}) type {t.type.value}" for t in result.triples)
+                if result.triples
+                else ""
+            ),
+        )
+        return 0 if result.passed else 1
+
+    if entry is not None and entry.morphism is not None:
+        source, f = _load_winding(args, entry)
+        # the entry already holds the push-forward of its own order
+        rep = push_forward(f, source) if args.order else entry.representation
+    else:
+        rep = _load_rep(args, entry)
+        source, f = rep, None
 
     if cmd == "cells":
         e = _dim_vector(args, rep, entry)
@@ -248,8 +275,6 @@ def _run(args) -> int:
         return 0
 
     if cmd == "equations":
-        f = entry.morphism if entry is not None else None
-        source = entry.upstairs if (entry is not None and entry.upstairs is not None) else rep
         if args.beta:
             beta = cell_index(source.basis, [b.strip() for b in args.beta.split(",")])
             if entry is not None or args.dim_vector:
@@ -271,22 +296,6 @@ def _run(args) -> int:
         else:
             print("\n\n".join(s.to_text() for s in out))
         return 0
-
-    if cmd == "hypothesis-h":
-        if entry is None or entry.morphism is None:
-            raise InputError("hypothesis-h needs a catalog winding")
-        result = check_hypothesis_h(entry.upstairs, entry.subquiver, entry.morphism)
-        _emit(
-            args,
-            json.loads(result.witness_json()),
-            ("PASS" if result.passed else "FAIL: " + result.reason)
-            + (
-                "\n" + "\n".join(f"  ({','.join(t.triple)}) type {t.type.value}" for t in result.triples)
-                if result.triples
-                else ""
-            ),
-        )
-        return 0 if result.passed else 1
 
     e = _dim_vector(args, rep, entry)
     budget = _budget(args)

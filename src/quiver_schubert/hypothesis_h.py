@@ -44,17 +44,14 @@ class RelevantPair:
     delta: int
     epsilon: int
 
-    @property
-    def psi(self) -> tuple[int, int, str]:
-        return (self.epsilon, self.delta, self.p_prime)
-
 
 @dataclass
 class WindingContext:
     """Shared data for the pair/triple combinatorics of one winding.
 
     Each fibre is sorted once, with its positions, and so are each
-    fibre's arrows; Psi keys are memoised per pair.  The tables fill on
+    fibre's arrows; both are handed out as the stored tuples.  Psi keys
+    are memoised per pair.  The tables fill on
     first use of an image, so a vertex with an empty basis block raises
     PreconditionError from the same calls as a fresh sort would.
     """
@@ -64,8 +61,10 @@ class WindingContext:
     morphism: QuiverMorphism
     vertex_key: dict[str, int] = field(init=False)
     distance: dict[str, int] = field(init=False)
-    _fibres: dict[str, tuple[list[str], list[int]]] = field(init=False, repr=False, compare=False)
-    _fibre_arrows: dict[str, list[Arrow]] = field(init=False, repr=False, compare=False)
+    _fibres: dict[str, tuple[tuple[str, ...], list[int]]] = field(
+        init=False, repr=False, compare=False
+    )
+    _fibre_arrows: dict[str, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
     _psi_keys: dict[tuple[str, str], tuple[int, int, int, int]] = field(
         init=False, repr=False, compare=False
     )
@@ -85,29 +84,22 @@ class WindingContext:
             raise PreconditionError(f"vertex {v!r} has an empty basis block")
         return key
 
-    def _sorted_fibre(self, v: str) -> tuple[list[str], list[int]]:
+    def _sorted_fibre(self, v: str) -> tuple[tuple[str, ...], list[int]]:
         """The fibre over v in basis order, with the position of each vertex."""
         if v not in self._fibres:
-            fibre = sorted(self.morphism.fibre_vertices(v), key=self.pos)
+            fibre = tuple(sorted(self.morphism.fibre_vertices(v), key=self.pos))
             self._fibres[v] = (fibre, [self.pos(p) for p in fibre])
         return self._fibres[v]
 
-    def fibre(self, v: str) -> list[str]:
-        return list(self._sorted_fibre(v)[0])
+    def fibre(self, v: str) -> tuple[str, ...]:
+        return self._sorted_fibre(v)[0]
 
-    def fibre_arrows(self, name: str) -> list[Arrow]:
+    def fibre_arrows(self, name: str) -> tuple[Arrow, ...]:
         if name not in self._fibre_arrows:
-            self._fibre_arrows[name] = sorted(
-                self.morphism.fibre_arrows(name), key=lambda a: self.pos(a.src)
+            self._fibre_arrows[name] = tuple(
+                sorted(self.morphism.fibre_arrows(name), key=lambda a: self.pos(a.src))
             )
-        return list(self._fibre_arrows[name])
-
-    def is_relevant(self, p: str, p_prime: str) -> bool:
-        return (
-            self.morphism.vertex_map[p] == self.morphism.vertex_map[p_prime]
-            and self.pos(p) <= self.pos(p_prime)
-            and p_prime not in self.sub.vertices
-        )
+        return self._fibre_arrows[name]
 
     def epsilon(self, p: str, p_prime: str) -> int:
         """Number of vertices v in the fibre of p with pos(p) <= pos(v) < pos(p')."""
@@ -120,11 +112,20 @@ class WindingContext:
         return max(self.distance[p], self.distance[p_prime])
 
     def psi_key(self, p: str, p_prime: str) -> tuple[int, int, int, int]:
-        """Extended Psi comparator: non-relevant pairs sort below relevant ones."""
+        """Extended Psi comparator: non-relevant pairs sort below relevant ones.
+
+        The first component is 1 exactly when (p, p') is relevant: one fibre,
+        p at or before p', and p' outside S.
+        """
         key = self._psi_keys.get((p, p_prime))
         if key is None:
+            relevant = (
+                self.morphism.vertex_map[p] == self.morphism.vertex_map[p_prime]
+                and self.pos(p) <= self.pos(p_prime)
+                and p_prime not in self.sub.vertices
+            )
             key = self._psi_keys[(p, p_prime)] = (
-                1 if self.is_relevant(p, p_prime) else 0,
+                1 if relevant else 0,
                 self.epsilon(p, p_prime),
                 self.delta(p, p_prime),
                 self.pos(p_prime),
@@ -155,75 +156,51 @@ def _psi_less(ctx: WindingContext, pair_a: tuple[str, str], pair_b: tuple[str, s
     return ka < kb
 
 
-def classify_triple(ctx: WindingContext, atilde: str, t: str, s: str) -> TripleType:
-    """Type 0-5 of the relevant triple (atilde, t, s), subtypes by Psi."""
+def _walk_triple(
+    ctx: WindingContext, atilde: str, t: str, s: str
+) -> tuple[TripleType, list[tuple[str, str]]]:
+    """Type 0-5 of the triple (atilde, t, s) and the off-diagonal block pairs of E(atilde, t, s).
+
+    Both come from one list: the arrows of atilde's fibre lying between t
+    and s.  Each such arrow a adds the pairs (t, a.tgt) and (a.src, s); on
+    a strictly ordered fibre none of the pairs is diagonal.
+    """
     fibre = ctx.fibre_arrows(atilde)
     arrow_t = next((a for a in fibre if a.tgt == t), None)
     arrow_s = next((a for a in fibre if a.src == s), None)
     pos = ctx.pos
     if arrow_s is not None and arrow_s.tgt == t:
-        return TripleType.T1
-    if arrow_t is not None and arrow_s is not None:
-        if pos(arrow_t.src) >= pos(s):
-            return TripleType.T0
-        if _psi_less(ctx, (t, arrow_s.tgt), (arrow_t.src, s)):
-            return TripleType.T2A
-        return TripleType.T2B
-    if arrow_s is not None:
-        if pos(t) >= pos(arrow_s.tgt):
-            return TripleType.T0
-        for a in fibre:
-            if pos(t) < pos(a.tgt) < pos(arrow_s.tgt):
-                if _psi_less(ctx, (t, arrow_s.tgt), (a.src, s)):
-                    return TripleType.T3B
-        return TripleType.T3A
+        return TripleType.T1, []
     if arrow_t is not None:
-        if pos(arrow_t.src) >= pos(s):
-            return TripleType.T0
-        for a in fibre:
-            if pos(arrow_t.src) < pos(a.src) < pos(s):
-                if _psi_less(ctx, (arrow_t.src, s), (t, a.tgt)):
-                    return TripleType.T4B
-        return TripleType.T4A
-    if any(pos(a.src) < pos(s) and pos(t) < pos(a.tgt) for a in fibre):
-        return TripleType.T5
-    return TripleType.T0
+        lo, hi = pos(arrow_t.src), pos(s)
+        if lo >= hi:
+            return TripleType.T0, []
+        between = [a for a in fibre if lo < pos(a.src) < hi]
+    elif arrow_s is not None:
+        lo, hi = pos(t), pos(arrow_s.tgt)
+        if lo >= hi:
+            return TripleType.T0, []
+        between = [a for a in fibre if lo < pos(a.tgt) < hi]
+    else:
+        between = [a for a in fibre if pos(a.src) < pos(s) and pos(t) < pos(a.tgt)]
+    pairs = [pr for a in between for pr in ((t, a.tgt), (a.src, s))]
+    if arrow_t is not None and arrow_s is not None:
+        below = _psi_less(ctx, (t, arrow_s.tgt), (arrow_t.src, s))
+        return (TripleType.T2A if below else TripleType.T2B), [
+            (arrow_t.src, s), (t, arrow_s.tgt), *pairs
+        ]
+    if arrow_s is not None:
+        above = any(_psi_less(ctx, (t, arrow_s.tgt), (a.src, s)) for a in between)
+        return (TripleType.T3B if above else TripleType.T3A), [(t, arrow_s.tgt), *pairs]
+    if arrow_t is not None:
+        above = any(_psi_less(ctx, (arrow_t.src, s), (t, a.tgt)) for a in between)
+        return (TripleType.T4B if above else TripleType.T4A), [(arrow_t.src, s), *pairs]
+    return (TripleType.T5 if between else TripleType.T0), pairs
 
 
-def _equation_pairs(
-    ctx: WindingContext, atilde: str, t: str, s: str, typ: TripleType
-) -> list[tuple[str, str]]:
-    """Non-diagonal block index pairs appearing in E(atilde, t, s)."""
-    fibre = ctx.fibre_arrows(atilde)
-    arrow_t = next((a for a in fibre if a.tgt == t), None)
-    arrow_s = next((a for a in fibre if a.src == s), None)
-    pos = ctx.pos
-    pairs: list[tuple[str, str]] = []
-    if typ in (TripleType.T2A, TripleType.T2B):
-        pairs.append((arrow_t.src, s))
-        pairs.append((t, arrow_s.tgt))
-        for a in fibre:
-            if pos(arrow_t.src) < pos(a.src) < pos(s):
-                pairs.append((t, a.tgt))
-                pairs.append((a.src, s))
-    elif typ in (TripleType.T3A, TripleType.T3B):
-        pairs.append((t, arrow_s.tgt))
-        for a in fibre:
-            if pos(t) < pos(a.tgt) < pos(arrow_s.tgt):
-                pairs.append((t, a.tgt))
-                pairs.append((a.src, s))
-    elif typ in (TripleType.T4A, TripleType.T4B):
-        pairs.append((arrow_t.src, s))
-        for a in fibre:
-            if pos(arrow_t.src) < pos(a.src) < pos(s):
-                pairs.append((t, a.tgt))
-                pairs.append((a.src, s))
-    elif typ is TripleType.T5:
-        for a in fibre:
-            if pos(a.src) < pos(s) and pos(t) < pos(a.tgt):
-                pairs.append((t, a.tgt))
-                pairs.append((a.src, s))
-    return [(a, b) for a, b in pairs if a != b]
+def classify_triple(ctx: WindingContext, atilde: str, t: str, s: str) -> TripleType:
+    """Type 0-5 of the relevant triple (atilde, t, s), subtypes by Psi."""
+    return _walk_triple(ctx, atilde, t, s)[0]
 
 
 @dataclass(frozen=True)
@@ -284,20 +261,12 @@ def check_hypothesis_h(
     for at in f.codomain.arrows:
         for t in ctx.fibre(at.tgt):
             for s in ctx.fibre(at.src):
-                typ = classify_triple(ctx, at.name, t, s)
-                if typ in (TripleType.T0, TripleType.T1):
-                    continue
-                pairs = [
-                    pr
-                    for pr in _equation_pairs(ctx, at.name, t, s, typ)
-                    if ctx.is_relevant(*pr)
-                ]
+                typ, pairs = _walk_triple(ctx, at.name, t, s)
                 if not pairs:
                     continue
                 largest = max(pairs, key=lambda pr: ctx.psi_key(*pr))
-                dangers.setdefault(largest, []).append(
-                    TripleReport((at.name, t, s), typ)
-                )
+                if ctx.psi_key(*largest)[0]:  # charged only to a relevant pair
+                    dangers.setdefault(largest, []).append(TripleReport((at.name, t, s), typ))
 
     notes: list[str] = []
     exceptions: list[tuple[tuple[str, str], TripleReport]] = []

@@ -304,11 +304,6 @@ def quiver_from_json(text: str) -> Quiver:
     return quiver(data["vertices"], [(a["id"], a["src"], a["tgt"]) for a in data["arrows"]])
 
 
-def morphism_to_json(f: QuiverMorphism) -> str:
-    data = {"vertex_map": dict(f.vertex_map), "arrow_map": dict(f.arrow_map)}
-    return json.dumps(data, sort_keys=True)
-
-
 def morphism_from_json(text: str, domain: Quiver, codomain: Quiver) -> QuiverMorphism:
     data = json.loads(text)
     return morphism(domain, codomain, data["vertex_map"], data["arrow_map"])

@@ -32,9 +32,10 @@ class OrderedBasis:
                 raise ValueError(f"basis id {b!r} has no vertex")
 
     def position(self, b: str) -> int:
-        return self._positions()[b]
+        return self.positions()[b]
 
-    def _positions(self) -> dict[str, int]:
+    def positions(self) -> Mapping[str, int]:
+        """Position of every basis id in the global order, built once per basis."""
         pos = getattr(self, "_pos_cache", None)
         if pos is None:
             pos = {b: i for i, b in enumerate(self.order)}
@@ -57,7 +58,7 @@ class OrderedBasis:
         Raises when two nonempty blocks interleave; vertices with empty
         blocks are excluded from the result.
         """
-        pos = self._positions()
+        pos = self.positions()
         spans = []
         for v in vertices:
             blk = self.block(v)
@@ -84,9 +85,6 @@ class Representation:
 
     def dim_vector(self) -> dict[str, int]:
         return {v: self.rank(v) for v in self.quiver.vertices}
-
-    def matrix(self, arrow_name: str) -> Matrix:
-        return self.matrices[arrow_name]
 
     def validate(self) -> list[str]:
         problems = []
@@ -115,8 +113,7 @@ def representation(
     mats = {k: matrix(v) for k, v in matrices.items()}
     for a in q.arrows:
         # matrices with an empty side have one canonical shape
-        nrows = sum(1 for b in basis.order if basis.vertex_of[b] == a.tgt)
-        ncols = sum(1 for b in basis.order if basis.vertex_of[b] == a.src)
+        nrows, ncols = len(basis.block(a.tgt)), len(basis.block(a.src))
         if a.name in mats and (nrows == 0 or ncols == 0):
             mats[a.name] = tuple(() for _ in range(nrows))
     rep = Representation(q, basis, mats)
@@ -241,7 +238,7 @@ def is_ordered_above(m: Representation, s: Subquiver) -> tuple[bool, list[str]]:
     Paths out of S are undirected walks with pairwise-distinct vertices.
     """
     diagnostics: list[str] = []
-    pos = m.basis._positions()
+    pos = m.basis.positions()
     s_elems = [b for b in m.basis.order if m.basis.vertex_of[b] in s.vertices]
     rest = [b for b in m.basis.order if m.basis.vertex_of[b] not in s.vertices]
     if s_elems and rest and max(pos[b] for b in s_elems) > min(pos[b] for b in rest):

@@ -97,7 +97,7 @@ def preceq(basis, beta: CellIndex, gamma: CellIndex) -> bool:
     tb, tg = cell_type(basis, beta), cell_type(basis, gamma)
     if tb != tg:
         raise ValueError("cells of different type are not comparable")
-    pos = {b: i for i, b in enumerate(basis.order)}
+    pos = basis.positions()
     for v in tb:
         bs = sorted((pos[b] for b in beta.elements if basis.vertex_of[b] == v))
         gs = sorted((pos[b] for b in gamma.elements if basis.vertex_of[b] == v))
@@ -108,7 +108,7 @@ def preceq(basis, beta: CellIndex, gamma: CellIndex) -> bool:
 
 def block_leq(basis, beta: CellIndex, gamma: CellIndex) -> bool:
     """beta <= gamma in the block sense: (b-g) < (b&g) < (g-b) elementwise."""
-    pos = {b: i for i, b in enumerate(basis.order)}
+    pos = basis.positions()
     b_only = [pos[x] for x in beta.elements if x not in gamma.as_set()]
     both = [pos[x] for x in beta.elements if x in gamma.as_set()]
     g_only = [pos[x] for x in gamma.elements if x not in beta.as_set()]
@@ -239,7 +239,7 @@ class CellEquationSystem:
 
 def cell_variables(basis, beta: CellIndex, ambient_vertex_of: Mapping[str, str]) -> list[tuple[str, str]]:
     """Free coordinate positions (b', b) of the echelon chart."""
-    pos = {b: i for i, b in enumerate(basis.order)}
+    pos = basis.positions()
     beta_set = beta.as_set()
     out = []
     for b in beta.elements:
@@ -279,7 +279,7 @@ def generate_equations(
     beta_set = beta.as_set()
     if not beta_set <= set(basis.order):
         raise ValueError("beta is not a subset of the basis")
-    pos = {b: i for i, b in enumerate(basis.order)}
+    pos = basis.positions()
     ambient_vertex_of = {b: f.vertex_map[basis.vertex_of[b]] for b in basis.order}
     variables = cell_variables(basis, beta, ambient_vertex_of)
     var_index = {pair: i for i, pair in enumerate(variables)}
@@ -314,12 +314,8 @@ def generate_equations(
     equations = []
     for at in f.codomain.arrows:
         fibre = f.fibre_arrows(at.name)
-        tgt_fib = sorted(
-            (v for v in f.domain.vertices if f.vertex_map[v] == at.tgt), key=block_start
-        )
-        src_fib = sorted(
-            (v for v in f.domain.vertices if f.vertex_map[v] == at.src), key=block_start
-        )
+        tgt_fib = sorted(f.fibre_vertices(at.tgt), key=block_start)
+        src_fib = sorted(f.fibre_vertices(at.src), key=block_start)
         arrow_into = {a.tgt: a for a in fibre}  # one per target, F being a winding
         factors: dict[str, tuple[dict, list]] = {}
 
@@ -478,7 +474,7 @@ def tree_cell_dimension(
     check_tree_setup(m, s)
     if not _closed_under_identity_images(m, s, beta):
         raise ValueError("cell is empty over S by the pivot criterion")
-    pos = {b: i for i, b in enumerate(m.basis.order)}
+    pos = m.basis.positions()
     beta_set = set(beta.elements)
     total = 0
     for end, arrow_name, case in _peel_schedule(m, s, peel):

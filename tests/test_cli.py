@@ -240,3 +240,24 @@ def test_hypothesis_h_json_carries_exceptions_and_notes():
         "identity requirement for exception via 'a1' is vacuous (arrow not in S)",
         "identity requirement for exception via 'a2' is vacuous (arrow not in S)",
     ]
+
+
+def test_order_reorders_the_upstairs_basis_of_equations():
+    code, out, _ = run(["equations", "--catalog", "ex_4_5_1", "--order", "2,1,3,4"])
+    assert code == 0
+    assert out.splitlines()[0] == "cell beta = {2, 1}"
+    _, plain, _ = run(["equations", "--catalog", "ex_4_5_1"])
+    assert plain.splitlines()[0] == "cell beta = {1, 2}"
+
+
+def test_order_reaches_the_hypothesis_h_check():
+    code, _, err = run(["hypothesis-h", "--catalog", "ex_4_5_1", "--order", "2,1,3,4"])
+    assert code == 2
+    assert "basis is not ordered above S" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_pushforward_follows_the_reordered_upstairs_basis():
+    code, out, _ = run(["pushforward", "--catalog", "ex_4_5_1", "--order", "2,1,3,4", "--json"])
+    assert code == 0
+    assert json.loads(out)["basis"]["order"] == ["2", "1", "3", "4"]

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from quiver_schubert.catalog import catalog
-from quiver_schubert.hypothesis_h import WindingContext, check_hypothesis_h
+from quiver_schubert.hypothesis_h import WindingContext, check_hypothesis_h, classify_triple
 from quiver_schubert.quiver import subquiver
 from quiver_schubert.representation import OrderedBasis, representation
 from quiver_schubert.schubert import PreconditionError, cell_index, enumerate_cells, generate_equations
@@ -160,3 +160,27 @@ def test_empty_block_raises_only_for_its_own_fibre():
         ctx.epsilon("1", "3")
     with pytest.raises(PreconditionError, match="'5' has an empty basis block"):
         ctx.fibre("2")
+
+
+# SHA-256 of the ordered "spec (atilde,t,s) type" lines of every triple of
+# these windings, taken from the two separate fibre walks (one typing the
+# triple, one listing its equation's block pairs) that one walk replaced.
+# T0 and T1 triples never reach a verdict, so the HypothesisResult digests
+# above do not see them.
+CLASSIFIED_WINDINGS = [
+    f"kronecker_{kind}({n})" for kind in ("preprojective", "preinjective") for n in range(1, 9)
+] + ["ex_4_5_1", "ex_4_5_2", "ex_4_5_5"]
+PINNED_CLASSIFICATION = "335489faf649cf47d386d9f8263db2f1510bd0c90e8311e4859d833476d24c0a"
+
+
+def test_triple_classification_is_pinned():
+    h = hashlib.sha256()
+    for spec in CLASSIFIED_WINDINGS:
+        entry = catalog(spec)
+        ctx = WindingContext(entry.upstairs, entry.subquiver, entry.morphism)
+        for at in entry.morphism.codomain.arrows:
+            for t in ctx.fibre(at.tgt):
+                for s in ctx.fibre(at.src):
+                    typ = classify_triple(ctx, at.name, t, s)
+                    h.update(f"{spec} ({at.name},{t},{s}) {typ.value}\n".encode())
+    assert h.hexdigest() == PINNED_CLASSIFICATION
