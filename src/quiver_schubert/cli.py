@@ -259,13 +259,8 @@ def _run(args) -> int:
         )
         return 0 if result.passed else 1
 
-    if entry is not None and entry.morphism is not None:
-        source, f = _load_winding(args, entry)
-        # the entry already holds the push-forward of its own order
-        rep = push_forward(f, source) if args.order else entry.representation
-    else:
-        rep = _load_rep(args, entry)
-        source, f = rep, None
+    rep = _load_rep(args, entry)
+    source, f = _load_winding(args, entry) if entry is not None and entry.morphism is not None else (rep, None)
 
     if cmd == "cells":
         e = _dim_vector(args, rep, entry)
