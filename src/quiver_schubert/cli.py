@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a check failed (invalid quiver, (H) fails,
-no affine certificate), 2 input error, 3 enumeration budget exceeded.
+no affine certificate), 2 input error, 3 enumeration budget exceeded,
+141 stdout closed before the answer was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,7 +47,14 @@ class InputError(ValueError):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The qs parser, built on the first call and reused by every later one.
+
+    Reuse is safe because parsing writes only to a fresh namespace: no
+    action appends, no default is mutable, and help and errors look up
+    sys.stdout and sys.stderr when they print.
+    """
     parser = argparse.ArgumentParser(prog="qs", description="Schubert decompositions of quiver Grassmannians")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -87,6 +96,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _from_file(path: str, parse, *context):
+    """parse(text of the file at path, *context); JSON of the wrong shape is an input error."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text, *context)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise InputError(f"{path}: unexpected JSON layout ({exc})") from exc
+
+
 def _reordered(args, rep):
     """rep in the basis order given by --order, if any."""
     if args.order:
@@ -98,8 +117,7 @@ def _load_rep(args, entry: CatalogEntry | None):
     if entry is not None:
         rep = entry.representation
     elif args.rep:
-        with open(args.rep) as fh:
-            rep = representation_from_json(fh.read())
+        rep = _from_file(args.rep, representation_from_json)
     else:
         raise InputError("need --catalog or --rep")
     return _reordered(args, rep)
@@ -115,10 +133,8 @@ def _load_winding(args, entry: CatalogEntry | None):
     if not (args.morphism and args.target_quiver and args.rep):
         raise InputError("need a catalog winding or --rep/--morphism/--target-quiver")
     rep = _load_rep(args, entry)
-    with open(args.target_quiver) as fh:
-        codomain = quiver_from_json(fh.read())
-    with open(args.morphism) as fh:
-        return rep, morphism_from_json(fh.read(), rep.quiver, codomain)
+    codomain = _from_file(args.target_quiver, quiver_from_json)
+    return rep, _from_file(args.morphism, morphism_from_json, rep.quiver, codomain)
 
 
 def _dim_vector(args, rep, entry: CatalogEntry | None):
@@ -172,8 +188,7 @@ def _quiver_of(args, entry: CatalogEntry | None):
     if entry is not None:
         return entry.representation.quiver
     if args.quiver:
-        with open(args.quiver) as fh:
-            return quiver_from_json(fh.read())
+        return _from_file(args.quiver, quiver_from_json)
     if args.rep:
         return _load_rep(args, None).quiver
     raise InputError("need --catalog, --quiver or --rep")
@@ -360,10 +375,28 @@ def _run(args) -> int:
     raise InputError(f"unknown command {cmd!r}")
 
 
+def _silence_stdout() -> None:
+    """Point the stdout fd at the null device, so the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # an in-memory stream has no fd to redirect
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return 141
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,13 @@ partition rather than a post-hoc filter.
 Each cell is compiled once per call into a plan: one step per vertex in
 quiver order, holding the vertex's chart templates, the arrows to and
 from vertices placed earlier with their matrices reduced mod q, its loops
-and its frontier.  The search then walks the plan as one flat depth-first
+and its frontier.  Only the wiring of a plan is per cell: a chart depends
+on nothing but its vertex and pivot tuple, an arrow's generator images on
+nothing but the arrow and its source chart, and the frontiers on the
+quiver alone.  So `count` and `enumerate_subreps` build these once per
+prime in a table that lives for the call, and every plan of the call
+reads it; the search never writes to them, so sharing changes no point
+and no order.  The search then walks the plan as one flat depth-first
 loop.  At each step, containment along arrows whose other endpoint is
 already placed is linear in the chart coordinates and solved exactly;
 loops are filtered.  The frontier of a step is the set of placed vertices
@@ -162,39 +168,76 @@ class _Step:
     vertices the rest of the search reads.
     """
 
-    def __init__(self, chart: _Chart):
+    def __init__(self, chart: _Chart, frontier: tuple[int, ...]):
         self.chart = chart
         self.incoming: list[tuple[int, list]] = []
         self.outgoing: list[tuple[int, list]] = []
         self.loops: list[list] = []
-        self.frontier: tuple[int, ...] = ()
+        self.frontier = frontier
 
 
-def _plan(m: Representation, beta: CellIndex, q: int) -> list[_Step]:
-    """The search plan of one cell: one step per vertex, in quiver order."""
+class _Tables:
+    """The cell-independent parts of every search plan of m over F_q.
+
+    Charts are keyed by (vertex step, pivot tuple) and generator images by
+    (arrow, source pivot tuple); both are built on first use.
+    """
+
+    def __init__(self, m: Representation, q: int):
+        vertices = m.quiver.vertices
+        index = {v: i for i, v in enumerate(vertices)}
+        self.blocks = [m.basis.block(v) for v in vertices]
+        self.arrows: list[tuple[int, int, list]] = []  # (source step, target step, columns mod q)
+        last_neighbour = list(range(len(vertices)))
+        for a in m.quiver.arrows:
+            s, t = index[a.src], index[a.tgt]
+            ma = m.matrices[a.name]  # no rows when the target has rank 0
+            columns = [tuple(x % q for x in col) for col in zip(*ma)] if ma else [()] * len(self.blocks[s])
+            self.arrows.append((s, t, columns))
+            lo, hi = min(s, t), max(s, t)
+            last_neighbour[lo] = max(last_neighbour[lo], hi)
+        self.frontiers = [
+            tuple(k for k in range(i) if last_neighbour[k] >= i) for i in range(len(vertices))
+        ]
+        self._charts: dict[tuple[int, tuple[str, ...]], _Chart] = {}
+        self._images: dict[tuple[int, tuple[str, ...]], list] = {}
+
+    def chart(self, i: int, pivots: tuple[str, ...]) -> _Chart:
+        key = (i, pivots)
+        if key not in self._charts:
+            self._charts[key] = _Chart(self.blocks[i], pivots)
+        return self._charts[key]
+
+    def images(self, k: int, pivots: tuple[str, ...]) -> list:
+        """Generator images of arrow k on the chart of its source with these pivots."""
+        key = (k, pivots)
+        if key not in self._images:
+            s, _, columns = self.arrows[k]
+            self._images[key] = self.chart(s, pivots).images(columns)
+        return self._images[key]
+
+
+def _plan(tables: _Tables, beta: CellIndex) -> list[_Step]:
+    """The search plan of one cell: one step per vertex, in quiver order.
+
+    Only the wiring is built here; charts, generator images and frontiers
+    come from `tables`, so the cells of one call share them.  Sharing is
+    exact because the search only reads them.
+    """
     beta_set = beta.as_set()
-    steps = []
-    for v in m.quiver.vertices:
-        block = m.basis.block(v)
-        steps.append(_Step(_Chart(block, [b for b in block if b in beta_set])))
-    index = {v: i for i, v in enumerate(m.quiver.vertices)}
-    last_neighbour = list(range(len(steps)))
-    for a in m.quiver.arrows:
-        s, t = index[a.src], index[a.tgt]
-        chart = steps[s].chart
-        ma = m.matrices[a.name]  # no rows when the target has rank 0
-        columns = [tuple(x % q for x in col) for col in zip(*ma)] if ma else [()] * chart.nrows
-        images = chart.images(columns)
+    pivots = [tuple(b for b in block if b in beta_set) for block in tables.blocks]
+    steps = [
+        _Step(tables.chart(i, p), frontier)
+        for i, (p, frontier) in enumerate(zip(pivots, tables.frontiers))
+    ]
+    for k, (s, t, _) in enumerate(tables.arrows):
+        images = tables.images(k, pivots[s])
         if s == t:
             steps[s].loops.append(images)
         elif s < t:
             steps[t].incoming.append((s, images))
         else:
             steps[s].outgoing.append((t, images))
-        lo, hi = min(s, t), max(s, t)
-        last_neighbour[lo] = max(last_neighbour[lo], hi)
-    for i, step in enumerate(steps):
-        step.frontier = tuple(k for k in range(i) if last_neighbour[k] >= i)
     return steps
 
 
@@ -269,17 +312,18 @@ def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
 
 
 def _cell_points(
-    m: Representation, beta: CellIndex, q: int
+    m: Representation, beta: CellIndex, q: int, tables: _Tables | None = None
 ) -> Iterator[dict[str, Matrix]]:
     """All F_q points of one Schubert cell, as per-vertex echelon matrices.
 
     Depth-first over the plan's steps with an explicit stack.  The state
     entering step i is keyed by the chart coordinates at its frontier;
     once a state has extended to no point it is dead, and later arrivals
-    at it are skipped.
+    at it are skipped.  `tables`, built for m and q, is shared by the
+    cells of one call; without it the cell builds its own.
     """
     order = m.quiver.vertices
-    steps = _plan(m, beta, q)
+    steps = _plan(tables or _Tables(m, q), beta)
     n = len(steps)
     if n == 0:
         yield {}
@@ -342,8 +386,9 @@ def enumerate_subreps(
     """
     require_prime(q)
     _check_budget(m, e, q, budget)
+    tables = _Tables(m, q)
     for beta in enumerate_cells(m.basis, e, m.quiver.vertices):
-        for subspaces in _cell_points(m, beta, q):
+        for subspaces in _cell_points(m, beta, q, tables):
             yield SubrepPoint(q, subspaces, beta)
 
 
@@ -380,7 +425,8 @@ def count(
     cells = enumerate_cells(m.basis, e, m.quiver.vertices)
     reports = []
     for q in primes:
-        per_cell = {beta.key(): cell_count(m, beta, q) for beta in cells}
+        tables = _Tables(m, q)
+        per_cell = {beta.key(): sum(1 for _ in _cell_points(m, beta, q, tables)) for beta in cells}
         reports.append(CountReport(q, sum(per_cell.values()), per_cell))
     return reports
 

@@ -261,3 +261,27 @@ def test_pushforward_follows_the_reordered_upstairs_basis():
     code, out, _ = run(["pushforward", "--catalog", "ex_4_5_1", "--order", "2,1,3,4", "--json"])
     assert code == 0
     assert json.loads(out)["basis"]["order"] == ["2", "1", "3", "4"]
+
+
+@pytest.mark.parametrize("flag, text", [
+    ("--rep", '{"basis": []}'),
+    ("--quiver", '{"vertices": 3}'),
+    ("--quiver", "[]"),
+])
+def test_json_file_of_the_wrong_layout_is_an_input_error(tmp_path, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, _, err = run(["validate", flag, str(path)])
+    assert code == 2
+    assert err.startswith("input error: ") and "unexpected JSON layout" in err
+
+
+def test_morphism_file_of_the_wrong_layout_is_an_input_error(tmp_path):
+    entry = catalog("ex_4_5_1")
+    rep, target, morphism = tmp_path / "rep.json", tmp_path / "target.json", tmp_path / "f.json"
+    rep.write_text(representation_to_json(entry.upstairs))
+    target.write_text(quiver_to_json(entry.morphism.codomain))
+    morphism.write_text("[]")
+    argv = ["winding", "--rep", str(rep), "--target-quiver", str(target), "--morphism", str(morphism)]
+    code, _, err = run(argv)
+    assert code == 2 and "unexpected JSON layout" in err

@@ -3,17 +3,24 @@
 Argv is a subcommand, an optional catalog spec with parameters up to 3
 (junk included), and optional --primes, --beta and --dim-vector lists
 of junk tokens.  Every run must end with exit code 0, 1, 2 or 3; argparse
-usage errors exit 2 through SystemExit.
+usage errors exit 2 through SystemExit.  A second property adds --order,
+--subquiver and the JSON file inputs, and checks after every example that
+a fixed argv still prints what it printed first: the parser is shared by
+every call in a process, so no call may leave state behind for the next.
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from quiver_schubert.catalog import catalog
 from quiver_schubert.cli import main
+from quiver_schubert.quiver import quiver_to_json
+from quiver_schubert.representation import representation_to_json
 
 SUBCOMMANDS = [
     "validate", "winding", "tree-ext", "pushforward", "cells", "equations", "hypothesis-h",
@@ -72,5 +79,89 @@ def test_cli_exits_cleanly_on_grammar_inputs(tmp_path):
     set_hypothesis_home_dir(tmp_path)
     try:
         _exits_cleanly()
+    finally:
+        set_hypothesis_home_dir(None)
+
+
+# The same grammar plus --order, --subquiver and the four file inputs.  Each
+# file flag points at a missing, a malformed or a valid JSON file; the valid
+# ones describe the winding of ex_4_5_1 (upstairs module, its quiver, the
+# winding and the quiver downstairs).
+ORDERS = st.one_of(
+    st.permutations(["1", "2", "3", "4"]).map(",".join),
+    st.permutations(["b1", "b2", "b3", "b4"]).map(",".join),
+    _token_list(["1", "2", "2", "b1", "zz", "", " "]),
+)
+SUBQUIVERS = st.one_of(
+    st.sampled_from(["1", "1;", "1,2;a1", "2,3;g", "A;", "1;zz", ";", "", ";;", "1,1;a1,a1"]),
+    st.builds("{};{}".format, _token_list(["1", "2", "3", "A", "x", ""]), _token_list(["a1", "g", "at", ""])),
+)
+FILE_FLAGS = ("--rep", "--quiver", "--morphism", "--target-quiver")
+# A fixed argv run after every example: text output, so a --json, --order or
+# --primes left behind by an earlier call would change what it prints.
+CANARY = ["count", "--catalog", "two_lines"]
+
+
+def _input_files(root) -> dict:
+    """flag -> {"missing" | "malformed" | "valid": path} under root."""
+    entry = catalog("ex_4_5_1")
+    f = entry.morphism
+    valid = {
+        "--rep": representation_to_json(entry.upstairs),
+        "--quiver": quiver_to_json(entry.upstairs.quiver),
+        "--morphism": json.dumps({"vertex_map": dict(f.vertex_map), "arrow_map": dict(f.arrow_map)}),
+        "--target-quiver": quiver_to_json(f.codomain),
+    }
+    malformed = {"--rep": '{"basis": [', "--quiver": '{"vertices": 3}', "--morphism": "[]", "--target-quiver": "nul"}
+    files = {}
+    for flag in FILE_FLAGS:
+        stem = flag.strip("-")
+        files[flag] = {"missing": str(root / f"{stem}.missing.json")}
+        for kind, text in (("malformed", malformed[flag]), ("valid", valid[flag])):
+            path = root / f"{stem}.{kind}.json"
+            path.write_text(text)
+            files[flag][kind] = str(path)
+    return files
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_exits_cleanly_on_order_subquiver_and_file_inputs(tmp_path):
+    files = _input_files(tmp_path)
+    canary_code, canary_out, _ = _call(CANARY)
+    assert canary_code == 0 and canary_out.startswith("q=2: total 5")
+
+    @st.composite
+    def full_argvs(draw):
+        argv = draw(argvs())[:-2]  # without the trailing --budget
+        for flag, values in (("--order", ORDERS), ("--subquiver", SUBQUIVERS)):
+            value = draw(st.none() | values)
+            if value is not None:
+                argv += [flag, value]
+        for flag in FILE_FLAGS:
+            kind = draw(st.none() | st.sampled_from(["missing", "malformed", "valid"]))
+            if kind is not None:
+                argv += [flag, files[flag][kind]]
+        return argv + ["--budget", "200"]
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(full_argvs())
+    def exits_cleanly(argv):
+        code, _, err = _call(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err
+        assert _call(CANARY)[:2] == (canary_code, canary_out), argv
+
+    set_hypothesis_home_dir(tmp_path / "hypothesis")
+    try:
+        exits_cleanly()
     finally:
         set_hypothesis_home_dir(None)
