@@ -172,9 +172,14 @@ def _primes(args, default=(2, 3, 5)):
 
 def _budget(args) -> int:
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("QS_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+        budget, source = args.budget, "--budget"
+    elif os.environ.get("QS_BUDGET"):
+        budget, source = int(os.environ["QS_BUDGET"]), "QS_BUDGET"
+    else:
+        return DEFAULT_BUDGET
+    if budget < 0:
+        raise InputError(f"{source} must be nonnegative, got {budget}")
+    return budget
 
 
 def _emit(args, data, text: str) -> None:
@@ -205,8 +210,16 @@ def _subquiver_of(args, q, entry):
     raise InputError("need --subquiver")
 
 
+# The file inputs that --catalog would otherwise silently override.
+_FILE_FLAGS = ("--quiver", "--rep", "--morphism", "--target-quiver")
+
+
 def _run(args) -> int:
     cmd = args.command
+    if args.catalog is not None:
+        given = [flag for flag in _FILE_FLAGS if getattr(args, flag[2:].replace("-", "_")) is not None]
+        if given:
+            raise InputError(f"--catalog cannot be combined with {', '.join(given)}")
     entry = catalog(args.catalog) if args.catalog else None
     if cmd == "catalog":
         if entry is not None:

@@ -5,21 +5,30 @@ pivot-set combination, so per-cell counting is a byproduct of the
 partition rather than a post-hoc filter.
 
 Each cell is compiled once per call into a plan: one step per vertex in
-quiver order, holding the vertex's chart templates, the arrows to and
-from vertices placed earlier with their matrices reduced mod q, its loops
-and its frontier.  Only the wiring of a plan is per cell: a chart depends
-on nothing but its vertex and pivot tuple, an arrow's generator images on
-nothing but the arrow and its source chart, and the frontiers on the
-quiver alone.  So `count` and `enumerate_subreps` build these once per
-prime in a table that lives for the call, and every plan of the call
-reads it; the search never writes to them, so sharing changes no point
-and no order.  The search then walks the plan as one flat depth-first
-loop.  At each step, containment along arrows whose other endpoint is
-already placed is linear in the chart coordinates and solved exactly;
-loops are filtered.  The frontier of a step is the set of placed vertices
-that share an arrow with a vertex not yet placed; the rest of the search
-reads nothing else.  A frontier state that once extended to no point is
-dead, so later arrivals at it are skipped, which is exact.  Points come
+quiver order, holding the vertex's chart, the arrows to and from vertices
+placed earlier with their matrices reduced mod q, its loops and its
+frontier.  Only the wiring of a plan is per cell: a chart depends on
+nothing but its vertex and pivot tuple, an arrow's generator images on
+nothing but the arrow and its source chart, and the frontiers and
+earlier neighbours on the quiver alone.  So `count` and
+`enumerate_subreps` build these once per prime in a table that lives for
+the call, and every plan of the call reads it.
+
+The search walks the plan as one flat depth-first loop.  At each step,
+containment along arrows whose other endpoint is already placed is
+linear in the chart coordinates and solved exactly; loops are filtered.
+Those equations and that filter read only the step's chart, the charts
+of its earlier neighbours (the earlier steps sharing a non-loop arrow
+with it), the generator images of the arrows between them, and the
+neighbours' coordinates.  So the table memoises, per (step, its pivot
+tuple, its neighbours' pivot tuples), the step's points for each tuple
+of neighbour coordinates: two cells that agree there get the same list
+in the same order, and every cell of the call solves each distinct
+system once.  Each point is kept once per chart with its echelon matrix.
+The frontier of a step is the set of placed vertices that share an arrow
+with a vertex not yet placed; the rest of the search reads nothing else.
+A frontier state that once extended to no point is dead, so later
+arrivals at it in the same cell are skipped, which is exact.  Points come
 out in the same order as a plain recursion over the vertices would give,
 each chart in `iter_solutions_mod` order.
 """
@@ -30,6 +39,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .linalg import (
@@ -120,7 +130,7 @@ class _Chart:
     numbered column by column, top to bottom: `column_free[j]` lists the
     (row, var) pairs of column j, `row_free[k]` the (column, var) pairs of
     row nonpivot_rows[k], and `entries` the row-major matrix as indices
-    into x + (0, 1).
+    into x + (0, 1).  `point` keeps each point once per chart.
     """
 
     def __init__(self, block: Sequence[str], pivots: Sequence[str]):
@@ -144,6 +154,20 @@ class _Chart:
             for r in range(self.nrows)
             for j, p in enumerate(self.pivot_rows)
         ]
+        self._points: dict[Vector, tuple[Vector, Matrix]] = {}
+
+    def point(self, x: Vector) -> tuple[Vector, Matrix]:
+        """(x, echelon matrix at x), built on first use and shared after."""
+        found = self._points.get(x)
+        if found is None:
+            ncols = len(self.pivot_rows)
+            if ncols:
+                flat = map((x + (0, 1)).__getitem__, self.entries)
+                found = (x, tuple(zip(*[flat] * ncols)))
+            else:
+                found = (x, ((),) * self.nrows)
+            self._points[x] = found
+        return found
 
     def images(self, columns: Sequence[Vector]) -> list:
         """Image of each chart generator under an arrow with these columns mod q.
@@ -165,15 +189,24 @@ class _Step:
     images) for arrows to and from vertices placed earlier, and `loops`
     the generator images of loops.  `frontier` lists the earlier steps
     that share an arrow with this step or a later one: the only placed
-    vertices the rest of the search reads.
+    vertices the rest of the search reads.  `points` is the table's memo
+    of this step's points for its own and its earlier neighbours' pivots,
+    and `coordinates(values)` its key: the neighbours' coordinates, bare
+    when there is one.
     """
 
-    def __init__(self, chart: _Chart, frontier: tuple[int, ...]):
+    def __init__(self, chart: _Chart, frontier: tuple[int, ...], neighbours: tuple[int, ...], points: dict):
         self.chart = chart
         self.incoming: list[tuple[int, list]] = []
         self.outgoing: list[tuple[int, list]] = []
         self.loops: list[list] = []
         self.frontier = frontier
+        self.coordinates = itemgetter(*neighbours) if neighbours else _no_coordinates
+        self.points = points
+
+
+def _no_coordinates(values: list) -> tuple:
+    return ()
 
 
 class _Tables:
@@ -181,6 +214,13 @@ class _Tables:
 
     Charts are keyed by (vertex step, pivot tuple) and generator images by
     (arrow, source pivot tuple); both are built on first use.
+    `neighbours[i]` lists the earlier steps that share a non-loop arrow
+    with step i.  `points(i, pivots)` is the memo of step i's points:
+    keyed by (i, the pivot tuples at i and at each earlier neighbour), it
+    maps the neighbours' chart coordinates to the step's `(x, matrix)`
+    chart points that satisfy its arrows and loops, in
+    `iter_solutions_mod` order.  Those conditions read nothing else, so
+    every cell with the same key gets the same list.
     """
 
     def __init__(self, m: Representation, q: int):
@@ -189,6 +229,7 @@ class _Tables:
         self.blocks = [m.basis.block(v) for v in vertices]
         self.arrows: list[tuple[int, int, list]] = []  # (source step, target step, columns mod q)
         last_neighbour = list(range(len(vertices)))
+        earlier: list[set[int]] = [set() for _ in vertices]
         for a in m.quiver.arrows:
             s, t = index[a.src], index[a.tgt]
             ma = m.matrices[a.name]  # no rows when the target has rank 0
@@ -196,11 +237,15 @@ class _Tables:
             self.arrows.append((s, t, columns))
             lo, hi = min(s, t), max(s, t)
             last_neighbour[lo] = max(last_neighbour[lo], hi)
+            if lo < hi:
+                earlier[hi].add(lo)
         self.frontiers = [
             tuple(k for k in range(i) if last_neighbour[k] >= i) for i in range(len(vertices))
         ]
+        self.neighbours = [tuple(sorted(ks)) for ks in earlier]
         self._charts: dict[tuple[int, tuple[str, ...]], _Chart] = {}
         self._images: dict[tuple[int, tuple[str, ...]], list] = {}
+        self._points: dict[tuple, dict] = {}
 
     def chart(self, i: int, pivots: tuple[str, ...]) -> _Chart:
         key = (i, pivots)
@@ -216,19 +261,26 @@ class _Tables:
             self._images[key] = self.chart(s, pivots).images(columns)
         return self._images[key]
 
+    def points(self, i: int, pivots: Sequence[tuple[str, ...]]) -> dict:
+        """Memo of step i's points, given every step's pivot tuple."""
+        key = (i, pivots[i]) + tuple(pivots[k] for k in self.neighbours[i])
+        if key not in self._points:
+            self._points[key] = {}
+        return self._points[key]
+
 
 def _plan(tables: _Tables, beta: CellIndex) -> list[_Step]:
     """The search plan of one cell: one step per vertex, in quiver order.
 
-    Only the wiring is built here; charts, generator images and frontiers
-    come from `tables`, so the cells of one call share them.  Sharing is
-    exact because the search only reads them.
+    Only the wiring is built here; charts, generator images, frontiers,
+    neighbours and point memos come from `tables`, so the cells of one
+    call share them.  Sharing is exact because each is fixed by its key.
     """
     beta_set = beta.as_set()
     pivots = [tuple(b for b in block if b in beta_set) for block in tables.blocks]
     steps = [
-        _Step(tables.chart(i, p), frontier)
-        for i, (p, frontier) in enumerate(zip(pivots, tables.frontiers))
+        _Step(tables.chart(i, p), tables.frontiers[i], tables.neighbours[i], tables.points(i, pivots))
+        for i, p in enumerate(pivots)
     ]
     for k, (s, t, _) in enumerate(tables.arrows):
         images = tables.images(k, pivots[s])
@@ -299,6 +351,21 @@ def _chart_solutions(steps: list[_Step], i: int, values: list, q: int) -> Iterat
     return iter_solutions_mod(rows, rhs, steps[i].chart.nfree, q)
 
 
+def _step_points(steps: list[_Step], i: int, values: list, q: int) -> tuple:
+    """Step i's `(x, matrix)` points at the placed values, memoised by its neighbours' coordinates."""
+    step = steps[i]
+    coordinates = step.coordinates(values)
+    found = step.points.get(coordinates)
+    if found is None:
+        chart = step.chart
+        found = step.points[coordinates] = tuple(
+            chart.point(x)
+            for x in _chart_solutions(steps, i, values, q)
+            if not step.loops or _loops_hold(step, x, q)
+        )
+    return found
+
+
 def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
     """Loop filter: every loop maps each generator back into the span."""
     chart = step.chart
@@ -316,11 +383,14 @@ def _cell_points(
 ) -> Iterator[dict[str, Matrix]]:
     """All F_q points of one Schubert cell, as per-vertex echelon matrices.
 
-    Depth-first over the plan's steps with an explicit stack.  The state
+    Depth-first over the plan's steps with an explicit stack.  A step's
+    points come from the memo in `tables` (see `_Tables`), so the cells
+    of one call solve each distinct chart system once.  The state
     entering step i is keyed by the chart coordinates at its frontier;
     once a state has extended to no point it is dead, and later arrivals
-    at it are skipped.  `tables`, built for m and q, is shared by the
-    cells of one call; without it the cell builds its own.
+    at it in this cell are skipped.  Deadness stays per cell because it
+    depends on the later steps' pivots.  `tables`, built for m and q, is
+    shared by the cells of one call; without it the cell builds its own.
     """
     order = m.quiver.vertices
     steps = _plan(tables or _Tables(m, q), beta)
@@ -335,21 +405,12 @@ def _cell_points(
     points_before = [0] * n
     dead: set = set()
     points = 0
-    pending[0] = _chart_solutions(steps, 0, values, q)
+    pending[0] = iter(_step_points(steps, 0, values, q))
     i = 0
     while i >= 0:
-        step = steps[i]
-        chart = step.chart
-        ncols = len(chart.pivot_rows)
-        for x in pending[i]:
-            if step.loops and not _loops_hold(step, x, q):
-                continue
+        for x, mat in pending[i]:
             values[i] = x
-            if ncols:
-                flat = map((x + (0, 1)).__getitem__, chart.entries)
-                mats[i] = tuple(zip(*[flat] * ncols))
-            else:
-                mats[i] = ((),) * chart.nrows
+            mats[i] = mat
             if i + 1 == n:
                 points += 1
                 yield dict(zip(order, mats))
@@ -360,7 +421,7 @@ def _cell_points(
             i += 1
             keys[i] = key
             points_before[i] = points
-            pending[i] = _chart_solutions(steps, i, values, q)
+            pending[i] = iter(_step_points(steps, i, values, q))
             break
         else:
             if i and points == points_before[i]:

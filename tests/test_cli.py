@@ -285,3 +285,29 @@ def test_morphism_file_of_the_wrong_layout_is_an_input_error(tmp_path):
     argv = ["winding", "--rep", str(rep), "--target-quiver", str(target), "--morphism", str(morphism)]
     code, _, err = run(argv)
     assert code == 2 and "unexpected JSON layout" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "cells", "winding", "count"])
+@pytest.mark.parametrize("flag", ["--quiver", "--rep", "--morphism", "--target-quiver"])
+def test_catalog_with_a_file_input_is_an_input_error(tmp_path, command, flag):
+    code, out, err = run([command, "--catalog", "two_lines", flag, str(tmp_path / "missing.json")])
+    assert code == 2 and out == ""
+    assert err == f"input error: --catalog cannot be combined with {flag}\n"
+
+
+def test_catalog_keeps_order_subquiver_and_dim_vector():
+    argv = ["count", "--catalog", "two_lines", "--dim-vector", "1,1", "--order", "b2,b1,b3,b4", "--primes", "2"]
+    code, out, _ = run(argv)
+    assert code == 0 and out.startswith("q=2: total 5")
+    code, out, _ = run(["tree-ext", "--catalog", "ex_4_5_1", "--subquiver", "1"])
+    assert code == 0 and out.strip() == "tree extension"
+
+
+def test_negative_budget_is_an_input_error(monkeypatch):
+    code, out, err = run(["count", "--catalog", "two_lines", "--budget", "-5"])
+    assert (code, out, err) == (2, "", "input error: --budget must be nonnegative, got -5\n")
+    monkeypatch.setenv("QS_BUDGET", "-5")
+    code, out, err = run(["count", "--catalog", "two_lines"])
+    assert (code, out, err) == (2, "", "input error: QS_BUDGET must be nonnegative, got -5\n")
+    code, _, err = run(["count", "--catalog", "two_lines", "--budget", "0"])
+    assert code == 3 and err.startswith("budget exceeded")

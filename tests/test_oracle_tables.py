@@ -1,16 +1,19 @@
-"""Charts and generator images shared by the cells of one oracle call.
+"""Charts, generator images and step point lists shared by the cells of one oracle call.
 
 `count` and `enumerate_subreps` build the cell-independent parts of every
-search plan once per prime; a direct `cell_count` builds its own.  Both
-paths must give the same counts and the same points in the same order.
+search plan once per prime, and memoise each step's points there; a
+direct `cell_count` builds its own.  Both paths must give the same counts
+and the same points in the same order, whatever order the cells come in.
 """
 
 import hashlib
+import random
 
 import pytest
 
+from quiver_schubert import linalg, oracle
 from quiver_schubert.catalog import catalog
-from quiver_schubert.oracle import cell_count, count, enumerate_subreps
+from quiver_schubert.oracle import _cell_points, _Tables, cell_count, count, enumerate_subreps
 from quiver_schubert.schubert import enumerate_cells
 from test_chart_search import random_branching_cycle
 
@@ -62,3 +65,67 @@ def test_subrep_stream_is_pinned_on_cycles_and_loops():
         rep, e = random_branching_cycle(seed)
         _update_stream(h, rep, e, 2)
     assert h.hexdigest() == PINNED_RANDOM_SUBREP_STREAM
+
+
+def _order_cases():
+    for seed in range(40):
+        rep, e = random_branching_cycle(seed)
+        for q in (2, 3):
+            yield rep, e, q
+    for spec in ("degenerate_flag(3)", "ex_4_5_5"):
+        entry = catalog(spec)
+        yield entry.representation, entry.dim_vector, 3
+
+
+def test_shared_step_points_do_not_depend_on_cell_order():
+    rng = random.Random(7)
+    widest = 0
+    loops = 0
+    for rep, e, q in _order_cases():
+        cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
+        fresh = {beta.key(): list(_cell_points(rep, beta, q)) for beta in cells}
+        tables = _Tables(rep, q)
+        shuffled = list(cells)
+        rng.shuffle(shuffled)
+        for order in (cells[::-1], shuffled):
+            for beta in order:
+                assert list(_cell_points(rep, beta, q, tables)) == fresh[beta.key()], beta.key()
+        widest = max(widest, *map(len, tables.neighbours))
+        loops += sum(1 for s, t, _ in tables.arrows if s == t)
+    # the keys with two or more neighbours' coordinates and the memoised loop filter both ran
+    assert widest >= 2 and loops > 0
+
+
+def test_each_distinct_step_system_is_solved_once(monkeypatch):
+    """Work counts of count(degenerate_flag(4)) at q = 2.
+
+    Solving every cell's steps afresh took 55,551 chart systems and 17,932
+    calls of solve_mod; sharing the step point lists solves each distinct
+    system, one per memo key, once.
+    """
+    calls = {"_chart_solutions": 0, "solve_mod": 0}
+    built = []
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    class RecordedTables(_Tables):
+        def __init__(self, m, q):
+            super().__init__(m, q)
+            built.append(self)
+
+    counted(oracle, "_chart_solutions")
+    counted(linalg, "solve_mod")
+    monkeypatch.setattr(oracle, "_Tables", RecordedTables)
+    entry = catalog("degenerate_flag(4)")
+    (report,) = count(entry.representation, entry.dim_vector, primes=(2,))
+    assert report.total == 26961
+    (tables,) = built
+    assert calls["_chart_solutions"] == sum(map(len, tables._points.values()))
+    assert calls == {"_chart_solutions": 2640, "solve_mod": 740}
