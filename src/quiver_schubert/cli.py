@@ -210,14 +210,17 @@ def _subquiver_of(args, q, entry):
     raise InputError("need --subquiver")
 
 
-# The file inputs that --catalog would otherwise silently override.
-_FILE_FLAGS = ("--quiver", "--rep", "--morphism", "--target-quiver")
-
-
 def _run(args) -> int:
     cmd = args.command
-    if args.catalog is not None:
-        given = [flag for flag in _FILE_FLAGS if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if args.catalog:
+        # the file inputs that a catalog entry would otherwise silently override
+        files = (
+            ("--quiver", args.quiver),
+            ("--rep", args.rep),
+            ("--morphism", args.morphism),
+            ("--target-quiver", args.target_quiver),
+        )
+        given = [flag for flag, value in files if value is not None]
         if given:
             raise InputError(f"--catalog cannot be combined with {', '.join(given)}")
     entry = catalog(args.catalog) if args.catalog else None

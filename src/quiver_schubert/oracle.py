@@ -25,6 +25,11 @@ tuple, its neighbours' pivot tuples), the step's points for each tuple
 of neighbour coordinates: two cells that agree there get the same list
 in the same order, and every cell of the call solves each distinct
 system once.  Each point is kept once per chart with its echelon matrix.
+The memos of one call take at most about `_MEMO_BYTES`; a step whose
+points would not fit streams them as a search without memos would, so
+memory stays bounded whatever the point count.
+The last step streams too when every earlier step is its neighbour: its
+key then fixes the whole cell and the point before it, so it never recurs.
 The frontier of a step is the set of placed vertices that share an arrow
 with a vertex not yet placed; the rest of the search reads nothing else.
 A frontier state that once extended to no point is dead, so later
@@ -36,11 +41,12 @@ each chart in `iter_solutions_mod` order.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .linalg import (
     Matrix,
@@ -61,6 +67,12 @@ from .schubert import CellIndex, cell_index, enumerate_cells
 from .linalg import mat_vec_mod  # noqa: F401
 
 DEFAULT_BUDGET = 10**8
+
+# Memory that the step memos of one call may take, charged per entry and
+# per stored point; count(degenerate_flag(4)) at q = 3 is charged 27 MB.
+_MEMO_BYTES = 32 * 2**20
+_MEMO_ENTRY_BYTES = 200  # key, dict slot and tuple header
+_TUPLE_BYTES = sys.getsizeof(())  # plus 8 per item
 
 
 class BudgetExceededError(RuntimeError):
@@ -130,7 +142,10 @@ class _Chart:
     numbered column by column, top to bottom: `column_free[j]` lists the
     (row, var) pairs of column j, `row_free[k]` the (column, var) pairs of
     row nonpivot_rows[k], and `entries` the row-major matrix as indices
-    into x + (0, 1).  `point` keeps each point once per chart.
+    into x + (0, 1).  `point` keeps each point once per chart; `build`
+    makes a fresh one.  `point_bytes` bounds the memory of one stored
+    point: the pair, x, the matrix and its rows, x's ints (28 bytes each
+    below 2**30), one memo slot and one intern dict entry.
     """
 
     def __init__(self, block: Sequence[str], pivots: Sequence[str]):
@@ -155,18 +170,22 @@ class _Chart:
             for j, p in enumerate(self.pivot_rows)
         ]
         self._points: dict[Vector, tuple[Vector, Matrix]] = {}
+        rows = self.nrows * (_TUPLE_BYTES + 8 + 8 * len(self.pivot_rows))
+        self.point_bytes = 3 * _TUPLE_BYTES + 16 + 36 * self.nfree + rows + 8 + 100
+
+    def build(self, x: Vector) -> tuple[Vector, Matrix]:
+        """(x, echelon matrix at x)."""
+        ncols = len(self.pivot_rows)
+        if ncols:
+            flat = map((x + (0, 1)).__getitem__, self.entries)
+            return x, tuple(zip(*[flat] * ncols))
+        return x, ((),) * self.nrows
 
     def point(self, x: Vector) -> tuple[Vector, Matrix]:
-        """(x, echelon matrix at x), built on first use and shared after."""
+        """`build(x)`, built on first use and shared after."""
         found = self._points.get(x)
         if found is None:
-            ncols = len(self.pivot_rows)
-            if ncols:
-                flat = map((x + (0, 1)).__getitem__, self.entries)
-                found = (x, tuple(zip(*[flat] * ncols)))
-            else:
-                found = (x, ((),) * self.nrows)
-            self._points[x] = found
+            found = self._points[x] = self.build(x)
         return found
 
     def images(self, columns: Sequence[Vector]) -> list:
@@ -190,12 +209,12 @@ class _Step:
     the generator images of loops.  `frontier` lists the earlier steps
     that share an arrow with this step or a later one: the only placed
     vertices the rest of the search reads.  `points` is the table's memo
-    of this step's points for its own and its earlier neighbours' pivots,
-    and `coordinates(values)` its key: the neighbours' coordinates, bare
-    when there is one.
+    of this step's points for its own and its earlier neighbours' pivots
+    (None when it never recurs), and `coordinates(values)` its key: the
+    neighbours' coordinates, bare when there is one.
     """
 
-    def __init__(self, chart: _Chart, frontier: tuple[int, ...], neighbours: tuple[int, ...], points: dict):
+    def __init__(self, chart: _Chart, frontier: tuple[int, ...], neighbours: tuple[int, ...], points: dict | None):
         self.chart = chart
         self.incoming: list[tuple[int, list]] = []
         self.outgoing: list[tuple[int, list]] = []
@@ -220,7 +239,9 @@ class _Tables:
     maps the neighbours' chart coordinates to the step's `(x, matrix)`
     chart points that satisfy its arrows and loops, in
     `iter_solutions_mod` order.  Those conditions read nothing else, so
-    every cell with the same key gets the same list.
+    every cell with the same key gets the same list.  It is None for a
+    key that never recurs.  `room` is what is left of the `_MEMO_BYTES`
+    the memos may take.
     """
 
     def __init__(self, m: Representation, q: int):
@@ -243,9 +264,12 @@ class _Tables:
             tuple(k for k in range(i) if last_neighbour[k] >= i) for i in range(len(vertices))
         ]
         self.neighbours = [tuple(sorted(ks)) for ks in earlier]
+        last = len(vertices) - 1
+        self._unshared = last if last >= 0 and self.neighbours[last] == tuple(range(last)) else None
         self._charts: dict[tuple[int, tuple[str, ...]], _Chart] = {}
         self._images: dict[tuple[int, tuple[str, ...]], list] = {}
         self._points: dict[tuple, dict] = {}
+        self.room = _MEMO_BYTES
 
     def chart(self, i: int, pivots: tuple[str, ...]) -> _Chart:
         key = (i, pivots)
@@ -261,8 +285,10 @@ class _Tables:
             self._images[key] = self.chart(s, pivots).images(columns)
         return self._images[key]
 
-    def points(self, i: int, pivots: Sequence[tuple[str, ...]]) -> dict:
+    def points(self, i: int, pivots: Sequence[tuple[str, ...]]) -> dict | None:
         """Memo of step i's points, given every step's pivot tuple."""
+        if i == self._unshared:
+            return None
         key = (i, pivots[i]) + tuple(pivots[k] for k in self.neighbours[i])
         if key not in self._points:
             self._points[key] = {}
@@ -351,19 +377,38 @@ def _chart_solutions(steps: list[_Step], i: int, values: list, q: int) -> Iterat
     return iter_solutions_mod(rows, rhs, steps[i].chart.nfree, q)
 
 
-def _step_points(steps: list[_Step], i: int, values: list, q: int) -> tuple:
-    """Step i's `(x, matrix)` points at the placed values, memoised by its neighbours' coordinates."""
+def _step_solutions(steps: list[_Step], i: int, values: list, q: int) -> Iterator[Vector]:
+    """Chart coordinates of step i that satisfy its arrows to placed vertices and its loops."""
     step = steps[i]
+    solutions = _chart_solutions(steps, i, values, q)
+    if step.loops:
+        return (x for x in solutions if _loops_hold(step, x, q))
+    return solutions
+
+
+def _step_points(tables: _Tables, steps: list[_Step], i: int, values: list, q: int) -> Iterable:
+    """Step i's `(x, matrix)` points at the placed values, memoised by its neighbours' coordinates.
+
+    A list without a memo, or that does not fit in the table's room, is
+    streamed and not kept.
+    """
+    step = steps[i]
+    memo = step.points
+    if memo is None:
+        return map(step.chart.build, _step_solutions(steps, i, values, q))
     coordinates = step.coordinates(values)
-    found = step.points.get(coordinates)
-    if found is None:
-        chart = step.chart
-        found = step.points[coordinates] = tuple(
-            chart.point(x)
-            for x in _chart_solutions(steps, i, values, q)
-            if not step.loops or _loops_hold(step, x, q)
-        )
-    return found
+    found = memo.get(coordinates)
+    if found is not None:
+        return found
+    solutions = _step_solutions(steps, i, values, q)
+    chart = step.chart
+    fits = max(tables.room - _MEMO_ENTRY_BYTES, -1) // chart.point_bytes
+    head = list(islice(solutions, fits + 1))
+    if len(head) <= fits:  # all of them
+        tables.room -= _MEMO_ENTRY_BYTES + len(head) * chart.point_bytes
+        found = memo[coordinates] = tuple(map(chart.point, head))
+        return found
+    return map(chart.build, chain(head, solutions))
 
 
 def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
@@ -385,7 +430,8 @@ def _cell_points(
 
     Depth-first over the plan's steps with an explicit stack.  A step's
     points come from the memo in `tables` (see `_Tables`), so the cells
-    of one call solve each distinct chart system once.  The state
+    of one call solve each distinct chart system once, while the memos
+    have room; past that, new lists stream as they are solved.  The state
     entering step i is keyed by the chart coordinates at its frontier;
     once a state has extended to no point it is dead, and later arrivals
     at it in this cell are skipped.  Deadness stays per cell because it
@@ -393,7 +439,8 @@ def _cell_points(
     shared by the cells of one call; without it the cell builds its own.
     """
     order = m.quiver.vertices
-    steps = _plan(tables or _Tables(m, q), beta)
+    tables = tables or _Tables(m, q)
+    steps = _plan(tables, beta)
     n = len(steps)
     if n == 0:
         yield {}
@@ -405,7 +452,7 @@ def _cell_points(
     points_before = [0] * n
     dead: set = set()
     points = 0
-    pending[0] = iter(_step_points(steps, 0, values, q))
+    pending[0] = iter(_step_points(tables, steps, 0, values, q))
     i = 0
     while i >= 0:
         for x, mat in pending[i]:
@@ -421,7 +468,7 @@ def _cell_points(
             i += 1
             keys[i] = key
             points_before[i] = points
-            pending[i] = iter(_step_points(steps, i, values, q))
+            pending[i] = iter(_step_points(tables, steps, i, values, q))
             break
         else:
             if i and points == points_before[i]:

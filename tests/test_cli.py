@@ -311,3 +311,9 @@ def test_negative_budget_is_an_input_error(monkeypatch):
     assert (code, out, err) == (2, "", "input error: QS_BUDGET must be nonnegative, got -5\n")
     code, _, err = run(["count", "--catalog", "two_lines", "--budget", "0"])
     assert code == 3 and err.startswith("budget exceeded")
+
+
+def test_empty_catalog_name_leaves_file_inputs_in_use(tmp_path):
+    code, out, err = run(["validate", "--catalog", "", "--quiver", str(tmp_path / "missing.json")])
+    assert code == 2 and out == ""
+    assert "cannot be combined" not in err and "No such file" in err

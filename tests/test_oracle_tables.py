@@ -8,12 +8,15 @@ and the same points in the same order, whatever order the cells come in.
 
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
 from quiver_schubert import linalg, oracle
 from quiver_schubert.catalog import catalog
 from quiver_schubert.oracle import _cell_points, _Tables, cell_count, count, enumerate_subreps
+from quiver_schubert.quiver import quiver
+from quiver_schubert.representation import OrderedBasis, representation
 from quiver_schubert.schubert import enumerate_cells
 from test_chart_search import random_branching_cycle
 
@@ -129,3 +132,57 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     (tables,) = built
     assert calls["_chart_solutions"] == sum(map(len, tables._points.values()))
     assert calls == {"_chart_solutions": 2640, "solve_mod": 740}
+
+
+def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
+    """With little memo room, some step lists are kept and the rest streamed; the points stay the same."""
+    cases = [(f"seed {seed}", *random_branching_cycle(seed), 2) for seed in range(10)]
+    for spec in ("degenerate_flag(3)", "ex_4_5_5"):
+        entry = catalog(spec)
+        cases.append((spec, entry.representation, entry.dim_vector, 3))
+    for name, rep, e, q in cases:
+        cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
+        tables = _Tables(rep, q)
+        expected = [list(_cell_points(rep, beta, q, tables)) for beta in cells]
+        kept = sum(map(len, tables._points.values()))
+        for budget in (0, 3000, 30000):
+            monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
+            tables = _Tables(rep, q)
+            assert [list(_cell_points(rep, beta, q, tables)) for beta in cells] == expected, (name, budget)
+            assert 0 <= tables.room <= budget
+        monkeypatch.undo()
+        if name == "degenerate_flag(3)":
+            # 30,000 bytes keep some of its step lists but not all of them
+            assert 0 < sum(map(len, tables._points.values())) < kept
+
+
+def _unlinked(rank: int, e: int):
+    """Two vertices and no arrow: F^rank with subspace dimension e, and F^1 with 1."""
+    names = [f"b{i}" for i in range(1, rank + 2)]
+    basis = OrderedBasis(tuple(names), {b: "1" if i < rank else "2" for i, b in enumerate(names)})
+    return representation(quiver(["1", "2"], []), basis, {}), {"1": e, "2": 1}
+
+
+def _peak_mib(m, e, q):
+    tracemalloc.start()
+    try:
+        (report,) = count(m, e, primes=(q,))
+        return report.total, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
+    """Memory stays bounded on inputs whose step lists are never reused.
+
+    Gr_3(F_3^6) has 33,880 points.  one_vertex(6) has one step per cell,
+    whose list never recurs, so nothing is kept.  Two unlinked vertices
+    keep their step lists: about 11 MB of them under the default budget,
+    which they fit in, and a peak under 2 MiB with a budget of 1 MiB.
+    """
+    entry = catalog("one_vertex(6)")
+    total, peak = _peak_mib(entry.representation, entry.dim_vector, 3)
+    assert total == 33880 and peak < 1
+    monkeypatch.setattr(oracle, "_MEMO_BYTES", 2**20)
+    total, peak = _peak_mib(*_unlinked(6, 3), 3)
+    assert total == 33880 and peak < 2
