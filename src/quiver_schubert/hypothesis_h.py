@@ -17,9 +17,9 @@ from enum import Enum
 from .linalg import is_identity
 from .quiver import Arrow, QuiverMorphism, Subquiver, distances_to, is_strictly_ordered
 from .representation import Representation
-from .schubert import PreconditionError, check_tree_setup
+from .schubert import PreconditionError, tree_setup
 
-# Not called here since check_tree_setup owns the setup check; the traced
+# Not called here since schubert.check_tree_setup owns the setup check; the traced
 # benchmark run (perfbench/layers.py) still wraps both under this module.
 from .quiver import is_tree_extension  # noqa: F401
 from .representation import is_ordered_above  # noqa: F401
@@ -252,20 +252,25 @@ def check_hypothesis_h(
     basis is not ordered above S; returns Fail (with the first violating
     pair in Psi order and the offending triples) otherwise.
     """
-    check_tree_setup(rep, sub)
+    tree_setup(rep, sub)
     ctx = WindingContext(rep, sub, f)
     if not is_strictly_ordered(f, ctx.vertex_key):
         return HypothesisResult(False, reason="morphism is not strictly ordered")
 
     dangers: dict[tuple[str, str], list[TripleReport]] = {}
+    keys = ctx._psi_keys
     for at in f.codomain.arrows:
         for t in ctx.fibre(at.tgt):
             for s in ctx.fibre(at.src):
                 typ, pairs = _walk_triple(ctx, at.name, t, s)
                 if not pairs:
                     continue
-                largest = max(pairs, key=lambda pr: ctx.psi_key(*pr))
-                if ctx.psi_key(*largest)[0]:  # charged only to a relevant pair
+                # fill the memo first, so the maximum runs on dict lookups alone
+                for pr in pairs:
+                    if pr not in keys:
+                        ctx.psi_key(*pr)
+                largest = max(pairs, key=keys.__getitem__)
+                if keys[largest][0]:  # charged only to a relevant pair
                     dangers.setdefault(largest, []).append(TripleReport((at.name, t, s), typ))
 
     notes: list[str] = []

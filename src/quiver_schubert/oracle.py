@@ -302,7 +302,7 @@ def _plan(tables: _Tables, beta: CellIndex) -> list[_Step]:
     neighbours and point memos come from `tables`, so the cells of one
     call share them.  Sharing is exact because each is fixed by its key.
     """
-    beta_set = beta.as_set()
+    beta_set = set(beta.elements)  # not beta.as_set(): a call keeps all its cells alive
     pivots = [tuple(b for b in block if b in beta_set) for block in tables.blocks]
     steps = [
         _Step(tables.chart(i, p), tables.frontiers[i], tables.neighbours[i], tables.points(i, pivots))

@@ -222,16 +222,6 @@ def reorder_basis(m: Representation, new_order: Sequence[str]) -> Representation
     return Representation(m.quiver, basis, matrices)
 
 
-def identity_image(m: Representation, arrow_name: str, b: str) -> str:
-    """Image of a basis element under an identity-matrix arrow."""
-    a = m.quiver.arrow(arrow_name)
-    src = m.basis.block(a.src)
-    tgt = m.basis.block(a.tgt)
-    if not is_identity(m.matrices[arrow_name]):
-        raise ValueError(f"arrow {arrow_name!r} is not an identity matrix")
-    return tgt[src.index(b)]
-
-
 def is_ordered_above(m: Representation, s: Subquiver) -> tuple[bool, list[str]]:
     """Check the four clauses of the order-above-S condition, with diagnostics.
 
@@ -341,7 +331,6 @@ __all__ = [
     "push_forward",
     "direct_sum",
     "reorder_basis",
-    "identity_image",
     "is_ordered_above",
     "order_above_extension",
     "representation_to_json",

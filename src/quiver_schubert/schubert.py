@@ -6,6 +6,27 @@ coordinates w_{b',b} for non-pivot rows b' below b in the same block of
 the ambient quiver.  Equation generation follows the push-forward block
 formalism uniformly; plain representations go through the identity
 winding.
+
+The hypotheses of the tree-extension theorems and of the winding
+formalism hold per module, per S and per F, not per cell.  So the
+per-cell entry points share that work, and each module builds it once
+(`_module_setup`):
+
+- the tree setup of (M, S): the checks that T/S is a tree and the basis
+  is ordered above S, the identity image of every basis element along
+  each arrow of T-S, and the end-peeling schedule of each peel order;
+- the winding setup of (M, F): the checks that F is a winding on the
+  quiver of M, the ambient vertex of every basis element, the fibre
+  arrows and sorted fibres of each codomain arrow, and the nonzero
+  entries of every matrix.
+
+None of this reads the cell, so a cell answered from a stored setup is
+answered exactly as from a fresh one.  Only a setup whose checks pass is
+stored; a failing one raises again on every call.  Representations,
+subquivers and morphisms are immutable after use (the assumption
+`OrderedBasis.positions()` already makes), and S and F are matched by
+identity, not equality, so a stored setup always belongs to the very
+objects it was built from.
 """
 
 from __future__ import annotations
@@ -26,7 +47,7 @@ from .quiver import (
     is_tree_extension,
     is_winding,
 )
-from .representation import Representation, identity_image, is_ordered_above
+from .representation import Representation, is_ordered_above
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +61,12 @@ class CellIndex:
     elements: tuple[str, ...]
 
     def as_set(self) -> frozenset[str]:
-        return frozenset(self.elements)
+        """The elements as a set, built once per index."""
+        elems = getattr(self, "_set_cache", None)
+        if elems is None:
+            elems = frozenset(self.elements)
+            object.__setattr__(self, "_set_cache", elems)
+        return elems
 
     def __contains__(self, b: str) -> bool:
         return b in self.as_set()
@@ -51,10 +77,11 @@ class CellIndex:
 
 def cell_index(basis, elements: Iterable[str]) -> CellIndex:
     elems = set(elements)
-    unknown = elems - set(basis.order)
+    pos = basis.positions()
+    unknown = [b for b in elems if b not in pos]
     if unknown:
         raise ValueError(f"not basis elements: {sorted(unknown)}")
-    return CellIndex(tuple(b for b in basis.order if b in elems))
+    return CellIndex(tuple(sorted(elems, key=pos.__getitem__)))
 
 
 def cell_type(basis, beta: CellIndex) -> dict[str, int]:
@@ -182,6 +209,28 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
+# per-module setups
+
+
+def _module_setup(m: Representation, kind: str, key: object, build):
+    """The setup of one kind that m keeps for key, made by build() on first use.
+
+    m holds one slot per kind: the key, compared by identity and held
+    strongly so that its identity cannot pass to a new object, and the
+    setup.  A call with another key rebuilds and replaces the slot, so a
+    module never keeps more than one setup of a kind.  When build()
+    raises, nothing is stored and the next call raises again.
+    """
+    attr = f"_{kind}_setup"
+    slot = getattr(m, attr, None)
+    if slot is not None and slot[0] is key:
+        return slot[1]
+    setup = build()
+    object.__setattr__(m, attr, (key, setup))
+    return setup
+
+
+# ---------------------------------------------------------------------------
 # cell coordinates and defining equations
 
 
@@ -254,6 +303,49 @@ def cell_variables(basis, beta: CellIndex, ambient_vertex_of: Mapping[str, str])
     return out
 
 
+class _WindingSetup:
+    """The cell-independent part of `generate_equations` for one module and winding.
+
+    Raises ValueError, and is then not stored, unless F is a winding on
+    the quiver of M.  For each codomain arrow it keeps the fibre arrows,
+    the target and source fibres sorted by block start, and the fibre
+    arrow into each target (one at most, F being a winding); for each
+    arrow of M the nonzero entries (source element, value) of every row.
+    """
+
+    def __init__(self, m: Representation, fibred_via: QuiverMorphism | None):
+        f = fibred_via if fibred_via is not None else identity_morphism(m.quiver)
+        if f.domain != m.quiver:
+            raise ValueError("fibred_via must be defined on the representation's quiver")
+        if not is_winding(f):
+            raise ValueError("fibred_via must be a winding")
+        basis = m.basis
+        pos = basis.positions()
+        self.ambient_vertex_of = {b: f.vertex_map[basis.vertex_of[b]] for b in basis.order}
+        self.block = block = {v: basis.block(v) for v in m.quiver.vertices}
+        self.row_of = {b: i for blk in block.values() for i, b in enumerate(blk)}
+
+        def block_start(v: str) -> int:
+            return pos[block[v][0]] if block[v] else -1
+
+        self.arrows = []
+        for at in f.codomain.arrows:
+            fibre = f.fibre_arrows(at.name)
+            self.arrows.append((
+                at.name,
+                fibre,
+                sorted(f.fibre_vertices(at.tgt), key=block_start),
+                sorted(f.fibre_vertices(at.src), key=block_start),
+                {a.tgt: a for a in fibre},
+            ))
+        self.entries = {
+            a.name: [
+                [(c, x) for c, x in zip(block[a.src], row) if x] for row in m.matrices[a.name]
+            ]
+            for a in m.quiver.arrows
+        }
+
+
 def generate_equations(
     m: Representation, beta: CellIndex, fibred_via: QuiverMorphism | None = None
 ) -> CellEquationSystem:
@@ -270,22 +362,22 @@ def generate_equations(
     M_a, and each equation sums monomial coefficients in a dict; zero
     products are never formed.
     """
-    f = fibred_via if fibred_via is not None else identity_morphism(m.quiver)
-    if f.domain != m.quiver:
-        raise ValueError("fibred_via must be defined on the representation's quiver")
-    if not is_winding(f):
-        raise ValueError("fibred_via must be a winding")
+    setup = _module_setup(m, "winding", fibred_via, lambda: _WindingSetup(m, fibred_via))
     basis = m.basis
-    beta_set = beta.as_set()
-    if not beta_set <= set(basis.order):
-        raise ValueError("beta is not a subset of the basis")
     pos = basis.positions()
-    ambient_vertex_of = {b: f.vertex_map[basis.vertex_of[b]] for b in basis.order}
-    variables = cell_variables(basis, beta, ambient_vertex_of)
+    beta_set = beta.as_set()
+    if not all(b in pos for b in beta.elements):
+        raise ValueError("beta is not a subset of the basis")
+    variables = cell_variables(basis, beta, setup.ambient_vertex_of)
     var_index = {pair: i for i, pair in enumerate(variables)}
-    block = {v: basis.block(v) for v in m.quiver.vertices}
-    beta_rows = {v: [(i, b) for i, b in enumerate(blk) if b in beta_set] for v, blk in block.items()}
-    cols = {v: [b for _, b in rows] for v, rows in beta_rows.items()}
+    block, entries, row_of = setup.block, setup.entries, setup.row_of
+    # beta's rows in each block, in block order since beta is in basis order
+    beta_rows: dict[str, list[tuple[int, str]]] = {}
+    cols: dict[str, list[str]] = {}
+    for b in beta.elements:
+        v = basis.vertex_of[b]
+        beta_rows.setdefault(v, []).append((row_of[b], b))
+        cols.setdefault(v, []).append(b)
 
     def chart_row(c: str, s: str) -> list[tuple[str, Monomial]]:
         """Nonzero entries (column, monomial) of row c of the chart block W_{., s}."""
@@ -299,24 +391,16 @@ def generate_equations(
         Distinct source rows c give distinct monomials, so nothing cancels.
         """
         out = []
-        for row in m.matrices[a.name]:
+        for row in entries[a.name]:
             acc: dict[str, dict[Monomial, int]] = {}
-            for c, x in zip(block[a.src], row):
-                if x:
-                    for bc, mono in chart_row(c, s):
-                        acc.setdefault(bc, {})[mono] = x
+            for c, x in row:
+                for bc, mono in chart_row(c, s):
+                    acc.setdefault(bc, {})[mono] = x
             out.append(acc)
         return out
 
-    def block_start(v: str) -> int:
-        return pos[block[v][0]] if block[v] else -1
-
     equations = []
-    for at in f.codomain.arrows:
-        fibre = f.fibre_arrows(at.name)
-        tgt_fib = sorted(f.fibre_vertices(at.tgt), key=block_start)
-        src_fib = sorted(f.fibre_vertices(at.src), key=block_start)
-        arrow_into = {a.tgt: a for a in fibre}  # one per target, F being a winding
+    for at_name, fibre, tgt_fib, src_fib, arrow_into in setup.arrows:
         factors: dict[str, tuple[dict, list]] = {}
 
         def factor(s: str) -> tuple[dict, list]:
@@ -326,20 +410,21 @@ def generate_equations(
                 lhs = [
                     (pos[r], r, rights[a.name][k])
                     for a in fibre
-                    for k, r in beta_rows[a.tgt]
+                    for k, r in beta_rows.get(a.tgt, ())
                     if rights[a.name][k]
                 ]
                 factors[s] = (rights, lhs)
             return factors[s]
 
+        live_src = [s for s in src_fib if s in cols]
+        if not live_src:
+            continue
         for t in tgt_fib:
             rows_out = [(i, b) for i, b in enumerate(block[t]) if b not in beta_set]
             if not rows_out:
                 continue
             arrow_t = arrow_into.get(t)
-            for s in src_fib:
-                if not cols[s]:
-                    continue
+            for s in live_src:
                 rights, lhs = factor(s)
                 rhs = rights[arrow_t.name] if arrow_t is not None else None
                 for i, br in rows_out:
@@ -363,7 +448,7 @@ def generate_equations(
                     for bc in cols[s]:
                         terms = {mono: x for mono, x in acc.get(bc, {}).items() if x}
                         if terms:
-                            equations.append(CellEquation((at.name, t, s), br, bc, Poly(terms)))
+                            equations.append(CellEquation((at_name, t, s), br, bc, Poly(terms)))
     return CellEquationSystem(beta, tuple(variables), tuple(equations))
 
 
@@ -438,15 +523,51 @@ def _peel_schedule(
     return schedule
 
 
-def _closed_under_identity_images(m: Representation, s: Subquiver, beta: CellIndex) -> bool:
-    """Pivot criterion: beta holds the image of each of its elements along every arrow of T-S."""
-    beta_set = beta.as_set()
-    return all(
-        identity_image(m, name, b) in beta_set
-        for name in sorted(difference_of(m.quiver, s).arrows)
-        for b in m.basis.block(m.quiver.arrow(name).src)
-        if b in beta_set
-    )
+class _TreeSetup:
+    """The cell-independent part of the tree-extension theorems for one module and S.
+
+    Made only once `check_tree_setup` passes, so every arrow of T-S
+    carries an identity matrix: it sends the i-th element of its source
+    block to the i-th of its target block.  Keeps that identity image
+    map per arrow of T-S and, on first use, the peeling schedule of each
+    peel order.
+    """
+
+    def __init__(self, m: Representation, s: Subquiver):
+        check_tree_setup(m, s)
+        self.images = {}
+        for name in sorted(difference_of(m.quiver, s).arrows):
+            a = m.quiver.arrow(name)
+            self.images[name] = dict(zip(m.basis.block(a.src), m.basis.block(a.tgt)))
+        self.schedules: dict[str, list[tuple[str, tuple, tuple, dict[str, str]]]] = {}
+
+    def closed(self, beta_set: set[str]) -> bool:
+        """Pivot criterion: beta holds the image of each of its elements along every arrow of T-S."""
+        return all(
+            img in beta_set
+            for image_of in self.images.values()
+            for b, img in image_of.items()
+            if b in beta_set
+        )
+
+    def schedule(self, m: Representation, s: Subquiver, peel: str):
+        """`_peel_schedule` as (case, source block, target block, identity image map) per end."""
+        steps = self.schedules.get(peel)
+        if steps is None:
+            steps = []
+            for _end, name, case in _peel_schedule(m, s, peel):
+                a = m.quiver.arrow(name)
+                steps.append((case, m.basis.block(a.src), m.basis.block(a.tgt), self.images[name]))
+            self.schedules[peel] = steps
+        return steps
+
+
+def tree_setup(m: Representation, s: Subquiver) -> _TreeSetup:
+    """The checked tree setup of (M, S), made on the first call for this S.
+
+    Raises PreconditionError, on every call, when `check_tree_setup` fails.
+    """
+    return _module_setup(m, "tree", s, lambda: _TreeSetup(m, s))
 
 
 def tree_cell_emptiness(
@@ -459,51 +580,49 @@ def tree_cell_emptiness(
     base cell through `base_is_empty`; it may be omitted only when S has
     no arrows, where every base cell is nonempty.
     """
-    check_tree_setup(m, s)
+    setup = tree_setup(m, s)
     if base_is_empty is None:
         if s.arrows:
             raise PreconditionError("S has arrows: pass base_is_empty for the base cell over S")
         base_is_empty = False
-    return not _closed_under_identity_images(m, s, beta) or base_is_empty
+    # a transient set, not beta.as_set(): callers keep whole lists of cells
+    return not setup.closed(set(beta.elements)) or base_is_empty
 
 
 def tree_cell_dimension(
     m: Representation, s: Subquiver, beta: CellIndex, peel: str = "largest"
 ) -> int:
-    """Exponent n with C_beta(M) = C_{beta_S}(M_S) x A^n, by end peeling."""
-    check_tree_setup(m, s)
-    if not _closed_under_identity_images(m, s, beta):
-        raise ValueError("cell is empty over S by the pivot criterion")
-    pos = m.basis.positions()
+    """Exponent n with C_beta(M) = C_{beta_S}(M_S) x A^n, by end peeling.
+
+    `peel` is "largest" or "smallest", the end removed at every step.
+    """
+    if peel not in ("largest", "smallest"):
+        raise ValueError(f"peel must be 'largest' or 'smallest', not {peel!r}")
+    setup = tree_setup(m, s)
     beta_set = set(beta.elements)
+    if not setup.closed(beta_set):
+        raise ValueError("cell is empty over S by the pivot criterion")
     total = 0
-    for end, arrow_name, case in _peel_schedule(m, s, peel):
-        a = m.quiver.arrow(arrow_name)
-        src_block = m.basis.block(a.src)
-        tgt_block = m.basis.block(a.tgt)
-        image = {
-            identity_image(m, arrow_name, b): b for b in src_block if b in beta_set
-        }
+    # Blocks are in basis order, so "below b in its block" is "before b".  A
+    # peeled end leaves with its only arrow, so no later step reads its block.
+    for case, src_block, tgt_block, image_of in setup.schedule(m, s, peel):
+        image = {image_of[b] for b in src_block if b in beta_set}
         if case == "I":
+            # each head pivot outside the image: one coordinate per non-pivot row below it
+            below = 0
             for b in tgt_block:
-                if b in beta_set and b not in image:
-                    total += sum(
-                        1
-                        for bp in tgt_block
-                        if bp not in beta_set and pos[bp] < pos[b]
-                    )
-            beta_set -= set(tgt_block)
-        else:
-            for b in src_block:
                 if b not in beta_set:
-                    continue
-                img = identity_image(m, arrow_name, b)
-                total += sum(
-                    1
-                    for bp in tgt_block
-                    if bp in beta_set and bp not in image and pos[bp] < pos[img]
-                )
-            beta_set -= set(src_block)
+                    below += 1
+                elif b not in image:
+                    total += below
+        else:
+            # each tail pivot b: one coordinate per head pivot outside the image below b's image
+            below, rank = 0, {}
+            for bp in tgt_block:
+                rank[bp] = below
+                if bp in beta_set and bp not in image:
+                    below += 1
+            total += sum(rank[image_of[b]] for b in src_block if b in beta_set)
     return total
 
 

@@ -1,9 +1,11 @@
 """Module layering: package imports sit at module top, schubert never reaches the
-oracle, and every name the traced benchmark run wraps still resolves."""
+oracle, the package imports nothing outside the standard library, and every
+name the traced benchmark run wraps still resolves."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,6 +47,21 @@ def test_no_function_local_package_imports():
 def test_schubert_does_not_import_oracle():
     tree = dict(_modules())["schubert.py"]
     assert not [n for n in _package_imports(tree) if "oracle" in n.split(".")]
+
+
+def test_package_imports_only_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"quiver_schubert"}
+    outside = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue  # relative imports name the package itself
+            outside += [f"{name}: {top}" for top in tops if top not in allowed]
+    assert outside == []
 
 
 def _load_perfbench(name: str):

@@ -1,0 +1,247 @@
+"""Per-module setups of the schubert per-cell calls.
+
+A module keeps one tree setup and one winding setup (`schubert._module_setup`).
+These tests check that a warm module answers every cell exactly as a cold
+copy does, that a failed check is never stored, and that a module keeps one
+setup of each kind however many equal keys it is called with.
+"""
+
+import dataclasses
+import gc
+import random
+import weakref
+
+import pytest
+
+from conftest import random_tree_extension
+from quiver_schubert.catalog import catalog
+from quiver_schubert.hypothesis_h import check_hypothesis_h
+from quiver_schubert.quiver import QuiverMorphism, Subquiver, identity_morphism, morphism, quiver, subquiver
+from quiver_schubert.representation import reorder_basis
+from quiver_schubert.schubert import (
+    PreconditionError,
+    cell_index,
+    enumerate_cells,
+    generate_equations,
+    tree_cell_dimension,
+    tree_cell_emptiness,
+    tree_setup,
+)
+
+WINDINGS = ["ex_4_5_1", "ex_4_5_2", "ex_4_5_5"] + [
+    f"kronecker_{kind}({n})" for kind in ("preprojective", "preinjective") for n in (1, 2, 3, 6)
+]
+FOREST_SEEDS = range(10)
+TREE_SEEDS = range(60)
+
+
+def _outcome(call):
+    """The answer of call(), or the type and message of what it raised."""
+    try:
+        return ("ok", call())
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _shuffled(cells, seed):
+    cells = list(cells)
+    random.Random(seed).shuffle(cells)
+    return cells
+
+
+def _equation_answers(m, cells, f):
+    return [_outcome(lambda: generate_equations(m, beta, fibred_via=f).to_json()) for beta in cells]
+
+
+def _tree_answers(m, s, cells):
+    return [
+        (
+            _outcome(lambda: tree_cell_emptiness(m, s, beta, base_is_empty=False)),
+            _outcome(lambda: tree_cell_dimension(m, s, beta)),
+            _outcome(lambda: tree_cell_dimension(m, s, beta, peel="smallest")),
+        )
+        for beta in cells
+    ]
+
+
+def _assert_warm_equals_cold(m, cells, f=None, s=None):
+    """Answers on m, visited in the given order, equal those on a cold copy per cell."""
+    cold_copy = lambda: dataclasses.replace(m)  # noqa: E731 - a module with no stored setups
+    for g in (f, None) if f is not None else (None,):
+        warm = _equation_answers(m, cells, g)
+        assert getattr(m, "_winding_setup")[0] is g
+        cold = [_equation_answers(cold_copy(), [beta], g)[0] for beta in cells]
+        assert warm == cold
+    if s is not None:
+        warm = _tree_answers(m, s, cells)
+        assert getattr(m, "_tree_setup")[0] is s
+        assert set(tree_setup(m, s).schedules) <= {"largest", "smallest"}
+        cold = [_tree_answers(cold_copy(), s, [beta])[0] for beta in cells]
+        assert warm == cold
+
+
+@pytest.mark.parametrize("spec", WINDINGS)
+def test_warm_winding_entries_answer_as_cold(spec):
+    entry = catalog(spec)
+    rep, up = entry.representation, entry.upstairs
+    cells = [
+        cell_index(up.basis, c.elements)
+        for c in enumerate_cells(rep.basis, dict(entry.dim_vector), rep.quiver.vertices)
+    ]
+    _assert_warm_equals_cold(up, _shuffled(cells, len(cells)), f=entry.morphism, s=entry.subquiver)
+
+
+def test_warm_forest_blocks_answer_as_cold():
+    for seed in FOREST_SEEDS:
+        entry = catalog(f"forest_block({seed},10)")
+        rep = entry.representation
+        cells = enumerate_cells(rep.basis, dict(entry.dim_vector), rep.quiver.vertices)
+        _assert_warm_equals_cold(rep, _shuffled(cells, seed))
+
+
+def test_warm_tree_extensions_answer_as_cold():
+    dimensions = []
+    for seed in TREE_SEEDS:
+        rep, s, e = random_tree_extension(seed)
+        cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
+        _assert_warm_equals_cold(rep, _shuffled(cells, seed), s=s)
+        dimensions += [
+            tree_cell_dimension(rep, s, beta)
+            for beta in cells
+            if not tree_cell_emptiness(rep, s, beta, base_is_empty=False)
+        ]
+    # the dimension is compared on many cells, not on errors alone, and is not always 0
+    assert len(dimensions) >= 40 and max(dimensions) > 0
+
+
+def test_warm_slot_follows_the_latest_key():
+    entry = catalog("kronecker_preprojective(3)")
+    up, f = entry.upstairs, entry.morphism
+    cells = [cell_index(up.basis, c) for c in (["1"], ["2", "3"], list(up.basis.order))]
+    cold = [generate_equations(dataclasses.replace(up), beta, fibred_via=g).to_json()
+            for beta in cells for g in (f, None)]
+    # alternating keys rebuild the one slot on every call
+    assert [generate_equations(up, beta, fibred_via=g).to_json() for beta in cells for g in (f, None)] == cold
+
+
+def _kronecker_fold():
+    """The Kronecker quiver with both arrows sent to one arrow: not a winding."""
+    t = quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    return t, morphism(t, quiver(["x", "y"], [("c", "x", "y")]), {"1": "x", "2": "y"}, {"a": "c", "b": "c"})
+
+
+def _raises_every_time(call, exc_type, match, times=3):
+    messages = []
+    for _ in range(times):
+        with pytest.raises(exc_type, match=match) as info:
+            call()
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+
+
+def test_a_non_winding_is_refused_on_every_call():
+    entry = catalog("kronecker_regular(2,0)")
+    rep = entry.representation
+    t, fold = _kronecker_fold()
+    assert rep.quiver == t
+    beta = cell_index(rep.basis, ["b1"])
+    _raises_every_time(lambda: generate_equations(rep, beta, fibred_via=fold), ValueError, "must be a winding")
+    assert not hasattr(rep, "_winding_setup")
+    # a stored good setup survives a refused morphism
+    plain = generate_equations(rep, beta).to_json()
+    _raises_every_time(lambda: generate_equations(rep, beta, fibred_via=fold), ValueError, "must be a winding")
+    assert getattr(rep, "_winding_setup")[0] is None
+    assert generate_equations(rep, beta).to_json() == plain
+
+
+def test_a_domain_mismatch_and_a_foreign_beta_are_refused_on_every_call():
+    entry = catalog("kronecker_preprojective(2)")
+    up, f = entry.upstairs, entry.morphism
+    other = catalog("kronecker_preprojective(3)").upstairs
+    beta = cell_index(up.basis, [up.basis.order[0]])
+    _raises_every_time(lambda: generate_equations(other, beta, fibred_via=f), ValueError, "fibred_via must be defined")
+    stranger = dataclasses.replace(beta, elements=("no such element",))
+    _raises_every_time(lambda: generate_equations(up, stranger, fibred_via=f), ValueError, "not a subset")
+
+
+def test_a_non_tree_extension_is_refused_on_every_call():
+    rep = catalog("kronecker_regular(2,0)").representation
+    s = subquiver(rep.quiver, ["1"])
+    beta = cell_index(rep.basis, ["b1", "b3"])
+    for call in (
+        lambda: tree_cell_emptiness(rep, s, beta),
+        lambda: tree_cell_dimension(rep, s, beta),
+        lambda: check_hypothesis_h(rep, s, identity_morphism(rep.quiver)),
+    ):
+        _raises_every_time(call, PreconditionError, "not a tree extension")
+    assert not hasattr(rep, "_tree_setup")
+
+
+def test_a_basis_not_ordered_above_s_is_refused_on_every_call():
+    entry = catalog("flag(3;1,2)")
+    rep = reorder_basis(entry.representation, list(reversed(entry.representation.basis.order)))
+    s = entry.subquiver
+    beta = cell_index(rep.basis, list(rep.basis.order)[:1])
+    for call in (lambda: tree_cell_emptiness(rep, s, beta), lambda: tree_cell_dimension(rep, s, beta)):
+        _raises_every_time(call, PreconditionError, "basis is not ordered above S")
+    assert not hasattr(rep, "_tree_setup")
+
+
+def test_an_empty_cell_is_refused_on_every_call():
+    entry = catalog("flag(3;1,2)")
+    rep, s = entry.representation, entry.subquiver
+    beta = cell_index(rep.basis, ["b1", "b5", "b6"])
+    _raises_every_time(lambda: tree_cell_dimension(rep, s, beta), ValueError, "empty over S by the pivot criterion")
+    assert tree_cell_emptiness(rep, s, beta)
+
+
+def test_peel_must_be_largest_or_smallest():
+    entry = catalog("flag(3;1,2)")
+    rep, s = entry.representation, entry.subquiver
+    beta = cell_index(rep.basis, ["b2", "b4", "b5"])
+    for peel in ("biggest", "Largest", "", None):
+        with pytest.raises(ValueError, match="peel must be 'largest' or 'smallest'"):
+            tree_cell_dimension(rep, s, beta, peel=peel)
+    assert not hasattr(rep, "_tree_setup")  # refused before any setup or schedule is made
+    assert tree_cell_dimension(rep, s, beta, peel="smallest") == tree_cell_dimension(rep, s, beta) == 0
+    with pytest.raises(ValueError, match="peel must be"):
+        tree_cell_dimension(rep, s, beta, peel="biggest")
+    assert set(tree_setup(rep, s).schedules) == {"largest", "smallest"}
+
+
+def _alive(refs) -> int:
+    gc.collect()
+    return sum(1 for r in refs if r() is not None)
+
+
+def test_a_module_keeps_one_winding_setup():
+    entry = catalog("kronecker_preprojective(3)")
+    up, f = entry.upstairs, entry.morphism
+    beta = cell_index(up.basis, ["1"])
+    expected = generate_equations(dataclasses.replace(up), beta, fibred_via=f).to_json()
+    keys, setups = [], []
+    for _ in range(100):
+        g = QuiverMorphism(f.domain, f.codomain, dict(f.vertex_map), dict(f.arrow_map))
+        assert g == f and g is not f
+        assert generate_equations(up, beta, fibred_via=g).to_json() == expected
+        keys.append(weakref.ref(g))
+        setups.append(weakref.ref(getattr(up, "_winding_setup")[1]))
+        del g
+    assert _alive(keys) == 1 and _alive(setups) == 1
+    assert getattr(up, "_winding_setup")[0] is keys[-1]()
+
+
+def test_a_module_keeps_one_tree_setup():
+    entry = catalog("flag(4;1,2,3)")
+    rep, s = entry.representation, entry.subquiver
+    beta = cell_index(rep.basis, ["b4", "b7", "b8", "b10", "b11", "b12"])
+    expected = tree_cell_dimension(dataclasses.replace(rep), s, beta)
+    keys, setups = [], []
+    for _ in range(100):
+        t = Subquiver(s.parent, frozenset(s.vertices), frozenset(s.arrows))
+        assert t == s and t is not s
+        assert tree_cell_dimension(rep, t, beta) == expected
+        keys.append(weakref.ref(t))
+        setups.append(weakref.ref(tree_setup(rep, t)))
+        del t
+    assert _alive(keys) == 1 and _alive(setups) == 1

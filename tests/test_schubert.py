@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import chart_coordinates, fold_winding
+from conftest import chart_coordinates, fold_winding, random_tree_extension
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import column_echelon_max_pivot
 from quiver_schubert.oracle import _cell_points, assign_cell, cell_count
@@ -13,6 +13,7 @@ from quiver_schubert.quiver import full_subquiver, subquiver
 from quiver_schubert.representation import restrict
 from quiver_schubert.schubert import (
     PreconditionError,
+    _peel_schedule,
     block_leq,
     cell_index,
     cell_partial_orders,
@@ -223,6 +224,28 @@ def test_tree_cell_dimension_precondition():
     s = subquiver(rep.quiver, ["1"])
     with pytest.raises(PreconditionError):
         tree_cell_dimension(rep, s, cell_index(rep.basis, ["b1", "b3"]))
+
+
+def test_tree_cell_dimension_matches_oracle_where_tails_are_peeled():
+    """Every nonempty cell of every dimension vector, on tree extensions whose
+    peeling removes a tail (case II) as well as heads."""
+    tails = positive = 0
+    for seed in range(40):
+        rep, s, _ = random_tree_extension(seed, max_total_dim=7)
+        tails += sum(1 for _, _, case in _peel_schedule(rep, s) if case == "II")
+        ms = restrict(rep, s)
+        s_ids = set(ms.basis.order)
+        for r in range(len(rep.basis.order) + 1):
+            for elems in combinations(rep.basis.order, r):
+                beta = cell_index(rep.basis, elems)
+                if tree_cell_emptiness(rep, s, beta, base_is_empty=False):
+                    continue
+                n = tree_cell_dimension(rep, s, beta)
+                assert n == tree_cell_dimension(rep, s, beta, peel="smallest")
+                beta_s = cell_index(ms.basis, [b for b in elems if b in s_ids])
+                assert cell_count(rep, beta, 2) == cell_count(ms, beta_s, 2) * 2**n, (seed, elems)
+                positive += n > 0
+    assert tails >= 20 and positive >= 20
 
 
 def test_grassmannian_fibration_counts():
