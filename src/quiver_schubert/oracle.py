@@ -6,13 +6,12 @@ partition rather than a post-hoc filter.
 
 Each cell is compiled once per call into a plan: one step per vertex in
 quiver order, holding the vertex's chart, the arrows to and from vertices
-placed earlier with their matrices reduced mod q, its loops and its
-frontier.  Only the wiring of a plan is per cell: a chart depends on
-nothing but its vertex and pivot tuple, an arrow's generator images on
-nothing but the arrow and its source chart, and the frontiers and
-earlier neighbours on the quiver alone.  So `count` and
-`enumerate_subreps` build these once per prime in a table that lives for
-the call, and every plan of the call reads it.
+placed earlier with their matrices reduced mod q, and its loops.  Only
+the wiring of a plan is per cell: a chart depends on nothing but its
+vertex and pivot tuple, an arrow's generator images on nothing but the
+arrow and its source chart, and the earlier neighbours on the quiver
+alone.  So `count` and `enumerate_subreps` build these once per prime in
+a table that lives for the call, and every plan of the call reads it.
 
 The search walks the plan as one flat depth-first loop.  At each step,
 containment along arrows whose other endpoint is already placed is
@@ -30,12 +29,8 @@ points would not fit streams them as a search without memos would, so
 memory stays bounded whatever the point count.
 The last step streams too when every earlier step is its neighbour: its
 key then fixes the whole cell and the point before it, so it never recurs.
-The frontier of a step is the set of placed vertices that share an arrow
-with a vertex not yet placed; the rest of the search reads nothing else.
-A frontier state that once extended to no point is dead, so later
-arrivals at it in the same cell are skipped, which is exact.  Points come
-out in the same order as a plain recursion over the vertices would give,
-each chart in `iter_solutions_mod` order.
+Points come out in the same order as a plain recursion over the vertices
+would give, each chart in `iter_solutions_mod` order.
 """
 
 from __future__ import annotations
@@ -206,20 +201,17 @@ class _Step:
 
     `incoming` and `outgoing` hold (step of the other end, generator
     images) for arrows to and from vertices placed earlier, and `loops`
-    the generator images of loops.  `frontier` lists the earlier steps
-    that share an arrow with this step or a later one: the only placed
-    vertices the rest of the search reads.  `points` is the table's memo
+    the generator images of loops.  `points` is the table's memo
     of this step's points for its own and its earlier neighbours' pivots
     (None when it never recurs), and `coordinates(values)` its key: the
     neighbours' coordinates, bare when there is one.
     """
 
-    def __init__(self, chart: _Chart, frontier: tuple[int, ...], neighbours: tuple[int, ...], points: dict | None):
+    def __init__(self, chart: _Chart, neighbours: tuple[int, ...], points: dict | None):
         self.chart = chart
         self.incoming: list[tuple[int, list]] = []
         self.outgoing: list[tuple[int, list]] = []
         self.loops: list[list] = []
-        self.frontier = frontier
         self.coordinates = itemgetter(*neighbours) if neighbours else _no_coordinates
         self.points = points
 
@@ -249,20 +241,14 @@ class _Tables:
         index = {v: i for i, v in enumerate(vertices)}
         self.blocks = [m.basis.block(v) for v in vertices]
         self.arrows: list[tuple[int, int, list]] = []  # (source step, target step, columns mod q)
-        last_neighbour = list(range(len(vertices)))
         earlier: list[set[int]] = [set() for _ in vertices]
         for a in m.quiver.arrows:
             s, t = index[a.src], index[a.tgt]
             ma = m.matrices[a.name]  # no rows when the target has rank 0
             columns = [tuple(x % q for x in col) for col in zip(*ma)] if ma else [()] * len(self.blocks[s])
             self.arrows.append((s, t, columns))
-            lo, hi = min(s, t), max(s, t)
-            last_neighbour[lo] = max(last_neighbour[lo], hi)
-            if lo < hi:
-                earlier[hi].add(lo)
-        self.frontiers = [
-            tuple(k for k in range(i) if last_neighbour[k] >= i) for i in range(len(vertices))
-        ]
+            if s != t:
+                earlier[max(s, t)].add(min(s, t))
         self.neighbours = [tuple(sorted(ks)) for ks in earlier]
         last = len(vertices) - 1
         self._unshared = last if last >= 0 and self.neighbours[last] == tuple(range(last)) else None
@@ -298,14 +284,14 @@ class _Tables:
 def _plan(tables: _Tables, beta: CellIndex) -> list[_Step]:
     """The search plan of one cell: one step per vertex, in quiver order.
 
-    Only the wiring is built here; charts, generator images, frontiers,
-    neighbours and point memos come from `tables`, so the cells of one
-    call share them.  Sharing is exact because each is fixed by its key.
+    Only the wiring is built here; charts, generator images, neighbours
+    and point memos come from `tables`, so the cells of one call share
+    them.  Sharing is exact because each is fixed by its key.
     """
     beta_set = set(beta.elements)  # not beta.as_set(): a call keeps all its cells alive
     pivots = [tuple(b for b in block if b in beta_set) for block in tables.blocks]
     steps = [
-        _Step(tables.chart(i, p), tables.frontiers[i], tables.neighbours[i], tables.points(i, pivots))
+        _Step(tables.chart(i, p), tables.neighbours[i], tables.points(i, pivots))
         for i, p in enumerate(pivots)
     ]
     for k, (s, t, _) in enumerate(tables.arrows):
@@ -431,12 +417,9 @@ def _cell_points(
     Depth-first over the plan's steps with an explicit stack.  A step's
     points come from the memo in `tables` (see `_Tables`), so the cells
     of one call solve each distinct chart system once, while the memos
-    have room; past that, new lists stream as they are solved.  The state
-    entering step i is keyed by the chart coordinates at its frontier;
-    once a state has extended to no point it is dead, and later arrivals
-    at it in this cell are skipped.  Deadness stays per cell because it
-    depends on the later steps' pivots.  `tables`, built for m and q, is
-    shared by the cells of one call; without it the cell builds its own.
+    have room; past that, new lists stream as they are solved.  `tables`,
+    built for m and q, is shared by the cells of one call; without it the
+    cell builds its own.
     """
     order = m.quiver.vertices
     tables = tables or _Tables(m, q)
@@ -448,10 +431,6 @@ def _cell_points(
     values: list = [()] * n
     mats: list = [()] * n
     pending: list = [iter(())] * n
-    keys: list = [None] * n
-    points_before = [0] * n
-    dead: set = set()
-    points = 0
     pending[0] = iter(_step_points(tables, steps, 0, values, q))
     i = 0
     while i >= 0:
@@ -459,20 +438,12 @@ def _cell_points(
             values[i] = x
             mats[i] = mat
             if i + 1 == n:
-                points += 1
                 yield dict(zip(order, mats))
                 continue
-            key = (i + 1,) + tuple(values[k] for k in steps[i + 1].frontier)
-            if key in dead:
-                continue
             i += 1
-            keys[i] = key
-            points_before[i] = points
             pending[i] = iter(_step_points(tables, steps, i, values, q))
             break
         else:
-            if i and points == points_before[i]:
-                dead.add(keys[i])
             i -= 1
 
 
@@ -674,9 +645,7 @@ def euler_characteristic(
 ) -> EulerReport:
     """Number of nonempty Schubert cells, valid once every cell is certified affine.
 
-    Refuses (AffineCertificateError) when some cell fails certification;
-    callers may still report the interpolated count at 1 with an explicit
-    no-certificate caveat.
+    Refuses (AffineCertificateError) when some cell fails certification.
     """
     verdicts = verify_affine(m, e, primes=primes, budget=budget)
     bad = [v for v in verdicts if v.verdict == "not-a-prime-power"]

@@ -76,11 +76,16 @@ class CellIndex:
 
 
 def cell_index(basis, elements: Iterable[str]) -> CellIndex:
-    elems = set(elements)
+    """The cell of these basis ids; ValueError if one is unknown or repeated."""
+    listed = list(elements)
+    elems = set(listed)
     pos = basis.positions()
     unknown = [b for b in elems if b not in pos]
     if unknown:
         raise ValueError(f"not basis elements: {sorted(unknown)}")
+    if len(elems) < len(listed):
+        repeated = sorted({b for b in listed if listed.count(b) > 1}, key=pos.__getitem__)
+        raise ValueError(f"repeated basis ids: {repeated}")
     return CellIndex(tuple(sorted(elems, key=pos.__getitem__)))
 
 

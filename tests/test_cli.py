@@ -317,3 +317,17 @@ def test_empty_catalog_name_leaves_file_inputs_in_use(tmp_path):
     code, out, err = run(["validate", "--catalog", "", "--quiver", str(tmp_path / "missing.json")])
     assert code == 2 and out == ""
     assert "cannot be combined" not in err and "No such file" in err
+
+
+def test_euler_refusal_is_one_line_and_fits_the_budget_of_its_primes():
+    # the refusal counts at 2 and 3 only (estimates 49 and 169 points) and
+    # interpolates nothing, so it needs no budget for 5 or 7 (961, 3249)
+    code, out, err = run(["euler", "--catalog", "ex_4_5_2", "--budget", "1000"])
+    assert (code, out) == (1, "")
+    assert err == "check failed: no affine certificate for cells: {2,3,7}\n"
+
+
+def test_equations_beta_with_a_repeated_id_is_an_input_error():
+    code, out, err = run(["equations", "--catalog", "two_lines", "--beta", "b1,b1,b3"])
+    assert (code, out) == (2, "")
+    assert err == "input error: repeated basis ids: ['b1']\n"

@@ -42,6 +42,15 @@ def test_enumerate_cells_trivial_and_binomial():
     assert len(enumerate_cells(one.basis, {"1": 2}, one.quiver.vertices)) == 6
 
 
+def test_cell_index_refuses_unknown_and_repeated_ids():
+    rep = catalog("two_lines").representation
+    assert cell_index(rep.basis, ["b3", "b1"]).key() == "b1,b3"
+    with pytest.raises(ValueError, match=r"repeated basis ids: \['b1', 'b3'\]"):
+        cell_index(rep.basis, ["b3", "b1", "b3", "b1", "b2"])
+    with pytest.raises(ValueError, match="not basis elements"):
+        cell_index(rep.basis, ["b1", "b9"])
+
+
 def test_enumerate_cells_rank_guard():
     rep = catalog("one_vertex(2)").representation
     with pytest.raises(ValueError):
