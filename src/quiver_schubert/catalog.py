@@ -44,27 +44,33 @@ def _jordan(m: int, lam: int) -> list[list[int]]:
     return out
 
 
+def _blocks(ranks: Mapping[str, int]) -> OrderedBasis:
+    """A block of ranks[v] ids per vertex v, numbered b1, b2, ... block by block."""
+    vertex_of = {}
+    for v, rank in ranks.items():
+        for _ in range(rank):
+            vertex_of[f"b{len(vertex_of) + 1}"] = v
+    return OrderedBasis(tuple(vertex_of), vertex_of)
+
+
+def _chain(r: int, m: int) -> tuple[Quiver, OrderedBasis]:
+    """Equioriented A_r with arrows a_p: p -> p+1 and a block of m ids per vertex."""
+    q = quiver(
+        [str(p) for p in range(1, r + 1)],
+        [(f"a{p}", str(p), str(p + 1)) for p in range(1, r)],
+    )
+    return q, _blocks({v: m for v in q.vertices})
+
+
 def one_vertex(m: int) -> CatalogEntry:
-    q = quiver(["1"], [])
-    basis = OrderedBasis(tuple(f"b{i}" for i in range(1, m + 1)), {f"b{i}": "1" for i in range(1, m + 1)})
+    q, basis = _chain(1, m)
     rep = representation(q, basis, {})
     return CatalogEntry("one_vertex", (m,), rep, {"1": max(1, m // 2)})
 
 
 def flag(m: int, dims: Sequence[int]) -> CatalogEntry:
     r = len(dims)
-    q = quiver(
-        [str(p) for p in range(1, r + 1)],
-        [(f"a{p}", str(p), str(p + 1)) for p in range(1, r)],
-    )
-    order = []
-    vertex_of = {}
-    for p in range(1, r + 1):
-        for k in range(1, m + 1):
-            b = f"b{(p - 1) * m + k}"
-            order.append(b)
-            vertex_of[b] = str(p)
-    basis = OrderedBasis(tuple(order), vertex_of)
+    q, basis = _chain(r, m)
     rep = representation(q, basis, {f"a{p}": identity_matrix(m) for p in range(1, r)})
     s = subquiver(q, ["1"])
     return CatalogEntry(
@@ -74,120 +80,99 @@ def flag(m: int, dims: Sequence[int]) -> CatalogEntry:
 
 def one_loop(m: int, lam: int) -> CatalogEntry:
     q = quiver(["1"], [("a", "1", "1")])
-    basis = OrderedBasis(tuple(f"b{i}" for i in range(1, m + 1)), {f"b{i}": "1" for i in range(1, m + 1)})
-    rep = representation(q, basis, {"a": _jordan(m, lam)})
+    rep = representation(q, _blocks({"1": m}), {"a": _jordan(m, lam)})
     return CatalogEntry("one_loop", (m, lam), rep, {"1": max(1, m // 2)})
 
 
 def two_lines() -> CatalogEntry:
     q = quiver(["1", "2"], [("a", "1", "2")])
-    basis = OrderedBasis(("b1", "b2", "b3", "b4"), {"b1": "1", "b2": "1", "b3": "2", "b4": "2"})
-    rep = representation(q, basis, {"a": [[1, 0], [0, 0]]})
+    rep = representation(q, _blocks({"1": 2, "2": 2}), {"a": [[1, 0], [0, 0]]})
     return CatalogEntry("two_lines", (), rep, {"1": 1, "2": 1})
 
 
 def kronecker_regular(n: int, lam: int) -> CatalogEntry:
     q = quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
-    order = [f"b{i}" for i in range(1, 2 * n + 1)]
-    vertex_of = {f"b{i}": ("1" if i <= n else "2") for i in range(1, 2 * n + 1)}
-    basis = OrderedBasis(tuple(order), vertex_of)
-    rep = representation(q, basis, {"a": identity_matrix(n), "b": _jordan(n, lam)})
+    rep = representation(q, _blocks({"1": n, "2": n}), {"a": identity_matrix(n), "b": _jordan(n, lam)})
     return CatalogEntry("kronecker_regular", (n, lam), rep, {"1": 1, "2": 1})
 
 
-def _kronecker_codomain() -> Quiver:
-    return quiver(["1", "2"], [("at", "1", "2"), ("gt", "1", "2")])
+def _winding(
+    name: str,
+    params: tuple,
+    codomain: Quiver,
+    vertex_map: Mapping[str, str],
+    arrows: Sequence[tuple[str, str, str, str]],
+    s_vertices: Sequence[str],
+    dim_vector: Mapping[str, int],
+    vertex_order: Sequence[str] | None = None,
+) -> CatalogEntry:
+    """The thin module M on a tree T, pushed forward along a winding F: T -> Q.
+
+    T has the vertices of vertex_map, in that order, and one arrow per
+    (name, source, target, image) of arrows.  F sends each vertex to its
+    vertex_map value and each arrow to its image in codomain.  The basis
+    of M follows vertex_order, by default the vertex order of T.
+    """
+    t = quiver(list(vertex_map), [(a, src, tgt) for a, src, tgt, _ in arrows])
+    upstairs = thin_representation(t, vertex_order)
+    f = morphism(t, codomain, vertex_map, {a: image for a, _, _, image in arrows})
+    return CatalogEntry(
+        name,
+        params,
+        push_forward(f, upstairs),
+        dim_vector,
+        upstairs=upstairs,
+        subquiver=subquiver(t, s_vertices),
+        morphism=f,
+    )
+
+
+def _kronecker_winding(
+    name: str, n: int, sources_even: bool, dim_vector: Mapping[str, int]
+) -> CatalogEntry:
+    """A zigzag on vertices 1, ..., 2n+1 wound onto the Kronecker quiver 1 => 2.
+
+    Arrow a_i joins 2i-1 and 2i and maps to at; g_i joins 2i and 2i+1 and
+    maps to gt.  The sources of the zigzag lie over vertex 1: the even
+    vertices when sources_even holds, the odd ones otherwise.
+    """
+    vertex_map = {}
+    for v in range(1, 2 * n + 2):
+        is_source = (v % 2 == 0) == sources_even
+        vertex_map[str(v)] = "1" if is_source else "2"
+    arrows = []
+    for i in range(1, n + 1):
+        left, even, right = str(2 * i - 1), str(2 * i), str(2 * i + 1)
+        if sources_even:
+            arrows.append((f"a{i}", even, left, "at"))
+            arrows.append((f"g{i}", even, right, "gt"))
+        else:
+            arrows.append((f"a{i}", left, even, "at"))
+            arrows.append((f"g{i}", right, even, "gt"))
+    codomain = quiver(["1", "2"], [("at", "1", "2"), ("gt", "1", "2")])
+    return _winding(name, (n,), codomain, vertex_map, arrows, ["1"], dim_vector)
 
 
 def kronecker_preprojective(n: int) -> CatalogEntry:
-    verts = [str(i) for i in range(1, 2 * n + 2)]
-    arrows = []
-    for i in range(1, n + 1):
-        arrows.append((f"a{i}", str(2 * i), str(2 * i - 1)))
-        arrows.append((f"g{i}", str(2 * i), str(2 * i + 1)))
-    t = quiver(verts, arrows)
-    m = thin_representation(t)
-    s = subquiver(t, ["1"])
-    qq = _kronecker_codomain()
-    vmap = {v: ("1" if int(v) % 2 == 0 else "2") for v in verts}
-    amap = {f"a{i}": "at" for i in range(1, n + 1)}
-    amap.update({f"g{i}": "gt" for i in range(1, n + 1)})
-    f = morphism(t, qq, vmap, amap)
-    return CatalogEntry(
-        "kronecker_preprojective",
-        (n,),
-        push_forward(f, m),
-        {"1": 1, "2": 2},
-        upstairs=m,
-        subquiver=s,
-        morphism=f,
-    )
+    return _kronecker_winding("kronecker_preprojective", n, True, {"1": 1, "2": 2})
 
 
 def kronecker_preinjective(n: int) -> CatalogEntry:
-    verts = [str(i) for i in range(1, 2 * n + 2)]
-    arrows = []
-    for i in range(1, n + 1):
-        arrows.append((f"a{i}", str(2 * i - 1), str(2 * i)))
-        arrows.append((f"g{i}", str(2 * i + 1), str(2 * i)))
-    t = quiver(verts, arrows)
-    m = thin_representation(t)
-    s = subquiver(t, ["1"])
-    qq = _kronecker_codomain()
-    vmap = {v: ("1" if int(v) % 2 == 1 else "2") for v in verts}
-    amap = {f"a{i}": "at" for i in range(1, n + 1)}
-    amap.update({f"g{i}": "gt" for i in range(1, n + 1)})
-    f = morphism(t, qq, vmap, amap)
-    return CatalogEntry(
-        "kronecker_preinjective",
-        (n,),
-        push_forward(f, m),
-        {"1": 1, "2": 1},
-        upstairs=m,
-        subquiver=s,
-        morphism=f,
-    )
+    return _kronecker_winding("kronecker_preinjective", n, False, {"1": 1, "2": 1})
 
 
 def ex_4_5_1() -> CatalogEntry:
-    t = quiver(["1", "2", "3", "4"], [("a1", "2", "1"), ("a2", "4", "3"), ("g", "2", "3")])
-    m = thin_representation(t)
-    s = subquiver(t, ["1"])
-    qq = quiver(["A", "B"], [("at", "A", "B"), ("gt", "A", "B")])
-    f = morphism(
-        t,
-        qq,
-        {"1": "B", "3": "B", "2": "A", "4": "A"},
-        {"a1": "at", "a2": "at", "g": "gt"},
-    )
-    return CatalogEntry(
-        "ex_4_5_1", (), push_forward(f, m), {"A": 1, "B": 1}, upstairs=m, subquiver=s, morphism=f
-    )
+    codomain = quiver(["A", "B"], [("at", "A", "B"), ("gt", "A", "B")])
+    vertex_map = {"1": "B", "2": "A", "3": "B", "4": "A"}
+    arrows = [("a1", "2", "1", "at"), ("a2", "4", "3", "at"), ("g", "2", "3", "gt")]
+    return _winding("ex_4_5_1", (), codomain, vertex_map, arrows, ["1"], {"A": 1, "B": 1})
 
 
 def ex_4_5_2() -> CatalogEntry:
-    t = quiver(
-        ["1", "2", "3", "4", "5", "6", "7"],
-        [("a1", "4", "2"), ("a2", "5", "3"), ("g", "6", "5"), ("d", "6", "7")],
-    )
-    m = thin_representation(t)
-    s = subquiver(t, ["1", "2", "3"])
-    qq = quiver(["A", "B", "C"], [("gt", "A", "B"), ("dt", "A", "B"), ("at", "B", "C")])
-    f = morphism(
-        t,
-        qq,
-        {"6": "A", "4": "B", "5": "B", "7": "B", "1": "C", "2": "C", "3": "C"},
-        {"g": "gt", "d": "dt", "a1": "at", "a2": "at"},
-    )
-    return CatalogEntry(
-        "ex_4_5_2",
-        (),
-        push_forward(f, m),
-        {"A": 0, "B": 1, "C": 2},
-        upstairs=m,
-        subquiver=s,
-        morphism=f,
-    )
+    codomain = quiver(["A", "B", "C"], [("gt", "A", "B"), ("dt", "A", "B"), ("at", "B", "C")])
+    vertex_map = {"1": "C", "2": "C", "3": "C", "4": "B", "5": "B", "6": "A", "7": "B"}
+    arrows = [("a1", "4", "2", "at"), ("a2", "5", "3", "at"), ("g", "6", "5", "gt"), ("d", "6", "7", "dt")]
+    return _winding("ex_4_5_2", (), codomain, vertex_map, arrows, ["1", "2", "3"], {"A": 0, "B": 1, "C": 2})
 
 
 def ex_4_5_5() -> CatalogEntry:
@@ -196,97 +181,44 @@ def ex_4_5_5() -> CatalogEntry:
     The gamma-arrow targets are chosen so that a strictly ordered basis
     with the S-block at the bottom exists: g maps 0->3, 2->8 and 9->10.
     """
-    verts = ["0"] + [str(i) for i in range(1, 15)]
-    arrows = [
-        ("a1", "0", "1"),
-        ("a2", "2", "3"),
-        ("a3", "9", "8"),
-        ("g1", "0", "3"),
-        ("g2", "2", "8"),
-        ("g3", "9", "10"),
-        ("s1", "1", "6"),
-        ("s2", "3", "4"),
-        ("s3", "8", "11"),
-        ("s4", "10", "13"),
-        ("t1", "1", "7"),
-        ("t2", "3", "5"),
-        ("t3", "8", "12"),
-        ("t4", "10", "14"),
-    ]
-    t = quiver(verts, arrows)
-    order = ["0", "1", "3", "6", "7", "4", "5", "2", "8", "11", "12", "9", "10", "13", "14"]
-    m = thin_representation(t, vertex_order=order)
-    s = subquiver(t, ["0"])
-    qq = quiver(["s", "p", "q"], [("at", "s", "p"), ("gt", "s", "p"), ("st", "p", "q"), ("tt", "p", "q")])
-    vmap = {"0": "s", "2": "s", "9": "s"}
-    vmap.update({v: "p" for v in ["1", "3", "8", "10"]})
-    vmap.update({v: "q" for v in ["4", "5", "6", "7", "11", "12", "13", "14"]})
-    amap = {"a1": "at", "a2": "at", "a3": "at", "g1": "gt", "g2": "gt", "g3": "gt"}
-    amap.update({f"s{i}": "st" for i in range(1, 5)})
-    amap.update({f"t{i}": "tt" for i in range(1, 5)})
-    f = morphism(t, qq, vmap, amap)
-    return CatalogEntry(
-        "ex_4_5_5",
-        (),
-        push_forward(f, m),
-        {"s": 0, "p": 1, "q": 2},
-        upstairs=m,
-        subquiver=s,
-        morphism=f,
+    codomain = quiver(
+        ["s", "p", "q"], [("at", "s", "p"), ("gt", "s", "p"), ("st", "p", "q"), ("tt", "p", "q")]
     )
+    vertex_map = {
+        "0": "s", "1": "p", "2": "s", "3": "p", "4": "q", "5": "q", "6": "q", "7": "q",
+        "8": "p", "9": "s", "10": "p", "11": "q", "12": "q", "13": "q", "14": "q",
+    }
+    arrows = [
+        ("a1", "0", "1", "at"), ("a2", "2", "3", "at"), ("a3", "9", "8", "at"),
+        ("g1", "0", "3", "gt"), ("g2", "2", "8", "gt"), ("g3", "9", "10", "gt"),
+        ("s1", "1", "6", "st"), ("s2", "3", "4", "st"), ("s3", "8", "11", "st"), ("s4", "10", "13", "st"),
+        ("t1", "1", "7", "tt"), ("t2", "3", "5", "tt"), ("t3", "8", "12", "tt"), ("t4", "10", "14", "tt"),
+    ]
+    order = ["0", "1", "3", "6", "7", "4", "5", "2", "8", "11", "12", "9", "10", "13", "14"]
+    return _winding("ex_4_5_5", (), codomain, vertex_map, arrows, ["0"], {"s": 0, "p": 1, "q": 2}, order)
 
 
 def degenerate_flag(n: int) -> CatalogEntry:
-    q = quiver(
-        [str(p) for p in range(1, n + 1)],
-        [(f"a{p}", str(p), str(p + 1)) for p in range(1, n)],
-    )
     m = n + 1
-    order = []
-    vertex_of = {}
-    for p in range(1, n + 1):
-        for k in range(1, m + 1):
-            b = f"b{(p - 1) * m + k}"
-            order.append(b)
-            vertex_of[b] = str(p)
-    basis = OrderedBasis(tuple(order), vertex_of)
+    q, basis = _chain(n, m)
     rep = representation(q, basis, {f"a{p}": _jordan(m, 0) for p in range(1, n)})
     return CatalogEntry("degenerate_flag", (n,), rep, {str(p): p for p in range(1, n + 1)})
 
 
 def degenerate_flag_pi(n: int) -> CatalogEntry:
     """P + I for equioriented A_n with the interleaved per-vertex basis order."""
-    q = quiver(
-        [str(p) for p in range(1, n + 1)],
-        [(f"a{p}", str(p), str(p + 1)) for p in range(1, n)],
-    )
+    q, _ = _chain(n, 0)
     order = []
-    vertex_of = {}
     for v in range(1, n + 1):
-        for i in range(v, n + 1):
-            b = f"I{i}_{v}"
-            order.append(b)
-            vertex_of[b] = str(v)
-        for i in range(1, v + 1):
-            b = f"P{i}_{v}"
-            order.append(b)
-            vertex_of[b] = str(v)
-    basis = OrderedBasis(tuple(order), vertex_of)
+        order += [f"I{i}_{v}" for i in range(v, n + 1)] + [f"P{i}_{v}" for i in range(1, v + 1)]
+    basis = OrderedBasis(tuple(order), {b: b.split("_")[1] for b in order})
     matrices = {}
     for v in range(1, n):
-        src = basis.block(str(v))
-        tgt = basis.block(str(v + 1))
-        mat = [[0] * len(src) for _ in range(len(tgt))]
-        for j, b in enumerate(src):
-            kind, rest = b[0], b[1:]
-            i = int(rest.split("_")[0])
-            image = None
-            if kind == "I" and i >= v + 1:
-                image = f"I{i}_{v + 1}"
-            elif kind == "P":
-                image = f"P{i}_{v + 1}"
-            if image is not None:
-                mat[tgt.index(image)][j] = 1
+        src, tgt = basis.block(str(v)), basis.block(str(v + 1))
+        mat = [[0] * len(src) for _ in tgt]
+        # a_v maps each summand living at both v and v + 1 identically
+        for summand in [f"I{i}" for i in range(v + 1, n + 1)] + [f"P{i}" for i in range(1, v + 1)]:
+            mat[tgt.index(f"{summand}_{v + 1}")][src.index(f"{summand}_{v}")] = 1
         matrices[f"a{v}"] = mat
     rep = representation(q, basis, matrices)
     return CatalogEntry("degenerate_flag_pi", (n,), rep, {str(p): p for p in range(1, n + 1)})
@@ -316,15 +248,7 @@ def forest_block(seed: int, size: int) -> CatalogEntry:
     for v in verts:
         ranks[v] = rng.randint(0, min(3, max(0, remaining)))
         remaining -= ranks[v]
-    order = []
-    vertex_of = {}
-    idx = 1
-    for v in verts:
-        for _ in range(ranks[v]):
-            order.append(f"b{idx}")
-            vertex_of[f"b{idx}"] = v
-            idx += 1
-    basis = OrderedBasis(tuple(order), vertex_of)
+    basis = _blocks(ranks)
     matrices = {}
     for name, src, tgt in [(a.name, a.src, a.tgt) for a in q.arrows]:
         mp, mq = ranks[src], ranks[tgt]

@@ -261,7 +261,7 @@ def _run(args) -> int:
         rep, f = _load_winding(args, entry)
         winding = is_winding(f)
         strict = None
-        if winding and rep is not None:
+        if winding:
             strict = is_strictly_ordered(f, rep.basis.vertex_key(rep.quiver.vertices))
         data = {"winding": winding, "strictly_ordered": strict}
         _emit(args, data, json.dumps(data, sort_keys=True))
@@ -277,7 +277,7 @@ def _run(args) -> int:
         if entry is None or entry.morphism is None:
             raise InputError("hypothesis-h needs a catalog winding")
         up, f = _load_winding(args, entry)
-        result = check_hypothesis_h(up, entry.subquiver, f)
+        result = check_hypothesis_h(up, _subquiver_of(args, up.quiver, entry), f)
         _emit(
             args,
             json.loads(result.witness_json()),

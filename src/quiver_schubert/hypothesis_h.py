@@ -275,17 +275,16 @@ def check_hypothesis_h(
 
     notes: list[str] = []
     exceptions: list[tuple[tuple[str, str], TripleReport]] = []
-    for pair in relevant_pairs(ctx):
-        key = (pair.p, pair.p_prime)
-        charged = dangers.get(key, [])
-        if not charged:
-            continue
+    # every charged pair is relevant, and Psi is injective on relevant pairs,
+    # so this is the Psi order of relevant_pairs restricted to charged pairs
+    for key in sorted(dangers, key=keys.__getitem__):
+        charged = dangers[key]
         if len(charged) == 1 and _excusable(ctx, charged[0], notes):
             exceptions.append((key, charged[0]))
             continue
         return HypothesisResult(
             False,
-            reason=f"pair ({pair.p},{pair.p_prime}) carries inadmissible equations",
+            reason=f"pair ({key[0]},{key[1]}) carries inadmissible equations",
             pair=key,
             triples=tuple(charged),
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, identity_matrix, is_identity, matrix
-from .quiver import Quiver, QuiverMorphism, Subquiver, difference_of, distances_to, full_subquiver
+from .quiver import Arrow, Quiver, QuiverMorphism, Subquiver, difference_of, distances_to, full_subquiver
 from .quiver import quiver, quiver_from_json, quiver_to_json
 
 
@@ -138,6 +138,30 @@ def restrict(m: Representation, s: Subquiver) -> Representation:
     return Representation(sub_quiver, basis, matrices)
 
 
+def _assemble(q: Quiver, basis: OrderedBasis, pieces: Mapping[str, list[tuple]]) -> dict[str, Matrix]:
+    """One matrix per arrow of q over basis, summed from the arrow's pieces.
+
+    A piece (matrix, row ids, column ids) places its entry (i, j) at the
+    basis ids rows[i] and cols[j].
+    """
+    matrices: dict[str, Matrix] = {}
+    for a in q.arrows:
+        row_of = {b: i for i, b in enumerate(basis.block(a.tgt))}
+        col_of = {b: j for j, b in enumerate(basis.block(a.src))}
+        out = [[0] * len(col_of) for _ in row_of]
+        for mat, rows, cols in pieces[a.name]:
+            for i, br in enumerate(rows):
+                for j, bc in enumerate(cols):
+                    out[row_of[br]][col_of[bc]] += mat[i][j]
+        matrices[a.name] = tuple(tuple(r) for r in out)
+    return matrices
+
+
+def _piece(m: Representation, a: Arrow) -> tuple[Matrix, tuple[str, ...], tuple[str, ...]]:
+    """The matrix of arrow a in m with its row and column basis ids."""
+    return m.matrices[a.name], m.basis.block(a.tgt), m.basis.block(a.src)
+
+
 def push_forward(f: QuiverMorphism, m: Representation) -> Representation:
     """F_*M: fibre-wise direct sums of spaces with summed maps.
 
@@ -148,23 +172,10 @@ def push_forward(f: QuiverMorphism, m: Representation) -> Representation:
     if f.domain != m.quiver:
         raise ValueError("morphism domain does not match the representation's quiver")
     basis = m.basis.regroup(f.vertex_map)
-    matrices: dict[str, Matrix] = {}
-    for at in f.codomain.arrows:
-        tgt_block = basis.block(at.tgt)
-        src_block = basis.block(at.src)
-        row_of = {b: i for i, b in enumerate(tgt_block)}
-        col_of = {b: i for i, b in enumerate(src_block)}
-        out = [[0] * len(src_block) for _ in range(len(tgt_block))]
-        for a in f.fibre_arrows(at.name):
-            ma = m.matrices[a.name]
-            rows = m.basis.block(a.tgt)
-            cols = m.basis.block(a.src)
-            for i, br in enumerate(rows):
-                for j, bc in enumerate(cols):
-                    if ma[i][j]:
-                        out[row_of[br]][col_of[bc]] += ma[i][j]
-        matrices[at.name] = tuple(tuple(r) for r in out)
-    return Representation(f.codomain, basis, matrices)
+    pieces = {
+        at.name: [_piece(m, a) for a in f.fibre_arrows(at.name)] for at in f.codomain.arrows
+    }
+    return Representation(f.codomain, basis, _assemble(f.codomain, basis, pieces))
 
 
 def direct_sum(
@@ -187,20 +198,8 @@ def direct_sum(
     vertex_of = dict(m1.basis.vertex_of)
     vertex_of.update(m2.basis.vertex_of)
     basis = OrderedBasis(merged, vertex_of)
-    matrices: dict[str, Matrix] = {}
-    for a in m1.quiver.arrows:
-        tgt_block = basis.block(a.tgt)
-        src_block = basis.block(a.src)
-        out = [[0] * len(src_block) for _ in range(len(tgt_block))]
-        for part in (m1, m2):
-            ma = part.matrices[a.name]
-            rows = part.basis.block(a.tgt)
-            cols = part.basis.block(a.src)
-            for i, br in enumerate(rows):
-                for j, bc in enumerate(cols):
-                    out[tgt_block.index(br)][src_block.index(bc)] = ma[i][j]
-        matrices[a.name] = tuple(tuple(r) for r in out)
-    return Representation(m1.quiver, basis, matrices)
+    pieces = {a.name: [_piece(m1, a), _piece(m2, a)] for a in m1.quiver.arrows}
+    return Representation(m1.quiver, basis, _assemble(m1.quiver, basis, pieces))
 
 
 def reorder_basis(m: Representation, new_order: Sequence[str]) -> Representation:
@@ -208,18 +207,8 @@ def reorder_basis(m: Representation, new_order: Sequence[str]) -> Representation
     if set(new_order) != set(m.basis.order) or len(new_order) != len(m.basis.order):
         raise ValueError("new order must be a permutation of the basis")
     basis = OrderedBasis(tuple(new_order), dict(m.basis.vertex_of))
-    matrices: dict[str, Matrix] = {}
-    for a in m.quiver.arrows:
-        old_rows = m.basis.block(a.tgt)
-        old_cols = m.basis.block(a.src)
-        ri = {b: i for i, b in enumerate(old_rows)}
-        ci = {b: i for i, b in enumerate(old_cols)}
-        ma = m.matrices[a.name]
-        matrices[a.name] = tuple(
-            tuple(ma[ri[br]][ci[bc]] for bc in basis.block(a.src))
-            for br in basis.block(a.tgt)
-        )
-    return Representation(m.quiver, basis, matrices)
+    pieces = {a.name: [_piece(m, a)] for a in m.quiver.arrows}
+    return Representation(m.quiver, basis, _assemble(m.quiver, basis, pieces))
 
 
 def is_ordered_above(m: Representation, s: Subquiver) -> tuple[bool, list[str]]:

@@ -97,19 +97,14 @@ def cell_type(basis, beta: CellIndex) -> dict[str, int]:
     return e
 
 
-def enumerate_cells(basis, e: Mapping[str, int], vertices: Sequence[str] | None = None) -> list[CellIndex]:
+def enumerate_cells(basis, e: Mapping[str, int], vertices: Sequence[str]) -> list[CellIndex]:
     """All subsets of the basis of type e, in lexicographic order."""
-    if vertices is None:
-        seen = []
-        for b in basis.order:
-            v = basis.vertex_of[b]
-            if v not in seen:
-                seen.append(v)
-        vertices = seen + [v for v in e if v not in seen]
     per_vertex = []
     for v in vertices:
         block = basis.block(v)
         ev = e.get(v, 0)
+        if ev < 0:
+            raise ValueError(f"dimension {ev} is negative at vertex {v!r}")
         if ev > len(block):
             raise ValueError(f"dimension {ev} exceeds rank {len(block)} at vertex {v!r}")
         per_vertex.append(list(combinations(block, ev)))

@@ -331,3 +331,15 @@ def test_equations_beta_with_a_repeated_id_is_an_input_error():
     code, out, err = run(["equations", "--catalog", "two_lines", "--beta", "b1,b1,b3"])
     assert (code, out) == (2, "")
     assert err == "input error: repeated basis ids: ['b1']\n"
+
+
+def test_hypothesis_h_takes_s_from_subquiver():
+    code, out, err = run(["hypothesis-h", "--catalog", "ex_4_5_1", "--subquiver", "1,3"])
+    assert (code, out, err) == (2, "", "input error: T is not a tree extension of S\n")
+    default = run(["hypothesis-h", "--catalog", "ex_4_5_1"])
+    assert run(["hypothesis-h", "--catalog", "ex_4_5_1", "--subquiver", "1"]) == default
+
+
+def test_negative_dim_vector_entry_is_an_input_error():
+    code, out, err = run(["count", "--catalog", "two_lines", "--dim-vector=-1,1"])
+    assert (code, out, err) == (2, "", "input error: dimension -1 is negative at vertex '1'\n")

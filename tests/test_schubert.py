@@ -57,6 +57,12 @@ def test_enumerate_cells_rank_guard():
         enumerate_cells(rep.basis, {"1": 3}, rep.quiver.vertices)
 
 
+def test_enumerate_cells_refuses_a_negative_dimension():
+    rep = catalog("two_lines").representation
+    with pytest.raises(ValueError, match="dimension -1 is negative at vertex '1'"):
+        enumerate_cells(rep.basis, {"1": -1, "2": 1}, rep.quiver.vertices)
+
+
 def test_equations_ex451():
     e = catalog("ex_4_5_1")
     system = generate_equations(e.upstairs, cell_index(e.upstairs.basis, ["3", "4"]), fibred_via=e.morphism)

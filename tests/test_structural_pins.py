@@ -13,8 +13,17 @@ import pytest
 
 from quiver_schubert.catalog import catalog
 from quiver_schubert.hypothesis_h import WindingContext, check_hypothesis_h, classify_triple
-from quiver_schubert.quiver import subquiver
-from quiver_schubert.representation import OrderedBasis, representation
+from quiver_schubert.quiver import quiver_to_json, subquiver
+from quiver_schubert.representation import (
+    OrderedBasis,
+    Representation,
+    direct_sum,
+    push_forward,
+    reorder_basis,
+    representation,
+    representation_to_json,
+    restrict,
+)
 from quiver_schubert.schubert import PreconditionError, cell_index, enumerate_cells, generate_equations
 from test_chart_search import random_branching_cycle
 
@@ -184,3 +193,73 @@ def test_triple_classification_is_pinned():
                     typ = classify_triple(ctx, at.name, t, s)
                     h.update(f"{spec} ({at.name},{t},{s}) {typ.value}\n".encode())
     assert h.hexdigest() == PINNED_CLASSIFICATION
+
+
+# Every family of the catalog at a few parameters, forest_block at 30 seeds.
+PINNED_CATALOG_SPECS = [
+    "one_vertex(0)", "one_vertex(1)", "one_vertex(4)",
+    "flag(1;1)", "flag(3;1,2)", "flag(2;1,1,2)",
+    "one_loop(1,0)", "one_loop(3,0)", "one_loop(3,2)",
+    "two_lines",
+    "kronecker_regular(1,0)", "kronecker_regular(3,2)",
+    "ex_4_5_1", "ex_4_5_2", "ex_4_5_5",
+    "degenerate_flag(1)", "degenerate_flag(2)", "degenerate_flag(4)",
+    "degenerate_flag_pi(1)", "degenerate_flag_pi(2)", "degenerate_flag_pi(4)",
+] + [
+    f"kronecker_{kind}({n})" for kind in ("preprojective", "preinjective") for n in (1, 2, 3, 10, 40)
+] + [f"forest_block({seed},10)" for seed in range(30)]
+
+# SHA-256 over the specs above of one line each: the module, the upstairs
+# module, S, the morphism and e as JSON, the restriction to S, and for
+# windings the upstairs module reversed and pushed forward and the direct
+# sums of both modules with a renamed copy (appended and interleaved).
+# Taken from the three separate assembly loops of push_forward,
+# direct_sum and reorder_basis and the per-entry catalog builders.
+PINNED_CATALOG = "3f3b7b7a01b626a4dd9281535470b528aa94ea0c95fb5a14aaff94cd1b948fee"
+
+
+def _renamed(rep):
+    """The same module with every basis id primed, so it sums with rep."""
+    order = tuple(b + "'" for b in rep.basis.order)
+    vertex_of = {b + "'": v for b, v in rep.basis.vertex_of.items()}
+    return Representation(rep.quiver, OrderedBasis(order, vertex_of), rep.matrices)
+
+
+def _sums(rep):
+    copy = _renamed(rep)
+    interleaved = [b for pair in zip(rep.basis.order, copy.basis.order) for b in pair]
+    return [
+        representation_to_json(direct_sum(rep, copy)),
+        representation_to_json(direct_sum(rep, copy, interleaved)),
+    ]
+
+
+def _catalog_record(spec) -> str:
+    entry = catalog(spec)
+    rep, up, s, f = entry.representation, entry.upstairs, entry.subquiver, entry.morphism
+    record = {
+        "name": entry.name,
+        "params": entry.params,
+        "notes": entry.notes,
+        "representation": representation_to_json(rep),
+        "dim_vector": sorted(entry.dim_vector.items()),
+        "upstairs": representation_to_json(up) if up is not None else None,
+        "subquiver": [sorted(s.vertices), sorted(s.arrows)] if s is not None else None,
+        "restricted": representation_to_json(restrict(up or rep, s)) if s is not None else None,
+    }
+    if f is not None:
+        record["morphism"] = [
+            quiver_to_json(f.codomain), sorted(f.vertex_map.items()), sorted(f.arrow_map.items())
+        ]
+        reversed_up = reorder_basis(up, list(reversed(up.basis.order)))
+        record["reordered"] = representation_to_json(reversed_up)
+        record["pushed"] = representation_to_json(push_forward(f, reversed_up))
+        record["sums"] = _sums(up) + _sums(rep)
+    return json.dumps(record, sort_keys=True)
+
+
+def test_catalog_modules_are_pinned():
+    h = hashlib.sha256()
+    for spec in PINNED_CATALOG_SPECS:
+        h.update(_catalog_record(spec).encode() + b"\n")
+    assert h.hexdigest() == PINNED_CATALOG
