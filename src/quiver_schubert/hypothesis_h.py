@@ -11,9 +11,10 @@ known over S belong to the induction's base case and are exempt.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 from .linalg import is_identity
 from .quiver import Arrow, QuiverMorphism, Subquiver, distances_to, is_strictly_ordered
 from .representation import Representation
@@ -45,6 +46,21 @@ class RelevantPair:
     epsilon: int
 
 
+class _ArrowFibre(NamedTuple):
+    """The arrows over one codomain arrow, sorted by source, with lookups for the triple walk.
+
+    `by_tgt` and `by_src` map a vertex to the first arrow, in this order,
+    with that target or source; `src_positions` and `tgt_positions` are
+    the arrows' end positions in this order.
+    """
+
+    arrows: tuple[Arrow, ...]
+    by_tgt: dict[str, Arrow]
+    by_src: dict[str, Arrow]
+    src_positions: list[int]
+    tgt_positions: list[int]
+
+
 @dataclass
 class WindingContext:
     """Shared data for the pair/triple combinatorics of one winding.
@@ -54,6 +70,7 @@ class WindingContext:
     are memoised per pair.  The tables fill on
     first use of an image, so a vertex with an empty basis block raises
     PreconditionError from the same calls as a fresh sort would.
+    `arrow_fibre` adds, per codomain arrow, the lookups of the triple walk.
     """
 
     rep: Representation
@@ -65,6 +82,7 @@ class WindingContext:
         init=False, repr=False, compare=False
     )
     _fibre_arrows: dict[str, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
+    _arrow_fibres: dict[str, _ArrowFibre] = field(init=False, repr=False, compare=False)
     _psi_keys: dict[tuple[str, str], tuple[int, int, int, int]] = field(
         init=False, repr=False, compare=False
     )
@@ -76,7 +94,7 @@ class WindingContext:
             raise PreconditionError("S must be nonempty")
         self.vertex_key = self.rep.basis.vertex_key(self.rep.quiver.vertices)
         self.distance = distances_to(self.rep.quiver, self.sub)
-        self._fibres, self._fibre_arrows, self._psi_keys = {}, {}, {}
+        self._fibres, self._fibre_arrows, self._arrow_fibres, self._psi_keys = {}, {}, {}, {}
 
     def pos(self, v: str) -> int:
         key = self.vertex_key.get(v)
@@ -100,6 +118,21 @@ class WindingContext:
                 sorted(self.morphism.fibre_arrows(name), key=lambda a: self.pos(a.src))
             )
         return self._fibre_arrows[name]
+
+    def arrow_fibre(self, name: str) -> _ArrowFibre:
+        """`fibre_arrows(name)` with its lookups by end vertex and its end positions."""
+        found = self._arrow_fibres.get(name)
+        if found is None:
+            arrows = self.fibre_arrows(name)
+            by_tgt: dict[str, Arrow] = {}
+            by_src: dict[str, Arrow] = {}
+            for a in arrows:
+                by_tgt.setdefault(a.tgt, a)
+                by_src.setdefault(a.src, a)
+            sources = [self.pos(a.src) for a in arrows]
+            targets = [self.pos(a.tgt) for a in arrows]
+            found = self._arrow_fibres[name] = _ArrowFibre(arrows, by_tgt, by_src, sources, targets)
+        return found
 
     def epsilon(self, p: str, p_prime: str) -> int:
         """Number of vertices v in the fibre of p with pos(p) <= pos(v) < pos(p')."""
@@ -164,10 +197,15 @@ def _walk_triple(
     Both come from one list: the arrows of atilde's fibre lying between t
     and s.  Each such arrow a adds the pairs (t, a.tgt) and (a.src, s); on
     a strictly ordered fibre none of the pairs is diagonal.
+
+    Assumes atilde's fibre is strictly ordered, as `check_hypothesis_h`
+    checks first: its arrows then order sources and targets alike, so the
+    arrows between t and s are one slice of the source-sorted arrows,
+    found by bisection on their source or target positions.
     """
-    fibre = ctx.fibre_arrows(atilde)
-    arrow_t = next((a for a in fibre if a.tgt == t), None)
-    arrow_s = next((a for a in fibre if a.src == s), None)
+    fibre, by_tgt, by_src, src_positions, tgt_positions = ctx.arrow_fibre(atilde)
+    arrow_t = by_tgt.get(t)
+    arrow_s = by_src.get(s)
     pos = ctx.pos
     if arrow_s is not None and arrow_s.tgt == t:
         return TripleType.T1, []
@@ -175,14 +213,15 @@ def _walk_triple(
         lo, hi = pos(arrow_t.src), pos(s)
         if lo >= hi:
             return TripleType.T0, []
-        between = [a for a in fibre if lo < pos(a.src) < hi]
+        between = fibre[bisect_right(src_positions, lo) : bisect_left(src_positions, hi)]
     elif arrow_s is not None:
         lo, hi = pos(t), pos(arrow_s.tgt)
         if lo >= hi:
             return TripleType.T0, []
-        between = [a for a in fibre if lo < pos(a.tgt) < hi]
+        between = fibre[bisect_right(tgt_positions, lo) : bisect_left(tgt_positions, hi)]
     else:
-        between = [a for a in fibre if pos(a.src) < pos(s) and pos(t) < pos(a.tgt)]
+        # targets after t form a suffix of the fibre, sources before s a prefix
+        between = fibre[bisect_right(tgt_positions, pos(t)) : bisect_left(src_positions, pos(s))]
     pairs = [pr for a in between for pr in ((t, a.tgt), (a.src, s))]
     if arrow_t is not None and arrow_s is not None:
         below = _psi_less(ctx, (t, arrow_s.tgt), (arrow_t.src, s))
@@ -199,7 +238,10 @@ def _walk_triple(
 
 
 def classify_triple(ctx: WindingContext, atilde: str, t: str, s: str) -> TripleType:
-    """Type 0-5 of the relevant triple (atilde, t, s), subtypes by Psi."""
+    """Type 0-5 of the relevant triple (atilde, t, s), subtypes by Psi.
+
+    Assumes atilde's fibre is strictly ordered (see `_walk_triple`).
+    """
     return _walk_triple(ctx, atilde, t, s)[0]
 
 
@@ -296,7 +338,7 @@ def _excusable(ctx: WindingContext, report: TripleReport, notes: list[str]) -> b
         return True
     if report.type in (TripleType.T2A, TripleType.T4A):
         atilde, t, _s = report.triple
-        arrow_t = next(a for a in ctx.fibre_arrows(atilde) if a.tgt == t)
+        arrow_t = ctx.arrow_fibre(atilde).by_tgt[t]
         ident = is_identity(ctx.rep.matrices[arrow_t.name])
         if arrow_t.name in ctx.sub.arrows:
             if not ident:

@@ -4,33 +4,34 @@ Subrepresentations are enumerated chart by chart: one echelon chart per
 pivot-set combination, so per-cell counting is a byproduct of the
 partition rather than a post-hoc filter.
 
-Each cell is compiled once per call into a plan: one step per vertex in
-quiver order, holding the vertex's chart, the arrows to and from vertices
-placed earlier with their matrices reduced mod q, and its loops.  Only
-the wiring of a plan is per cell: a chart depends on nothing but its
-vertex and pivot tuple, an arrow's generator images on nothing but the
-arrow and its source chart, and the earlier neighbours on the quiver
-alone.  So `count` and `enumerate_subreps` build these once per prime in
-a table that lives for the call, and every plan of the call reads it.
+A cell is searched vertex by vertex in quiver order.  The step of a
+vertex holds its chart, the arrows to and from vertices placed earlier
+with their matrices reduced mod q, and its loops.  All of that is fixed
+by the vertex, its pivot tuple and the pivot tuples of its earlier
+neighbours (the earlier steps sharing a non-loop arrow with it): a chart
+depends on nothing but its vertex and pivot tuple, an arrow's generator
+images on nothing but the arrow and its source chart, and the earlier
+neighbours on the quiver alone.  So `count` and `enumerate_subreps` keep
+one table per prime for the call, and it wires each step once per such
+key, when a search first reaches it; every cell with that key shares
+the step, and a cell whose search dies at one step never wires the next.
 
-The search walks the plan as one flat depth-first loop.  At each step,
-containment along arrows whose other endpoint is already placed is
-linear in the chart coordinates and solved exactly; loops are filtered.
-Those equations and that filter read only the step's chart, the charts
-of its earlier neighbours (the earlier steps sharing a non-loop arrow
-with it), the generator images of the arrows between them, and the
-neighbours' coordinates.  So the table memoises, per (step, its pivot
-tuple, its neighbours' pivot tuples), the step's points for each tuple
-of neighbour coordinates: two cells that agree there get the same list
-in the same order, and every cell of the call solves each distinct
-system once.  Each point is kept once per chart with its echelon matrix.
-The memos of one call take at most about `_MEMO_BYTES`; a step whose
-points would not fit streams them as a search without memos would, so
-memory stays bounded whatever the point count.
-The last step streams too when every earlier step is its neighbour: its
-key then fixes the whole cell and the point before it, so it never recurs.
+The search is one flat depth-first loop.  At each step, containment
+along arrows whose other endpoint is already placed is linear in the
+chart coordinates and solved exactly; loops are filtered.  Those
+equations and that filter read only the step and its neighbours'
+coordinates, so each step memoises its points per tuple of neighbour
+coordinates: two cells that agree there get the same list in the same
+order, and every cell of the call solves each distinct system once.
+Each point is kept once per chart with its echelon matrix.  The memos of
+one call take at most about `_MEMO_BYTES`; a step whose points would not
+fit streams them as a search without memos would, so memory stays
+bounded whatever the point count.  The last step streams too when every
+earlier step is its neighbour: its key then fixes the whole cell and the
+point before it, so it never recurs.
 Points come out in the same order as a plain recursion over the vertices
-would give, each chart in `iter_solutions_mod` order.
+would give, each chart in `iter_solutions_mod` order, and each as a
+fresh dict.
 """
 
 from __future__ import annotations
@@ -197,23 +198,27 @@ class _Chart:
 
 
 class _Step:
-    """One vertex of the search plan and the arrows it meets when placed.
+    """One vertex step of the search, wired once per key and shared by every cell with that key.
 
-    `incoming` and `outgoing` hold (step of the other end, generator
-    images) for arrows to and from vertices placed earlier, and `loops`
-    the generator images of loops.  `points` is the table's memo
-    of this step's points for its own and its earlier neighbours' pivots
-    (None when it never recurs), and `coordinates(values)` its key: the
-    neighbours' coordinates, bare when there is one.
+    The key is the vertex step, its pivot tuple and the pivot tuples of
+    its earlier neighbours.  `chart` is the step's chart; `incoming`
+    holds (earlier step, generator images) for arrows from earlier
+    vertices, `outgoing` (earlier step, its chart, generator images) for
+    arrows to them, and `loops` the generator images of loops.  `points`
+    is the memo of the step's points (None when the key never recurs),
+    and `coordinates(values)` its key: the neighbours' coordinates, bare
+    when there is one.
     """
 
-    def __init__(self, chart: _Chart, neighbours: tuple[int, ...], points: dict | None):
+    __slots__ = ("chart", "incoming", "outgoing", "loops", "coordinates", "points")
+
+    def __init__(self, chart: _Chart, neighbours: tuple[int, ...]):
         self.chart = chart
         self.incoming: list[tuple[int, list]] = []
-        self.outgoing: list[tuple[int, list]] = []
+        self.outgoing: list[tuple[int, _Chart, list]] = []
         self.loops: list[list] = []
         self.coordinates = itemgetter(*neighbours) if neighbours else _no_coordinates
-        self.points = points
+        self.points: dict | None = None
 
 
 def _no_coordinates(values: list) -> tuple:
@@ -221,19 +226,20 @@ def _no_coordinates(values: list) -> tuple:
 
 
 class _Tables:
-    """The cell-independent parts of every search plan of m over F_q.
+    """The cell-independent parts of the search of m over F_q, built on first use.
 
     Charts are keyed by (vertex step, pivot tuple) and generator images by
-    (arrow, source pivot tuple); both are built on first use.
-    `neighbours[i]` lists the earlier steps that share a non-loop arrow
-    with step i.  `points(i, pivots)` is the memo of step i's points:
-    keyed by (i, the pivot tuples at i and at each earlier neighbour), it
-    maps the neighbours' chart coordinates to the step's `(x, matrix)`
-    chart points that satisfy its arrows and loops, in
+    (arrow, source pivot tuple).  `neighbours[i]` lists the earlier steps
+    that share a non-loop arrow with step i.  `step(i, pivots)` is the
+    wired `_Step` of step i: keyed by (i, the pivot tuples at i and at each
+    earlier neighbour), it is built when a search first reaches that key
+    and shared by every cell with it.  Its memo, also held in `_points`
+    under the key, maps the neighbours' chart coordinates to the step's
+    `(x, matrix)` chart points that satisfy its arrows and loops, in
     `iter_solutions_mod` order.  Those conditions read nothing else, so
-    every cell with the same key gets the same list.  It is None for a
-    key that never recurs.  `room` is what is left of the `_MEMO_BYTES`
-    the memos may take.
+    every cell with the same key gets the same list.  A key that never
+    recurs gets a step with no memo, wired afresh and not kept.  `room`
+    is what is left of the `_MEMO_BYTES` the memos may take.
     """
 
     def __init__(self, m: Representation, q: int):
@@ -241,12 +247,14 @@ class _Tables:
         index = {v: i for i, v in enumerate(vertices)}
         self.blocks = [m.basis.block(v) for v in vertices]
         self.arrows: list[tuple[int, int, list]] = []  # (source step, target step, columns mod q)
+        self._arrows_at: list[list[int]] = [[] for _ in vertices]  # arrows wired at their later end
         earlier: list[set[int]] = [set() for _ in vertices]
-        for a in m.quiver.arrows:
+        for k, a in enumerate(m.quiver.arrows):
             s, t = index[a.src], index[a.tgt]
             ma = m.matrices[a.name]  # no rows when the target has rank 0
             columns = [tuple(x % q for x in col) for col in zip(*ma)] if ma else [()] * len(self.blocks[s])
             self.arrows.append((s, t, columns))
+            self._arrows_at[max(s, t)].append(k)
             if s != t:
                 earlier[max(s, t)].add(min(s, t))
         self.neighbours = [tuple(sorted(ks)) for ks in earlier]
@@ -254,6 +262,7 @@ class _Tables:
         self._unshared = last if last >= 0 and self.neighbours[last] == tuple(range(last)) else None
         self._charts: dict[tuple[int, tuple[str, ...]], _Chart] = {}
         self._images: dict[tuple[int, tuple[str, ...]], list] = {}
+        self._steps: dict[tuple, _Step] = {}
         self._points: dict[tuple, dict] = {}
         self.room = _MEMO_BYTES
 
@@ -271,38 +280,26 @@ class _Tables:
             self._images[key] = self.chart(s, pivots).images(columns)
         return self._images[key]
 
-    def points(self, i: int, pivots: Sequence[tuple[str, ...]]) -> dict | None:
-        """Memo of step i's points, given every step's pivot tuple."""
-        if i == self._unshared:
-            return None
-        key = (i, pivots[i]) + tuple(pivots[k] for k in self.neighbours[i])
-        if key not in self._points:
-            self._points[key] = {}
-        return self._points[key]
-
-
-def _plan(tables: _Tables, beta: CellIndex) -> list[_Step]:
-    """The search plan of one cell: one step per vertex, in quiver order.
-
-    Only the wiring is built here; charts, generator images, neighbours
-    and point memos come from `tables`, so the cells of one call share
-    them.  Sharing is exact because each is fixed by its key.
-    """
-    beta_set = set(beta.elements)  # not beta.as_set(): a call keeps all its cells alive
-    pivots = [tuple(b for b in block if b in beta_set) for block in tables.blocks]
-    steps = [
-        _Step(tables.chart(i, p), tables.neighbours[i], tables.points(i, pivots))
-        for i, p in enumerate(pivots)
-    ]
-    for k, (s, t, _) in enumerate(tables.arrows):
-        images = tables.images(k, pivots[s])
-        if s == t:
-            steps[s].loops.append(images)
-        elif s < t:
-            steps[t].incoming.append((s, images))
-        else:
-            steps[s].outgoing.append((t, images))
-    return steps
+    def step(self, i: int, pivots: Sequence[tuple[str, ...]]) -> _Step:
+        """The wired step i of every cell with these pivot tuples at i and its earlier neighbours."""
+        neighbours = self.neighbours[i]
+        key = (i, pivots[i], *[pivots[k] for k in neighbours])
+        step = self._steps.get(key)
+        if step is None:
+            step = _Step(self.chart(i, pivots[i]), neighbours)
+            if i != self._unshared:
+                self._steps[key] = step
+                step.points = self._points[key] = {}
+            for k in self._arrows_at[i]:
+                s, t, _ = self.arrows[k]
+                images = self.images(k, pivots[s])
+                if s == t:
+                    step.loops.append(images)
+                elif s < t:
+                    step.incoming.append((s, images))
+                else:
+                    step.outgoing.append((t, self.chart(t, pivots[t]), images))
+        return step
 
 
 def _image(image, x: Sequence[int]) -> list[int]:
@@ -316,15 +313,13 @@ def _image(image, x: Sequence[int]) -> list[int]:
     return w
 
 
-def _chart_equations(
-    steps: list[_Step], i: int, values: list, q: int
-) -> Iterator[tuple[list[int], int]]:
-    """Linear conditions (row, rhs) on step i's chart coordinates from arrows to placed vertices."""
-    chart = steps[i].chart
+def _chart_equations(step: _Step, values: list, q: int) -> Iterator[tuple[list[int], int]]:
+    """Linear conditions (row, rhs) on the step's chart coordinates from arrows to placed vertices."""
+    chart = step.chart
     nfree = chart.nfree
     # an earlier generator's image w lies in this chart's span:
     # w[r] = sum_j w[pivot j] * x[r, j] on each nonpivot row r
-    for k, images in steps[i].incoming:
+    for k, images in step.incoming:
         for image in images:
             w = _image(image, values[k])
             for r, free in zip(chart.nonpivot_rows, chart.row_free):
@@ -334,8 +329,7 @@ def _chart_equations(
                 yield row, w[r] % q
     # this chart's generator images lie in an earlier span, fixed at y:
     # the residual w[r] - sum_c w[pivot c] * y[r, c] vanishes there
-    for k, images in steps[i].outgoing:
-        target = steps[k].chart
+    for k, target, images in step.outgoing:
         y = values[k]
         for r, free in zip(target.nonpivot_rows, target.row_free):
             weights = [(target.pivot_rows[c], y[var]) for c, var in free if y[var]]
@@ -346,47 +340,46 @@ def _chart_equations(
                 yield row, (sum(const[p] * c for p, c in weights) - const[r]) % q
 
 
-def _chart_solutions(steps: list[_Step], i: int, values: list, q: int) -> Iterator[Vector]:
-    """Chart coordinates of step i that satisfy every arrow to a placed vertex.
+def _chart_solutions(step: _Step, values: list, q: int) -> Iterator[Vector]:
+    """Chart coordinates of the step that satisfy every arrow to a placed vertex.
 
     Zero rows are dropped, and one with a nonzero right-hand side ends the
     step before any elimination.
     """
     rows: list[list[int]] = []
     rhs: list[int] = []
-    for row, b in _chart_equations(steps, i, values, q):
+    for row, b in _chart_equations(step, values, q):
         if any(row):
             rows.append(row)
             rhs.append(b)
         elif b:
             return iter(())
-    return iter_solutions_mod(rows, rhs, steps[i].chart.nfree, q)
+    return iter_solutions_mod(rows, rhs, step.chart.nfree, q)
 
 
-def _step_solutions(steps: list[_Step], i: int, values: list, q: int) -> Iterator[Vector]:
-    """Chart coordinates of step i that satisfy its arrows to placed vertices and its loops."""
-    step = steps[i]
-    solutions = _chart_solutions(steps, i, values, q)
+def _step_solutions(step: _Step, values: list, q: int) -> Iterator[Vector]:
+    """Chart coordinates of the step that satisfy its arrows to placed vertices and its loops."""
+    solutions = _chart_solutions(step, values, q)
     if step.loops:
         return (x for x in solutions if _loops_hold(step, x, q))
     return solutions
 
 
-def _step_points(tables: _Tables, steps: list[_Step], i: int, values: list, q: int) -> Iterable:
-    """Step i's `(x, matrix)` points at the placed values, memoised by its neighbours' coordinates.
+def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable:
+    """The step's `(x, matrix)` points at the placed values, memoised by its neighbours' coordinates.
 
     A list without a memo, or that does not fit in the table's room, is
-    streamed and not kept.
+    streamed and not kept.  The search reads memo hits itself and calls
+    this past the first step only on a miss.
     """
-    step = steps[i]
     memo = step.points
     if memo is None:
-        return map(step.chart.build, _step_solutions(steps, i, values, q))
+        return map(step.chart.build, _step_solutions(step, values, q))
     coordinates = step.coordinates(values)
     found = memo.get(coordinates)
     if found is not None:
         return found
-    solutions = _step_solutions(steps, i, values, q)
+    solutions = _step_solutions(step, values, q)
     chart = step.chart
     fits = max(tables.room - _MEMO_ENTRY_BYTES, -1) // chart.point_bytes
     head = list(islice(solutions, fits + 1))
@@ -414,35 +407,60 @@ def _cell_points(
 ) -> Iterator[dict[str, Matrix]]:
     """All F_q points of one Schubert cell, as per-vertex echelon matrices.
 
-    Depth-first over the plan's steps with an explicit stack.  A step's
-    points come from the memo in `tables` (see `_Tables`), so the cells
-    of one call solve each distinct chart system once, while the memos
-    have room; past that, new lists stream as they are solved.  `tables`,
-    built for m and q, is shared by the cells of one call; without it the
-    cell builds its own.
+    Depth-first over the vertex steps with an explicit stack.  Each step
+    is looked up in `tables` when the search first reaches it, so a cell
+    whose search dies at one step never wires the later ones, and its
+    points come from the step's memo (see `_Tables`): the cells of one
+    call solve each distinct chart system once, while the memos have
+    room; past that, new lists stream as they are solved.  The last step
+    is walked inside the loop over the step before it: each point is a
+    copy of that prefix's dict plus the last vertex.  `tables`, built for
+    m and q, is shared by the cells of one call; without it the cell
+    builds its own.
     """
     order = m.quiver.vertices
-    tables = tables or _Tables(m, q)
-    steps = _plan(tables, beta)
-    n = len(steps)
+    n = len(order)
     if n == 0:
         yield {}
         return
-    values: list = [()] * n
-    mats: list = [()] * n
-    pending: list = [iter(())] * n
-    pending[0] = iter(_step_points(tables, steps, 0, values, q))
+    tables = tables or _Tables(m, q)
+    beta_set = set(beta.elements)  # not beta.as_set(): a call keeps all its cells alive
+    pivots = [tuple(b for b in block if b in beta_set) for block in tables.blocks]
+    last = n - 1
+    head, name = order[:last], order[last]
+    steps: list = [None] * n  # this cell's later steps, looked up on arrival
+    values: list = [()] * last
+    mats: list = [()] * last
+    first = tables.step(0, pivots)
+    if last == 0:
+        for _, mat in _step_points(tables, first, values, q):
+            yield {name: mat}
+        return
+    pending: list = [iter(())] * last
+    pending[0] = iter(_step_points(tables, first, values, q))
     i = 0
     while i >= 0:
         for x, mat in pending[i]:
             values[i] = x
             mats[i] = mat
-            if i + 1 == n:
-                yield dict(zip(order, mats))
-                continue
-            i += 1
-            pending[i] = iter(_step_points(tables, steps, i, values, q))
-            break
+            j = i + 1
+            step = steps[j]
+            if step is None:
+                step = steps[j] = tables.step(j, pivots)
+            memo = step.points
+            found = None if memo is None else memo.get(step.coordinates(values))
+            if found is None:
+                found = _step_points(tables, step, values, q)
+            if j < last:
+                pending[j] = iter(found)
+                i = j
+                break
+            if found:  # a stored list may be empty; a stream is always true
+                base = dict(zip(head, mats))
+                for _, end in found:
+                    point = base.copy()
+                    point[name] = end
+                    yield point
         else:
             i -= 1
 

@@ -254,10 +254,17 @@ def is_ordered_above(m: Representation, s: Subquiver) -> tuple[bool, list[str]]:
         for p0 in boundary:
             walk([p0])
 
-    for name in sorted(diff.arrows):
-        if not is_identity(m.matrices[name]):
-            diagnostics.append(f"arrow {name!r} in T-S is not the identity matrix")
+    diagnostics += _non_identity_arrows(m, diff)
     return not diagnostics, diagnostics
+
+
+def _non_identity_arrows(m: Representation, diff: Subquiver) -> list[str]:
+    """One message per arrow of T-S, by name, whose matrix is not the identity."""
+    return [
+        f"arrow {name!r} in T-S is not the identity matrix"
+        for name in sorted(diff.arrows)
+        if not is_identity(m.matrices[name])
+    ]
 
 
 def order_above_extension(m: Representation, s: Subquiver) -> Representation:
@@ -268,9 +275,9 @@ def order_above_extension(m: Representation, s: Subquiver) -> Representation:
     vertices by undirected distance from S, so every path out of S is
     increasing.
     """
-    for name in sorted(difference_of(m.quiver, s).arrows):
-        if not is_identity(m.matrices[name]):
-            raise ValueError(f"arrow {name!r} in T-S is not an identity matrix")
+    problems = _non_identity_arrows(m, difference_of(m.quiver, s))
+    if problems:
+        raise ValueError(problems[0])
     dist = distances_to(m.quiver, s)
     unreached = [v for v in m.quiver.vertices if v not in dist]
     if unreached:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import int_det
@@ -100,6 +100,7 @@ def cell_type(basis, beta: CellIndex) -> dict[str, int]:
 def enumerate_cells(basis, e: Mapping[str, int], vertices: Sequence[str]) -> list[CellIndex]:
     """All subsets of the basis of type e, in lexicographic order."""
     per_vertex = []
+    seen = set()
     for v in vertices:
         block = basis.block(v)
         ev = e.get(v, 0)
@@ -107,12 +108,17 @@ def enumerate_cells(basis, e: Mapping[str, int], vertices: Sequence[str]) -> lis
             raise ValueError(f"dimension {ev} is negative at vertex {v!r}")
         if ev > len(block):
             raise ValueError(f"dimension {ev} exceeds rank {len(block)} at vertex {v!r}")
+        if ev and v in seen:
+            raise ValueError(f"vertex {v!r} is listed twice, so its basis ids would repeat")
+        seen.add(v)
         per_vertex.append(list(combinations(block, ev)))
-    cells = []
-    for combo in product(*per_vertex):
-        elems = [b for group in combo for b in group]
-        cells.append(cell_index(basis, elems))
-    return cells
+    # every id comes from the block of one vertex, listed once, so no id is
+    # unknown or repeated and the checks of `cell_index` are not needed
+    pos = basis.positions().__getitem__
+    return [
+        CellIndex(tuple(sorted(chain.from_iterable(combo), key=pos)))
+        for combo in product(*per_vertex)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Chart search of the oracle: pinned point order and the dead-state memo."""
+"""Chart search of the oracle: pinned point order, and exact counts on cycles and loops."""
 
 import hashlib
 import random

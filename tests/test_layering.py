@@ -89,3 +89,20 @@ def test_traced_layers_resolve_and_restore():
     assert report.total == 7
     assert tracer.calls["oracle._cell_points"] == len(report.per_cell)
     assert tracer.counters["oracle._cell_points.points"] == 7
+
+
+def test_traced_count_sees_every_cell_and_point():
+    layers, spans = _load_perfbench("layers"), _load_perfbench("spans")
+    names = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    ns = SimpleNamespace(**{n: importlib.import_module(f"quiver_schubert.{n}") for n in names})
+    tracer = spans.Tracer()
+    try:
+        layers.instrument(tracer, ns)
+        entry = ns.catalog.catalog("degenerate_flag(3)")
+        (report,) = ns.oracle.count(entry.representation, entry.dim_vector, primes=(2,))
+    finally:
+        tracer.restore()
+    assert len(report.per_cell) == 96
+    assert tracer.calls["oracle._cell_points"] == 96
+    assert tracer.counters["oracle._cell_points.points"] == report.total
+    assert tracer.counters["oracle._cell_points.nonempty"] == sum(1 for c in report.per_cell.values() if c)

@@ -15,8 +15,8 @@ import pytest
 from quiver_schubert import linalg, oracle
 from quiver_schubert.catalog import catalog
 from quiver_schubert.oracle import _cell_points, _Tables, cell_count, count, enumerate_subreps
-from quiver_schubert.quiver import quiver
-from quiver_schubert.representation import OrderedBasis, representation
+from quiver_schubert.quiver import full_subquiver, quiver
+from quiver_schubert.representation import OrderedBasis, representation, restrict
 from quiver_schubert.schubert import enumerate_cells
 from test_chart_search import random_branching_cycle
 
@@ -186,3 +186,115 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
     monkeypatch.setattr(oracle, "_MEMO_BYTES", 2**20)
     total, peak = _peak_mib(*_unlinked(6, 3), 3)
     assert total == 33880 and peak < 2
+
+
+def _step_key(tables, pivots, i):
+    """Memo key of step i: the step, its pivot tuple and its earlier neighbours' pivot tuples."""
+    return (i, pivots[i], *[pivots[k] for k in tables.neighbours[i]])
+
+
+def _record_step_lookups(tables, lookups):
+    """Make tables.step append (step index, key, wired step) to lookups on every call."""
+    lookup = tables.step
+
+    def step(i, pivots):
+        found = lookup(i, pivots)
+        lookups.append((i, _step_key(tables, pivots, i), found))
+        return found
+
+    tables.step = step
+
+
+def test_one_step_is_wired_per_distinct_key(monkeypatch):
+    built = []
+
+    class RecordedStep(oracle._Step):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(oracle, "_Step", RecordedStep)
+    shared = unkept = 0
+    for rep, e, q in _order_cases():
+        built.clear()
+        tables = _Tables(rep, q)
+        lookups = []
+        _record_step_lookups(tables, lookups)
+        for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
+            list(_cell_points(rep, beta, q, tables))
+        wired = {}
+        for _, key, step in lookups:
+            assert wired.setdefault(key, step) is step, key
+        assert len(built) == len(wired)  # every cell is searched once, so no key recurs unkept
+        kept = {key: step for key, step in wired.items() if step.points is not None}
+        assert tables._steps == kept
+        assert all(tables._points[key] is step.points for key, step in kept.items())
+        unkept += len(wired) - len(kept)
+        shared += len(lookups) - len(wired)
+    assert shared > 0  # some cells met a step that an earlier cell wired
+    assert unkept > 0  # and some last steps were never kept, their key fixing the whole cell
+
+
+def test_a_cell_wires_only_the_steps_its_search_reaches():
+    """count(degenerate_flag(4)) at q = 2 wires a step only when a search reaches it.
+
+    The search of a cell reaches step j > 0 exactly when the cell restricted
+    to the first j vertices has a point, which the oracle counts
+    independently on the restricted module.  Wiring every step of every
+    cell would take 2,500 x 4 = 10,000 steps; the searches reach 6,855 of
+    them, which share 205 wired steps.  Every one of the 205 distinct keys
+    is reached by some cell.
+    """
+    entry = catalog("degenerate_flag(4)")
+    rep, e, q = entry.representation, entry.dim_vector, 2
+    vertices = rep.quiver.vertices
+    cells = enumerate_cells(rep.basis, e, vertices)
+    prefix_counts = []
+    for j in range(1, len(vertices)):
+        head = restrict(rep, full_subquiver(rep.quiver, vertices[:j]))
+        (report,) = count(head, {v: e[v] for v in vertices[:j]}, primes=(q,))
+        prefix_counts.append(report.per_cell)
+    tables = _Tables(rep, q)
+    lookups = []
+    _record_step_lookups(tables, lookups)
+    reached = 0
+    eager = set()
+    dead_early = 0
+    for beta in cells:
+        del lookups[:]
+        points = sum(1 for _ in _cell_points(rep, beta, q, tables))
+        steps = [i for i, _, _ in lookups]
+        depth = 1 + sum(
+            1
+            for j, per_cell in enumerate(prefix_counts, 1)
+            if per_cell[",".join(b for b in beta.elements if rep.basis.vertex_of[b] in vertices[:j])]
+        )
+        assert steps == list(range(depth)), beta.key()
+        dead_early += points == 0 and depth < len(vertices)
+        reached += len(steps)
+        chosen = set(beta.elements)
+        pivots = [tuple(b for b in block if b in chosen) for block in tables.blocks]
+        eager.update(_step_key(tables, pivots, i) for i in range(len(vertices)))
+    assert len(cells) * len(vertices) == 10000
+    assert (reached, len(tables._steps), len(eager), dead_early) == (6855, 205, 205, 1945)
+
+
+def test_point_dicts_are_fresh_and_independent():
+    """Each point of a stream is its own dict: clearing one as it arrives changes no other."""
+    cases = [(catalog(spec), q) for spec, q in (("degenerate_flag(3)", 3), ("ex_4_5_5", 3), ("one_vertex(4)", 2))]
+    for entry, q in cases:
+        rep, e = entry.representation, entry.dim_vector
+        cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
+        fresh = [list(_cell_points(rep, beta, q)) for beta in cells]
+        tables = _Tables(rep, q)
+        for _ in range(2):  # the second pass reads the memos the first one filled
+            for beta, expected in zip(cells, fresh):
+                seen, copies = [], []
+                for point in _cell_points(rep, beta, q, tables):
+                    copies.append(dict(point))
+                    point.clear()
+                    seen.append(point)
+                assert copies == expected, beta.key()
+                assert len({id(point) for point in seen}) == len(seen)

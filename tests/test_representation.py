@@ -1,5 +1,7 @@
 """Representations: restriction, push-forward, direct sums, basis orders."""
 
+import pytest
+
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import identity_matrix
 from quiver_schubert.quiver import (
@@ -14,6 +16,7 @@ from quiver_schubert.representation import (
     OrderedBasis,
     direct_sum,
     is_ordered_above,
+    order_above_extension,
     push_forward,
     reorder_basis,
     representation,
@@ -166,6 +169,19 @@ def test_is_ordered_above_examples():
     ok, diag = is_ordered_above(reversed_rep, f.subquiver)
     assert not ok
     assert any("B_S <= B" in d for d in diag)
+
+
+def test_order_checks_name_a_non_identity_arrow_alike():
+    # 1 -a-> 2 -b-> 3 with S = {1}: a and b lie in T-S, and only b is not the identity
+    q = quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    basis = OrderedBasis(("x", "y", "z"), {"x": "1", "y": "2", "z": "3"})
+    rep = representation(q, basis, {"a": [[1]], "b": [[2]]})
+    s = subquiver(q, ["1"])
+    ok, diag = is_ordered_above(rep, s)
+    assert not ok and diag == ["arrow 'b' in T-S is not the identity matrix"]
+    with pytest.raises(ValueError) as raised:
+        order_above_extension(rep, s)
+    assert str(raised.value) == diag[0]
 
 
 def test_reorder_basis_keeps_module():

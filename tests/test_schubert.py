@@ -9,8 +9,8 @@ from conftest import chart_coordinates, fold_winding, random_tree_extension
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import column_echelon_max_pivot
 from quiver_schubert.oracle import _cell_points, assign_cell, cell_count
-from quiver_schubert.quiver import full_subquiver, subquiver
-from quiver_schubert.representation import restrict
+from quiver_schubert.quiver import full_subquiver, quiver, subquiver
+from quiver_schubert.representation import OrderedBasis, representation, restrict
 from quiver_schubert.schubert import (
     PreconditionError,
     _peel_schedule,
@@ -61,6 +61,18 @@ def test_enumerate_cells_refuses_a_negative_dimension():
     rep = catalog("two_lines").representation
     with pytest.raises(ValueError, match="dimension -1 is negative at vertex '1'"):
         enumerate_cells(rep.basis, {"1": -1, "2": 1}, rep.quiver.vertices)
+
+
+def test_enumerate_cells_sorts_interleaved_blocks_and_refuses_a_repeated_vertex():
+    q = quiver(["1", "2"], [("a", "1", "2")])
+    basis = OrderedBasis(("x1", "y1", "x2", "y2"), {"x1": "2", "y1": "1", "x2": "2", "y2": "1"})
+    rep = representation(q, basis, {"a": [[1, 0], [0, 1]]})
+    cells = enumerate_cells(rep.basis, {"1": 1, "2": 1}, rep.quiver.vertices)
+    assert [c.key() for c in cells] == ["x1,y1", "y1,x2", "x1,y2", "x2,y2"]
+    assert cells == [cell_index(rep.basis, c.elements) for c in cells]
+    with pytest.raises(ValueError, match="vertex '1' is listed twice"):
+        enumerate_cells(rep.basis, {"1": 1}, ("1", "2", "1"))
+    assert len(enumerate_cells(rep.basis, {"1": 1}, ("1", "2", "2"))) == 2  # e = 0 there
 
 
 def test_equations_ex451():
