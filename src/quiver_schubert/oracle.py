@@ -18,11 +18,16 @@ the step, and a cell whose search dies at one step never wires the next.
 
 The search is one flat depth-first loop.  At each step, containment
 along arrows whose other endpoint is already placed is linear in the
-chart coordinates and solved exactly; loops are filtered.  Those
-equations and that filter read only the step and its neighbours'
-coordinates, so each step memoises its points per tuple of neighbour
-coordinates: two cells that agree there get the same list in the same
-order, and every cell of the call solves each distinct system once.
+chart coordinates and solved exactly; loops are filtered.  The rows of
+those equations that read no coordinate of the chart are compiled when
+the step is wired, as linear forms in the neighbours' coordinates, and
+read before anything else: the first that does not vanish ends the
+step.  Each loop condition is compiled there too, as a quadratic form
+in the chart coordinates.  Those equations and that filter read only
+the step and its neighbours' coordinates, so each step memoises its
+points per tuple of neighbour coordinates: two cells that agree there
+get the same list in the same order, and every cell of the call solves
+each distinct system once.
 Each point is kept once per chart with its echelon matrix.  The memos of
 one call take at most about `_MEMO_BYTES`; a step whose points would not
 fit streams them as a search without memos would, so memory stays
@@ -201,24 +206,87 @@ class _Step:
     """One vertex step of the search, wired once per key and shared by every cell with that key.
 
     The key is the vertex step, its pivot tuple and the pivot tuples of
-    its earlier neighbours.  `chart` is the step's chart; `incoming`
-    holds (earlier step, generator images) for arrows from earlier
-    vertices, `outgoing` (earlier step, its chart, generator images) for
-    arrows to them, and `loops` the generator images of loops.  `points`
-    is the memo of the step's points (None when the key never recurs),
-    and `coordinates(values)` its key: the neighbours' coordinates, bare
+    its earlier neighbours.  `chart` is the step's chart.  An arrow row
+    that reads no coordinate of the chart is *pure*: a row of the chart
+    with no free coordinate, for an arrow from an earlier vertex, or a
+    generator whose image has no terms, for an arrow to one.  `pure`
+    holds each such row as a linear form (earlier step, constant,
+    ((var, coefficient), ...)) in that step's coordinates, mod q; the
+    step has no points unless every form vanishes.  `incoming` holds
+    (earlier step, generator images) for arrows from earlier vertices,
+    and is empty when every row of the chart is pure; `outgoing` holds
+    (earlier step, its chart, generator images with terms) for arrows to
+    them.  `loops` holds each loop condition as a quadratic form
+    (constant, ((var, coefficient), ...), ((var, var, coefficient),
+    ...)) in the chart coordinates, mod q.  Forms that vanish
+    identically are dropped, and repeated ones kept once.  `points` is
+    the memo of the step's points (None when the key never recurs), and
+    `coordinates(values)` its key: the neighbours' coordinates, bare
     when there is one.
     """
 
-    __slots__ = ("chart", "incoming", "outgoing", "loops", "coordinates", "points")
+    __slots__ = ("chart", "incoming", "outgoing", "pure", "loops", "coordinates", "points")
 
     def __init__(self, chart: _Chart, neighbours: tuple[int, ...]):
         self.chart = chart
         self.incoming: list[tuple[int, list]] = []
         self.outgoing: list[tuple[int, _Chart, list]] = []
-        self.loops: list[list] = []
+        self.pure: dict[tuple, None] = {}  # ordered set of forms
+        self.loops: dict[tuple, None] = {}
         self.coordinates = itemgetter(*neighbours) if neighbours else _no_coordinates
         self.points: dict | None = None
+
+    def wire_incoming(self, k: int, images: list, q: int) -> None:
+        """The arrow from earlier step k, with these generator images on k's chart."""
+        chart = self.chart
+        for const, terms in images:
+            for r, free in zip(chart.nonpivot_rows, chart.row_free):
+                if not free:  # w[r] = 0 at k's coordinates
+                    _add_form(self.pure, k, const[r], [(var, vec[r]) for var, vec in terms], q)
+        if chart.nfree:  # some row reads this chart
+            self.incoming.append((k, images))
+
+    def wire_outgoing(self, k: int, target: _Chart, images: list, q: int) -> None:
+        """The arrow to earlier step k, whose chart is target, with these generator images here."""
+        mixed = []
+        for const, terms in images:
+            if terms:
+                mixed.append((const, terms))
+                continue
+            # const lies in the span fixed at k's coordinates y
+            for r, free in zip(target.nonpivot_rows, target.row_free):
+                _add_form(self.pure, k, -const[r], [(var, const[target.pivot_rows[c]]) for c, var in free], q)
+        if mixed:
+            self.outgoing.append((k, target, mixed))
+
+    def wire_loop(self, images: list, q: int) -> None:
+        """A loop, with these generator images: each maps back into the span of the chart.
+
+        With w = const + sum(x[v] * vec) the image, each nonpivot row r
+        gives w[r] - sum_j w[pivot j] * x[r, j] = 0, expanded here.
+        """
+        chart = self.chart
+        for const, terms in images:
+            for r, free in zip(chart.nonpivot_rows, chart.row_free):
+                linear = {v: vec[r] for v, vec in terms}
+                quadratic: dict[tuple[int, int], int] = {}
+                for j, u in free:
+                    p = chart.pivot_rows[j]
+                    linear[u] = linear.get(u, 0) - const[p]
+                    for v, vec in terms:
+                        pair = (min(u, v), max(u, v))
+                        quadratic[pair] = quadratic.get(pair, 0) - vec[p]
+                linear_terms = tuple((v, a % q) for v, a in sorted(linear.items()) if a % q)
+                quadratic_terms = tuple((u, v, b % q) for (u, v), b in sorted(quadratic.items()) if b % q)
+                if const[r] % q or linear_terms or quadratic_terms:
+                    self.loops[const[r] % q, linear_terms, quadratic_terms] = None
+
+
+def _add_form(forms: dict, k: int, const: int, terms: list[tuple[int, int]], q: int) -> None:
+    """Add the linear form const + sum(coefficient * y[var]) in step k's coordinates y, mod q."""
+    terms = tuple((var, c % q) for var, c in terms if c % q)
+    if const % q or terms:
+        forms[k, const % q, terms] = None
 
 
 def _no_coordinates(values: list) -> tuple:
@@ -232,8 +300,9 @@ class _Tables:
     (arrow, source pivot tuple).  `neighbours[i]` lists the earlier steps
     that share a non-loop arrow with step i.  `step(i, pivots)` is the
     wired `_Step` of step i: keyed by (i, the pivot tuples at i and at each
-    earlier neighbour), it is built when a search first reaches that key
-    and shared by every cell with it.  Its memo, also held in `_points`
+    earlier neighbour), it is built, with its pure rows and loops compiled
+    into forms mod q, when a search first reaches that key and shared by
+    every cell with it.  Its memo, also held in `_points`
     under the key, maps the neighbours' chart coordinates to the step's
     `(x, matrix)` chart points that satisfy its arrows and loops, in
     `iter_solutions_mod` order.  Those conditions read nothing else, so
@@ -243,6 +312,7 @@ class _Tables:
     """
 
     def __init__(self, m: Representation, q: int):
+        self.q = q
         vertices = m.quiver.vertices
         index = {v: i for i, v in enumerate(vertices)}
         self.blocks = [m.basis.block(v) for v in vertices]
@@ -294,11 +364,11 @@ class _Tables:
                 s, t, _ = self.arrows[k]
                 images = self.images(k, pivots[s])
                 if s == t:
-                    step.loops.append(images)
+                    step.wire_loop(images, self.q)
                 elif s < t:
-                    step.incoming.append((s, images))
+                    step.wire_incoming(s, images, self.q)
                 else:
-                    step.outgoing.append((t, self.chart(t, pivots[t]), images))
+                    step.wire_outgoing(t, self.chart(t, pivots[t]), images, self.q)
         return step
 
 
@@ -314,7 +384,10 @@ def _image(image, x: Sequence[int]) -> list[int]:
 
 
 def _chart_equations(step: _Step, values: list, q: int) -> Iterator[tuple[list[int], int]]:
-    """Linear conditions (row, rhs) on the step's chart coordinates from arrows to placed vertices."""
+    """Linear conditions (row, rhs) on the step's chart coordinates from arrows to placed vertices.
+
+    Pure rows are left out: they are the step's forms.
+    """
     chart = step.chart
     nfree = chart.nfree
     # an earlier generator's image w lies in this chart's span:
@@ -323,6 +396,8 @@ def _chart_equations(step: _Step, values: list, q: int) -> Iterator[tuple[list[i
         for image in images:
             w = _image(image, values[k])
             for r, free in zip(chart.nonpivot_rows, chart.row_free):
+                if not free:
+                    continue
                 row = [0] * nfree
                 for j, var in free:
                     row[var] = w[chart.pivot_rows[j]] % q
@@ -343,9 +418,19 @@ def _chart_equations(step: _Step, values: list, q: int) -> Iterator[tuple[list[i
 def _chart_solutions(step: _Step, values: list, q: int) -> Iterator[Vector]:
     """Chart coordinates of the step that satisfy every arrow to a placed vertex.
 
-    Zero rows are dropped, and one with a nonzero right-hand side ends the
-    step before any elimination.
+    The pure rows are read first, as the step's linear forms in its
+    neighbours' coordinates: the first that does not vanish ends the step
+    before any generator image is built.  Of the other rows, zero rows
+    are dropped, and one with a nonzero right-hand side ends the step
+    before any elimination.  So `iter_solutions_mod` sees the rows that
+    reading every row in order and dropping the zero ones would give.
     """
+    for k, const, terms in step.pure:
+        y = values[k]
+        for var, c in terms:
+            const += c * y[var]
+        if const % q:
+            return iter(())
     rows: list[list[int]] = []
     rhs: list[int] = []
     for row, b in _chart_equations(step, values, q):
@@ -391,14 +476,18 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
 
 
 def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
-    """Loop filter: every loop maps each generator back into the span."""
-    chart = step.chart
-    for images in step.loops:
-        for image in images:
-            w = _image(image, x)
-            for r, free in zip(chart.nonpivot_rows, chart.row_free):
-                if (w[r] - sum(w[chart.pivot_rows[j]] * x[var] for j, var in free)) % q:
-                    return False
+    """Loop filter: every loop maps each generator back into the span.
+
+    Each condition is one of the step's quadratic forms in x, compiled
+    when the step was wired; x passes when every form vanishes mod q.
+    """
+    for const, linear, quadratic in step.loops:
+        for var, a in linear:
+            const += a * x[var]
+        for u, v, b in quadratic:
+            const += b * x[u] * x[v]
+        if const % q:
+            return False
     return True
 
 

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 from .linalg import Matrix, identity_matrix, is_identity, matrix
 from .quiver import Arrow, Quiver, QuiverMorphism, Subquiver, difference_of, distances_to, full_subquiver
 from .quiver import quiver, quiver_from_json, quiver_to_json
+from .quiver import validate as validate_quiver
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ class Representation:
         return {v: self.rank(v) for v in self.quiver.vertices}
 
     def validate(self) -> list[str]:
-        problems = []
+        problems = validate_quiver(self.quiver)
         for b in self.basis.order:
             if self.basis.vertex_of[b] not in self.quiver.vertices:
                 problems.append(f"basis id {b!r} sits at an undeclared vertex")

@@ -87,6 +87,18 @@ def test_validate_file_input(tmp_path):
     assert code == 2
 
 
+def test_module_whose_quiver_lists_a_vertex_twice_is_an_input_error(tmp_path):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({
+        "quiver": {"vertices": ["1", "1"], "arrows": []},
+        "basis": {"order": ["b1"], "vertex_of": {"b1": "1"}},
+        "matrices": {},
+    }))
+    for argv in (["count", "--rep", str(path), "--dim-vector", "1,0"], ["validate", "--rep", str(path)]):
+        code, out, err = run(argv)
+        assert (code, out, err) == (2, "", "input error: duplicate vertex id '1'\n"), argv
+
+
 def test_tree_ext_and_winding():
     code, out, _ = run(["tree-ext", "--catalog", "ex_4_5_1", "--subquiver", "1"])
     assert code == 0 and "tree extension" in out

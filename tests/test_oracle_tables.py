@@ -9,11 +9,13 @@ and the same points in the same order, whatever order the cells come in.
 import hashlib
 import random
 import tracemalloc
+from itertools import product
 
 import pytest
 
 from quiver_schubert import linalg, oracle
 from quiver_schubert.catalog import catalog
+from quiver_schubert.linalg import column_echelon_max_pivot, mat_vec_mod
 from quiver_schubert.oracle import _cell_points, _Tables, cell_count, count, enumerate_subreps
 from quiver_schubert.quiver import full_subquiver, quiver
 from quiver_schubert.representation import OrderedBasis, representation, restrict
@@ -298,3 +300,95 @@ def test_point_dicts_are_fresh_and_independent():
                     seen.append(point)
                 assert copies == expected, beta.key()
                 assert len({id(point) for point in seen}) == len(seen)
+
+
+# Work of count() on each entry at these primes: calls of _chart_solutions,
+# solve_mod and iter_solutions_mod, the points iter_solutions_mod yields,
+# and the calls of _image made when every arrow row was built before any
+# was read.
+PINNED_WORK = {
+    ("kronecker_preinjective(4)", (2, 3, 5)): (3747, 565, 583, 946, 4674),
+    ("kronecker_preprojective(5)", (2, 3)): (2290, 150, 162, 304, 3040),
+    ("ex_4_5_5", (2, 3)): (1550, 53, 65, 112, 1925),
+    ("one_loop(4,1)", (11,)): (6, 0, 6, 16226, 16359),
+}
+
+
+@pytest.mark.parametrize("spec, primes", sorted(PINNED_WORK))
+def test_pure_rows_and_loop_forms_save_images_not_solves(monkeypatch, spec, primes):
+    """Reading the pure rows first and the loops as forms solves the same systems and yields the same points.
+
+    Only the generator images built for the remaining rows are fewer.
+    """
+    calls = dict.fromkeys(("_chart_solutions", "solve_mod", "iter_solutions_mod", "yielded", "_image"), 0)
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def yielding(*args):
+        calls["iter_solutions_mod"] += 1
+        for x in linalg.iter_solutions_mod(*args):
+            calls["yielded"] += 1
+            yield x
+
+    counted(oracle, "_chart_solutions")
+    counted(oracle, "_image")
+    counted(linalg, "solve_mod")
+    monkeypatch.setattr(oracle, "iter_solutions_mod", yielding)
+    entry = catalog(spec)
+    count(entry.representation, entry.dim_vector, primes=primes)
+    *work, images = PINNED_WORK[spec, primes]
+    assert [calls[k] for k in ("_chart_solutions", "solve_mod", "iter_solutions_mod", "yielded")] == work
+    assert calls["_image"] < images
+
+
+def _rank(columns, q):
+    return len(column_echelon_max_pivot(columns, q)[1])
+
+
+def _looped_modules():
+    for spec in ("one_loop(3,0)", "one_loop(3,1)", "one_loop(4,0)", "one_loop(4,1)"):
+        rep = catalog(spec).representation
+        for e in range(rep.rank("1") + 1):
+            yield spec, rep, {"1": e}
+    for seed in range(40):
+        rep, e = random_branching_cycle(seed)
+        if any(a.src == a.tgt for a in rep.quiver.arrows):
+            yield f"seed {seed}", rep, e
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_loop_forms_agree_with_a_rank_test_on_every_chart_point(q):
+    """A chart point passes the loops exactly when each loop A keeps its span: rank [G | A G] = rank G.
+
+    Every point of the chart of every looped step is checked, in every
+    cell, not only those that satisfy the step's other arrows.
+    """
+    outcomes = set()
+    seeds = 0
+    for name, rep, e in _looped_modules():
+        seeds += name.startswith("seed")
+        tables = _Tables(rep, q)
+        vertices = rep.quiver.vertices
+        for beta in enumerate_cells(rep.basis, e, vertices):
+            chosen = set(beta.elements)
+            pivots = [tuple(b for b in block if b in chosen) for block in tables.blocks]
+            for i, v in enumerate(vertices):
+                loops = [rep.matrices[a.name] for a in rep.quiver.arrows if a.src == a.tgt == v]
+                if not loops:
+                    continue
+                step = tables.step(i, pivots)
+                for x in product(range(q), repeat=step.chart.nfree):
+                    g = list(zip(*step.chart.build(x)[1]))  # the generators, as columns
+                    held = all(
+                        _rank(g + [mat_vec_mod(a, col, q) for col in g], q) == _rank(g, q) for a in loops
+                    )
+                    assert oracle._loops_hold(step, x, q) == held, (name, beta.key(), x)
+                    outcomes.add(held)
+    assert seeds > 0 and outcomes == {True, False}

@@ -14,6 +14,7 @@ from quiver_schubert.quiver import (
 )
 from quiver_schubert.representation import (
     OrderedBasis,
+    Representation,
     direct_sum,
     is_ordered_above,
     order_above_extension,
@@ -212,3 +213,12 @@ def test_zero_rank_vertices_allowed():
     b = OrderedBasis(("x",), {"x": "2"})
     rep = representation(q, b, {"a": []})
     assert rep.rank("1") == 0 and rep.rank("2") == 1
+
+
+def test_validate_reports_the_problems_of_the_quiver():
+    q = quiver(["1", "1", "2"], [("a", "1", "3")])
+    basis = OrderedBasis(("b1",), {"b1": "1"})
+    problems = Representation(q, basis, {"a": ()}).validate()
+    assert problems[:2] == ["duplicate vertex id '1'", "dangling endpoint: arrow 'a' target '3'"]
+    with pytest.raises(ValueError, match="^duplicate vertex id '1'$"):
+        representation(quiver(["1", "1"], []), basis, {})
