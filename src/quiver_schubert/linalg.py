@@ -16,10 +16,6 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
-def matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -18,16 +18,17 @@ the step, and a cell whose search dies at one step never wires the next.
 
 The search is one flat depth-first loop.  At each step, containment
 along arrows whose other endpoint is already placed is linear in the
-chart coordinates and solved exactly; loops are filtered.  The rows of
-those equations that read no coordinate of the chart are compiled when
-the step is wired, as linear forms in the neighbours' coordinates, and
-read before anything else: the first that does not vanish ends the
-step.  Each loop condition is compiled there too, as a quadratic form
-in the chart coordinates.  Those equations and that filter read only
-the step and its neighbours' coordinates, so each step memoises its
-points per tuple of neighbour coordinates: two cells that agree there
-get the same list in the same order, and every cell of the call solves
-each distinct system once.
+chart coordinates and solved exactly; loops are filtered.  When the step
+is wired, every such arrow is compiled into rows of one format: a linear
+equation in the chart coordinates whose coefficients and right-hand side
+are linear forms in one earlier neighbour's coordinates.  The rows that
+read no chart coordinate are *pure* and read first: the first that does
+not vanish ends the step.  Each loop condition is compiled there too, as
+a quadratic form in the chart coordinates.  Those rows and that filter
+read only the step and its neighbours' coordinates, so each step
+memoises its points per tuple of neighbour coordinates: two cells that
+agree there get the same list in the same order, and every cell of the
+call solves each distinct system once.
 Each point is kept once per chart with its echelon matrix.  The memos of
 one call take at most about `_MEMO_BYTES`; a step whose points would not
 fit streams them as a search without memos would, so memory stays
@@ -206,58 +207,66 @@ class _Step:
     """One vertex step of the search, wired once per key and shared by every cell with that key.
 
     The key is the vertex step, its pivot tuple and the pivot tuples of
-    its earlier neighbours.  `chart` is the step's chart.  An arrow row
-    that reads no coordinate of the chart is *pure*: a row of the chart
-    with no free coordinate, for an arrow from an earlier vertex, or a
-    generator whose image has no terms, for an arrow to one.  `pure`
-    holds each such row as a linear form (earlier step, constant,
-    ((var, coefficient), ...)) in that step's coordinates, mod q; the
-    step has no points unless every form vanishes.  `incoming` holds
-    (earlier step, generator images) for arrows from earlier vertices,
-    and is empty when every row of the chart is pure; `outgoing` holds
-    (earlier step, its chart, generator images with terms) for arrows to
-    them.  `loops` holds each loop condition as a quadratic form
-    (constant, ((var, coefficient), ...), ((var, var, coefficient),
-    ...)) in the chart coordinates, mod q.  Forms that vanish
-    identically are dropped, and repeated ones kept once.  `points` is
-    the memo of the step's points (None when the key never recurs), and
-    `coordinates(values)` its key: the neighbours' coordinates, bare
-    when there is one.
+    its earlier neighbours.  `chart` is the step's chart, with
+    coordinates x.  Each arrow to or from an earlier neighbour k gives
+    rows sum(a_v(y) * x[v]) = b(y) mod q, where y are step k's
+    coordinates and each a_v and b is a linear form (constant, ((var,
+    coefficient), ...)) in y, reduced mod q with zero terms dropped.  A
+    row (k, b, ((v, a_v), ...)) keeps only the a_v that do not vanish
+    identically.  A row with none left is *pure*: `pure` holds it as
+    (k, b), once, and the step has no points unless every such b
+    vanishes; the other rows go into `rows` in wiring order.  `loops`
+    holds each loop condition as a quadratic form (constant, ((var,
+    coefficient), ...), ((var, var, coefficient), ...)) in x, mod q.
+    Forms that vanish identically are dropped, and repeated ones kept
+    once.  `points` is the memo of the step's points (None when the key
+    never recurs), and `coordinates(values)` its key: the neighbours'
+    coordinates, bare when there is one.
     """
 
-    __slots__ = ("chart", "incoming", "outgoing", "pure", "loops", "coordinates", "points")
+    __slots__ = ("chart", "pure", "rows", "loops", "coordinates", "points")
 
     def __init__(self, chart: _Chart, neighbours: tuple[int, ...]):
         self.chart = chart
-        self.incoming: list[tuple[int, list]] = []
-        self.outgoing: list[tuple[int, _Chart, list]] = []
-        self.pure: dict[tuple, None] = {}  # ordered set of forms
+        self.pure: dict[tuple, None] = {}  # ordered set of (k, b)
+        self.rows: list[tuple] = []
         self.loops: dict[tuple, None] = {}
         self.coordinates = itemgetter(*neighbours) if neighbours else _no_coordinates
         self.points: dict | None = None
 
-    def wire_incoming(self, k: int, images: list, q: int) -> None:
-        """The arrow from earlier step k, with these generator images on k's chart."""
+    def wire_row(self, k: int, b: tuple, coefficients: list) -> None:
+        """The row sum(a_v(y) * x[v]) = b(y), given reduced forms b and (v, a_v) in step k's coordinates y."""
+        coefficients = tuple((v, a) for v, a in coefficients if a[0] or a[1])
+        if coefficients:
+            self.rows.append((k, b, coefficients))
+        elif b[0] or b[1]:
+            self.pure[k, b] = None
+
+    def wire_incoming(self, k: int, images: list) -> None:
+        """The arrow from earlier step k, with these generator images on k's chart.
+
+        Each image w = const + sum(y[u] * vec) lies in this chart's span:
+        on each nonpivot row r, w[r] = sum_j w[pivot j] * x[r, j].
+        """
         chart = self.chart
-        for const, terms in images:
+        for const, terms in images:  # entries already reduced mod q
+            w = [(c, tuple((u, vec[p]) for u, vec in terms if vec[p])) for p, c in enumerate(const)]
             for r, free in zip(chart.nonpivot_rows, chart.row_free):
-                if not free:  # w[r] = 0 at k's coordinates
-                    _add_form(self.pure, k, const[r], [(var, vec[r]) for var, vec in terms], q)
-        if chart.nfree:  # some row reads this chart
-            self.incoming.append((k, images))
+                self.wire_row(k, w[r], [(var, w[chart.pivot_rows[j]]) for j, var in free])
 
     def wire_outgoing(self, k: int, target: _Chart, images: list, q: int) -> None:
-        """The arrow to earlier step k, whose chart is target, with these generator images here."""
-        mixed = []
-        for const, terms in images:
-            if terms:
-                mixed.append((const, terms))
-                continue
-            # const lies in the span fixed at k's coordinates y
-            for r, free in zip(target.nonpivot_rows, target.row_free):
-                _add_form(self.pure, k, -const[r], [(var, const[target.pivot_rows[c]]) for c, var in free], q)
-        if mixed:
-            self.outgoing.append((k, target, mixed))
+        """The arrow to earlier step k, whose chart is target, with these generator images here.
+
+        Each image w = const + sum(x[v] * vec) lies in target's span at
+        k's coordinates y: on each nonpivot row r of target,
+        w[r] = sum_c w[pivot c] * y[r, c].
+        """
+        for r, free in zip(target.nonpivot_rows, target.row_free):
+            weights = [(target.pivot_rows[c], var) for c, var in free]
+            for const, terms in images:
+                b = _form(-const[r], [(var, const[p]) for p, var in weights], q)
+                a = [(v, _form(vec[r], [(var, -vec[p]) for p, var in weights], q)) for v, vec in terms]
+                self.wire_row(k, b, a)
 
     def wire_loop(self, images: list, q: int) -> None:
         """A loop, with these generator images: each maps back into the span of the chart.
@@ -282,11 +291,9 @@ class _Step:
                     self.loops[const[r] % q, linear_terms, quadratic_terms] = None
 
 
-def _add_form(forms: dict, k: int, const: int, terms: list[tuple[int, int]], q: int) -> None:
-    """Add the linear form const + sum(coefficient * y[var]) in step k's coordinates y, mod q."""
-    terms = tuple((var, c % q) for var, c in terms if c % q)
-    if const % q or terms:
-        forms[k, const % q, terms] = None
+def _form(const: int, terms: list[tuple[int, int]], q: int) -> tuple:
+    """The linear form const + sum(coefficient * y[var]), reduced mod q with zero terms dropped."""
+    return const % q, tuple((var, c % q) for var, c in terms if c % q)
 
 
 def _no_coordinates(values: list) -> tuple:
@@ -300,10 +307,10 @@ class _Tables:
     (arrow, source pivot tuple).  `neighbours[i]` lists the earlier steps
     that share a non-loop arrow with step i.  `step(i, pivots)` is the
     wired `_Step` of step i: keyed by (i, the pivot tuples at i and at each
-    earlier neighbour), it is built, with its pure rows and loops compiled
-    into forms mod q, when a search first reaches that key and shared by
-    every cell with it.  Its memo, also held in `_points`
-    under the key, maps the neighbours' chart coordinates to the step's
+    earlier neighbour), it is built, with its arrow rows and loops
+    compiled into forms mod q, when a search first reaches that key and
+    shared by every cell with it.  Its memo, also held in `_points` under
+    the key, maps the neighbours' chart coordinates to the step's
     `(x, matrix)` chart points that satisfy its arrows and loops, in
     `iter_solutions_mod` order.  Those conditions read nothing else, so
     every cell with the same key gets the same list.  A key that never
@@ -366,106 +373,62 @@ class _Tables:
                 if s == t:
                     step.wire_loop(images, self.q)
                 elif s < t:
-                    step.wire_incoming(s, images, self.q)
+                    step.wire_incoming(s, images)
                 else:
                     step.wire_outgoing(t, self.chart(t, pivots[t]), images, self.q)
         return step
 
 
-def _image(image, x: Sequence[int]) -> list[int]:
-    """One generator image at chart coordinates x (entries not reduced mod q)."""
-    const, terms = image
-    w = list(const)
-    for var, vec in terms:
-        c = x[var]
-        if c:
-            w = [a + c * b for a, b in zip(w, vec)]
-    return w
-
-
-def _chart_equations(step: _Step, values: list, q: int) -> Iterator[tuple[list[int], int]]:
-    """Linear conditions (row, rhs) on the step's chart coordinates from arrows to placed vertices.
-
-    Pure rows are left out: they are the step's forms.
-    """
-    chart = step.chart
-    nfree = chart.nfree
-    # an earlier generator's image w lies in this chart's span:
-    # w[r] = sum_j w[pivot j] * x[r, j] on each nonpivot row r
-    for k, images in step.incoming:
-        for image in images:
-            w = _image(image, values[k])
-            for r, free in zip(chart.nonpivot_rows, chart.row_free):
-                if not free:
-                    continue
-                row = [0] * nfree
-                for j, var in free:
-                    row[var] = w[chart.pivot_rows[j]] % q
-                yield row, w[r] % q
-    # this chart's generator images lie in an earlier span, fixed at y:
-    # the residual w[r] - sum_c w[pivot c] * y[r, c] vanishes there
-    for k, target, images in step.outgoing:
-        y = values[k]
-        for r, free in zip(target.nonpivot_rows, target.row_free):
-            weights = [(target.pivot_rows[c], y[var]) for c, var in free if y[var]]
-            for const, terms in images:
-                row = [0] * nfree
-                for var, vec in terms:
-                    row[var] = (vec[r] - sum(vec[p] * c for p, c in weights)) % q
-                yield row, (sum(const[p] * c for p, c in weights) - const[r]) % q
-
-
 def _chart_solutions(step: _Step, values: list, q: int) -> Iterator[Vector]:
     """Chart coordinates of the step that satisfy every arrow to a placed vertex.
 
-    The pure rows are read first, as the step's linear forms in its
-    neighbours' coordinates: the first that does not vanish ends the step
-    before any generator image is built.  Of the other rows, zero rows
-    are dropped, and one with a nonzero right-hand side ends the step
-    before any elimination.  So `iter_solutions_mod` sees the rows that
-    reading every row in order and dropping the zero ones would give.
+    Each row is evaluated at its earlier step's coordinates, `pure` first
+    and then `rows`.  A row whose coefficients all vanish is dropped, and
+    ends the step before any elimination if its right-hand side does
+    not; so a pure row that does not vanish ends the step before any
+    other row is read.  `iter_solutions_mod` sees the other rows in
+    wiring order.
     """
-    for k, const, terms in step.pure:
-        y = values[k]
-        for var, c in terms:
-            const += c * y[var]
-        if const % q:
-            return iter(())
+    nfree = step.chart.nfree
     rows: list[list[int]] = []
     rhs: list[int] = []
-    for row, b in _chart_equations(step, values, q):
+    for k, (b, terms), *coefficients in chain(step.pure, step.rows):  # a pure row has none
+        y = values[k]
+        for u, c in terms:
+            b += c * y[u]
+        row = [0] * nfree
+        for v, (a, terms) in chain(*coefficients):
+            for u, c in terms:
+                a += c * y[u]
+            row[v] = a % q
         if any(row):
             rows.append(row)
-            rhs.append(b)
-        elif b:
+            rhs.append(b % q)
+        elif b % q:
             return iter(())
-    return iter_solutions_mod(rows, rhs, step.chart.nfree, q)
-
-
-def _step_solutions(step: _Step, values: list, q: int) -> Iterator[Vector]:
-    """Chart coordinates of the step that satisfy its arrows to placed vertices and its loops."""
-    solutions = _chart_solutions(step, values, q)
-    if step.loops:
-        return (x for x in solutions if _loops_hold(step, x, q))
-    return solutions
+    return iter_solutions_mod(rows, rhs, nfree, q)
 
 
 def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable:
     """The step's `(x, matrix)` points at the placed values, memoised by its neighbours' coordinates.
 
-    A list without a memo, or that does not fit in the table's room, is
-    streamed and not kept.  The search reads memo hits itself and calls
-    this past the first step only on a miss.
+    They are its chart solutions that pass its loops.  A list without a
+    memo, or that does not fit in the table's room, is streamed and not
+    kept.  The search reads memo hits itself and calls this past the
+    first step only on a miss.
     """
     memo = step.points
-    if memo is None:
-        return map(step.chart.build, _step_solutions(step, values, q))
-    coordinates = step.coordinates(values)
-    found = memo.get(coordinates)
-    if found is not None:
-        return found
-    solutions = _step_solutions(step, values, q)
+    if memo is not None:
+        coordinates = step.coordinates(values)
+        found = memo.get(coordinates)
+        if found is not None:
+            return found
+    solutions = _chart_solutions(step, values, q)
+    if step.loops:
+        solutions = (x for x in solutions if _loops_hold(step, x, q))
     chart = step.chart
+    if memo is None:
+        return map(chart.build, solutions)
     fits = max(tables.room - _MEMO_ENTRY_BYTES, -1) // chart.point_bytes
     head = list(islice(solutions, fits + 1))
     if len(head) <= fits:  # all of them
@@ -587,6 +550,7 @@ def assign_cell(point: SubrepPoint | Mapping[str, Matrix], basis, q: int | None 
         subspaces = point
         if q is None:
             raise ValueError("a prime is required when passing raw matrices")
+    require_prime(q)
     pivots: list[str] = []
     for v, mat in subspaces.items():
         block = basis.block(v)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Matrix, identity_matrix, is_identity, matrix
+from .linalg import Matrix, identity_matrix, is_identity
 from .quiver import Arrow, Quiver, QuiverMorphism, Subquiver, difference_of, distances_to, full_subquiver
 from .quiver import quiver, quiver_from_json, quiver_to_json
 from .quiver import validate as validate_quiver
@@ -97,21 +97,21 @@ class Representation:
             if m is None:
                 problems.append(f"arrow {a.name!r} has no matrix")
                 continue
-            nrows, ncols = len(m), len(m[0]) if m else 0
-            if nrows != self.rank(a.tgt) or (nrows and ncols != self.rank(a.src)):
-                problems.append(
-                    f"arrow {a.name!r}: matrix is {nrows}x{ncols}, expected "
-                    f"{self.rank(a.tgt)}x{self.rank(a.src)}"
-                )
-            if nrows == 0 and self.rank(a.src) and self.rank(a.tgt):
-                problems.append(f"arrow {a.name!r}: matrix is empty")
+            if len(m) != self.rank(a.tgt):
+                problems.append(f"arrow {a.name!r}: matrix has {len(m)} rows, expected {self.rank(a.tgt)}")
+            for i, row in enumerate(m, 1):
+                if len(row) != self.rank(a.src):
+                    problems.append(f"arrow {a.name!r}: row {i} has {len(row)} entries, expected {self.rank(a.src)}")
+                for j, x in enumerate(row, 1):
+                    if type(x) is not int:  # a bool, float or string is not an entry
+                        problems.append(f"arrow {a.name!r}: entry ({i}, {j}) is {x!r}, not an integer")
         return problems
 
 
 def representation(
     q: Quiver, basis: OrderedBasis, matrices: Mapping[str, Sequence[Sequence[int]]]
 ) -> Representation:
-    mats = {k: matrix(v) for k, v in matrices.items()}
+    mats = {k: tuple(map(tuple, v)) for k, v in matrices.items()}  # entries checked by validate
     for a in q.arrows:
         # matrices with an empty side have one canonical shape
         nrows, ncols = len(basis.block(a.tgt)), len(basis.block(a.src))

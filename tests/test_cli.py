@@ -87,6 +87,36 @@ def test_validate_file_input(tmp_path):
     assert code == 2
 
 
+def _two_lines_with(tmp_path, a):
+    """A two_lines module file whose arrow has the matrix a."""
+    data = json.loads(representation_to_json(catalog("two_lines").representation))
+    data["matrices"]["a"] = a
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "count", "equations"])
+def test_ragged_matrix_rows_are_an_input_error(tmp_path, command):
+    path = _two_lines_with(tmp_path, [[1, 0], [1]])
+    argv = [command, "--rep", path] + (["--dim-vector", "1,1"] if command != "validate" else [])
+    assert run(argv) == (2, "", "input error: arrow 'a': row 2 has 1 entries, expected 2\n")
+
+
+@pytest.mark.parametrize(
+    "a, shown",
+    [
+        ([[1.7, 0], [0, 0.2]], "entry (1, 1) is 1.7, not an integer; arrow 'a': entry (2, 2) is 0.2"),
+        ([["1", 0], [0, 0]], "entry (1, 1) is '1'"),
+        ([[1, 0], [0, True]], "entry (2, 2) is True"),
+    ],
+)
+def test_matrix_entries_that_are_not_integers_are_an_input_error(tmp_path, a, shown):
+    path = _two_lines_with(tmp_path, a)
+    code, out, err = run(["count", "--rep", path, "--dim-vector", "1,1", "--primes", "2"])
+    assert (code, out, err) == (2, "", f"input error: arrow 'a': {shown}, not an integer\n")
+
+
 def test_module_whose_quiver_lists_a_vertex_twice_is_an_input_error(tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps({

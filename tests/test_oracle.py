@@ -67,6 +67,14 @@ def test_assign_cell_dependent_generators():
         assign_cell({"1": ((1, 1), (1, 1))}, rep.basis, 2)
 
 
+@pytest.mark.parametrize("q", [0, 1, 4, 6])
+def test_assign_cell_refuses_a_modulus_that_is_not_prime(q):
+    rep = catalog("two_lines").representation
+    subspaces = {"1": ((1,), (1,)), "2": ((1,), (3,))}
+    with pytest.raises(ValueError, match=f"modulus {q} is not a prime"):
+        assign_cell(subspaces, rep.basis, q)
+
+
 def test_counts_partition_and_totals():
     rep = catalog("two_lines").representation
     reports = count(rep, {"1": 1, "2": 1}, primes=[2, 3, 5])

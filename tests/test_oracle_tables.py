@@ -303,24 +303,19 @@ def test_point_dicts_are_fresh_and_independent():
 
 
 # Work of count() on each entry at these primes: calls of _chart_solutions,
-# solve_mod and iter_solutions_mod, the points iter_solutions_mod yields,
-# and the calls of _image made when every arrow row was built before any
-# was read.
+# solve_mod and iter_solutions_mod, and the points iter_solutions_mod yields.
 PINNED_WORK = {
-    ("kronecker_preinjective(4)", (2, 3, 5)): (3747, 565, 583, 946, 4674),
-    ("kronecker_preprojective(5)", (2, 3)): (2290, 150, 162, 304, 3040),
-    ("ex_4_5_5", (2, 3)): (1550, 53, 65, 112, 1925),
-    ("one_loop(4,1)", (11,)): (6, 0, 6, 16226, 16359),
+    ("kronecker_preinjective(4)", (2, 3, 5)): (3747, 565, 583, 946),
+    ("kronecker_preprojective(5)", (2, 3)): (2290, 150, 162, 304),
+    ("ex_4_5_5", (2, 3)): (1550, 53, 65, 112),
+    ("one_loop(4,1)", (11,)): (6, 0, 6, 16226),
 }
 
 
 @pytest.mark.parametrize("spec, primes", sorted(PINNED_WORK))
 def test_pure_rows_and_loop_forms_save_images_not_solves(monkeypatch, spec, primes):
-    """Reading the pure rows first and the loops as forms solves the same systems and yields the same points.
-
-    Only the generator images built for the remaining rows are fewer.
-    """
-    calls = dict.fromkeys(("_chart_solutions", "solve_mod", "iter_solutions_mod", "yielded", "_image"), 0)
+    """Reading the pure rows first and the loops as forms solves the same systems and yields the same points."""
+    calls = dict.fromkeys(("_chart_solutions", "solve_mod", "iter_solutions_mod", "yielded"), 0)
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -338,14 +333,11 @@ def test_pure_rows_and_loop_forms_save_images_not_solves(monkeypatch, spec, prim
             yield x
 
     counted(oracle, "_chart_solutions")
-    counted(oracle, "_image")
     counted(linalg, "solve_mod")
     monkeypatch.setattr(oracle, "iter_solutions_mod", yielding)
     entry = catalog(spec)
     count(entry.representation, entry.dim_vector, primes=primes)
-    *work, images = PINNED_WORK[spec, primes]
-    assert [calls[k] for k in ("_chart_solutions", "solve_mod", "iter_solutions_mod", "yielded")] == work
-    assert calls["_image"] < images
+    assert tuple(calls.values()) == PINNED_WORK[spec, primes]
 
 
 def _rank(columns, q):
@@ -392,3 +384,78 @@ def test_loop_forms_agree_with_a_rank_test_on_every_chart_point(q):
                     assert oracle._loops_hold(step, x, q) == held, (name, beta.key(), x)
                     outcomes.add(held)
     assert seeds > 0 and outcomes == {True, False}
+
+
+def _arrow_cases():
+    for spec in ("ex_4_5_5", "kronecker_preinjective(4)", "degenerate_flag(3)"):
+        entry = catalog(spec)
+        yield spec, entry.representation, entry.dim_vector
+    for seed in range(40):
+        yield (f"seed {seed}", *random_branching_cycle(seed))
+
+
+def _placed(tables, pivots, q, values, i=0):
+    """(step index, wired step) at each point the search of one cell places before that step.
+
+    values holds the placed points when each pair comes out.
+    """
+    step = tables.step(i, pivots)
+    yield i, step
+    if i + 1 < len(values):
+        for x in oracle._chart_solutions(step, values, q):
+            if oracle._loops_hold(step, x, q):
+                values[i] = x
+                yield from _placed(tables, pivots, q, values, i + 1)
+
+
+def _generators(chart, x):
+    """The columns of the chart point at x."""
+    return list(zip(*chart.build(x)[1]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_arrow_rows_agree_with_a_rank_test_on_every_chart_point(q):
+    """A chart point passes the arrow rows exactly when each arrow A to a placed neighbour keeps its span.
+
+    That is rank [G_tgt | A G_src] = rank G_tgt, with G the generators of
+    each end's chart point.  Every wired step of every cell is checked at
+    every point its search places on the neighbours: on every point of
+    its own chart when there are at most 81, else on every solution and
+    ten random points.
+    """
+    rng = random.Random(q)
+    outcomes = set()
+    for name, rep, e in _arrow_cases():
+        tables = _Tables(rep, q)
+        vertices = rep.quiver.vertices
+        index = {v: i for i, v in enumerate(vertices)}
+        arrows = [[] for _ in vertices]  # non-loop arrows, at their later end
+        for a in rep.quiver.arrows:
+            s, t = index[a.src], index[a.tgt]
+            if s != t:
+                arrows[max(s, t)].append((s, t, rep.matrices[a.name]))
+        seen = set()
+        for beta in enumerate_cells(rep.basis, e, vertices):
+            chosen = set(beta.elements)
+            pivots = [tuple(b for b in block if b in chosen) for block in tables.blocks]
+            values = [()] * len(vertices)
+            for i, step in _placed(tables, pivots, q, values):
+                key = (step, step.coordinates(values))
+                if key in seen:
+                    continue
+                seen.add(key)
+                g = {k: _generators(tables.chart(k, pivots[k]), values[k]) for k in tables.neighbours[i]}
+                passed = set(oracle._chart_solutions(step, values, q))
+                nfree = step.chart.nfree
+                points = product(range(q), repeat=nfree)
+                if q**nfree > 81:
+                    points = passed | {tuple(rng.randrange(q) for _ in range(nfree)) for _ in range(10)}
+                for x in points:
+                    g[i] = _generators(step.chart, x)
+                    held = all(  # chart generators are independent: rank G_tgt = len(G_tgt)
+                        _rank(g[t] + [mat_vec_mod(a, col, q) for col in g[s]], q) == len(g[t])
+                        for s, t, a in arrows[i]
+                    )
+                    assert (x in passed) == held, (name, beta.key(), i, x)
+                    outcomes.add(held)
+    assert outcomes == {True, False}

@@ -1,5 +1,7 @@
 """Representations: restriction, push-forward, direct sums, basis orders."""
 
+import re
+
 import pytest
 
 from quiver_schubert.catalog import catalog
@@ -222,3 +224,16 @@ def test_validate_reports_the_problems_of_the_quiver():
     assert problems[:2] == ["duplicate vertex id '1'", "dangling endpoint: arrow 'a' target '3'"]
     with pytest.raises(ValueError, match="^duplicate vertex id '1'$"):
         representation(quiver(["1", "1"], []), basis, {})
+
+
+def test_validate_refuses_ragged_rows_and_entries_that_are_not_integers():
+    q = quiver(["1", "2"], [("a", "1", "2")])
+    basis = OrderedBasis(("b1", "b2", "b3"), {"b1": "1", "b2": "1", "b3": "2"})
+    with pytest.raises(ValueError, match=r"^arrow 'a': row 1 has 1 entries, expected 2$"):
+        representation(q, basis, {"a": [[1]]})
+    with pytest.raises(ValueError, match=r"^arrow 'a': matrix has 2 rows, expected 1$"):
+        representation(q, basis, {"a": [[1, 0], [0, 1]]})
+    for bad in (1.0, "1", True, None):
+        with pytest.raises(ValueError, match=rf"^arrow 'a': entry \(1, 2\) is {re.escape(repr(bad))}, not an integer$"):
+            representation(q, basis, {"a": [[1, bad]]})
+    assert representation(q, basis, {"a": [[1, -1]]}).matrices["a"] == ((1, -1),)
