@@ -1,8 +1,11 @@
 """Representations: restriction, push-forward, direct sums, basis orders."""
 
+import random
 import re
 
 import pytest
+
+from conftest import random_tree_extension
 
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import identity_matrix
@@ -11,6 +14,8 @@ from quiver_schubert.quiver import (
     compose,
     full_subquiver,
     identity_morphism,
+    is_tree,
+    is_tree_extension,
     quiver,
     subquiver,
 )
@@ -172,6 +177,76 @@ def test_is_ordered_above_examples():
     ok, diag = is_ordered_above(reversed_rep, f.subquiver)
     assert not ok
     assert any("B_S <= B" in d for d in diag)
+
+
+def _ordered_by_every_path(m, s) -> bool:
+    """The order-above-S condition, with its path clause checked on every simple path.
+
+    Every undirected path that starts in S and then stays outside S must
+    strictly increase in the vertex order of the basis blocks.
+    """
+    pos = m.basis.positions()
+    in_s = [pos[b] for b in m.basis.order if m.basis.vertex_of[b] in s.vertices]
+    rest = [pos[b] for b in m.basis.order if m.basis.vertex_of[b] not in s.vertices]
+    if in_s and rest and max(in_s) > min(rest):
+        return False
+    try:
+        key = m.basis.vertex_key(m.quiver.vertices)
+    except ValueError:
+        return False
+    steps = {v: [] for v in m.quiver.vertices}
+    for a in m.quiver.arrows:
+        if a.name not in s.arrows:
+            if m.matrices[a.name] != identity_matrix(m.rank(a.src)):
+                return False
+            steps[a.src].append(a.tgt)
+            steps[a.tgt].append(a.src)
+
+    def increasing(path) -> bool:
+        here = path[-1]
+        return all(
+            key.get(nxt, -1) > key.get(here, -1) and increasing(path + [nxt])
+            for nxt in steps[here]
+            if nxt not in s.vertices and nxt not in path
+        )
+
+    return all(increasing([v]) for v in s.vertices)
+
+
+def _tree_extensions_for_order_checks():
+    """Catalog and seeded tree extensions, over their own S and over each single vertex of a tree."""
+    specs = ["flag(3;1,2)", "flag(4;1,2,3)", "flag(5;1,2,3,4)", "ex_4_5_1", "ex_4_5_2", "ex_4_5_5"]
+    specs += [f"kronecker_{kind}({n})" for kind in ("preprojective", "preinjective") for n in (1, 2, 3)]
+    modules = []
+    for spec in specs:
+        entry = catalog(spec)
+        modules.append((entry.upstairs or entry.representation, entry.subquiver))
+    modules += [random_tree_extension(seed)[:2] for seed in range(40)]
+    for m, s in modules:
+        yield m, s
+        if is_tree(m.quiver):
+            for v in m.quiver.vertices:
+                yield m, subquiver(m.quiver, [v])
+
+
+def test_is_ordered_above_matches_every_path():
+    rng = random.Random(14)
+    verdicts = []
+    for m, s in _tree_extensions_for_order_checks():
+        assert is_tree_extension(m.quiver, s)
+        vertices = list(m.quiver.vertices)
+        orders = []
+        for _ in range(3):
+            rng.shuffle(vertices)
+            orders.append([b for v in vertices for b in m.basis.block(v)])
+            orders.append(rng.sample(m.basis.order, len(m.basis.order)))
+        for order in [m.basis.order] + orders:
+            rep = reorder_basis(m, order)
+            ok, diag = is_ordered_above(rep, s)
+            assert ok == (not diag) == _ordered_by_every_path(rep, s), (order, diag)
+            verdicts.append(ok)
+    # both verdicts are compared many times
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 500
 
 
 def test_order_checks_name_a_non_identity_arrow_alike():

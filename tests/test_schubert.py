@@ -1,7 +1,9 @@
 """Schubert cells: enumeration, equations, tree theorems, comparison maps."""
 
+import hashlib
+import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -292,6 +294,42 @@ def test_grassmannian_fibration_counts():
         for ee, mm in fibres:
             expected *= gaussian_binomial(mm, ee, q)
         assert total == expected
+
+
+def _tree_pin_modules():
+    """(name, module, S, dimension vectors) for the pinned tree theorems.
+
+    Every dimension vector of a module of rank at most 12; flag(5;1,2,3,4),
+    of rank 20, only at its catalog vector.
+    """
+    named = [(spec, catalog(spec)) for spec in ("flag(3;1,2)", "flag(4;1,2,3)", "flag(5;1,2,3,4)")]
+    modules = [(spec, entry.representation, entry.subquiver, dict(entry.dim_vector)) for spec, entry in named]
+    modules += [(f"seed {seed}", *random_tree_extension(seed)) for seed in range(100)]
+    for name, rep, s, e in modules:
+        vertices = rep.quiver.vertices
+        if len(rep.basis.order) <= 12:
+            dims = [dict(zip(vertices, d)) for d in product(*(range(rep.rank(v) + 1) for v in vertices))]
+        else:
+            dims = [e]
+        yield name, rep, s, dims
+
+
+# SHA-256 of one JSON line per pivot-closed cell, [module, cell key,
+# dimension], and per dimension vector, [module, vector, sorted fibres];
+# taken from end peeling, before the per-arrow sums replaced it.
+PINNED_TREE_THEOREMS = (3557, "f38677c2c62d375aae33afaeb3567979ed0766882876032b2696fc5634d9beda")
+
+
+def test_tree_theorems_are_pinned():
+    digest, cells = hashlib.sha256(), 0
+    for name, rep, s, dims in _tree_pin_modules():
+        for e in dims:
+            for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
+                if not tree_cell_emptiness(rep, s, beta, base_is_empty=False):
+                    digest.update(json.dumps([name, beta.key(), tree_cell_dimension(rep, s, beta)]).encode() + b"\n")
+                    cells += 1
+            digest.update(json.dumps([name, e, sorted(grassmannian_fibration(rep, s, e))]).encode() + b"\n")
+    assert (cells, digest.hexdigest()) == PINNED_TREE_THEOREMS
 
 
 def test_iota_pi_retraction_and_equations():
