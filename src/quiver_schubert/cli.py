@@ -223,6 +223,8 @@ def _run(args) -> int:
         given = [flag for flag, value in files if value is not None]
         if given:
             raise InputError(f"--catalog cannot be combined with {', '.join(given)}")
+    if cmd not in ("winding", "pushforward") and (args.morphism, args.target_quiver) != (None, None):
+        raise InputError("--morphism and --target-quiver are read only by winding and pushforward")
     entry = catalog(args.catalog) if args.catalog else None
     if cmd == "catalog":
         if entry is not None:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, identity_matrix, is_identity
 from .quiver import Arrow, Quiver, QuiverMorphism, Subquiver, difference_of, distances_to, full_subquiver
-from .quiver import quiver, quiver_from_json, quiver_to_json
+from .quiver import is_tree_extension, quiver, quiver_from_json, quiver_to_json
 from .quiver import validate as validate_quiver
 
 
@@ -113,10 +113,9 @@ def representation(
 ) -> Representation:
     mats = {k: tuple(map(tuple, v)) for k, v in matrices.items()}  # entries checked by validate
     for a in q.arrows:
-        # matrices with an empty side have one canonical shape
-        nrows, ncols = len(basis.block(a.tgt)), len(basis.block(a.src))
-        if a.name in mats and (nrows == 0 or ncols == 0):
-            mats[a.name] = tuple(() for _ in range(nrows))
+        # [] also stands for the rows of width 0 of an arrow with an empty source block
+        if mats.get(a.name) == () and not basis.block(a.src):
+            mats[a.name] = ((),) * len(basis.block(a.tgt))
     rep = Representation(q, basis, mats)
     problems = rep.validate()
     if problems:
@@ -215,8 +214,15 @@ def reorder_basis(m: Representation, new_order: Sequence[str]) -> Representation
 def is_ordered_above(m: Representation, s: Subquiver) -> tuple[bool, list[str]]:
     """Check the four clauses of the order-above-S condition, with diagnostics.
 
-    Paths out of S are undirected walks with pairwise-distinct vertices.
+    T must be a tree extension of S; otherwise the only diagnostic says
+    so.  The path clause asks every undirected path that leaves S along
+    T-S to be increasing in the vertex order.  On a tree extension such a
+    path moves one step farther from S with every arrow, so the clause
+    holds exactly when each arrow of T-S has its farther end later in the
+    vertex order than its nearer end.  With S empty it is vacuous.
     """
+    if not is_tree_extension(m.quiver, s):
+        return False, ["T is not a tree extension of S"]
     diagnostics: list[str] = []
     pos = m.basis.positions()
     s_elems = [b for b in m.basis.order if m.basis.vertex_of[b] in s.vertices]
@@ -230,32 +236,16 @@ def is_ordered_above(m: Representation, s: Subquiver) -> tuple[bool, list[str]]:
         diagnostics.append(f"basis does not induce a vertex order: {exc}")
         key = None
 
-    diff = difference_of(m.quiver, s)
-    if key is not None:
-        boundary = sorted(v for v in s.vertices if v in diff.vertices)
-        steps: dict[str, list[str]] = {}
-        for name in diff.arrows:
-            a = m.quiver.arrow(name)
-            steps.setdefault(a.src, []).append(a.tgt)
-            steps.setdefault(a.tgt, []).append(a.src)
-        outside = {v for v in m.quiver.vertices if v not in s.vertices}
+    if key is not None and s.vertices:
+        dist = distances_to(m.quiver, s)
+        for a in m.quiver.arrows:
+            if a.name in s.arrows:
+                continue
+            near, far = (a.src, a.tgt) if dist[a.src] < dist[a.tgt] else (a.tgt, a.src)
+            if key.get(far, -1) <= key.get(near, -1):
+                diagnostics.append(f"step {near} -> {far} along arrow {a.name!r} is not increasing")
 
-        def walk(path: list[str]) -> None:
-            here = path[-1]
-            for nxt in steps.get(here, []):
-                if nxt not in outside or nxt in path:
-                    continue
-                if key.get(nxt, -1) <= key.get(here, -1):
-                    diagnostics.append(
-                        f"path {' -> '.join(path + [nxt])} is not increasing"
-                    )
-                    continue
-                walk(path + [nxt])
-
-        for p0 in boundary:
-            walk([p0])
-
-    diagnostics += _non_identity_arrows(m, diff)
+    diagnostics += _non_identity_arrows(m, difference_of(m.quiver, s))
     return not diagnostics, diagnostics
 
 

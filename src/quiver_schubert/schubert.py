@@ -13,8 +13,9 @@ per-cell entry points share that work, and each module builds it once
 (`_module_setup`):
 
 - the tree setup of (M, S): the checks that T/S is a tree and the basis
-  is ordered above S, the identity image of every basis element along
-  each arrow of T-S, and the end-peeling schedule of each peel order;
+  is ordered above S, and for each arrow of T-S the identity image of
+  every basis element along it and which of its ends lies farther
+  from S;
 - the winding setup of (M, F): the checks that F is a winding on the
   quiver of M, the ambient vertex of every basis element, the fibre
   arrows and sorted fibres of each codomain arrow, and the nonzero
@@ -38,10 +39,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import int_det
 from .quiver import (
-    Quiver,
     QuiverMorphism,
     Subquiver,
     difference_of,
+    distances_to,
     identity_morphism,
     is_strictly_ordered,
     is_tree_extension,
@@ -489,83 +490,36 @@ def check_tree_setup(m: Representation, s: Subquiver) -> None:
         raise PreconditionError("basis is not ordered above S: " + "; ".join(diag))
 
 
-def _ends_outside(quiver: Quiver, vertices: set[str], arrows: set[str], s: Subquiver) -> list[str]:
-    degree: dict[str, int] = {v: 0 for v in vertices}
-    for name in arrows:
-        a = quiver.arrow(name)
-        degree[a.src] += 1
-        degree[a.tgt] += 1
-    return [v for v in vertices if v not in s.vertices and degree[v] == 1]
-
-
-def _peel_schedule(
-    m: Representation, s: Subquiver, peel: str = "largest"
-) -> list[tuple[str, str, str]]:
-    """Order in which ends of T-S are removed: (end vertex, arrow, case).
-
-    Case "I" removes a head, case "II" a tail.  The default removes the
-    largest end in the induced vertex order at every step; correctness is
-    order-independent, so "smallest" exists for cross-checking.
-    """
-    key = m.basis.vertex_key(m.quiver.vertices)
-    vertices = set(m.quiver.vertices)
-    arrows = {a.name for a in m.quiver.arrows}
-    schedule = []
-    while vertices - set(s.vertices):
-        ends = _ends_outside(m.quiver, vertices, arrows, s)
-        if not ends:
-            raise PreconditionError("no removable end outside S; quotient is not a tree")
-        ends.sort(key=lambda v: key.get(v, -1))
-        end = ends[-1] if peel == "largest" else ends[0]
-        incident = [
-            m.quiver.arrow(name)
-            for name in arrows
-            if m.quiver.arrow(name).src == end or m.quiver.arrow(name).tgt == end
-        ]
-        a = incident[0]
-        schedule.append((end, a.name, "I" if a.tgt == end else "II"))
-        vertices.discard(end)
-        arrows.discard(a.name)
-    return schedule
-
-
 class _TreeSetup:
     """The cell-independent part of the tree-extension theorems for one module and S.
 
     Made only once `check_tree_setup` passes, so every arrow of T-S
     carries an identity matrix: it sends the i-th element of its source
-    block to the i-th of its target block.  Keeps that identity image
-    map per arrow of T-S and, on first use, the peeling schedule of each
-    peel order.
+    block to the i-th of its target block.  Keeps one (case, source
+    block, target block, identity image map) per arrow of T-S, in arrow
+    order.  The case is "I" when the arrow's target lies farther from S
+    and "II" when its source does; on a tree extension of a nonempty S
+    the two ends of an arrow of T-S are one step apart.
     """
 
     def __init__(self, m: Representation, s: Subquiver):
         check_tree_setup(m, s)
-        self.images = {}
-        for name in sorted(difference_of(m.quiver, s).arrows):
-            a = m.quiver.arrow(name)
-            self.images[name] = dict(zip(m.basis.block(a.src), m.basis.block(a.tgt)))
-        self.schedules: dict[str, list[tuple[str, tuple, tuple, dict[str, str]]]] = {}
+        dist = distances_to(m.quiver, s)  # empty when S is, and then no case is read
+        self.arrows = []
+        for a in m.quiver.arrows:
+            if a.name not in s.arrows:
+                case = "I" if dist.get(a.tgt, 0) > dist.get(a.src, 0) else "II"
+                src, tgt = m.basis.block(a.src), m.basis.block(a.tgt)
+                self.arrows.append((case, src, tgt, dict(zip(src, tgt))))
 
     def closed(self, beta_set: set[str]) -> bool:
         """Pivot criterion: beta holds the image of each of its elements along every arrow of T-S."""
         return all(
             img in beta_set
-            for image_of in self.images.values()
+            for _case, _src, _tgt, image_of in self.arrows
             for b, img in image_of.items()
             if b in beta_set
         )
-
-    def schedule(self, m: Representation, s: Subquiver, peel: str):
-        """`_peel_schedule` as (case, source block, target block, identity image map) per end."""
-        steps = self.schedules.get(peel)
-        if steps is None:
-            steps = []
-            for _end, name, case in _peel_schedule(m, s, peel):
-                a = m.quiver.arrow(name)
-                steps.append((case, m.basis.block(a.src), m.basis.block(a.tgt), self.images[name]))
-            self.schedules[peel] = steps
-        return steps
 
 
 def tree_setup(m: Representation, s: Subquiver) -> _TreeSetup:
@@ -595,23 +549,23 @@ def tree_cell_emptiness(
     return not setup.closed(set(beta.elements)) or base_is_empty
 
 
-def tree_cell_dimension(
-    m: Representation, s: Subquiver, beta: CellIndex, peel: str = "largest"
-) -> int:
-    """Exponent n with C_beta(M) = C_{beta_S}(M_S) x A^n, by end peeling.
+def tree_cell_dimension(m: Representation, s: Subquiver, beta: CellIndex) -> int:
+    """Exponent n with C_beta(M) = C_{beta_S}(M_S) x A^n.
 
-    `peel` is "largest" or "smallest", the end removed at every step.
+    n is a sum of one term per arrow of T-S, fixed by which end of the
+    arrow lies farther from S.  Peeling the ends of T-S one at a time
+    gives the same sum in every order, since an end leaves together with
+    its only arrow.  S must be nonempty.
     """
-    if peel not in ("largest", "smallest"):
-        raise ValueError(f"peel must be 'largest' or 'smallest', not {peel!r}")
     setup = tree_setup(m, s)
     beta_set = set(beta.elements)
     if not setup.closed(beta_set):
         raise ValueError("cell is empty over S by the pivot criterion")
+    if not s.vertices:
+        raise PreconditionError("S must be nonempty")
     total = 0
-    # Blocks are in basis order, so "below b in its block" is "before b".  A
-    # peeled end leaves with its only arrow, so no later step reads its block.
-    for case, src_block, tgt_block, image_of in setup.schedule(m, s, peel):
+    # blocks are in basis order, so "below b in its block" is "before b"
+    for case, src_block, tgt_block, image_of in setup.arrows:
         image = {image_of[b] for b in src_block if b in beta_set}
         if case == "I":
             # each head pivot outside the image: one coordinate per non-pivot row below it
@@ -637,9 +591,10 @@ def grassmannian_fibration(
 ) -> list[tuple[int, int]]:
     """Fibre parameters (e_i, m_i) of the tower of Grassmannian bundles.
 
-    Peeling an end q of an arrow p -> q contributes Gr(e_q - e_p, m_q - e_p);
-    peeling an end p contributes Gr(e_p, e_q).  The total F_q point count is
-    the base count times the product of the Gaussian binomials.
+    One fibre per arrow p -> q of T-S, in arrow order: Gr(e_q - e_p, m_q - e_p)
+    when q lies farther from S, Gr(e_p, e_q) when p does.  The total F_q
+    point count is the base count times the product of the Gaussian
+    binomials.  S must be nonempty.
     """
     if not is_tree_extension(m.quiver, s):
         raise PreconditionError("T is not a tree extension of S")
@@ -647,13 +602,16 @@ def grassmannian_fibration(
         mat = m.matrices[name]
         if len(mat) != len(mat[0] if mat else ()) or abs(int_det(mat)) != 1:
             raise PreconditionError(f"arrow {name!r} in T-S is not invertible over every field")
+    if not s.vertices:
+        raise PreconditionError("S must be nonempty")
+    dist = distances_to(m.quiver, s)
     fibres = []
-    for end, arrow_name, case in _peel_schedule(m, s, peel="largest"):
-        a = m.quiver.arrow(arrow_name)
+    for a in m.quiver.arrows:
+        if a.name in s.arrows:
+            continue
         ep, eq = e.get(a.src, 0), e.get(a.tgt, 0)
-        mq = m.rank(a.tgt)
-        if case == "I":
-            fibres.append((eq - ep, mq - ep))
+        if dist[a.tgt] > dist[a.src]:
+            fibres.append((eq - ep, m.rank(a.tgt) - ep))
         else:
             fibres.append((ep, eq))
     return fibres

@@ -117,6 +117,20 @@ def test_matrix_entries_that_are_not_integers_are_an_input_error(tmp_path, a, sh
     assert (code, out, err) == (2, "", f"input error: arrow 'a': {shown}, not an integer\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "count"])
+def test_matrix_on_an_arrow_with_an_empty_side_is_validated(tmp_path, command):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({
+        "quiver": json.loads(quiver_to_json(quiver(["1", "2"], [("a", "1", "2")]))),
+        "basis": {"order": ["x"], "vertex_of": {"x": "2"}},
+        "matrices": {"a": [[1.7], [5, 6, 7]]},
+    }))
+    argv = [command, "--rep", str(path)] + (["--dim-vector", "0,1", "--primes", "2"] if command == "count" else [])
+    code, out, err = run(argv)
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert err.startswith("input error: arrow 'a': matrix has 2 rows, expected 1; ")
+
+
 def test_module_whose_quiver_lists_a_vertex_twice_is_an_input_error(tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps({
@@ -327,6 +341,30 @@ def test_morphism_file_of_the_wrong_layout_is_an_input_error(tmp_path):
     argv = ["winding", "--rep", str(rep), "--target-quiver", str(target), "--morphism", str(morphism)]
     code, _, err = run(argv)
     assert code == 2 and "unexpected JSON layout" in err
+
+
+COMMANDS = [
+    "validate", "winding", "tree-ext", "pushforward", "cells", "equations", "hypothesis-h",
+    "count", "poly", "euler", "poincare", "verify-affine", "catalog",
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_only_winding_and_pushforward_read_morphism_files(tmp_path, command):
+    entry = catalog("ex_4_5_1")
+    f = entry.morphism
+    rep, target, morphism = tmp_path / "rep.json", tmp_path / "target.json", tmp_path / "f.json"
+    rep.write_text(representation_to_json(entry.upstairs))
+    target.write_text(quiver_to_json(f.codomain))
+    morphism.write_text(json.dumps({"vertex_map": dict(f.vertex_map), "arrow_map": dict(f.arrow_map)}))
+    both = ["--morphism", str(morphism), "--target-quiver", str(target)]
+    if command in ("winding", "pushforward"):
+        assert run([command, "--rep", str(rep)] + both)[0] == 0
+        return
+    for flags in (both, both[:2], both[2:]):
+        code, out, err = run([command, "--rep", str(rep), "--beta", "3,4"] + flags)
+        assert (code, out) == (2, "")
+        assert err == "input error: --morphism and --target-quiver are read only by winding and pushforward\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "cells", "winding", "count"])

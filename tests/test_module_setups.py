@@ -58,7 +58,6 @@ def _tree_answers(m, s, cells):
         (
             _outcome(lambda: tree_cell_emptiness(m, s, beta, base_is_empty=False)),
             _outcome(lambda: tree_cell_dimension(m, s, beta)),
-            _outcome(lambda: tree_cell_dimension(m, s, beta, peel="smallest")),
         )
         for beta in cells
     ]
@@ -75,7 +74,6 @@ def _assert_warm_equals_cold(m, cells, f=None, s=None):
     if s is not None:
         warm = _tree_answers(m, s, cells)
         assert getattr(m, "_tree_setup")[0] is s
-        assert set(tree_setup(m, s).schedules) <= {"largest", "smallest"}
         cold = [_tree_answers(cold_copy(), s, [beta])[0] for beta in cells]
         assert warm == cold
 
@@ -193,20 +191,6 @@ def test_an_empty_cell_is_refused_on_every_call():
     beta = cell_index(rep.basis, ["b1", "b5", "b6"])
     _raises_every_time(lambda: tree_cell_dimension(rep, s, beta), ValueError, "empty over S by the pivot criterion")
     assert tree_cell_emptiness(rep, s, beta)
-
-
-def test_peel_must_be_largest_or_smallest():
-    entry = catalog("flag(3;1,2)")
-    rep, s = entry.representation, entry.subquiver
-    beta = cell_index(rep.basis, ["b2", "b4", "b5"])
-    for peel in ("biggest", "Largest", "", None):
-        with pytest.raises(ValueError, match="peel must be 'largest' or 'smallest'"):
-            tree_cell_dimension(rep, s, beta, peel=peel)
-    assert not hasattr(rep, "_tree_setup")  # refused before any setup or schedule is made
-    assert tree_cell_dimension(rep, s, beta, peel="smallest") == tree_cell_dimension(rep, s, beta) == 0
-    with pytest.raises(ValueError, match="peel must be"):
-        tree_cell_dimension(rep, s, beta, peel="biggest")
-    assert set(tree_setup(rep, s).schedules) == {"largest", "smallest"}
 
 
 def _alive(refs) -> int:

@@ -262,6 +262,33 @@ def test_order_checks_name_a_non_identity_arrow_alike():
     assert str(raised.value) == diag[0]
 
 
+def test_is_ordered_above_refuses_what_is_not_a_tree_extension():
+    basis = OrderedBasis(("x", "y", "z"), {"x": "1", "y": "2", "z": "3"})
+    # S plus an isolated vertex, and a triangle whose arrow 1 -> 3 closes a cycle through S
+    isolated = representation(quiver(["1", "2", "3"], [("a", "1", "2")]), basis, {"a": [[1]]})
+    triangle = quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+    triangle = representation(triangle, basis, {"a": [[1]], "b": [[1]], "c": [[1]]})
+    for rep in (isolated, triangle):
+        assert is_ordered_above(rep, subquiver(rep.quiver, ["1"])) == (False, ["T is not a tree extension of S"])
+    # over the empty S the path clause is vacuous
+    line = quiver(["1", "2"], [("a", "1", "2")])
+    line = representation(line, OrderedBasis(("y", "x"), {"x": "1", "y": "2"}), {"a": [[1]]})
+    assert is_ordered_above(line, subquiver(line.quiver, [])) == (True, [])
+
+
+def test_a_matrix_on_an_arrow_with_an_empty_side_is_validated():
+    q = quiver(["1", "2"], [("a", "1", "2")])
+    into = OrderedBasis(("x",), {"x": "2"})  # the source block of a is empty
+    for given in ([], [[]]):
+        assert representation(q, into, {"a": given}).matrices["a"] == ((),)
+    with pytest.raises(ValueError, match=r"^arrow 'a': matrix has 2 rows, expected 1; arrow 'a': row 1 has 1 entries"):
+        representation(q, into, {"a": [[1.7], [5, 6, 7]]})
+    out_of = OrderedBasis(("x",), {"x": "1"})  # the target block of a is empty
+    assert representation(q, out_of, {"a": []}).matrices["a"] == ()
+    with pytest.raises(ValueError, match=r"^arrow 'a': matrix has 1 rows, expected 0; arrow 'a': row 1 has 0 entries"):
+        representation(q, out_of, {"a": [[]]})
+
+
 def test_reorder_basis_keeps_module():
     e = catalog("two_lines")
     rep = e.representation

@@ -11,11 +11,10 @@ from conftest import chart_coordinates, fold_winding, random_tree_extension
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import column_echelon_max_pivot
 from quiver_schubert.oracle import _cell_points, assign_cell, cell_count
-from quiver_schubert.quiver import full_subquiver, quiver, subquiver
+from quiver_schubert.quiver import distances_to, full_subquiver, quiver, subquiver
 from quiver_schubert.representation import OrderedBasis, representation, restrict
 from quiver_schubert.schubert import (
     PreconditionError,
-    _peel_schedule,
     block_leq,
     cell_index,
     cell_partial_orders,
@@ -241,7 +240,6 @@ def test_tree_cell_dimension_matches_oracle_and_peel_order():
                     assert cell_count(rep, beta, q) == 0
                 continue
             n = tree_cell_dimension(rep, s, beta)
-            assert n == tree_cell_dimension(rep, s, beta, peel="smallest")
             beta_s = cell_index(ms.basis, [b for b in beta.elements if b in set(ms.basis.order)])
             for q in (2, 3, 5):
                 assert cell_count(rep, beta, q) == cell_count(ms, beta_s, q) * q**n
@@ -255,13 +253,30 @@ def test_tree_cell_dimension_precondition():
         tree_cell_dimension(rep, s, cell_index(rep.basis, ["b1", "b3"]))
 
 
+def test_tree_theorems_over_an_empty_s():
+    # T = 1 -> 2 with an identity matrix is a tree, so a tree extension of the empty S
+    q = quiver(["1", "2"], [("a", "1", "2")])
+    rep = representation(q, OrderedBasis(("x", "y"), {"x": "1", "y": "2"}), {"a": [[1]]})
+    s = subquiver(q, [])
+    open_cell, closed_cell = cell_index(rep.basis, ["x"]), cell_index(rep.basis, ["y"])
+    assert tree_cell_emptiness(rep, s, open_cell) and not tree_cell_emptiness(rep, s, closed_cell)
+    # the pivot criterion is checked before S is found empty
+    with pytest.raises(ValueError, match="pivot criterion"):
+        tree_cell_dimension(rep, s, open_cell)
+    with pytest.raises(PreconditionError):
+        tree_cell_dimension(rep, s, closed_cell)
+    with pytest.raises(PreconditionError):
+        grassmannian_fibration(rep, s, {"1": 0, "2": 1})
+
+
 def test_tree_cell_dimension_matches_oracle_where_tails_are_peeled():
     """Every nonempty cell of every dimension vector, on tree extensions whose
     peeling removes a tail (case II) as well as heads."""
     tails = positive = 0
     for seed in range(40):
         rep, s, _ = random_tree_extension(seed, max_total_dim=7)
-        tails += sum(1 for _, _, case in _peel_schedule(rep, s) if case == "II")
+        dist = distances_to(rep.quiver, s)
+        tails += sum(1 for a in rep.quiver.arrows if a.name not in s.arrows and dist[a.src] > dist[a.tgt])
         ms = restrict(rep, s)
         s_ids = set(ms.basis.order)
         for r in range(len(rep.basis.order) + 1):
@@ -270,7 +285,6 @@ def test_tree_cell_dimension_matches_oracle_where_tails_are_peeled():
                 if tree_cell_emptiness(rep, s, beta, base_is_empty=False):
                     continue
                 n = tree_cell_dimension(rep, s, beta)
-                assert n == tree_cell_dimension(rep, s, beta, peel="smallest")
                 beta_s = cell_index(ms.basis, [b for b in elems if b in s_ids])
                 assert cell_count(rep, beta, 2) == cell_count(ms, beta_s, 2) * 2**n, (seed, elems)
                 positive += n > 0
