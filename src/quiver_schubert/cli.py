@@ -40,11 +40,18 @@ from .representation import (
     representation_from_json,
     representation_to_json,
 )
-from .schubert import PreconditionError, cell_index, cell_type, enumerate_cells, generate_equations
+from .schubert import cell_index, cell_type, enumerate_cells, generate_equations
 
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Its usage errors raise InputError, which main reports in one line with exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 @functools.cache
@@ -55,44 +62,46 @@ def _build_parser() -> argparse.ArgumentParser:
     action appends, no default is mutable, and help and errors look up
     sys.stdout and sys.stderr when they print.
     """
-    parser = argparse.ArgumentParser(prog="qs", description="Schubert decompositions of quiver Grassmannians")
+    parser = _Parser(prog="qs", description="Schubert decompositions of quiver Grassmannians")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--catalog", help="catalog spec, e.g. flag(3;1,2)")
-        p.add_argument("--quiver", help="path to a quiver JSON file")
-        p.add_argument("--rep", help="path to a representation JSON file")
-        p.add_argument("--morphism", help="path to a morphism JSON file (with --target-quiver)")
-        p.add_argument("--target-quiver", help="codomain quiver JSON for --morphism")
-        p.add_argument("--subquiver", help="vertices;arrows, e.g. 1,2;a1")
-        p.add_argument("--dim-vector", help="comma list in vertex order, e.g. 1,1")
-        p.add_argument("--beta", help="comma list of basis ids, e.g. b2,b4")
-        p.add_argument("--order", help="comma list reordering the basis")
-        p.add_argument("--primes", help="comma list of primes, e.g. 2,3,5")
-        p.add_argument("--budget", type=int, default=None, help="enumeration budget")
-        p.add_argument("--assert-smooth", action="store_true")
-        p.add_argument("--json", dest="as_json", action="store_true")
-        p.add_argument("--text", dest="as_json", action="store_false")
-        p.set_defaults(as_json=False)
-        return p
-
-    for name, text in [
-        ("validate", "check quiver invariants"),
-        ("winding", "check the winding and strictly-ordered predicates"),
-        ("tree-ext", "check that T is a tree extension of S"),
-        ("pushforward", "compute F_*M"),
-        ("cells", "enumerate Schubert cells of a dimension vector"),
-        ("equations", "emit the defining equations of a cell"),
-        ("hypothesis-h", "decide Hypothesis (H) for a catalog winding"),
-        ("count", "count F_q points per cell"),
-        ("poly", "interpolate the counting polynomial"),
-        ("euler", "Euler characteristic via certified affine cells"),
-        ("poincare", "Poincare polynomial of certified cells"),
-        ("verify-affine", "certify cells as affine spaces numerically"),
-        ("catalog", "list catalog entries or show one"),
+    flags = {
+        "--catalog": {"help": "catalog spec, e.g. flag(3;1,2)"},
+        "--quiver": {"help": "path to a quiver JSON file"},
+        "--rep": {"help": "path to a representation JSON file"},
+        "--morphism": {"help": "path to a morphism JSON file (with --target-quiver)"},
+        "--target-quiver": {"help": "codomain quiver JSON for --morphism"},
+        "--subquiver": {"help": "vertices;arrows, e.g. 1,2;a1"},
+        "--dim-vector": {"help": "comma list in vertex order, e.g. 1,1"},
+        "--beta": {"help": "comma list of basis ids, e.g. b2,b4"},
+        "--order": {"help": "comma list reordering the basis"},
+        "--primes": {"help": "comma list of primes, e.g. 2,3,5"},
+        "--budget": {"type": int, "help": "enumeration budget"},
+        "--assert-smooth": {"action": "store_true"},
+        "--json": {"dest": "as_json", "action": "store_true"},
+    }
+    # each subcommand takes --json and the flags its branch of _run reads; others read as None
+    winding = "--catalog --rep --order --morphism --target-quiver"
+    cells = "--catalog --rep --order --dim-vector"
+    oracle = cells + " --primes --budget"
+    for name, help_text, names in [
+        ("validate", "check quiver invariants", "--catalog --quiver --rep"),
+        ("winding", "check the winding and strictly-ordered predicates", winding),
+        ("tree-ext", "check that T is a tree extension of S", "--catalog --quiver --rep --subquiver"),
+        ("pushforward", "compute F_*M", winding),
+        ("cells", "enumerate Schubert cells of a dimension vector", cells),
+        ("equations", "emit the defining equations of a cell", cells + " --beta"),
+        ("hypothesis-h", "decide Hypothesis (H) for a catalog winding", "--catalog --order --subquiver"),
+        ("count", "count F_q points per cell", oracle),
+        ("poly", "interpolate the counting polynomial", oracle),
+        ("euler", "Euler characteristic via certified affine cells", oracle),
+        ("poincare", "Poincare polynomial of certified cells", oracle + " --assert-smooth"),
+        ("verify-affine", "certify cells as affine spaces numerically", oracle),
+        ("catalog", "list catalog entries or show one", "--catalog"),
     ]:
-        add(name, text)
+        p = sub.add_parser(name, help=help_text)
+        for flag in names.split() + ["--json"]:
+            p.add_argument(flag, **flags[flag])
+    parser.set_defaults(**{spec.get("dest", flag[2:].replace("-", "_")): None for flag, spec in flags.items()})
     return parser
 
 
@@ -173,8 +182,11 @@ def _primes(args, default=(2, 3, 5)):
 def _budget(args) -> int:
     if args.budget is not None:
         budget, source = args.budget, "--budget"
-    elif os.environ.get("QS_BUDGET"):
-        budget, source = int(os.environ["QS_BUDGET"]), "QS_BUDGET"
+    elif raw := os.environ.get("QS_BUDGET"):
+        try:
+            budget, source = int(raw), "QS_BUDGET"
+        except ValueError:
+            raise InputError(f"QS_BUDGET must be an integer, got {raw!r}") from None
     else:
         return DEFAULT_BUDGET
     if budget < 0:
@@ -195,7 +207,7 @@ def _quiver_of(args, entry: CatalogEntry | None):
     if args.quiver:
         return _from_file(args.quiver, quiver_from_json)
     if args.rep:
-        return _load_rep(args, None).quiver
+        return _from_file(args.rep, representation_from_json).quiver
     raise InputError("need --catalog, --quiver or --rep")
 
 
@@ -223,8 +235,6 @@ def _run(args) -> int:
         given = [flag for flag, value in files if value is not None]
         if given:
             raise InputError(f"--catalog cannot be combined with {', '.join(given)}")
-    if cmd not in ("winding", "pushforward") and (args.morphism, args.target_quiver) != (None, None):
-        raise InputError("--morphism and --target-quiver are read only by winding and pushforward")
     entry = catalog(args.catalog) if args.catalog else None
     if cmd == "catalog":
         if entry is not None:
@@ -397,9 +407,8 @@ def _silence_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        code = _run(args)
+        code = _run(_build_parser().parse_args(argv))
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -411,9 +420,6 @@ def main(argv=None) -> int:
     except AffineCertificateError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except PreconditionError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except (InputError, ValueError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -349,6 +349,13 @@ COMMANDS = [
 ]
 
 
+def assert_refused(argv, *named):
+    """argv exits 2 with one stderr line, naming each of named, and prints nothing."""
+    code, out, err = run(argv)
+    assert (code, out, len(err.splitlines())) == (2, "", 1), (argv, err)
+    assert err.startswith("input error: ") and all(flag in err for flag in named), (argv, err)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_only_winding_and_pushforward_read_morphism_files(tmp_path, command):
     entry = catalog("ex_4_5_1")
@@ -362,17 +369,66 @@ def test_only_winding_and_pushforward_read_morphism_files(tmp_path, command):
         assert run([command, "--rep", str(rep)] + both)[0] == 0
         return
     for flags in (both, both[:2], both[2:]):
-        code, out, err = run([command, "--rep", str(rep), "--beta", "3,4"] + flags)
-        assert (code, out) == (2, "")
-        assert err == "input error: --morphism and --target-quiver are read only by winding and pushforward\n"
+        assert_refused([command] + flags, *flags[::2])
+
+
+# the pairs of --catalog and a file input that the command takes, and so refuses in _run
+CATALOG_CONFLICTS = {
+    ("validate", "--quiver"), ("validate", "--rep"), ("cells", "--rep"), ("count", "--rep"),
+    ("winding", "--rep"), ("winding", "--morphism"), ("winding", "--target-quiver"),
+}
 
 
 @pytest.mark.parametrize("command", ["validate", "cells", "winding", "count"])
 @pytest.mark.parametrize("flag", ["--quiver", "--rep", "--morphism", "--target-quiver"])
 def test_catalog_with_a_file_input_is_an_input_error(tmp_path, command, flag):
-    code, out, err = run([command, "--catalog", "two_lines", flag, str(tmp_path / "missing.json")])
+    argv = [command, "--catalog", "two_lines", flag, str(tmp_path / "missing.json")]
+    if (command, flag) not in CATALOG_CONFLICTS:
+        assert_refused(argv, flag)
+        return
+    code, out, err = run(argv)
     assert code == 2 and out == ""
     assert err == f"input error: --catalog cannot be combined with {flag}\n"
+
+
+# for each subcommand, a flag that its branch of the front end does not read
+UNREAD_FLAGS = {
+    "validate": ["--primes", "4"],
+    "winding": ["--subquiver", "1"],
+    "tree-ext": ["--order", "1,2,3,4"],
+    "pushforward": ["--dim-vector", "1,1"],
+    "cells": ["--primes", "2"],
+    "equations": ["--budget", "100"],
+    "hypothesis-h": ["--dim-vector", "1,1"],
+    "count": ["--beta", "b1,b3"],
+    "poly": ["--assert-smooth"],
+    "euler": ["--subquiver", "1"],
+    "poincare": ["--quiver", "q.json"],
+    "verify-affine": ["--morphism", "f.json"],
+    "catalog": ["--order", "b2,b1"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_flag_the_command_does_not_read_is_refused(command):
+    flags = UNREAD_FLAGS[command]
+    assert_refused([command, "--catalog", "ex_4_5_1"] + flags, flags[0])
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["validate", "--catalog", "two_lines", "--primes", "4", "--beta", "zz", "--dim-vector", "9"], "--primes"),
+        (["catalog", "--rep", "/nonexistent.json"], "--rep"),
+        (["cells", "--catalog", "two_lines", "--dim-vector", "1,1", "--budget", "-3"], "--budget"),
+        (["count", "--catalog", "two_lines", "--budget", "x"], "--budget"),
+        (["count", "--catalog", "two_lines", "--no-such-flag"], "--no-such-flag"),
+        (["count", "--catalog"], "--catalog"),
+        ([], "command"),
+    ],
+)
+def test_parser_errors_are_one_line(argv, named):
+    assert_refused(argv, named)
 
 
 def test_catalog_keeps_order_subquiver_and_dim_vector():
@@ -389,6 +445,9 @@ def test_negative_budget_is_an_input_error(monkeypatch):
     monkeypatch.setenv("QS_BUDGET", "-5")
     code, out, err = run(["count", "--catalog", "two_lines"])
     assert (code, out, err) == (2, "", "input error: QS_BUDGET must be nonnegative, got -5\n")
+    monkeypatch.setenv("QS_BUDGET", "abc")
+    code, out, err = run(["count", "--catalog", "two_lines"])
+    assert (code, out, err) == (2, "", "input error: QS_BUDGET must be an integer, got 'abc'\n")
     code, _, err = run(["count", "--catalog", "two_lines", "--budget", "0"])
     assert code == 3 and err.startswith("budget exceeded")
 

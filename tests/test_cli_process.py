@@ -16,23 +16,25 @@ import quiver_schubert
 from quiver_schubert.cli import main
 
 # SHA-256 of `qs --help` ("") and of `qs <cmd> --help` for all 13
-# subcommands at COLUMNS=80, taken from the parser that was rebuilt on
-# every call.
+# subcommands at COLUMNS=80.  The top-level digest was taken from the
+# parser that was rebuilt on every call; the subcommand digests from a
+# parser built fresh in a new process, after each subcommand was given
+# only the flags it reads.
 HELP_DIGESTS = {
     "": "d04bc3c9430d0830b0ccc921b6811378b42481b185028f67a6a9c05aa02a3966",
-    "validate": "7d055bfc229dd4bc73e42ef5ff08b092debb00f16426f0854e421ad23b296ddc",
-    "winding": "631a9d4679bd11ee1b03492fe234fe4abb85531321087c839cac170142903ce0",
-    "tree-ext": "993a656f877cf16b5b4e1aa8e6c057b56fdec1bb19ecfd1e61b3cf1ed79a6c26",
-    "pushforward": "d261a5a56895130dec2904ae1ad3eb53b922174339b1b5f2fb903653ebcd9947",
-    "cells": "8f86b7d497d38fc4aa7cd0e7c3fd78916479038aed15d33501c59cb52f881cea",
-    "equations": "57eb89973f45110079eddd6166721f0684d99eee565b70b3ae3aa997cfa3d8d4",
-    "hypothesis-h": "1671ac28aa726490beed89161e9e4e28507497d15999b566daa7c6dd57e672f1",
-    "count": "9b4f8935291dc4618457374c2123a105498d69e60e0db2f6673c4fd48cb017fa",
-    "poly": "cfc9e83f53a3f13dc6383f021a3a663352c3f56f8eb353c1a165c7e440003654",
-    "euler": "f011bc5670fc48881136fe5daec0bb214d413b01cf76dbe5eff5e6daf8910db7",
-    "poincare": "33390f1ee2c098f4cecdeda603c70816848b6f9538d6537b2930615985fdf2e6",
-    "verify-affine": "9232f42d962d14e5f4a58297e2222d5e3e33d4e75ef3947f997b16aca69e5a36",
-    "catalog": "d2794f87056e00f48579f274a532fc21d6d36b990b0f85a819ee1ccd7538be18",
+    "validate": "0b4e1cb6b687d62506a1e057c3369b3d79dc5b0e23cd1d69f31a3fa747835355",
+    "winding": "d2ea98a29f8c976789c426e3763603218051ad8779b3cf2127aa4232d029eae6",
+    "tree-ext": "cfbc993e2701b9ee8572bcfe6741353ab7c0199a530dcf6dc7e124b8e64bd82e",
+    "pushforward": "436e7def7d8e9009161f6e6049498d196f91ac049b87abc918849f4407c80b0e",
+    "cells": "3c306dcb89c514470ca9bda58caaed9018b37ff286173747a4934cc38b0bb3cf",
+    "equations": "ad39d7f1fba2e4a534ed4afcf703f222caa4069192fe283dda662b42be3dbd92",
+    "hypothesis-h": "03c4f9d78f4f897f9f2c4f9c8dc355f708fd863ba451fc60c0c397f0ba97bb9f",
+    "count": "1aff51091df1673fe8c500033b096a412a4106db6d4bfd5e67031e2ac871af11",
+    "poly": "27da35bc325bb327ca2ceec36b000549fc7eb5d2acc609c6f13e006e8b30cf02",
+    "euler": "61a39386a899518eab1b1f564efba585d07cd0334fc70506580a1c470b67f169",
+    "poincare": "911db26ce150fc9940f83462d08def828504e43e050843f038e1206b5ff2b83a",
+    "verify-affine": "09baf63794d14e3aff554f13bcd90187307e97cdfe6121aa78404d4b90eccd9d",
+    "catalog": "8e4bf48e9228931c3104751f418f99fad82a37bea48d8569a7ef7bd086c17702",
 }
 
 

@@ -2,13 +2,15 @@
 
 Argv is a subcommand, an optional catalog spec with parameters up to 3
 (junk included), and optional --primes, --beta and --dim-vector lists
-of junk tokens.  Every run must end with exit code 0, 1, 2 or 3; argparse
-usage errors exit 2 through SystemExit.  A second property adds --order,
---subquiver and the JSON file inputs, and checks after every example that
-a fixed argv still prints what it printed first: the parser is shared by
-every call in a process, so no call may leave state behind for the next.
+of junk tokens; only the flags that the drawn subcommand takes are drawn,
+so the draws reach its handler.  Every run must return exit code 0, 1, 2
+or 3, usage errors included.  A second property adds --order, --subquiver
+and the JSON file inputs, and checks after every example that a fixed
+argv still prints what it printed first: the parser is shared by every
+call in a process, so no call may leave state behind for the next.
 """
 
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from quiver_schubert.catalog import catalog
-from quiver_schubert.cli import main
+from quiver_schubert.cli import _build_parser, main
 from quiver_schubert.quiver import quiver_to_json
 from quiver_schubert.representation import representation_to_json
 
@@ -49,16 +51,26 @@ PRIMES = _token_list(["0", "1", "4", "-3", "2", "2", "3", "5", "x", ""])
 JUNK = _token_list(["0", "1", "2", "3", "-1", "4", "b1", "b2", "b3", "zz", ""])
 
 
+def _flags_of(command) -> set:
+    """The option strings that the parser of `qs command` takes."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+
+
 @st.composite
-def argvs(draw):
-    argv = [draw(st.sampled_from(SUBCOMMANDS))]
-    for flag, values in (("--catalog", SPECS), ("--primes", PRIMES), ("--beta", JUNK), ("--dim-vector", JUNK)):
-        value = draw(st.none() | values)
+def argvs(draw, extra=()):
+    """A subcommand and some of the flags it takes; --budget 200 wherever it is taken."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    takes = _flags_of(command)
+    argv = [command]
+    grammar = (("--catalog", SPECS), ("--primes", PRIMES), ("--beta", JUNK), ("--dim-vector", JUNK)) + extra
+    for flag, values in grammar:
+        value = draw(st.none() | values) if flag in takes else None
         if value is not None:
             argv += [flag, value]
     if draw(st.booleans()):
         argv.append("--json")
-    return argv + ["--budget", "200"]
+    return argv + (["--budget", "200"] if "--budget" in takes else [])
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -66,10 +78,7 @@ def argvs(draw):
 def _exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
 
@@ -127,10 +136,7 @@ def _input_files(root) -> dict:
 def _call(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -139,21 +145,11 @@ def test_cli_exits_cleanly_on_order_subquiver_and_file_inputs(tmp_path):
     canary_code, canary_out, _ = _call(CANARY)
     assert canary_code == 0 and canary_out.startswith("q=2: total 5")
 
-    @st.composite
-    def full_argvs(draw):
-        argv = draw(argvs())[:-2]  # without the trailing --budget
-        for flag, values in (("--order", ORDERS), ("--subquiver", SUBQUIVERS)):
-            value = draw(st.none() | values)
-            if value is not None:
-                argv += [flag, value]
-        for flag in FILE_FLAGS:
-            kind = draw(st.none() | st.sampled_from(["missing", "malformed", "valid"]))
-            if kind is not None:
-                argv += [flag, files[flag][kind]]
-        return argv + ["--budget", "200"]
+    # each file flag points at its missing, malformed or valid file
+    file_inputs = tuple((flag, st.sampled_from(sorted(files[flag].values()))) for flag in FILE_FLAGS)
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
-    @given(full_argvs())
+    @given(argvs((("--order", ORDERS), ("--subquiver", SUBQUIVERS)) + file_inputs))
     def exits_cleanly(argv):
         code, _, err = _call(argv)
         assert code in (0, 1, 2, 3), (argv, code)
