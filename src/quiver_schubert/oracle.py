@@ -6,38 +6,38 @@ partition rather than a post-hoc filter.
 
 A cell is searched vertex by vertex in quiver order.  The step of a
 vertex holds its chart, the arrows to and from vertices placed earlier
-with their matrices reduced mod q, and its loops.  All of that is fixed
-by the vertex, its pivot tuple and the pivot tuples of its earlier
-neighbours (the earlier steps sharing a non-loop arrow with it): a chart
-depends on nothing but its vertex and pivot tuple, an arrow's generator
-images on nothing but the arrow and its source chart, and the earlier
-neighbours on the quiver alone.  So `count` and `enumerate_subreps` keep
-one table per prime for the call, and it wires each step once per such
-key, when a search first reaches it; every cell with that key shares
-the step, and a cell whose search dies at one step never wires the next.
+with their integer matrices, and its loops.  All of that is fixed by the
+vertex, its pivot tuple and the pivot tuples of its earlier neighbours
+(the earlier steps sharing a non-loop arrow with it): a chart depends on
+nothing but its vertex and pivot tuple, an arrow's generator images on
+nothing but the arrow and its source chart, and the earlier neighbours
+on the quiver alone.  So `count` and `enumerate_subreps` keep one table
+for the call, whatever the prime, and it wires each step once per such
+key, when a search first reaches it; every cell with that key shares the
+step, and a cell whose search dies at one step never wires the next.
 
 The search is one flat depth-first loop.  At each step, containment
 along arrows whose other endpoint is already placed is linear in the
 chart coordinates and solved exactly; loops are filtered.  When the step
 is wired, every such arrow is compiled into rows of one format: a linear
 equation in the chart coordinates whose coefficients and right-hand side
-are linear forms in one earlier neighbour's coordinates.  The rows that
-read no chart coordinate are *pure* and read first: the first that does
-not vanish ends the step.  Each loop condition is compiled there too, as
-a quadratic form in the chart coordinates.  Those rows and that filter
-read only the step and its neighbours' coordinates, so each step
-memoises its points per tuple of neighbour coordinates: two cells that
-agree there get the same list in the same order, and every cell of the
-call solves each distinct system once.
+are integer linear forms in one earlier neighbour's coordinates.  The
+rows that read no chart coordinate are *pure* and read first: the first
+that does not vanish ends the step.  Each loop condition is compiled
+there too, as a quadratic form in the chart coordinates.  Forms are
+reduced mod q only where they are read.  Those rows and that filter read
+only the step and its neighbours' coordinates, so each step memoises its
+points per tuple of neighbour coordinates: two cells that agree there
+get the same list in the same order, and every cell of the call solves
+each distinct system once.
 Each point is kept once per chart with its echelon matrix.  The memos of
-one call take at most about `_MEMO_BYTES`; a step whose points would not
-fit streams them as a search without memos would, so memory stays
-bounded whatever the point count.  The last step streams too when every
-earlier step is its neighbour: its key then fixes the whole cell and the
-point before it, so it never recurs.
-Points come out in the same order as a plain recursion over the vertices
-would give, each chart in `iter_solutions_mod` order, and each as a
-fresh dict.
+one prime take at most about `_MEMO_BYTES` and are emptied at the next;
+a step whose points would not fit streams them as a search without memos
+would, so memory stays bounded whatever the point count.  The last step
+streams too when every earlier step is its neighbour, as its key then
+fixes the whole cell and the point before it.  Points come out in the
+same order as a plain recursion over the vertices would give, each chart
+in `iter_solutions_mod` order, and each as a fresh dict.
 """
 
 from __future__ import annotations
@@ -123,11 +123,9 @@ def ambient_size(m: Representation, e: Mapping[str, int], q: int) -> int:
 
 def _require_distinct(primes: Sequence[int]) -> None:
     """Raise ValueError if a prime repeats, so each sample is a different field."""
-    seen = set()
-    for q in primes:
-        if q in seen:
-            raise ValueError(f"prime {q} is repeated in {', '.join(str(p) for p in primes)}")
-        seen.add(q)
+    for i, q in enumerate(primes):
+        if q in primes[:i]:
+            raise ValueError(f"prime {q} is repeated in {', '.join(map(str, primes))}")
 
 
 def _check_budget(m: Representation, e: Mapping[str, int], q: int, budget: int) -> None:
@@ -191,11 +189,11 @@ class _Chart:
         return found
 
     def images(self, columns: Sequence[Vector]) -> list:
-        """Image of each chart generator under an arrow with these columns mod q.
+        """Image of each chart generator under an arrow with these integer columns.
 
         One (constant, terms) pair per generator j: the image is
         constant + sum(x[var] * vec for var, vec in terms).  Terms whose
-        vector is zero are dropped.
+        vector is zero over Z are dropped; nothing here is reduced mod q.
         """
         return [
             (columns[p], [(var, columns[r]) for r, var in free if any(columns[r])])
@@ -210,18 +208,18 @@ class _Step:
     its earlier neighbours.  `chart` is the step's chart, with
     coordinates x.  Each arrow to or from an earlier neighbour k gives
     rows sum(a_v(y) * x[v]) = b(y) mod q, where y are step k's
-    coordinates and each a_v and b is a linear form (constant, ((var,
-    coefficient), ...)) in y, reduced mod q with zero terms dropped.  A
-    row (k, b, ((v, a_v), ...)) keeps only the a_v that do not vanish
-    identically.  A row with none left is *pure*: `pure` holds it as
-    (k, b), once, and the step has no points unless every such b
-    vanishes; the other rows go into `rows` in wiring order.  `loops`
-    holds each loop condition as a quadratic form (constant, ((var,
-    coefficient), ...), ((var, var, coefficient), ...)) in x, mod q.
-    Forms that vanish identically are dropped, and repeated ones kept
-    once.  `points` is the memo of the step's points (None when the key
-    never recurs), and `coordinates(values)` its key: the neighbours'
-    coordinates, bare when there is one.
+    coordinates and each a_v and b is an integer linear form (constant,
+    ((var, coefficient), ...)) in y with zero terms dropped.  A row (k,
+    b, ((v, a_v), ...)) keeps only the a_v that are not zero.  A row with
+    none left is *pure*: `pure` holds it as (k, b), once, and the step
+    has no points unless every such b vanishes; the other rows go into
+    `rows` in wiring order.  `loops` holds each loop condition as an
+    integer quadratic form (constant, ((var, coefficient), ...), ((var,
+    var, coefficient), ...)) in x.  Zero forms are dropped, and repeated
+    ones kept once; `_chart_solutions` and `_loops_hold` reduce them mod
+    q where they read them.  `points` is the memo of the step's points
+    (None when the key never recurs), and `coordinates(values)` its key:
+    the neighbours' coordinates, bare when there is one.
     """
 
     __slots__ = ("chart", "pure", "rows", "loops", "coordinates", "points")
@@ -235,7 +233,7 @@ class _Step:
         self.points: dict | None = None
 
     def wire_row(self, k: int, b: tuple, coefficients: list) -> None:
-        """The row sum(a_v(y) * x[v]) = b(y), given reduced forms b and (v, a_v) in step k's coordinates y."""
+        """The row sum(a_v(y) * x[v]) = b(y), given integer forms b and (v, a_v) in step k's coordinates y."""
         coefficients = tuple((v, a) for v, a in coefficients if a[0] or a[1])
         if coefficients:
             self.rows.append((k, b, coefficients))
@@ -249,12 +247,12 @@ class _Step:
         on each nonpivot row r, w[r] = sum_j w[pivot j] * x[r, j].
         """
         chart = self.chart
-        for const, terms in images:  # entries already reduced mod q
+        for const, terms in images:  # integer entries, reduced mod q where the rows are read
             w = [(c, tuple((u, vec[p]) for u, vec in terms if vec[p])) for p, c in enumerate(const)]
             for r, free in zip(chart.nonpivot_rows, chart.row_free):
                 self.wire_row(k, w[r], [(var, w[chart.pivot_rows[j]]) for j, var in free])
 
-    def wire_outgoing(self, k: int, target: _Chart, images: list, q: int) -> None:
+    def wire_outgoing(self, k: int, target: _Chart, images: list) -> None:
         """The arrow to earlier step k, whose chart is target, with these generator images here.
 
         Each image w = const + sum(x[v] * vec) lies in target's span at
@@ -264,11 +262,11 @@ class _Step:
         for r, free in zip(target.nonpivot_rows, target.row_free):
             weights = [(target.pivot_rows[c], var) for c, var in free]
             for const, terms in images:
-                b = _form(-const[r], [(var, const[p]) for p, var in weights], q)
-                a = [(v, _form(vec[r], [(var, -vec[p]) for p, var in weights], q)) for v, vec in terms]
+                b = (-const[r], tuple((var, const[p]) for p, var in weights if const[p]))
+                a = [(v, (vec[r], tuple((var, -vec[p]) for p, var in weights if vec[p]))) for v, vec in terms]
                 self.wire_row(k, b, a)
 
-    def wire_loop(self, images: list, q: int) -> None:
+    def wire_loop(self, images: list) -> None:
         """A loop, with these generator images: each maps back into the span of the chart.
 
         With w = const + sum(x[v] * vec) the image, each nonpivot row r
@@ -285,15 +283,10 @@ class _Step:
                     for v, vec in terms:
                         pair = (min(u, v), max(u, v))
                         quadratic[pair] = quadratic.get(pair, 0) - vec[p]
-                linear_terms = tuple((v, a % q) for v, a in sorted(linear.items()) if a % q)
-                quadratic_terms = tuple((u, v, b % q) for (u, v), b in sorted(quadratic.items()) if b % q)
-                if const[r] % q or linear_terms or quadratic_terms:
-                    self.loops[const[r] % q, linear_terms, quadratic_terms] = None
-
-
-def _form(const: int, terms: list[tuple[int, int]], q: int) -> tuple:
-    """The linear form const + sum(coefficient * y[var]), reduced mod q with zero terms dropped."""
-    return const % q, tuple((var, c % q) for var, c in terms if c % q)
+                linear_terms = tuple((v, a) for v, a in sorted(linear.items()) if a)
+                quadratic_terms = tuple((u, v, b) for (u, v), b in sorted(quadratic.items()) if b)
+                if const[r] or linear_terms or quadratic_terms:
+                    self.loops[const[r], linear_terms, quadratic_terms] = None
 
 
 def _no_coordinates(values: list) -> tuple:
@@ -301,35 +294,34 @@ def _no_coordinates(values: list) -> tuple:
 
 
 class _Tables:
-    """The cell-independent parts of the search of m over F_q, built on first use.
+    """The cell-independent parts of the search of m, built on first use and shared by every prime.
 
     Charts are keyed by (vertex step, pivot tuple) and generator images by
     (arrow, source pivot tuple).  `neighbours[i]` lists the earlier steps
     that share a non-loop arrow with step i.  `step(i, pivots)` is the
     wired `_Step` of step i: keyed by (i, the pivot tuples at i and at each
     earlier neighbour), it is built, with its arrow rows and loops
-    compiled into forms mod q, when a search first reaches that key and
+    compiled into integer forms, when a search first reaches that key and
     shared by every cell with it.  Its memo, also held in `_points` under
     the key, maps the neighbours' chart coordinates to the step's
-    `(x, matrix)` chart points that satisfy its arrows and loops, in
+    `(x, matrix)` points over F_prime that pass its arrows and loops, in
     `iter_solutions_mod` order.  Those conditions read nothing else, so
-    every cell with the same key gets the same list.  A key that never
-    recurs gets a step with no memo, wired afresh and not kept.  `room`
-    is what is left of the `_MEMO_BYTES` the memos may take.
+    every cell with the same key gets the same list.  A key that fixes
+    the whole cell gets a step with no memo, wired afresh at each prime
+    and not kept.  `room` is what is left of `_MEMO_BYTES` at `prime`.
     """
 
-    def __init__(self, m: Representation, q: int):
-        self.q = q
+    def __init__(self, m: Representation):
         vertices = m.quiver.vertices
         index = {v: i for i, v in enumerate(vertices)}
         self.blocks = [m.basis.block(v) for v in vertices]
-        self.arrows: list[tuple[int, int, list]] = []  # (source step, target step, columns mod q)
+        self.arrows: list[tuple[int, int, list]] = []  # (source step, target step, integer columns)
         self._arrows_at: list[list[int]] = [[] for _ in vertices]  # arrows wired at their later end
         earlier: list[set[int]] = [set() for _ in vertices]
         for k, a in enumerate(m.quiver.arrows):
             s, t = index[a.src], index[a.tgt]
             ma = m.matrices[a.name]  # no rows when the target has rank 0
-            columns = [tuple(x % q for x in col) for col in zip(*ma)] if ma else [()] * len(self.blocks[s])
+            columns = list(zip(*ma)) if ma else [()] * len(self.blocks[s])
             self.arrows.append((s, t, columns))
             self._arrows_at[max(s, t)].append(k)
             if s != t:
@@ -341,7 +333,15 @@ class _Tables:
         self._images: dict[tuple[int, tuple[str, ...]], list] = {}
         self._steps: dict[tuple, _Step] = {}
         self._points: dict[tuple, dict] = {}
+        self.prime: int | None = None
         self.room = _MEMO_BYTES
+
+    def use_prime(self, q: int) -> None:
+        """Search over F_q next: at another prime, empty every memo and chart point store and refill `room`."""
+        if q != self.prime:
+            self.prime, self.room = q, _MEMO_BYTES
+            for memo in chain(self._points.values(), (chart._points for chart in self._charts.values())):
+                memo.clear()
 
     def chart(self, i: int, pivots: tuple[str, ...]) -> _Chart:
         key = (i, pivots)
@@ -371,11 +371,11 @@ class _Tables:
                 s, t, _ = self.arrows[k]
                 images = self.images(k, pivots[s])
                 if s == t:
-                    step.wire_loop(images, self.q)
+                    step.wire_loop(images)
                 elif s < t:
                     step.wire_incoming(s, images)
                 else:
-                    step.wire_outgoing(t, self.chart(t, pivots[t]), images, self.q)
+                    step.wire_outgoing(t, self.chart(t, pivots[t]), images)
         return step
 
 
@@ -467,15 +467,16 @@ def _cell_points(
     room; past that, new lists stream as they are solved.  The last step
     is walked inside the loop over the step before it: each point is a
     copy of that prefix's dict plus the last vertex.  `tables`, built for
-    m and q, is shared by the cells of one call; without it the cell
-    builds its own.
+    m, is shared by the cells of one call, one prime at a time: a search
+    at another prime empties its points.  Without it the cell builds its own.
     """
     order = m.quiver.vertices
     n = len(order)
     if n == 0:
         yield {}
         return
-    tables = tables or _Tables(m, q)
+    tables = tables or _Tables(m)
+    tables.use_prime(q)
     beta_set = set(beta.elements)  # not beta.as_set(): a call keeps all its cells alive
     pivots = [tuple(b for b in block if b in beta_set) for block in tables.blocks]
     last = n - 1
@@ -535,7 +536,7 @@ def enumerate_subreps(
     """
     require_prime(q)
     _check_budget(m, e, q, budget)
-    tables = _Tables(m, q)
+    tables = _Tables(m)
     for beta in enumerate_cells(m.basis, e, m.quiver.vertices):
         for subspaces in _cell_points(m, beta, q, tables):
             yield SubrepPoint(q, subspaces, beta)
@@ -569,13 +570,14 @@ def count(
     primes: Sequence[int] = (2, 3, 5),
     budget: int = DEFAULT_BUDGET,
 ) -> list[CountReport]:
+    _require_distinct(primes)
     for q in primes:
         require_prime(q)
         _check_budget(m, e, q, budget)
     cells = enumerate_cells(m.basis, e, m.quiver.vertices)
+    tables = _Tables(m)
     reports = []
     for q in primes:
-        tables = _Tables(m, q)
         per_cell = {beta.key(): sum(1 for _ in _cell_points(m, beta, q, tables)) for beta in cells}
         reports.append(CountReport(q, sum(per_cell.values()), per_cell))
     return reports
@@ -641,7 +643,6 @@ def counting_polynomial(
         ps = list(islice(primes_iter(), needed))
     else:
         ps = list(primes)
-        _require_distinct(ps)
         if len(ps) < needed:
             raise ValueError(f"need at least {needed} primes, got {len(ps)}")
     samples = [(r.prime, r.total) for r in count(m, e, primes=ps, budget=budget)]
@@ -682,7 +683,6 @@ def verify_affine(
     """
     if len(primes) < 2:
         raise ValueError("verify_affine needs at least two primes")
-    _require_distinct(primes)
     reports = count(m, e, primes=primes, budget=budget)
     evidence = f"numerical evidence at primes {{{', '.join(str(q) for q in primes)}}}"
     verdicts = []

@@ -252,7 +252,7 @@ def test_non_prime_modulus_is_an_input_error(primes):
 
 @pytest.mark.parametrize(
     "cmd, primes",
-    [("poly", "2,2,3"), ("verify-affine", "3,3"), ("euler", "2,2"), ("poincare", "2,2")],
+    [("count", "2,2"), ("poly", "2,2,3"), ("verify-affine", "3,3"), ("euler", "2,2"), ("poincare", "2,2")],
 )
 def test_repeated_prime_is_an_input_error(cmd, primes):
     code, out, err = run([cmd, "--catalog", "two_lines", "--primes", primes])

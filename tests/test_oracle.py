@@ -391,6 +391,7 @@ def test_repeated_primes_are_rejected():
     rep = catalog("two_lines").representation
     e = {"1": 1, "2": 1}
     calls = [
+        lambda: count(rep, e, primes=(5, 5)),
         lambda: counting_polynomial(rep, e, primes=(2, 2, 3)),
         lambda: verify_affine(rep, e, primes=(3, 3)),
         lambda: euler_characteristic(rep, e, primes=(2, 2)),

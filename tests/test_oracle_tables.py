@@ -1,9 +1,11 @@
 """Charts, generator images and step point lists shared by the cells of one oracle call.
 
 `count` and `enumerate_subreps` build the cell-independent parts of every
-search plan once per prime, and memoise each step's points there; a
-direct `cell_count` builds its own.  Both paths must give the same counts
-and the same points in the same order, whatever order the cells come in.
+search plan once per call, as integer forms shared by every prime, and
+memoise each step's points there, emptying the memos when the prime
+changes; a direct `cell_count` builds its own.  Both paths must give the
+same counts and the same points in the same order, whatever order the
+cells come in.
 """
 
 import hashlib
@@ -89,7 +91,7 @@ def test_shared_step_points_do_not_depend_on_cell_order():
     for rep, e, q in _order_cases():
         cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
         fresh = {beta.key(): list(_cell_points(rep, beta, q)) for beta in cells}
-        tables = _Tables(rep, q)
+        tables = _Tables(rep)
         shuffled = list(cells)
         rng.shuffle(shuffled)
         for order in (cells[::-1], shuffled):
@@ -121,8 +123,8 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     class RecordedTables(_Tables):
-        def __init__(self, m, q):
-            super().__init__(m, q)
+        def __init__(self, m):
+            super().__init__(m)
             built.append(self)
 
     counted(oracle, "_chart_solutions")
@@ -144,12 +146,12 @@ def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
         cases.append((spec, entry.representation, entry.dim_vector, 3))
     for name, rep, e, q in cases:
         cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
-        tables = _Tables(rep, q)
+        tables = _Tables(rep)
         expected = [list(_cell_points(rep, beta, q, tables)) for beta in cells]
         kept = sum(map(len, tables._points.values()))
         for budget in (0, 3000, 30000):
             monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
-            tables = _Tables(rep, q)
+            tables = _Tables(rep)
             assert [list(_cell_points(rep, beta, q, tables)) for beta in cells] == expected, (name, budget)
             assert 0 <= tables.room <= budget
         monkeypatch.undo()
@@ -189,6 +191,153 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
     total, peak = _peak_mib(*_unlinked(6, 3), 3)
     assert total == 33880 and peak < 2
 
+    switches = []  # (prime, points kept before the switch, all emptied after it)
+
+    class RecordedTables(_Tables):
+        def use_prime(self, q):
+            switched, kept = q != self.prime, sum(map(len, self._points.values()))
+            super().use_prime(q)
+            charts = self._charts.values()
+            emptied = not any(self._points.values()) and not any(c._points for c in charts)
+            if switched:
+                switches.append((q, kept, emptied and self.room == oracle._MEMO_BYTES))
+
+    monkeypatch.setattr(oracle, "_Tables", RecordedTables)
+    tracemalloc.start()
+    try:
+        reports = count(*_unlinked(6, 3), primes=(2, 3))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert [r.total for r in reports] == [1395, 33880] and peak < 2
+    (_, _, first), (q, kept, second) = switches
+    assert first and second and q == 3 and kept > 0  # q = 2 filled memos that the switch emptied
+
+
+def _vanishing_mod_small_primes():
+    """Three vertices, an arrow each way and a loop, with entries 2, 3, 6, -3 and -1.
+
+    The loop is upper triangular: at q = 3 it is the scalar 2, so every
+    subspace at its vertex is invariant, and at q = 2 it is nilpotent.
+    """
+    vertex_of = {"b1": "1", "b2": "1", "b3": "2", "b4": "2", "b5": "2", "b6": "3", "b7": "3"}
+    mats = {
+        "a": [[2, 1], [3, -1], [6, 0]],
+        "b": [[6, 0], [0, 1]],
+        "c": [[2, 3, 6], [0, -1, -3], [0, 0, 2]],
+    }
+    arrows = [("a", "1", "2"), ("b", "3", "1"), ("c", "2", "2")]
+    rep = representation(quiver(["1", "2", "3"], arrows), OrderedBasis(tuple(vertex_of), vertex_of), mats)
+    return rep, {"1": 1, "2": 2, "3": 1}
+
+
+def _reduced(rep, q):
+    """The same module with every matrix entry reduced mod q."""
+    mats = {name: [[x % q for x in row] for row in mat] for name, mat in rep.matrices.items()}
+    return representation(rep.quiver, rep.basis, mats)
+
+
+def _forms(step):
+    """Every form wired into the step, as (constant, terms) with each term's coefficient last."""
+    for _, b in step.pure:
+        yield b
+    for _, b, coefficients in step.rows:
+        yield b
+        yield from (a for _, a in coefficients)
+    for const, linear, quadratic in step.loops:
+        yield const, linear + quadratic
+
+
+def test_entries_that_vanish_mod_a_sampled_prime_are_dropped_where_they_are_read():
+    """One count over Z at three primes equals, prime by prime, the count of the module reduced mod q."""
+    rep, e = _vanishing_mod_small_primes()
+    primes = (2, 3, 5)
+    reports = count(rep, e, primes=primes)
+    assert reports == [count(_reduced(rep, q), e, primes=(q,))[0] for q in primes]
+    assert [r.total for r in reports] == [6, 28, 2]
+    cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
+    for report in reports:
+        assert report.per_cell == {beta.key(): cell_count(rep, beta, report.prime) for beta in cells}
+    for q in (2, 3):
+        original, reduced = (
+            [(p.cell.key(), dict(p.subspaces)) for p in enumerate_subreps(module, e, q)]
+            for module in (rep, _reduced(rep, q))
+        )
+        assert original == reduced
+        # the case is not vacuous: some wired forms are nonzero over Z and vanish mod q
+        tables = _Tables(rep)
+        for beta in cells:
+            list(_cell_points(rep, beta, q, tables))
+        assert any(
+            (c or terms) and c % q == 0 and all(t[-1] % q == 0 for t in terms)
+            for step in tables._steps.values()
+            for c, terms in _forms(step)
+        ), q
+
+
+# Charts and steps that count() builds on each entry at these primes.  With
+# one table per prime they were (27, 75) and (66, 234).
+PINNED_BUILDS = {
+    ("kronecker_preinjective(4)", (2, 3, 5)): (9, 65),
+    ("ex_4_5_5", (2, 3)): (33, 117),
+}
+
+
+@pytest.mark.parametrize("spec, primes", sorted(PINNED_BUILDS))
+def test_one_table_serves_every_prime_of_a_call(monkeypatch, spec, primes):
+    """count builds one table for all its primes, one chart per (step, pivot tuple) and each kept step once.
+
+    A step the table does not keep, because its key fixes the whole cell,
+    is wired afresh at each prime whose search reaches it, as within one
+    prime.  The counts equal those of one call per prime.
+    """
+    built, charts, steps = [], [], []
+    lookups = {}  # step key -> {prime: the wired steps looked up at that prime}
+
+    class RecordedTables(_Tables):
+        def __init__(self, m):
+            super().__init__(m)
+            built.append(self)
+
+        def step(self, i, pivots):
+            found = super().step(i, pivots)
+            lookups.setdefault(_step_key(self, pivots, i), {}).setdefault(self.prime, set()).add(found)
+            return found
+
+    class RecordedChart(oracle._Chart):
+        def __init__(self, *args):
+            super().__init__(*args)
+            charts.append(self)
+
+    class RecordedStep(oracle._Step):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            steps.append(self)
+
+    monkeypatch.setattr(oracle, "_Tables", RecordedTables)
+    monkeypatch.setattr(oracle, "_Chart", RecordedChart)
+    monkeypatch.setattr(oracle, "_Step", RecordedStep)
+    entry = catalog(spec)
+    m, e = entry.representation, entry.dim_vector
+    reports = count(m, e, primes=primes)
+    (tables,) = built
+    assert sorted(map(id, charts)) == sorted(map(id, tables._charts.values()))
+    wired = 0
+    for key, per_prime in lookups.items():
+        if key in tables._steps:
+            assert set().union(*per_prime.values()) == {tables._steps[key]}, key
+            wired += 1
+        else:
+            assert all(len(found) == 1 for found in per_prime.values()), key
+            wired += len(per_prime)
+    assert len(steps) == wired
+    assert any(len(lookups[key]) == len(primes) for key in tables._steps)  # kept steps serve every prime
+    assert (len(charts), len(steps)) == PINNED_BUILDS[spec, primes]
+    monkeypatch.undo()
+    assert reports == [count(m, e, primes=(q,))[0] for q in primes]
+
 
 def _step_key(tables, pivots, i):
     """Memo key of step i: the step, its pivot tuple and its earlier neighbours' pivot tuples."""
@@ -221,7 +370,7 @@ def test_one_step_is_wired_per_distinct_key(monkeypatch):
     shared = unkept = 0
     for rep, e, q in _order_cases():
         built.clear()
-        tables = _Tables(rep, q)
+        tables = _Tables(rep)
         lookups = []
         _record_step_lookups(tables, lookups)
         for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
@@ -258,7 +407,7 @@ def test_a_cell_wires_only_the_steps_its_search_reaches():
         head = restrict(rep, full_subquiver(rep.quiver, vertices[:j]))
         (report,) = count(head, {v: e[v] for v in vertices[:j]}, primes=(q,))
         prefix_counts.append(report.per_cell)
-    tables = _Tables(rep, q)
+    tables = _Tables(rep)
     lookups = []
     _record_step_lookups(tables, lookups)
     reached = 0
@@ -290,7 +439,7 @@ def test_point_dicts_are_fresh_and_independent():
         rep, e = entry.representation, entry.dim_vector
         cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
         fresh = [list(_cell_points(rep, beta, q)) for beta in cells]
-        tables = _Tables(rep, q)
+        tables = _Tables(rep)
         for _ in range(2):  # the second pass reads the memos the first one filled
             for beta, expected in zip(cells, fresh):
                 seen, copies = [], []
@@ -366,7 +515,7 @@ def test_loop_forms_agree_with_a_rank_test_on_every_chart_point(q):
     seeds = 0
     for name, rep, e in _looped_modules():
         seeds += name.startswith("seed")
-        tables = _Tables(rep, q)
+        tables = _Tables(rep)
         vertices = rep.quiver.vertices
         for beta in enumerate_cells(rep.basis, e, vertices):
             chosen = set(beta.elements)
@@ -426,7 +575,7 @@ def test_arrow_rows_agree_with_a_rank_test_on_every_chart_point(q):
     rng = random.Random(q)
     outcomes = set()
     for name, rep, e in _arrow_cases():
-        tables = _Tables(rep, q)
+        tables = _Tables(rep)
         vertices = rep.quiver.vertices
         index = {v: i for i, v in enumerate(vertices)}
         arrows = [[] for _ in vertices]  # non-loop arrows, at their later end
