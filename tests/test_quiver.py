@@ -127,6 +127,55 @@ def _connected(q):
     return len(seen) == len(q.vertices)
 
 
+def _is_tree_by_union_find(q):
+    """Reference: connected and acyclic, by merging the ends of each arrow in turn."""
+    if not q.vertices:
+        return False
+    root = {v: v for v in q.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a in q.arrows:
+        x, y = find(a.src), find(a.tgt)
+        if x == y:  # a loop, a parallel arrow or a longer cycle
+            return False
+        root[x] = y
+    return len({find(v) for v in q.vertices}) == 1
+
+
+def test_tree_predicates_match_union_find_on_random_extensions():
+    import random
+
+    rng = random.Random(17)
+    seen = {"empty S": 0, "full S": 0, "T-S arrow inside S": 0, "loop": 0, "parallel": 0}
+    verdicts = set()
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        verts = [f"v{i}" for i in range(n)]
+        arrows = [
+            (f"a{i}", rng.choice(verts), rng.choice(verts)) for i in range(rng.randint(0, 7))
+        ]
+        t = quiver(verts, arrows)
+        mode = rng.randrange(4)
+        sv = [] if mode == 0 else verts if mode == 1 else [v for v in verts if rng.random() < 0.5]
+        inside = [a.name for a in t.arrows if a.src in sv and a.tgt in sv]
+        s = subquiver(t, sv, [a for a in inside if rng.random() < 0.6])
+        expected = _is_tree_by_union_find(quotient_by(t, s))
+        assert is_tree_extension(t, s) == expected, (t, s)
+        assert is_tree(t) == _is_tree_by_union_find(t), t
+        verdicts.add(expected)
+        seen["empty S"] += not sv
+        seen["full S"] += len(sv) == n
+        seen["T-S arrow inside S"] += any(a not in s.arrows for a in inside)
+        seen["loop"] += any(a.src == a.tgt for a in t.arrows)
+        seen["parallel"] += len({frozenset((a.src, a.tgt)) for a in t.arrows}) < len(t.arrows)
+    assert verdicts == {True, False}
+    assert min(seen.values()) > 100, seen
+
+
 def test_difference_covers_arrows():
     import random
 
