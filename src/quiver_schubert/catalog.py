@@ -263,19 +263,12 @@ def forest_block(seed: int, size: int) -> CatalogEntry:
 
 
 _BUILDERS = {
-    "one_vertex": lambda params: one_vertex(int(params[0][0])),
-    "flag": lambda params: flag(int(params[0][0]), [int(x) for x in params[1]]),
-    "one_loop": lambda params: one_loop(int(params[0][0]), int(params[0][1])),
-    "two_lines": lambda params: two_lines(),
-    "kronecker_regular": lambda params: kronecker_regular(int(params[0][0]), int(params[0][1])),
-    "kronecker_preprojective": lambda params: kronecker_preprojective(int(params[0][0])),
-    "kronecker_preinjective": lambda params: kronecker_preinjective(int(params[0][0])),
-    "ex_4_5_1": lambda params: ex_4_5_1(),
-    "ex_4_5_2": lambda params: ex_4_5_2(),
-    "ex_4_5_5": lambda params: ex_4_5_5(),
-    "degenerate_flag": lambda params: degenerate_flag(int(params[0][0])),
-    "degenerate_flag_pi": lambda params: degenerate_flag_pi(int(params[0][0])),
-    "forest_block": lambda params: forest_block(int(params[0][0]), int(params[0][1])),
+    f.__name__: f
+    for f in (
+        one_vertex, flag, one_loop, two_lines, kronecker_regular, kronecker_preprojective,
+        kronecker_preinjective, ex_4_5_1, ex_4_5_2, ex_4_5_5, degenerate_flag,
+        degenerate_flag_pi, forest_block,
+    )
 }
 
 
@@ -284,18 +277,28 @@ def catalog_names() -> list[str]:
 
 
 def catalog(spec: str) -> CatalogEntry:
-    """Build an entry from a spec like "flag(3;1,2)" or "ex_4_5_1"."""
+    """Build an entry from a spec like "flag(3;1,2)" or "ex_4_5_1".
+
+    The first ";" group holds the builder's int parameters, and each later
+    group one list of ints for a Sequence[int] parameter after them; the
+    spec must give exactly the builder's parameters.
+    """
     m = re.fullmatch(r"\s*([A-Za-z0-9_]+)\s*(?:\((.*)\))?\s*", spec)
     if not m:
         raise ValueError(f"cannot parse catalog spec {spec!r}")
     name, arg_text = m.group(1), m.group(2)
     if name not in _BUILDERS:
         raise ValueError(f"unknown catalog entry {name!r}")
-    params: list[list[str]] = []
-    if arg_text:
-        for group in arg_text.split(";"):
-            params.append([x.strip() for x in group.split(",") if x.strip()])
+    builder = _BUILDERS[name]
     try:
-        return _BUILDERS[name](params)
+        scalars, *lists = [
+            [int(x) for x in group.split(",") if x.strip()] for group in (arg_text or "").split(";")
+        ]
+        kinds = {p: k == "int" for p, k in builder.__annotations__.items() if p != "return"}
+        if [True] * len(scalars) + [False] * len(lists) != list(kinds.values()):
+            form = ",".join(p for p, scalar in kinds.items() if scalar)
+            form += "".join(f";{p}" for p, scalar in kinds.items() if not scalar)
+            raise ValueError(f"the spec must read {name}({form})" if form else "it takes none")
+        return builder(*scalars, *lists)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"invalid parameters for {name!r}: {exc}") from exc

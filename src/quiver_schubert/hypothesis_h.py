@@ -338,19 +338,11 @@ def _excusable(ctx: WindingContext, report: TripleReport, notes: list[str]) -> b
         return True
     if report.type in (TripleType.T2A, TripleType.T4A):
         atilde, t, _s = report.triple
-        arrow_t = ctx.arrow_fibre(atilde).by_tgt[t]
-        ident = is_identity(ctx.rep.matrices[arrow_t.name])
-        if arrow_t.name in ctx.sub.arrows:
-            if not ident:
-                notes.append(
-                    f"exception through S-arrow {arrow_t.name!r} needs an identity matrix"
-                )
-            return ident
-        if not ident:
-            notes.append(f"arrow {arrow_t.name!r} outside S is unexpectedly non-identity")
-        else:
-            notes.append(
-                f"identity requirement for exception via {arrow_t.name!r} is vacuous (arrow not in S)"
-            )
-        return ident
+        arrow_t = ctx.arrow_fibre(atilde).by_tgt[t].name
+        if arrow_t in ctx.sub.arrows:
+            # a failing pair ends the check, and a failure carries no notes
+            return is_identity(ctx.rep.matrices[arrow_t])
+        # `tree_setup` proved that every arrow of T-S carries an identity matrix
+        notes.append(f"identity requirement for exception via {arrow_t!r} is vacuous (arrow not in S)")
+        return True
     return False

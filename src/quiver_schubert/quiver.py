@@ -57,11 +57,14 @@ class Subquiver:
         return problems
 
 
-def subquiver(parent: Quiver, vertices: Iterable[str], arrows: Iterable[str] = ()) -> Subquiver:
-    s = Subquiver(parent, frozenset(vertices), frozenset(arrows))
-    problems = s.validate()
+def _refuse(problems: list[str]) -> None:
     if problems:
         raise ValueError("; ".join(problems))
+
+
+def subquiver(parent: Quiver, vertices: Iterable[str], arrows: Iterable[str] = ()) -> Subquiver:
+    s = Subquiver(parent, frozenset(vertices), frozenset(arrows))
+    _refuse(s.validate())
     return s
 
 
@@ -115,9 +118,8 @@ def morphism(
     arrow_map: Mapping[str, str],
 ) -> QuiverMorphism:
     f = QuiverMorphism(domain, codomain, dict(vertex_map), dict(arrow_map))
-    problems = f.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
+    problems = [f"domain: {p}" for p in validate(domain)]
+    _refuse(problems + [f"codomain: {p}" for p in validate(codomain)] + f.validate())
     return f
 
 
@@ -189,9 +191,7 @@ def distances_to(t: Quiver, s: Subquiver) -> dict[str, int]:
 
 def quotient_by(t: Quiver, s: Subquiver) -> Quiver:
     """T/S: S-arrows removed, all S-vertices identified to one fresh vertex."""
-    problems = s.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
+    _refuse(s.validate())
     if not s.vertices:
         return Quiver(t.vertices, tuple(a for a in t.arrows if a.name not in s.arrows))
     collapsed = "S"
@@ -209,32 +209,23 @@ def quotient_by(t: Quiver, s: Subquiver) -> Quiver:
 
 def is_tree(q: Quiver) -> bool:
     """Connected and acyclic as an undirected multigraph (loops/multi-edges are cycles)."""
-    if not q.vertices:
-        return False
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in q.vertices}
-    for a in q.arrows:
-        if a.src == a.tgt:
-            return False
-        adj[a.src].append((a.name, a.tgt))
-        adj[a.tgt].append((a.name, a.src))
-    start = q.vertices[0]
-    seen = {start}
-    stack: list[tuple[str, str | None]] = [(start, None)]
-    while stack:
-        v, via = stack.pop()
-        for name, w in adj[v]:
-            if name == via:
-                continue
-            if w in seen:
-                return False
-            seen.add(w)
-            stack.append((w, name))
-    return len(seen) == len(q.vertices)
+    return is_tree_extension(q, Subquiver(q, frozenset(), frozenset()))
 
 
 def is_tree_extension(t: Quiver, s: Subquiver) -> bool:
-    """True iff the quotient T/S is a tree as a geometric (undirected) graph."""
-    return is_tree(quotient_by(t, s))
+    """True iff the quotient T/S is a tree as a geometric (undirected) graph.
+
+    A connected multigraph is a tree exactly when it has one edge fewer
+    than vertices, so T/S is a tree iff T-S reaches every vertex from S
+    and has one arrow per vertex outside S.  With S empty, T's first
+    vertex stands in for S.
+    """
+    _refuse(s.validate())
+    root = s.vertices or frozenset(t.vertices[:1])
+    outside = sum(a.name not in s.arrows for a in t.arrows)
+    if not root or outside != len(t.vertices) - len(root):
+        return False
+    return len(distances_to(t, Subquiver(t, root, s.arrows))) == len(t.vertices)
 
 
 def is_winding(f: QuiverMorphism) -> bool:

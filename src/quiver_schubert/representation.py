@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, identity_matrix, is_identity
-from .quiver import Arrow, Quiver, QuiverMorphism, Subquiver, difference_of, distances_to, full_subquiver
+from .quiver import Arrow, Quiver, QuiverMorphism, Subquiver, difference_of, distances_to
 from .quiver import is_tree_extension, quiver, quiver_from_json, quiver_to_json
 from .quiver import validate as validate_quiver
 
@@ -308,20 +308,3 @@ def thin_representation(
     order = tuple(vertex_order) if vertex_order is not None else q.vertices
     basis = OrderedBasis(order, {v: v for v in q.vertices})
     return Representation(q, basis, {a.name: identity_matrix(1) for a in q.arrows})
-
-
-__all__ = [
-    "OrderedBasis",
-    "Representation",
-    "representation",
-    "restrict",
-    "push_forward",
-    "direct_sum",
-    "reorder_basis",
-    "is_ordered_above",
-    "order_above_extension",
-    "representation_to_json",
-    "representation_from_json",
-    "thin_representation",
-    "full_subquiver",
-]

@@ -113,6 +113,9 @@ def enumerate_cells(basis, e: Mapping[str, int], vertices: Sequence[str]) -> lis
             raise ValueError(f"vertex {v!r} is listed twice, so its basis ids would repeat")
         seen.add(v)
         per_vertex.append(list(combinations(block, ev)))
+    for v in e:
+        if v not in seen:
+            raise ValueError(f"dimension vector names {v!r}, which is not a vertex")
     # every id comes from the block of one vertex, listed once, so no id is
     # unknown or repeated and the checks of `cell_index` are not needed
     pos = basis.positions().__getitem__
@@ -596,6 +599,9 @@ def grassmannian_fibration(
     point count is the base count times the product of the Gaussian
     binomials.  S must be nonempty.
     """
+    for v in e:
+        if v not in m.quiver.vertices:
+            raise ValueError(f"dimension vector names {v!r}, which is not a vertex")
     if not is_tree_extension(m.quiver, s):
         raise PreconditionError("T is not a tree extension of S")
     for name in sorted(difference_of(m.quiver, s).arrows):

@@ -1,5 +1,7 @@
 """Catalog fixtures: construction, validation, determinism."""
 
+import re
+
 import pytest
 
 from quiver_schubert.catalog import catalog, catalog_names
@@ -105,3 +107,23 @@ def test_forest_block_matrix_shape():
         r = len(ones)
         # upper-right identity block: row i pairs with column m_p - r + i
         assert ones == [(i, mp - r + i) for i in range(r)]
+
+
+@pytest.mark.parametrize(
+    "spec, form",
+    [
+        ("two_lines(5)", "it takes none"),
+        ("one_vertex(3,99)", "one_vertex(m)"),
+        ("flag(3;1,2;7)", "flag(m;dims)"),
+        ("flag(3,1,2)", "flag(m;dims)"),
+        ("ex_4_5_1(1)", "it takes none"),
+        ("kronecker_preprojective(2,9)", "kronecker_preprojective(n)"),
+        ("one_loop(2;0)", "one_loop(m,lam)"),
+        ("forest_block(3)", "forest_block(seed,size)"),
+    ],
+)
+def test_a_spec_needs_the_exact_parameters_of_its_builder(spec, form):
+    name = spec.split("(")[0]
+    with pytest.raises(ValueError, match=rf"invalid parameters for '{name}': .*{re.escape(form)}"):
+        catalog(spec)
+    assert catalog("two_lines()").params == catalog("two_lines").params == ()

@@ -482,3 +482,23 @@ def test_hypothesis_h_takes_s_from_subquiver():
 def test_negative_dim_vector_entry_is_an_input_error():
     code, out, err = run(["count", "--catalog", "two_lines", "--dim-vector=-1,1"])
     assert (code, out, err) == (2, "", "input error: dimension -1 is negative at vertex '1'\n")
+
+
+@pytest.mark.parametrize(
+    "spec", ["two_lines(5)", "one_vertex(3,99)", "flag(3;1,2;7)", "ex_4_5_1(1)", "kronecker_preprojective(2,9)"]
+)
+def test_a_catalog_spec_with_an_extra_parameter_is_an_input_error(spec):
+    assert_refused(["catalog", "--catalog", spec], "invalid parameters")
+
+
+@pytest.mark.parametrize("command", ["pushforward", "winding"])
+def test_a_target_quiver_with_repeated_ids_is_an_input_error(tmp_path, command):
+    entry = catalog("kronecker_preprojective(2)")
+    f = entry.morphism
+    rep, target, morphism = tmp_path / "up.json", tmp_path / "bad.json", tmp_path / "mor.json"
+    rep.write_text(representation_to_json(entry.upstairs))
+    doubled = quiver(["1", "2", "2"], [("at", "1", "2"), ("gt", "1", "2"), ("gt", "1", "2")])
+    target.write_text(quiver_to_json(doubled))
+    morphism.write_text(json.dumps({"vertex_map": dict(f.vertex_map), "arrow_map": dict(f.arrow_map)}))
+    argv = [command, "--rep", str(rep), "--morphism", str(morphism), "--target-quiver", str(target)]
+    assert_refused(argv, "duplicate vertex id '2'", "duplicate arrow id 'gt'")

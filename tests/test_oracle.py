@@ -400,3 +400,20 @@ def test_repeated_primes_are_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="prime . is repeated"):
             call()
+
+
+def test_every_report_refuses_a_dimension_vector_naming_a_missing_vertex():
+    rep = catalog("two_lines").representation
+    e = {"1": 1, "2": 1, "zz": 5}
+    assert count(rep, {"1": 1, "2": 1}, primes=(2,))[0].total == 5
+    reports = [
+        lambda: count(rep, e, primes=(2,)),
+        lambda: euler_characteristic(rep, e),
+        lambda: poincare_polynomial(rep, e),
+        lambda: verify_affine(rep, e),
+        lambda: counting_polynomial(rep, e),
+        lambda: list(enumerate_subreps(rep, e, 2)),
+    ]
+    for report in reports:
+        with pytest.raises(ValueError, match="names 'zz', which is not a vertex"):
+            report()

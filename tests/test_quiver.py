@@ -241,3 +241,17 @@ def test_json_round_trip_byte_stable():
     text = quiver_to_json(q)
     again = quiver_to_json(quiver_from_json(text))
     assert text == again
+
+
+def test_morphism_validates_both_quivers():
+    k = kronecker()
+    maps = ({"1": "1", "2": "2"}, {"a": "a", "b": "b"})
+    assert morphism(k, k, *maps).validate() == []
+    doubled = Quiver(("1", "2", "2"), k.arrows + (Arrow("a", "1", "2"),))
+    with pytest.raises(ValueError) as info:
+        morphism(k, doubled, *maps)
+    assert "codomain: duplicate vertex id '2'" in str(info.value)
+    assert "codomain: duplicate arrow id 'a'" in str(info.value)
+    dangling = quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "9")])
+    with pytest.raises(ValueError, match="domain: dangling endpoint: arrow 'b' target '9'"):
+        morphism(dangling, k, *maps)

@@ -76,6 +76,18 @@ def test_enumerate_cells_sorts_interleaved_blocks_and_refuses_a_repeated_vertex(
     assert len(enumerate_cells(rep.basis, {"1": 1}, ("1", "2", "2"))) == 2  # e = 0 there
 
 
+def test_a_dimension_vector_naming_a_missing_vertex_is_refused():
+    rep = catalog("two_lines").representation
+    for e in ({"1": 1, "2": 1, "zz": 5}, {"zz": 0}):
+        with pytest.raises(ValueError, match="names 'zz', which is not a vertex"):
+            enumerate_cells(rep.basis, e, rep.quiver.vertices)
+    entry = catalog("flag(3;1,2)")
+    rep, s = entry.representation, entry.subquiver
+    assert grassmannian_fibration(rep, s, {"1": 1, "2": 2}) == [(1, 2)]
+    with pytest.raises(ValueError, match="names 'zz', which is not a vertex"):
+        grassmannian_fibration(rep, s, {"1": 1, "2": 2, "zz": 7})
+
+
 def test_equations_ex451():
     e = catalog("ex_4_5_1")
     system = generate_equations(e.upstairs, cell_index(e.upstairs.basis, ["3", "4"]), fibred_via=e.morphism)
