@@ -62,13 +62,27 @@ def _chain(r: int, m: int) -> tuple[Quiver, OrderedBasis]:
     return q, _blocks({v: m for v in q.vertices})
 
 
+def _require_sizes(**sizes: int) -> None:
+    """Refuse a negative size by name: no block has a negative rank."""
+    for name, size in sizes.items():
+        if size < 0:
+            raise ValueError(f"{name} must be at least 0, got {size}")
+
+
 def one_vertex(m: int) -> CatalogEntry:
+    _require_sizes(m=m)
     q, basis = _chain(1, m)
     rep = representation(q, basis, {})
     return CatalogEntry("one_vertex", (m,), rep, {"1": max(1, m // 2)})
 
 
 def flag(m: int, dims: Sequence[int]) -> CatalogEntry:
+    _require_sizes(m=m)
+    if not dims:
+        raise ValueError("dims must list at least one dimension")
+    for d in dims:
+        if not 0 <= d <= m:
+            raise ValueError(f"dims must lie in 0..{m}, got {d}")
     r = len(dims)
     q, basis = _chain(r, m)
     rep = representation(q, basis, {f"a{p}": identity_matrix(m) for p in range(1, r)})
@@ -79,6 +93,7 @@ def flag(m: int, dims: Sequence[int]) -> CatalogEntry:
 
 
 def one_loop(m: int, lam: int) -> CatalogEntry:
+    _require_sizes(m=m)
     q = quiver(["1"], [("a", "1", "1")])
     rep = representation(q, _blocks({"1": m}), {"a": _jordan(m, lam)})
     return CatalogEntry("one_loop", (m, lam), rep, {"1": max(1, m // 2)})
@@ -91,6 +106,7 @@ def two_lines() -> CatalogEntry:
 
 
 def kronecker_regular(n: int, lam: int) -> CatalogEntry:
+    _require_sizes(n=n)
     q = quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
     rep = representation(q, _blocks({"1": n, "2": n}), {"a": identity_matrix(n), "b": _jordan(n, lam)})
     return CatalogEntry("kronecker_regular", (n, lam), rep, {"1": 1, "2": 1})
@@ -136,6 +152,7 @@ def _kronecker_winding(
     maps to gt.  The sources of the zigzag lie over vertex 1: the even
     vertices when sources_even holds, the odd ones otherwise.
     """
+    _require_sizes(n=n)
     vertex_map = {}
     for v in range(1, 2 * n + 2):
         is_source = (v % 2 == 0) == sources_even
@@ -199,6 +216,7 @@ def ex_4_5_5() -> CatalogEntry:
 
 
 def degenerate_flag(n: int) -> CatalogEntry:
+    _require_sizes(n=n)
     m = n + 1
     q, basis = _chain(n, m)
     rep = representation(q, basis, {f"a{p}": _jordan(m, 0) for p in range(1, n)})
@@ -207,6 +225,7 @@ def degenerate_flag(n: int) -> CatalogEntry:
 
 def degenerate_flag_pi(n: int) -> CatalogEntry:
     """P + I for equioriented A_n with the interleaved per-vertex basis order."""
+    _require_sizes(n=n)
     q, _ = _chain(n, 0)
     order = []
     for v in range(1, n + 1):
@@ -230,6 +249,7 @@ def forest_block(seed: int, size: int) -> CatalogEntry:
     Every arrow matrix has the square identity sitting in its upper-right
     corner; total rank is capped by `size`.
     """
+    _require_sizes(size=size)
     rng = random.Random(seed)
     ncomp = 1 if size <= 4 else rng.choice([1, 1, 2])
     verts: list[str] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -60,44 +60,42 @@ def int_det(m: Matrix) -> int:
 
 
 def solve_mod(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int], q: int
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    q: int,
+    extra_rows: Sequence[Sequence[int]] = (),
+    extra_rhs: Sequence[int] = (),
 ) -> tuple[Vector, list[Vector]] | None:
-    """Solve A x = b over F_q.
+    """Solve A x = b over F_q, together with C x = d when `extra_rows` and `extra_rhs` give one.
 
     Returns (particular solution, nullspace basis), or None when the
-    system is inconsistent.  Column order is preserved, so enumeration
-    of the solution set is deterministic.
+    system is inconsistent.  Gauss-Jordan elimination takes the pivots of
+    A leftmost first; those of C, reduced by A's pivot rows, follow
+    rightmost first among the columns A leaves free, so each of them is a
+    function of free columns to its left.  The particular solution is 0
+    on the free columns and the basis has one vector per free column, in
+    increasing order, 1 there and 0 on the other free columns.  Column
+    order is preserved, so enumeration of the solution set is
+    deterministic.
     """
-    nvars = len(rows[0]) if rows else 0
-    aug = [[x % q for x in row] + [rhs[i] % q] for i, row in enumerate(rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(nvars):
-        piv = None
-        for i in range(r, len(aug)):
-            if aug[i][c] % q != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], -1, q)
-        aug[r] = [(x * inv) % q for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] % q != 0:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][nvars] % q != 0:
+    nvars = len(rows[0]) if rows else len(extra_rows[0]) if extra_rows else 0
+    aug = [[x % q for x in row] + [b % q] for row, b in zip(rows, rhs)]
+    if extra_rows:
+        aug += [[x % q for x in row] + [d % q] for row, d in zip(extra_rows, extra_rhs)]
+    pivots: list[int] = []  # pivots[i]: the pivot column of row i
+    _eliminate(aug, pivots, range(nvars), len(rows), q)
+    if extra_rows:
+        _eliminate(aug, pivots, [c for c in range(nvars - 1, -1, -1) if c not in pivots], len(aug), q)
+    for i in range(len(pivots), len(aug)):
+        if aug[i][nvars]:
             return None
     particular = [0] * nvars
     for i, c in enumerate(pivots):
         particular[c] = aug[i][nvars]
-    free = [c for c in range(nvars) if c not in pivots]
     basis = []
-    for f in free:
+    for f in range(nvars):
+        if f in pivots:
+            continue
         vec = [0] * nvars
         vec[f] = 1
         for i, c in enumerate(pivots):
@@ -106,22 +104,61 @@ def solve_mod(
     return tuple(particular), basis
 
 
+def _eliminate(aug: list[list[int]], pivots: list[int], columns: Iterable[int], end: int, q: int) -> None:
+    """Gauss-Jordan steps on the augmented rows over F_q, one per column in turn that has a pivot.
+
+    The pivot row is the first unused row before `end` that is nonzero
+    in the column; it is moved to row len(pivots), scaled to 1 there and
+    cleared from every other row, and the column appended to `pivots`.
+    """
+    for c in columns:
+        r = len(pivots)
+        for piv in range(r, end):
+            if aug[piv][c]:
+                break
+        else:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = pow(aug[r][c], -1, q)
+        aug[r] = [(x * inv) % q for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+
+
 def iter_solutions_mod(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int], nvars: int, q: int
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    nvars: int,
+    q: int,
+    extra_rows: Sequence[Sequence[int]] = (),
+    extra_rhs: Sequence[int] = (),
 ) -> Iterator[Vector]:
     """All solutions of A x = b over F_q, deterministically ordered.
 
     The solutions are particular + sum(c_i * basis_i) with the coefficient
-    tuples c in `itertools.product(range(q), repeat=len(basis))` order.
+    tuples c in `itertools.product(range(q), repeat=len(basis))` order;
+    c_i is the i-th free coordinate of A, and with no rows c is x itself.
     The vector is stepped like an odometer: each coefficient change adds
     its basis vector once, and so does the wrap from q-1 to 0, since
     q * basis_i = 0 mod q.
+
+    A second system C x = d (`extra_rows`, `extra_rhs`) restricts the
+    stream to exactly its subsequence of solutions of both, and no other
+    point is visited.  `solve_mod` eliminates C after A, as conditions on
+    c, taking its pivots from the rightmost coefficient first, so each
+    pivot coefficient depends only on free coefficients of smaller index.
+    Two solutions of both then first differ at a free coefficient, and
+    the same odometer over the free coefficients, in product order,
+    keeps the unrestricted order.
     """
-    if not rows:
+    if not rows and not extra_rows:
         for combo in product(range(q), repeat=nvars):
             yield combo
         return
-    solved = solve_mod(rows, rhs, q)
+    solved = solve_mod(rows, rhs, q, extra_rows, extra_rhs)
     if solved is None:
         return
     particular, basis = solved

@@ -12,24 +12,31 @@ vertex, its pivot tuple and the pivot tuples of its earlier neighbours
 nothing but its vertex and pivot tuple, an arrow's generator images on
 nothing but the arrow and its source chart, and the earlier neighbours
 on the quiver alone.  So `count` and `enumerate_subreps` keep one table
-for the call, whatever the prime, and it wires each step once per such
-key, when a search first reaches it; every cell with that key shares the
+for the call, whatever the prime, and it wires each step once per key,
+when a search first reaches it; every cell with that key shares the
 step, and a cell whose search dies at one step never wires the next.
 
 The search is one flat depth-first loop.  At each step, containment
 along arrows whose other endpoint is already placed is linear in the
-chart coordinates and solved exactly; loops are filtered.  When the step
-is wired, every such arrow is compiled into rows of one format: a linear
-equation in the chart coordinates whose coefficients and right-hand side
-are integer linear forms in one earlier neighbour's coordinates.  The
-rows that read no chart coordinate are *pure* and read first: the first
-that does not vanish ends the step.  Each loop condition is compiled
-there too, as a quadratic form in the chart coordinates.  Forms are
-reduced mod q only where they are read.  Those rows and that filter read
-only the step and its neighbours' coordinates, so each step memoises its
-points per tuple of neighbour coordinates: two cells that agree there
-get the same list in the same order, and every cell of the call solves
-each distinct system once.
+chart coordinates and solved exactly; loops are filtered.  Each arrow is
+compiled once per call and pair of end pivot tuples into rows of one
+format: a linear equation in the later end's chart coordinates whose
+coefficients and right-hand side are integer linear forms in the earlier
+end's coordinates.  A row that reads no coordinate of the later end is
+*pure*: it is a linear condition b = 0 on the earlier end alone, and is
+read there, as one of that step's *lookahead rows*.  A step lists only
+the points where its lookahead rows vanish, in the order it would list
+them all, so no point that a later neighbour would refuse is visited;
+the later step keeps its pure rows, which then always vanish.  The
+lookahead rows join the step's key, so cells whose later neighbours put
+the same rows on it share it.  Each loop condition is compiled as a
+quadratic form in the chart coordinates.  Forms are reduced mod q only
+where they are read, so a row that vanishes only mod q stays at the
+later step.  A step's rows and loop filter read only the step and its
+earlier neighbours' coordinates, so each step memoises its points per
+tuple of those coordinates: two cells that agree there get the same list
+in the same order, and every cell of the call solves each distinct
+system once.
 Each point is kept once per chart with its echelon matrix.  The memos of
 one prime take at most about `_MEMO_BYTES` and are emptied at the next;
 a step whose points would not fit streams them as a search without memos
@@ -43,13 +50,13 @@ in `iter_solutions_mod` order, and each as a fresh dict.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .charts import Chart
 from .linalg import (
     Matrix,
     Vector,
@@ -74,7 +81,6 @@ DEFAULT_BUDGET = 10**8
 # per stored point; count(degenerate_flag(4)) at q = 3 is charged 27 MB.
 _MEMO_BYTES = 32 * 2**20
 _MEMO_ENTRY_BYTES = 200  # key, dict slot and tuple header
-_TUPLE_BYTES = sys.getsizeof(())  # plus 8 per item
 
 
 class BudgetExceededError(RuntimeError):
@@ -134,159 +140,42 @@ def _check_budget(m: Representation, e: Mapping[str, int], q: int, budget: int) 
         raise BudgetExceededError(estimate, budget)
 
 
-class _Chart:
-    """Echelon chart of one vertex: pivot pattern plus free positions.
-
-    Column j of a chart point is 1 in row pivot_rows[j], a free coordinate
-    in each nonpivot row above it and 0 elsewhere.  Free coordinates x are
-    numbered column by column, top to bottom: `column_free[j]` lists the
-    (row, var) pairs of column j, `row_free[k]` the (column, var) pairs of
-    row nonpivot_rows[k], and `entries` the row-major matrix as indices
-    into x + (0, 1).  `point` keeps each point once per chart; `build`
-    makes a fresh one.  `point_bytes` bounds the memory of one stored
-    point: the pair, x, the matrix and its rows, x's ints (28 bytes each
-    below 2**30), one memo slot and one intern dict entry.
-    """
-
-    def __init__(self, block: Sequence[str], pivots: Sequence[str]):
-        self.nrows = len(block)
-        self.pivot_rows = [block.index(b) for b in pivots]
-        self.nonpivot_rows = [r for r in range(self.nrows) if r not in self.pivot_rows]
-        free = [(r, j) for j, p in enumerate(self.pivot_rows) for r in self.nonpivot_rows if r < p]
-        self.nfree = len(free)
-        var = {pos: i for i, pos in enumerate(free)}
-        self.column_free = [
-            [(r, var[r, j]) for r in self.nonpivot_rows if r < p]
-            for j, p in enumerate(self.pivot_rows)
-        ]
-        self.row_free = [
-            [(j, var[r, j]) for j, p in enumerate(self.pivot_rows) if r < p]
-            for r in self.nonpivot_rows
-        ]
-        one = self.nfree + 1
-        self.entries = [
-            var.get((r, j), one if r == p else self.nfree)
-            for r in range(self.nrows)
-            for j, p in enumerate(self.pivot_rows)
-        ]
-        self._points: dict[Vector, tuple[Vector, Matrix]] = {}
-        rows = self.nrows * (_TUPLE_BYTES + 8 + 8 * len(self.pivot_rows))
-        self.point_bytes = 3 * _TUPLE_BYTES + 16 + 36 * self.nfree + rows + 8 + 100
-
-    def build(self, x: Vector) -> tuple[Vector, Matrix]:
-        """(x, echelon matrix at x)."""
-        ncols = len(self.pivot_rows)
-        if ncols:
-            flat = map((x + (0, 1)).__getitem__, self.entries)
-            return x, tuple(zip(*[flat] * ncols))
-        return x, ((),) * self.nrows
-
-    def point(self, x: Vector) -> tuple[Vector, Matrix]:
-        """`build(x)`, built on first use and shared after."""
-        found = self._points.get(x)
-        if found is None:
-            found = self._points[x] = self.build(x)
-        return found
-
-    def images(self, columns: Sequence[Vector]) -> list:
-        """Image of each chart generator under an arrow with these integer columns.
-
-        One (constant, terms) pair per generator j: the image is
-        constant + sum(x[var] * vec for var, vec in terms).  Terms whose
-        vector is zero over Z are dropped; nothing here is reduced mod q.
-        """
-        return [
-            (columns[p], [(var, columns[r]) for r, var in free if any(columns[r])])
-            for p, free in zip(self.pivot_rows, self.column_free)
-        ]
-
-
 class _Step:
     """One vertex step of the search, wired once per key and shared by every cell with that key.
 
-    The key is the vertex step, its pivot tuple and the pivot tuples of
-    its earlier neighbours.  `chart` is the step's chart, with
-    coordinates x.  Each arrow to or from an earlier neighbour k gives
-    rows sum(a_v(y) * x[v]) = b(y) mod q, where y are step k's
-    coordinates and each a_v and b is an integer linear form (constant,
-    ((var, coefficient), ...)) in y with zero terms dropped.  A row (k,
-    b, ((v, a_v), ...)) keeps only the a_v that are not zero.  A row with
-    none left is *pure*: `pure` holds it as (k, b), once, and the step
-    has no points unless every such b vanishes; the other rows go into
-    `rows` in wiring order.  `loops` holds each loop condition as an
+    The key is the vertex step, its pivot tuple, the pivot tuples of its
+    earlier neighbours and its lookahead rows.  `chart` is the step's
+    chart, with coordinates x.  Each arrow to or from an earlier
+    neighbour k gives rows sum(a_v(y) * x[v]) = b(y) mod q, where y are
+    step k's coordinates and each a_v and b is an integer linear form
+    (constant, ((var, coefficient), ...)) in y with zero terms dropped.
+    A row (k, b, ((v, a_v), ...)) keeps only the a_v that are not zero.
+    A row with none left is *pure*: `pure` holds it as (k, b), once, and
+    the step has no points unless every such b vanishes; the other rows
+    go into `rows` in wiring order.  A pure row reads only step k, so it
+    is also one of k's lookahead rows, and the search reads it there: at
+    this step it always vanishes.  `lookahead` holds the step's own
+    lookahead rows, the distinct forms b(x) that its later neighbours'
+    pure rows put on x, sorted; `_step_points` lists only the points
+    where every one vanishes.  `loops` holds each loop condition as an
     integer quadratic form (constant, ((var, coefficient), ...), ((var,
     var, coefficient), ...)) in x.  Zero forms are dropped, and repeated
     ones kept once; `_chart_solutions` and `_loops_hold` reduce them mod
     q where they read them.  `points` is the memo of the step's points
     (None when the key never recurs), and `coordinates(values)` its key:
-    the neighbours' coordinates, bare when there is one.
+    the earlier neighbours' coordinates, bare when there is one.
     """
 
-    __slots__ = ("chart", "pure", "rows", "loops", "coordinates", "points")
+    __slots__ = ("chart", "pure", "rows", "loops", "lookahead", "coordinates", "points")
 
-    def __init__(self, chart: _Chart, neighbours: tuple[int, ...]):
+    def __init__(self, chart: Chart, neighbours: tuple[int, ...], lookahead: tuple):
         self.chart = chart
         self.pure: dict[tuple, None] = {}  # ordered set of (k, b)
         self.rows: list[tuple] = []
         self.loops: dict[tuple, None] = {}
+        self.lookahead = lookahead
         self.coordinates = itemgetter(*neighbours) if neighbours else _no_coordinates
         self.points: dict | None = None
-
-    def wire_row(self, k: int, b: tuple, coefficients: list) -> None:
-        """The row sum(a_v(y) * x[v]) = b(y), given integer forms b and (v, a_v) in step k's coordinates y."""
-        coefficients = tuple((v, a) for v, a in coefficients if a[0] or a[1])
-        if coefficients:
-            self.rows.append((k, b, coefficients))
-        elif b[0] or b[1]:
-            self.pure[k, b] = None
-
-    def wire_incoming(self, k: int, images: list) -> None:
-        """The arrow from earlier step k, with these generator images on k's chart.
-
-        Each image w = const + sum(y[u] * vec) lies in this chart's span:
-        on each nonpivot row r, w[r] = sum_j w[pivot j] * x[r, j].
-        """
-        chart = self.chart
-        for const, terms in images:  # integer entries, reduced mod q where the rows are read
-            w = [(c, tuple((u, vec[p]) for u, vec in terms if vec[p])) for p, c in enumerate(const)]
-            for r, free in zip(chart.nonpivot_rows, chart.row_free):
-                self.wire_row(k, w[r], [(var, w[chart.pivot_rows[j]]) for j, var in free])
-
-    def wire_outgoing(self, k: int, target: _Chart, images: list) -> None:
-        """The arrow to earlier step k, whose chart is target, with these generator images here.
-
-        Each image w = const + sum(x[v] * vec) lies in target's span at
-        k's coordinates y: on each nonpivot row r of target,
-        w[r] = sum_c w[pivot c] * y[r, c].
-        """
-        for r, free in zip(target.nonpivot_rows, target.row_free):
-            weights = [(target.pivot_rows[c], var) for c, var in free]
-            for const, terms in images:
-                b = (-const[r], tuple((var, const[p]) for p, var in weights if const[p]))
-                a = [(v, (vec[r], tuple((var, -vec[p]) for p, var in weights if vec[p]))) for v, vec in terms]
-                self.wire_row(k, b, a)
-
-    def wire_loop(self, images: list) -> None:
-        """A loop, with these generator images: each maps back into the span of the chart.
-
-        With w = const + sum(x[v] * vec) the image, each nonpivot row r
-        gives w[r] - sum_j w[pivot j] * x[r, j] = 0, expanded here.
-        """
-        chart = self.chart
-        for const, terms in images:
-            for r, free in zip(chart.nonpivot_rows, chart.row_free):
-                linear = {v: vec[r] for v, vec in terms}
-                quadratic: dict[tuple[int, int], int] = {}
-                for j, u in free:
-                    p = chart.pivot_rows[j]
-                    linear[u] = linear.get(u, 0) - const[p]
-                    for v, vec in terms:
-                        pair = (min(u, v), max(u, v))
-                        quadratic[pair] = quadratic.get(pair, 0) - vec[p]
-                linear_terms = tuple((v, a) for v, a in sorted(linear.items()) if a)
-                quadratic_terms = tuple((u, v, b) for (u, v), b in sorted(quadratic.items()) if b)
-                if const[r] or linear_terms or quadratic_terms:
-                    self.loops[const[r], linear_terms, quadratic_terms] = None
 
 
 def _no_coordinates(values: list) -> tuple:
@@ -296,19 +185,27 @@ def _no_coordinates(values: list) -> tuple:
 class _Tables:
     """The cell-independent parts of the search of m, built on first use and shared by every prime.
 
-    Charts are keyed by (vertex step, pivot tuple) and generator images by
-    (arrow, source pivot tuple).  `neighbours[i]` lists the earlier steps
-    that share a non-loop arrow with step i.  `step(i, pivots)` is the
-    wired `_Step` of step i: keyed by (i, the pivot tuples at i and at each
-    earlier neighbour), it is built, with its arrow rows and loops
-    compiled into integer forms, when a search first reaches that key and
-    shared by every cell with it.  Its memo, also held in `_points` under
-    the key, maps the neighbours' chart coordinates to the step's
-    `(x, matrix)` points over F_prime that pass its arrows and loops, in
-    `iter_solutions_mod` order.  Those conditions read nothing else, so
-    every cell with the same key gets the same list.  A key that fixes
-    the whole cell gets a step with no memo, wired afresh at each prime
-    and not kept.  `room` is what is left of `_MEMO_BYTES` at `prime`.
+    Charts are keyed by (vertex step, pivot tuple) and the compiled rows
+    of an arrow by (arrow, source pivot tuple, target pivot tuple).  An
+    arrow's rows are compiled once per call: its pure rows go to the
+    earlier end, as lookahead rows, and the rest to the later end.
+    `neighbours[i]` lists the earlier steps that share a non-loop arrow
+    with step i, and `pivots(beta)` the pivot tuples of a cell.
+
+    `step(i, pivots)` is the wired `_Step` of step i.  It is keyed by i,
+    the pivot tuples at i and at each earlier neighbour and the lookahead
+    rows that the later neighbours put on i, so that cells whose later
+    neighbours give the same rows share it; a first lookup on the pivot
+    tuples of all of i's neighbours finds it without hashing forms.  It
+    is built from the compiled rows when a search first reaches that key
+    and shared by every cell with it.  Its memo, also held in `_points`
+    under the key, maps the earlier neighbours' chart coordinates to the
+    step's `(x, matrix)` points over F_prime that pass its arrows, loops
+    and lookahead rows, in `iter_solutions_mod` order.  Those conditions
+    read nothing else, so every cell with the same key gets the same
+    list.  A key that fixes the whole cell gets a step with no memo,
+    assembled afresh at each lookup and not kept.  `room` is what is
+    left of `_MEMO_BYTES` at `prime`.
     """
 
     def __init__(self, m: Representation):
@@ -317,7 +214,9 @@ class _Tables:
         self.blocks = [m.basis.block(v) for v in vertices]
         self.arrows: list[tuple[int, int, list]] = []  # (source step, target step, integer columns)
         self._arrows_at: list[list[int]] = [[] for _ in vertices]  # arrows wired at their later end
+        self._ahead: list[list[int]] = [[] for _ in vertices]  # non-loop arrows at their earlier end
         earlier: list[set[int]] = [set() for _ in vertices]
+        later: list[list[int]] = [[] for _ in vertices]  # the later end of each arrow in _ahead
         for k, a in enumerate(m.quiver.arrows):
             s, t = index[a.src], index[a.tgt]
             ma = m.matrices[a.name]  # no rows when the target has rank 0
@@ -325,12 +224,19 @@ class _Tables:
             self.arrows.append((s, t, columns))
             self._arrows_at[max(s, t)].append(k)
             if s != t:
+                self._ahead[min(s, t)].append(k)
                 earlier[max(s, t)].add(min(s, t))
+                later[min(s, t)].append(max(s, t))
         self.neighbours = [tuple(sorted(ks)) for ks in earlier]
+        self._around = [ks + tuple(js) for ks, js in zip(self.neighbours, later)]  # every neighbour, some twice
         last = len(vertices) - 1
         self._unshared = last if last >= 0 and self.neighbours[last] == tuple(range(last)) else None
-        self._charts: dict[tuple[int, tuple[str, ...]], _Chart] = {}
-        self._images: dict[tuple[int, tuple[str, ...]], list] = {}
+        self._charts: dict[tuple[int, tuple[str, ...]], Chart] = {}
+        self._compiled: dict[tuple, tuple] = {}
+        self._step_of = {b: i for i, block in enumerate(self.blocks) for b in block}
+        self._pivot_tuples: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self._pivots: dict[tuple[str, ...], tuple] = {}
+        self._lookup: dict[tuple, _Step] = {}
         self._steps: dict[tuple, _Step] = {}
         self._points: dict[tuple, dict] = {}
         self.prime: int | None = None
@@ -343,53 +249,108 @@ class _Tables:
             for memo in chain(self._points.values(), (chart._points for chart in self._charts.values())):
                 memo.clear()
 
-    def chart(self, i: int, pivots: tuple[str, ...]) -> _Chart:
+    def pivots(self, beta: CellIndex) -> tuple[tuple[str, ...], ...]:
+        """The cell's pivot tuple at each step, built once per call; equal tuples are shared between cells."""
+        found = self._pivots.get(beta.elements)
+        if found is None:
+            groups: list[list[str]] = [[] for _ in self.blocks]
+            for b in beta.elements:
+                groups[self._step_of[b]].append(b)
+            shared = self._pivot_tuples
+            found = self._pivots[beta.elements] = tuple(shared.setdefault(t, t) for t in map(tuple, groups))
+        return found
+
+    def chart(self, i: int, pivots: tuple[str, ...]) -> Chart:
         key = (i, pivots)
         if key not in self._charts:
-            self._charts[key] = _Chart(self.blocks[i], pivots)
+            self._charts[key] = Chart(self.blocks[i], pivots)
         return self._charts[key]
 
-    def images(self, k: int, pivots: tuple[str, ...]) -> list:
-        """Generator images of arrow k on the chart of its source with these pivots."""
-        key = (k, pivots)
-        if key not in self._images:
-            s, _, columns = self.arrows[k]
-            self._images[key] = self.chart(s, pivots).images(columns)
-        return self._images[key]
+    def compiled(self, k: int, pivots: Sequence[tuple[str, ...]]) -> tuple:
+        """Arrow k compiled on the charts of its ends with these pivots, once per call.
+
+        A loop gives its quadratic forms.  Any other arrow gives (pure,
+        rows): `pure` its distinct pure rows (earlier end, b), each a
+        condition b(y) = 0 on the coordinates y of the earlier end, and
+        `rows` its other rows (earlier end, b, ((v, a_v), ...)), with zero
+        a_v dropped, in wiring order.
+        """
+        s, t, columns = self.arrows[k]
+        key = (k, pivots[s], pivots[t])
+        found = self._compiled.get(key)
+        if found is None:
+            images = self.chart(s, pivots[s]).images(columns)
+            target = self.chart(t, pivots[t])
+            if s == t:
+                found = target.loop_forms(images)
+            else:
+                pure: dict[tuple, None] = {}
+                rows = []
+                for b, coefficients in target.incoming_rows(images) if s < t else target.outgoing_rows(images):
+                    coefficients = tuple((v, a) for v, a in coefficients if a[0] or a[1])
+                    if coefficients:
+                        rows.append((min(s, t), b, coefficients))
+                    elif b[0] or b[1]:
+                        pure[min(s, t), b] = None
+                found = (tuple(pure), tuple(rows))
+            self._compiled[key] = found
+        return found
 
     def step(self, i: int, pivots: Sequence[tuple[str, ...]]) -> _Step:
-        """The wired step i of every cell with these pivot tuples at i and its earlier neighbours."""
-        neighbours = self.neighbours[i]
-        key = (i, pivots[i], *[pivots[k] for k in neighbours])
-        step = self._steps.get(key)
+        """The wired step i of every cell with these pivot tuples at i and its neighbours."""
+        if i == self._unshared:  # its key fixes the whole cell: assembled afresh, not kept
+            return self._assemble(i, pivots, ())
+        around = (i, pivots[i], *[pivots[k] for k in self._around[i]])
+        step = self._lookup.get(around)
         if step is None:
-            step = _Step(self.chart(i, pivots[i]), neighbours)
-            if i != self._unshared:
-                self._steps[key] = step
+            pure = [row for k in self._ahead[i] for row in self.compiled(k, pivots)[0]]
+            lookahead = tuple(sorted({b for _, b in pure})) if pure else ()
+            key = (i, pivots[i], *[pivots[k] for k in self.neighbours[i]], lookahead)
+            step = self._steps.get(key)
+            if step is None:
+                step = self._steps[key] = self._assemble(i, pivots, lookahead)
                 step.points = self._points[key] = {}
-            for k in self._arrows_at[i]:
-                s, t, _ = self.arrows[k]
-                images = self.images(k, pivots[s])
-                if s == t:
-                    step.wire_loop(images)
-                elif s < t:
-                    step.wire_incoming(s, images)
-                else:
-                    step.wire_outgoing(t, self.chart(t, pivots[t]), images)
+            self._lookup[around] = step
+        return step
+
+    def _assemble(self, i: int, pivots: Sequence[tuple[str, ...]], lookahead: tuple) -> _Step:
+        """A step i with these lookahead rows, from the compiled rows of its arrows to earlier steps and its loops."""
+        step = _Step(self.chart(i, pivots[i]), self.neighbours[i], lookahead)
+        for k in self._arrows_at[i]:
+            s, t, _ = self.arrows[k]
+            if s == t:
+                step.loops.update(dict.fromkeys(self.compiled(k, pivots)))
+            else:
+                pure, rows = self.compiled(k, pivots)
+                step.pure.update(dict.fromkeys(pure))
+                step.rows += rows
         return step
 
 
-def _chart_solutions(step: _Step, values: list, q: int) -> Iterator[Vector]:
-    """Chart coordinates of the step that satisfy every arrow to a placed vertex.
+def _chart_solutions(step: _Step, values: list, q: int, lookahead: bool = False) -> Iterator[Vector]:
+    """Chart coordinates of the step that satisfy every arrow to a placed vertex, and its lookahead rows when asked.
 
-    Each row is evaluated at its earlier step's coordinates, `pure` first
-    and then `rows`.  A row whose coefficients all vanish is dropped, and
-    ends the step before any elimination if its right-hand side does
-    not; so a pure row that does not vanish ends the step before any
-    other row is read.  `iter_solutions_mod` sees the other rows in
-    wiring order.
+    The lookahead rows b(x) = 0 are read first, as rows b(x) - b(0) =
+    -b(0) mod q.  Then each arrow row is evaluated at its earlier step's
+    coordinates, `pure` first and then `rows`.  A row whose coefficients
+    all vanish is dropped, and ends the step before any elimination if
+    its right-hand side does not; so a pure row that does not vanish ends
+    the step before any other row is read.  `iter_solutions_mod` sees the
+    other arrow rows in wiring order, and the lookahead rows as its second
+    system, which it reads without changing the order of the solutions.
     """
     nfree = step.chart.nfree
+    ahead: list[list[int]] = []
+    ahead_rhs: list[int] = []
+    for const, terms in step.lookahead if lookahead else ():
+        row = [0] * nfree
+        for u, c in terms:
+            row[u] = c % q
+        if any(row):
+            ahead.append(row)
+            ahead_rhs.append(-const % q)
+        elif const % q:
+            return iter(())
     rows: list[list[int]] = []
     rhs: list[int] = []
     for k, (b, terms), *coefficients in chain(step.pure, step.rows):  # a pure row has none
@@ -406,13 +367,16 @@ def _chart_solutions(step: _Step, values: list, q: int) -> Iterator[Vector]:
             rhs.append(b % q)
         elif b % q:
             return iter(())
-    return iter_solutions_mod(rows, rhs, nfree, q)
+    return iter_solutions_mod(rows, rhs, nfree, q, ahead, ahead_rhs)
 
 
 def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable:
-    """The step's `(x, matrix)` points at the placed values, memoised by its neighbours' coordinates.
+    """The step's `(x, matrix)` points at the placed values, memoised by its earlier neighbours' coordinates.
 
-    They are its chart solutions that pass its loops.  A list without a
+    They are its chart solutions that pass its loops and vanish on its
+    lookahead rows, which `iter_solutions_mod` reads with the arrow rows:
+    no point that a later neighbour's pure row would refuse is listed or
+    visited, and the rest come in the same order.  A list without a
     memo, or that does not fit in the table's room, is streamed and not
     kept.  The search reads memo hits itself and calls this past the
     first step only on a miss.
@@ -423,7 +387,7 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
         found = memo.get(coordinates)
         if found is not None:
             return found
-    solutions = _chart_solutions(step, values, q)
+    solutions = _chart_solutions(step, values, q, True)  # with its lookahead rows
     if step.loops:
         solutions = (x for x in solutions if _loops_hold(step, x, q))
     chart = step.chart
@@ -461,10 +425,12 @@ def _cell_points(
 
     Depth-first over the vertex steps with an explicit stack.  Each step
     is looked up in `tables` when the search first reaches it, so a cell
-    whose search dies at one step never wires the later ones, and its
-    points come from the step's memo (see `_Tables`): the cells of one
-    call solve each distinct chart system once, while the memos have
-    room; past that, new lists stream as they are solved.  The last step
+    whose search dies at one step never wires the later ones; as each
+    step lists only points that its later neighbours' pure rows accept, a
+    search dies at the first step such a row refuses.  The points come
+    from the step's memo (see `_Tables`): the cells of one call solve
+    each distinct chart system once, while the memos have room; past
+    that, new lists stream as they are solved.  The last step
     is walked inside the loop over the step before it: each point is a
     copy of that prefix's dict plus the last vertex.  `tables`, built for
     m, is shared by the cells of one call, one prime at a time: a search
@@ -477,8 +443,7 @@ def _cell_points(
         return
     tables = tables or _Tables(m)
     tables.use_prime(q)
-    beta_set = set(beta.elements)  # not beta.as_set(): a call keeps all its cells alive
-    pivots = [tuple(b for b in block if b in beta_set) for block in tables.blocks]
+    pivots = tables.pivots(beta)
     last = n - 1
     head, name = order[:last], order[last]
     steps: list = [None] * n  # this cell's later steps, looked up on arrival

@@ -127,3 +127,20 @@ def test_a_spec_needs_the_exact_parameters_of_its_builder(spec, form):
     with pytest.raises(ValueError, match=rf"invalid parameters for '{name}': .*{re.escape(form)}"):
         catalog(spec)
     assert catalog("two_lines()").params == catalog("two_lines").params == ()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("one_vertex(-1)", "m must be at least 0, got -1"),
+        ("one_loop(-1,0)", "m must be at least 0, got -1"),
+        ("flag(2;3,1)", "dims must lie in 0..2, got 3"),
+        ("flag(3;)", "dims must list at least one dimension"),
+        ("kronecker_preprojective(-2)", "n must be at least 0, got -2"),
+    ],
+)
+def test_a_spec_whose_sizes_make_no_module_is_refused_by_parameter(spec, message):
+    """A negative size, an empty flag list or a flag dimension outside 0..m is refused, naming the parameter."""
+    name = spec.split("(")[0]
+    with pytest.raises(ValueError, match=rf"^invalid parameters for '{name}': {re.escape(message)}$"):
+        catalog(spec)

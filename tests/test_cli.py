@@ -491,6 +491,21 @@ def test_a_catalog_spec_with_an_extra_parameter_is_an_input_error(spec):
     assert_refused(["catalog", "--catalog", spec], "invalid parameters")
 
 
+@pytest.mark.parametrize(
+    "spec, parameter",
+    [
+        ("one_vertex(-1)", "m must"),
+        ("one_loop(-1,0)", "m must"),
+        ("flag(2;3,1)", "dims must"),
+        ("flag(3;)", "dims must"),
+        ("kronecker_preprojective(-2)", "n must"),
+    ],
+)
+def test_a_catalog_spec_whose_sizes_make_no_module_is_an_input_error(spec, parameter):
+    for command in ("catalog", "count"):
+        assert_refused([command, "--catalog", spec], "invalid parameters", parameter)
+
+
 @pytest.mark.parametrize("command", ["pushforward", "winding"])
 def test_a_target_quiver_with_repeated_ids_is_an_input_error(tmp_path, command):
     entry = catalog("kronecker_preprojective(2)")

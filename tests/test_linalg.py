@@ -1,5 +1,6 @@
 """Linear algebra over F_q: the order in which solution sets are enumerated."""
 
+import random
 from itertools import product
 
 from quiver_schubert.linalg import iter_solutions_mod, solve_mod
@@ -34,3 +35,57 @@ def test_iter_solutions_mod_inconsistent_and_no_rows():
     assert list(iter_solutions_mod([[1, 1], [2, 2]], [0, 1], 2, 3)) == []
     assert list(iter_solutions_mod([], [], 2, 3)) == list(product(range(3), repeat=2))
     assert list(iter_solutions_mod([], [], 0, 3)) == [()]
+
+
+def _satisfies(rows, rhs, x, q):
+    return all(sum(a * b for a, b in zip(row, x)) % q == c % q for row, c in zip(rows, rhs))
+
+
+def _restriction_cases(rng):
+    """(kind, q, A, b, C, d, nvars): random systems, each kind of restriction drawn for every q."""
+    for q in (2, 3, 5, 7):
+        for _ in range(60):
+            nvars = rng.randint(0, 5 if q < 5 else 4)
+
+            def rows(n):
+                return [[rng.randrange(-q, 2 * q) for _ in range(nvars)] for _ in range(n)]
+
+            a = rows(rng.randint(1, 3))
+            b = [rng.randrange(q) for _ in a]
+            c = rows(rng.randint(1, 3))
+            d = [rng.randrange(q) for _ in c]
+            yield "random", q, a, b, c, d, nvars
+            yield "no own rows", q, [], [], c, d, nvars
+            yield "zero extra rows", q, a, b, [], [], nvars
+            if nvars:
+                # A inconsistent: a zero row with a nonzero right-hand side
+                yield "inconsistent A", q, a + [[0] * nvars], b + [1], c, d, nvars
+                yield "inconsistent C", q, a, b, c + [[0] * nvars], d + [1], nvars
+                # C dependent on A: a combination of A's rows, consistent with it
+                mix = [rng.randrange(q) for _ in a]
+                row = [sum(m * r[i] for m, r in zip(mix, a)) for i in range(nvars)]
+                yield "C dependent on A", q, a, b, c + [row], d + [sum(m * v for m, v in zip(mix, b))], nvars
+
+
+def test_restricted_solutions_are_the_subsequence_of_the_unrestricted_stream():
+    """With a second system C x = d, iter_solutions_mod yields exactly the solutions of both, in the unrestricted order."""
+    rng = random.Random(18)
+    kinds = {}
+    for kind, q, a, b, c, d, nvars in _restriction_cases(rng):
+        unrestricted = list(iter_solutions_mod(a, b, nvars, q))
+        restricted = list(iter_solutions_mod(a, b, nvars, q, c, d))
+        assert restricted == [x for x in unrestricted if _satisfies(c, d, x, q)], (kind, q, a, b, c, d)
+        kinds[kind] = kinds.get(kind, 0) + (len(restricted) > 0)
+    # every kind ran, and every kind that can have points had some
+    assert set(kinds) == {"random", "no own rows", "zero extra rows", "inconsistent A", "inconsistent C", "C dependent on A"}
+    assert kinds["inconsistent A"] == kinds["inconsistent C"] == 0
+    assert all(kinds[k] > 0 for k in ("random", "no own rows", "zero extra rows", "C dependent on A"))
+
+
+def test_second_system_is_eliminated_after_the_first_from_the_right():
+    """solve_mod pivots C, reduced by A, on the rightmost column that A leaves free."""
+    # x0 + x2 = 1 leaves x1, x2 free; x1 + x2 = 0 then pivots on x2, so x1 stays free
+    particular, basis = solve_mod([[1, 0, 1]], [1], 3, [[0, 1, 1]], [0])
+    assert particular == (1, 0, 0) and basis == [(1, 1, 2)]
+    assert list(iter_solutions_mod([[1, 0, 1]], [1], 3, 3, [[0, 1, 1]], [0])) == [(1, 0, 0), (2, 1, 2), (0, 2, 1)]
+    assert solve_mod([], [], 3, [[1, 1]], [1]) == ((0, 1), [(1, 2)])  # no own rows: the pivot is x1

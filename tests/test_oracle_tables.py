@@ -108,7 +108,10 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
 
     Solving every cell's steps afresh took 55,551 chart systems and 17,932
     calls of solve_mod; sharing the step point lists solves each distinct
-    system, one per memo key, once.
+    system, one per memo key, once.  Reading each pure row at the earlier
+    step it constrains took the systems from 2,640 to 1,800: here every
+    lookahead row is a constant that no point satisfies, so it ends its
+    step before any elimination, and solve_mod sees the same 740 systems.
     """
     calls = {"_chart_solutions": 0, "solve_mod": 0}
     built = []
@@ -135,7 +138,7 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     assert report.total == 26961
     (tables,) = built
     assert calls["_chart_solutions"] == sum(map(len, tables._points.values()))
-    assert calls == {"_chart_solutions": 2640, "solve_mod": 740}
+    assert calls == {"_chart_solutions": 1800, "solve_mod": 740}
 
 
 def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
@@ -276,38 +279,56 @@ def test_entries_that_vanish_mod_a_sampled_prime_are_dropped_where_they_are_read
 
 
 # Charts and steps that count() builds on each entry at these primes.  With
-# one table per prime they were (27, 75) and (66, 234).
+# one table per prime they were (27, 75) and (66, 234), and with each step
+# compiling the rows of its own arrows, (9, 65) and (33, 117).
 PINNED_BUILDS = {
-    ("kronecker_preinjective(4)", (2, 3, 5)): (9, 65),
-    ("ex_4_5_5", (2, 3)): (33, 117),
+    ("kronecker_preinjective(4)", (2, 3, 5)): (9, 20),
+    ("ex_4_5_5", (2, 3)): (33, 19),
 }
 
 
 @pytest.mark.parametrize("spec, primes", sorted(PINNED_BUILDS))
 def test_one_table_serves_every_prime_of_a_call(monkeypatch, spec, primes):
-    """count builds one table for all its primes, one chart per (step, pivot tuple) and each kept step once.
+    """count builds one table for all its primes: one chart per (step, pivot tuple), each arrow's rows and each kept step once.
 
     A step the table does not keep, because its key fixes the whole cell,
-    is wired afresh at each prime whose search reaches it, as within one
-    prime.  The counts equal those of one call per prime.
+    is assembled afresh from the compiled rows at each prime whose search
+    reaches it, as within one prime.  The kept steps serve every prime,
+    and the counts equal those of one call per prime.
     """
     built, charts, steps = [], [], []
-    lookups = {}  # step key -> {prime: the wired steps looked up at that prime}
+    compiled = []  # the target chart of every compiled non-loop arrow
+    memoised = {}  # prime -> the kept steps holding points at that prime
+    fresh = []  # every lookup that returned a step the table does not keep
 
     class RecordedTables(_Tables):
         def __init__(self, m):
             super().__init__(m)
             built.append(self)
 
+        def use_prime(self, q):
+            if self.prime is not None and q != self.prime:
+                memoised[self.prime] = {id(step) for step in self._steps.values() if step.points}
+            super().use_prime(q)
+
         def step(self, i, pivots):
             found = super().step(i, pivots)
-            lookups.setdefault(_step_key(self, pivots, i), {}).setdefault(self.prime, set()).add(found)
+            if found.points is None:
+                fresh.append(found)
             return found
 
-    class RecordedChart(oracle._Chart):
+    class RecordedChart(oracle.Chart):
         def __init__(self, *args):
             super().__init__(*args)
             charts.append(self)
+
+        def incoming_rows(self, images):
+            compiled.append(self)
+            return super().incoming_rows(images)
+
+        def outgoing_rows(self, images):
+            compiled.append(self)
+            return super().outgoing_rows(images)
 
     class RecordedStep(oracle._Step):
         __slots__ = ()
@@ -317,35 +338,33 @@ def test_one_table_serves_every_prime_of_a_call(monkeypatch, spec, primes):
             steps.append(self)
 
     monkeypatch.setattr(oracle, "_Tables", RecordedTables)
-    monkeypatch.setattr(oracle, "_Chart", RecordedChart)
+    monkeypatch.setattr(oracle, "Chart", RecordedChart)
     monkeypatch.setattr(oracle, "_Step", RecordedStep)
     entry = catalog(spec)
     m, e = entry.representation, entry.dim_vector
     reports = count(m, e, primes=primes)
     (tables,) = built
+    memoised[tables.prime] = {id(step) for step in tables._steps.values() if step.points}
     assert sorted(map(id, charts)) == sorted(map(id, tables._charts.values()))
-    wired = 0
-    for key, per_prime in lookups.items():
-        if key in tables._steps:
-            assert set().union(*per_prime.values()) == {tables._steps[key]}, key
-            wired += 1
-        else:
-            assert all(len(found) == 1 for found in per_prime.values()), key
-            wired += len(per_prime)
-    assert len(steps) == wired
-    assert any(len(lookups[key]) == len(primes) for key in tables._steps)  # kept steps serve every prime
+    # every (arrow, source pivots, target pivots) is compiled once, whatever reads it
+    arrows = [key[0] for key in tables._compiled if tables.arrows[key[0]][0] != tables.arrows[key[0]][1]]
+    assert len(compiled) == len(arrows) > 0
+    kept = [step for step in steps if step.points is not None]
+    assert sorted(map(id, kept)) == sorted(map(id, tables._steps.values()))
+    assert len(steps) == len(kept) + len(fresh) == len(kept) + len(set(map(id, fresh)))
+    assert any(all(id(step) in memoised[q] for q in primes) for step in kept)  # kept steps serve every prime
     assert (len(charts), len(steps)) == PINNED_BUILDS[spec, primes]
     monkeypatch.undo()
     assert reports == [count(m, e, primes=(q,))[0] for q in primes]
 
 
 def _step_key(tables, pivots, i):
-    """Memo key of step i: the step, its pivot tuple and its earlier neighbours' pivot tuples."""
-    return (i, pivots[i], *[pivots[k] for k in tables.neighbours[i]])
+    """Lookup key of step i: the step and the pivot tuples at i and at each of its neighbours, earlier and later."""
+    return (i, pivots[i], *[pivots[k] for k in tables._around[i]])
 
 
 def _record_step_lookups(tables, lookups):
-    """Make tables.step append (step index, key, wired step) to lookups on every call."""
+    """Make tables.step append (step index, lookup key, wired step) to lookups on every call."""
     lookup = tables.step
 
     def step(i, pivots):
@@ -357,6 +376,12 @@ def _record_step_lookups(tables, lookups):
 
 
 def test_one_step_is_wired_per_distinct_key(monkeypatch):
+    """Each kept step is built once per content key and found again by the pivot tuples around it.
+
+    The content key is the step, its pivot tuple, its earlier neighbours'
+    pivot tuples and its lookahead rows, so cells whose later neighbours
+    put the same rows on it share one step and one memo.
+    """
     built = []
 
     class RecordedStep(oracle._Step):
@@ -367,7 +392,7 @@ def test_one_step_is_wired_per_distinct_key(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(oracle, "_Step", RecordedStep)
-    shared = unkept = 0
+    shared = unkept = merged = lookahead = 0
     for rep, e, q in _order_cases():
         built.clear()
         tables = _Tables(rep)
@@ -375,28 +400,36 @@ def test_one_step_is_wired_per_distinct_key(monkeypatch):
         _record_step_lookups(tables, lookups)
         for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
             list(_cell_points(rep, beta, q, tables))
-        wired = {}
+        found = {}
         for _, key, step in lookups:
-            assert wired.setdefault(key, step) is step, key
-        assert len(built) == len(wired)  # every cell is searched once, so no key recurs unkept
-        kept = {key: step for key, step in wired.items() if step.points is not None}
-        assert tables._steps == kept
-        assert all(tables._points[key] is step.points for key, step in kept.items())
-        unkept += len(wired) - len(kept)
-        shared += len(lookups) - len(wired)
+            if step.points is not None:
+                assert found.setdefault(key, step) is step, key
+        kept = {id(step) for step in found.values()}
+        assert kept == set(map(id, tables._steps.values()))
+        assert all(tables._points[key] is step.points for key, step in tables._steps.items())
+        assert all(key[-1] == step.lookahead for key, step in tables._steps.items())
+        fresh = sum(1 for _, _, step in lookups if step.points is None)
+        assert len(built) == len(kept) + fresh  # a kept step is built once, an unkept one at each lookup
+        shared += len(lookups) - fresh - len(found)
+        unkept += fresh
+        merged += len(found) - len(kept)
+        lookahead += sum(1 for step in tables._steps.values() if step.lookahead)
     assert shared > 0  # some cells met a step that an earlier cell wired
     assert unkept > 0  # and some last steps were never kept, their key fixing the whole cell
+    assert merged > 0 and lookahead > 0  # cells with other later pivot tuples shared a step by its rows
 
 
 def test_a_cell_wires_only_the_steps_its_search_reaches():
     """count(degenerate_flag(4)) at q = 2 wires a step only when a search reaches it.
 
-    The search of a cell reaches step j > 0 exactly when the cell restricted
-    to the first j vertices has a point, which the oracle counts
-    independently on the restricted module.  Wiring every step of every
-    cell would take 2,500 x 4 = 10,000 steps; the searches reach 6,855 of
-    them, which share 205 wired steps.  Every one of the 205 distinct keys
-    is reached by some cell.
+    The search of a cell reaches step j > 0 only if the cell restricted to
+    the first j vertices has a point, which the oracle counts
+    independently on the restricted module; with each pure row read at
+    the earlier step it constrains, 2,205 searches stop before that depth,
+    all on cells without points.  Wiring every step of every cell would
+    take 2,500 x 4 = 10,000 lookups by 1,100 distinct keys.  The searches
+    reached 6,855 steps, sharing 205 wired ones, before the pure rows
+    moved; now they reach 4,650 by 546 keys, sharing 203 wired steps.
     """
     entry = catalog("degenerate_flag(4)")
     rep, e, q = entry.representation, entry.dim_vector, 2
@@ -413,6 +446,7 @@ def test_a_cell_wires_only_the_steps_its_search_reaches():
     reached = 0
     eager = set()
     dead_early = 0
+    shallower = 0
     for beta in cells:
         del lookups[:]
         points = sum(1 for _ in _cell_points(rep, beta, q, tables))
@@ -422,14 +456,17 @@ def test_a_cell_wires_only_the_steps_its_search_reaches():
             for j, per_cell in enumerate(prefix_counts, 1)
             if per_cell[",".join(b for b in beta.elements if rep.basis.vertex_of[b] in vertices[:j])]
         )
-        assert steps == list(range(depth)), beta.key()
-        dead_early += points == 0 and depth < len(vertices)
+        assert steps == list(range(len(steps))) and len(steps) <= depth, beta.key()
+        shallower += len(steps) < depth
+        dead_early += points == 0 and len(steps) < len(vertices)
         reached += len(steps)
         chosen = set(beta.elements)
         pivots = [tuple(b for b in block if b in chosen) for block in tables.blocks]
         eager.update(_step_key(tables, pivots, i) for i in range(len(vertices)))
     assert len(cells) * len(vertices) == 10000
-    assert (reached, len(tables._steps), len(eager), dead_early) == (6855, 205, 205, 1945)
+    assert eager >= set(tables._lookup)
+    counts = (reached, len(tables._steps), len(tables._lookup), len(eager), dead_early, shallower)
+    assert counts == (4650, 203, 546, 1100, 2205, 2205)
 
 
 def test_point_dicts_are_fresh_and_independent():
@@ -453,17 +490,20 @@ def test_point_dicts_are_fresh_and_independent():
 
 # Work of count() on each entry at these primes: calls of _chart_solutions,
 # solve_mod and iter_solutions_mod, and the points iter_solutions_mod yields.
+# Before each pure row was read at the earlier step it constrains they were
+# (3747, 565, 583, 946), (2290, 150, 162, 304), (1550, 53, 65, 112) and
+# (6, 0, 6, 16226).
 PINNED_WORK = {
-    ("kronecker_preinjective(4)", (2, 3, 5)): (3747, 565, 583, 946),
-    ("kronecker_preprojective(5)", (2, 3)): (2290, 150, 162, 304),
-    ("ex_4_5_5", (2, 3)): (1550, 53, 65, 112),
+    ("kronecker_preinjective(4)", (2, 3, 5)): (767, 565, 574, 738),
+    ("kronecker_preprojective(5)", (2, 3)): (190, 150, 162, 304),
+    ("ex_4_5_5", (2, 3)): (85, 53, 65, 112),
     ("one_loop(4,1)", (11,)): (6, 0, 6, 16226),
 }
 
 
 @pytest.mark.parametrize("spec, primes", sorted(PINNED_WORK))
 def test_pure_rows_and_loop_forms_save_images_not_solves(monkeypatch, spec, primes):
-    """Reading the pure rows first and the loops as forms solves the same systems and yields the same points."""
+    """Pure rows read at the earlier step they constrain, and loops read as forms, save chart systems, not solves."""
     calls = dict.fromkeys(("_chart_solutions", "solve_mod", "iter_solutions_mod", "yielded"), 0)
 
     def counted(owner, name):
@@ -608,3 +648,39 @@ def test_arrow_rows_agree_with_a_rank_test_on_every_chart_point(q):
                     assert (x in passed) == held, (name, beta.key(), i, x)
                     outcomes.add(held)
     assert outcomes == {True, False}
+
+
+def _lookahead_holds(step, x, q):
+    """Every lookahead row b of the step vanishes at x mod q."""
+    return all((const + sum(c * x[u] for u, c in terms)) % q == 0 for const, terms in step.lookahead)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_memoised_points_are_the_chart_solutions_that_satisfy_the_lookahead_rows(q):
+    """Every memoised point satisfies its step's lookahead rows; every chart solution that the step drops violates one.
+
+    The memo of each kept step is compared, at every key, with the step's
+    chart solutions there that pass its loops, filtered by its lookahead
+    rows, in order.
+    """
+    memos = dropped = ahead = 0
+    for name, rep, e in _arrow_cases():
+        tables = _Tables(rep)
+        for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
+            list(_cell_points(rep, beta, q, tables))
+        for key, step in tables._steps.items():
+            i = key[0]
+            neighbours = tables.neighbours[i]
+            ahead += bool(step.lookahead)
+            for coordinates, points in step.points.items():
+                values = [()] * len(tables.blocks)
+                for k, y in zip(neighbours, coordinates if len(neighbours) > 1 else [coordinates]):
+                    values[k] = y
+                assert step.coordinates(values) == coordinates
+                solutions = [x for x in oracle._chart_solutions(step, values, q) if oracle._loops_hold(step, x, q)]
+                kept = [x for x, _ in points]
+                assert all(_lookahead_holds(step, x, q) for x in kept), (name, key, coordinates)
+                assert kept == [x for x in solutions if _lookahead_holds(step, x, q)], (name, key, coordinates)
+                memos += 1
+                dropped += len(solutions) - len(kept)
+    assert memos > 0 and ahead > 0 and dropped > 0
