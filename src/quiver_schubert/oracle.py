@@ -338,6 +338,8 @@ def _chart_solutions(step: _Step, values: list, q: int, lookahead: bool = False)
     the step before any other row is read.  `iter_solutions_mod` sees the
     other arrow rows in wiring order, and the lookahead rows as its second
     system, which it reads without changing the order of the solutions.
+    The search always asks for the lookahead rows; the solutions of the
+    arrow rows alone are what the rank tests check.
     """
     nfree = step.chart.nfree
     ahead: list[list[int]] = []
