@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from quiver_schubert.linalg import column_echelon_max_pivot, mat_vec_mod
 from quiver_schubert.quiver import QuiverMorphism, disjoint_union, quiver, subquiver
@@ -11,8 +11,10 @@ from quiver_schubert.representation import (
     OrderedBasis,
     Representation,
     order_above_extension,
+    push_forward,
     representation,
 )
+from quiver_schubert.schubert import cell_index, generate_equations
 
 
 def fold_winding(rep: Representation, s_vertices):
@@ -205,3 +207,41 @@ def random_winding(seed: int, domain=None):
         [(name, color[members[0].src], color[members[0].tgt]) for name, members in classes],
     )
     return QuiverMorphism(t, codomain, color, arrow_map)
+
+
+def random_winding_module(seed: int):
+    """Seeded module M over the domain of `random_winding(seed)`, with that winding.
+
+    Every vertex has rank 0, 1 or 2, the basis ids are shuffled across
+    the vertices and matrix entries lie in {-2, ..., 2}.  Returns (M, F).
+    """
+    f = random_winding(seed)
+    rng = random.Random(f"module {seed}")
+    t = f.domain
+    rank = {v: rng.randint(0, 2) for v in t.vertices}
+    vertex_of = {}
+    for v in t.vertices:
+        for _ in range(rank[v]):
+            vertex_of[f"b{len(vertex_of) + 1}"] = v
+    order = list(vertex_of)
+    rng.shuffle(order)
+    mats = {
+        a.name: [[rng.randint(-2, 2) for _ in range(rank[a.src])] for _ in range(rank[a.tgt])]
+        for a in t.arrows
+    }
+    return representation(t, OrderedBasis(tuple(order), vertex_of), mats), f
+
+
+def small_winding_cells(seed: int, max_variables: int = 5):
+    """(M, F, F_*M, cell ids, system) for each cell of `random_winding_module(seed)`.
+
+    Every subset of the basis, in `combinations` order, whose system
+    through F has at most max_variables variables.
+    """
+    m, f = random_winding_module(seed)
+    pushed = push_forward(f, m)
+    for r in range(len(m.basis.order) + 1):
+        for elems in combinations(m.basis.order, r):
+            system = generate_equations(m, cell_index(m.basis, elems), fibred_via=f)
+            if len(system.variables) <= max_variables:
+                yield m, f, pushed, elems, system

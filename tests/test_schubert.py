@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import chart_coordinates, fold_winding, random_tree_extension
+from conftest import chart_coordinates, fold_winding, random_tree_extension, small_winding_cells
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import column_echelon_max_pivot
 from quiver_schubert.oracle import _cell_points, assign_cell, cell_count
@@ -192,6 +192,23 @@ def test_winding_equation_solutions_match_pushed_cells():
                     direct = cell_count(pushed, beta_n, q)
                     via_equations = sum(1 for _ in system.solutions(q))
                     assert direct == via_equations, (name, elems, q)
+
+
+def test_random_winding_equations_count_the_pushed_cells():
+    """Dual route on seeded windings: codomain loops, fibres of several
+    arrows, empty blocks, shuffled bases and entries in {-2, ..., 2}."""
+    cells = equations = loops = wide = 0
+    for seed in range(40):
+        for m, f, pushed, elems, system in small_winding_cells(seed):
+            beta_n = cell_index(pushed.basis, elems)
+            for q in (2, 3):
+                via_equations = sum(1 for _ in system.solutions(q))
+                assert cell_count(pushed, beta_n, q) == via_equations, (seed, elems, q)
+            cells += 1
+            equations += len(system.equations)
+        loops += any(a.src == a.tgt for a in f.codomain.arrows)
+        wide += any(len(f.fibre_arrows(a.name)) > 1 for a in f.codomain.arrows)
+    assert (cells, equations, loops, wide) == (2323, 9643, 36, 15)
 
 
 def test_cell_points_round_trip_assign_cell():

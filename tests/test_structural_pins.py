@@ -25,6 +25,7 @@ from quiver_schubert.representation import (
     restrict,
 )
 from quiver_schubert.schubert import PreconditionError, cell_index, enumerate_cells, generate_equations
+from conftest import small_winding_cells
 from test_chart_search import random_branching_cycle
 
 # SHA-256 of the ordered `to_json()` lines of every cell, with fibred_via=None
@@ -68,6 +69,10 @@ PINNED_CYCLE_EQUATIONS = {
     8: "1e1cc47b33ba6410e76345af6f2ee15f280050503a7cc94be8ac4db03f742fa2",
     9: "60dccb6d63b5ef8398590c6773ff9185a48e2a614a43cac0d86cb4b70fbdc43f",
 }
+# Same digest over the cells of at most 5 variables of random_winding_module
+# for seeds 0-39, in seed order, each through its winding: codomain loops,
+# fibres of several arrows, empty blocks, shuffled bases, negative entries.
+PINNED_WINDING_EQUATIONS = "dbff14757085c8a1b493d29bb0a770232bdc988aff059b003e74803c9fe9dab0"
 
 # SHA-256 of `_record` lines of the full HypothesisResult: per family over
 # n = 1..40 in order, and per single entry.
@@ -113,6 +118,13 @@ def test_equation_streams_are_pinned_on_cycles_and_loops():
         rep, e = random_branching_cycle(seed)
         assert _stream(rep, enumerate_cells(rep.basis, e, rep.quiver.vertices), None) == digest, seed
 
+
+def test_equation_streams_are_pinned_on_random_windings():
+    h = hashlib.sha256()
+    for seed in range(40):
+        for _m, _f, _pushed, _elems, system in small_winding_cells(seed):
+            h.update(system.to_json().encode() + b"\n")
+    assert h.hexdigest() == PINNED_WINDING_EQUATIONS
 
 def _record(result) -> str:
     return json.dumps([
