@@ -69,11 +69,16 @@ def _require_sizes(**sizes: int) -> None:
             raise ValueError(f"{name} must be at least 0, got {size}")
 
 
+def _within_ranks(rep: Representation, e: Mapping[str, int]) -> dict[str, int]:
+    """e lowered to the rank at each vertex, so that an entry of size 0 asks for dimension 0."""
+    return {v: min(d, rep.rank(v)) for v, d in e.items()}
+
+
 def one_vertex(m: int) -> CatalogEntry:
     _require_sizes(m=m)
     q, basis = _chain(1, m)
     rep = representation(q, basis, {})
-    return CatalogEntry("one_vertex", (m,), rep, {"1": max(1, m // 2)})
+    return CatalogEntry("one_vertex", (m,), rep, _within_ranks(rep, {"1": max(1, m // 2)}))
 
 
 def flag(m: int, dims: Sequence[int]) -> CatalogEntry:
@@ -96,7 +101,7 @@ def one_loop(m: int, lam: int) -> CatalogEntry:
     _require_sizes(m=m)
     q = quiver(["1"], [("a", "1", "1")])
     rep = representation(q, _blocks({"1": m}), {"a": _jordan(m, lam)})
-    return CatalogEntry("one_loop", (m, lam), rep, {"1": max(1, m // 2)})
+    return CatalogEntry("one_loop", (m, lam), rep, _within_ranks(rep, {"1": max(1, m // 2)}))
 
 
 def two_lines() -> CatalogEntry:
@@ -109,7 +114,7 @@ def kronecker_regular(n: int, lam: int) -> CatalogEntry:
     _require_sizes(n=n)
     q = quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
     rep = representation(q, _blocks({"1": n, "2": n}), {"a": identity_matrix(n), "b": _jordan(n, lam)})
-    return CatalogEntry("kronecker_regular", (n, lam), rep, {"1": 1, "2": 1})
+    return CatalogEntry("kronecker_regular", (n, lam), rep, _within_ranks(rep, {"1": 1, "2": 1}))
 
 
 def _winding(
@@ -132,11 +137,12 @@ def _winding(
     t = quiver(list(vertex_map), [(a, src, tgt) for a, src, tgt, _ in arrows])
     upstairs = thin_representation(t, vertex_order)
     f = morphism(t, codomain, vertex_map, {a: image for a, _, _, image in arrows})
+    pushed = push_forward(f, upstairs)
     return CatalogEntry(
         name,
         params,
-        push_forward(f, upstairs),
-        dim_vector,
+        pushed,
+        _within_ranks(pushed, dim_vector),
         upstairs=upstairs,
         subquiver=subquiver(t, s_vertices),
         morphism=f,

@@ -325,12 +325,10 @@ def _run(args) -> int:
                 cell_index(source.basis, c.elements)
                 for c in enumerate_cells(ambient_basis, e, rep.quiver.vertices)
             ]
-        out = []
-        for beta in betas:
-            system = generate_equations(source, beta, fibred_via=f)
-            out.append(system)
+        out = [generate_equations(source, beta, fibred_via=f) for beta in betas]
         if args.as_json:
-            print(json.dumps([json.loads(s.to_json()) for s in out], sort_keys=True))
+            # each system's to_json() is already sorted-key JSON, so the list needs no round trip
+            print("[" + ", ".join(s.to_json() for s in out) + "]")
         else:
             print("\n\n".join(s.to_text() for s in out))
         return 0

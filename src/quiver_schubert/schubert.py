@@ -17,9 +17,9 @@ per-cell entry points share that work, and each module builds it once
   every basis element along it and which of its ends lies farther
   from S;
 - the winding setup of (M, F): the checks that F is a winding on the
-  quiver of M, the ambient vertex of every basis element, the fibre
-  arrows and sorted fibres of each codomain arrow, and the nonzero
-  entries of every matrix.
+  quiver of M, the ambient vertex of every basis element, and for each
+  codomain arrow its sorted fibres and the nonzero entries of every
+  column of F_*M there, which is all that equation assembly reads.
 
 None of this reads the cell, so a cell answered from a stored setup is
 answered exactly as from a fresh one.  Only a setup whose checks pass is
@@ -297,19 +297,20 @@ class CellEquationSystem:
 
 
 def cell_variables(basis, beta: CellIndex, ambient_vertex_of: Mapping[str, str]) -> list[tuple[str, str]]:
-    """Free coordinate positions (b', b) of the echelon chart."""
-    pos = basis.positions()
+    """Free coordinate positions (b', b) of the echelon chart, by position of b, then of b'.
+
+    One walk over the basis: at each pivot b the non-pivots seen so far
+    at b's ambient vertex are its rows b'.
+    """
     beta_set = beta.as_set()
+    seen: dict[str, list[str]] = {}
     out = []
-    for b in beta.elements:
-        for bp in basis.order:
-            if (
-                bp not in beta_set
-                and pos[bp] < pos[b]
-                and ambient_vertex_of[bp] == ambient_vertex_of[b]
-            ):
-                out.append((bp, b))
-    out.sort(key=lambda pair: (pos[pair[1]], pos[pair[0]]))
+    for b in basis.order:
+        rows = seen.setdefault(ambient_vertex_of[b], [])
+        if b in beta_set:
+            out.extend((bp, b) for bp in rows)
+        else:
+            rows.append(b)
     return out
 
 
@@ -317,10 +318,11 @@ class _WindingSetup:
     """The cell-independent part of `generate_equations` for one module and winding.
 
     Raises ValueError, and is then not stored, unless F is a winding on
-    the quiver of M.  For each codomain arrow it keeps the fibre arrows,
-    the target and source fibres sorted by block start, and the fibre
-    arrow into each target (one at most, F being a winding); for each
-    arrow of M the nonzero entries (source element, value) of every row.
+    the quiver of M.  For each codomain arrow it keeps the target and
+    source fibres sorted by block start and the columns of F_*M at that
+    arrow: for each basis element c over its source, the nonzero entries
+    (row element, value) of column c of the fibre arrow leaving c's
+    vertex (one at most, F being a winding).
     """
 
     def __init__(self, m: Representation, fibred_via: QuiverMorphism | None):
@@ -333,27 +335,24 @@ class _WindingSetup:
         pos = basis.positions()
         self.ambient_vertex_of = {b: f.vertex_map[basis.vertex_of[b]] for b in basis.order}
         self.block = block = {v: basis.block(v) for v in m.quiver.vertices}
-        self.row_of = {b: i for blk in block.values() for i, b in enumerate(blk)}
 
         def block_start(v: str) -> int:
             return pos[block[v][0]] if block[v] else -1
 
         self.arrows = []
         for at in f.codomain.arrows:
-            fibre = f.fibre_arrows(at.name)
+            columns: dict[str, list[tuple[str, int]]] = {}
+            for a in f.fibre_arrows(at.name):
+                for r, row in zip(block[a.tgt], m.matrices[a.name]):
+                    for c, x in zip(block[a.src], row):
+                        if x:
+                            columns.setdefault(c, []).append((r, x))
             self.arrows.append((
                 at.name,
-                fibre,
                 sorted(f.fibre_vertices(at.tgt), key=block_start),
                 sorted(f.fibre_vertices(at.src), key=block_start),
-                {a.tgt: a for a in fibre},
+                columns,
             ))
-        self.entries = {
-            a.name: [
-                [(c, x) for c, x in zip(block[a.src], row) if x] for row in m.matrices[a.name]
-            ]
-            for a in m.quiver.arrows
-        }
 
 
 def generate_equations(
@@ -366,11 +365,16 @@ def generate_equations(
     Rows indexed by pivot elements are trivially satisfied and skipped;
     identically-zero polynomials are dropped.
 
-    Assembly is sparse.  Every chart entry is a monomial with coefficient
-    1 or absent, so the right factor M_a W_{a.src,s} is built once per
-    fibre arrow a and source fibre vertex s from the nonzero entries of
-    M_a, and each equation sums monomial coefficients in a dict; zero
-    products are never formed.
+    Assembly is sparse and reads columns.  For each codomain arrow and
+    pivot bc over its source, the image column M W_{., bc} is built once
+    from the stored columns of bc and of the non-pivots c with a
+    coordinate w_{c,bc}; each row of it is a list of (monomial, value),
+    and distinct c give distinct monomials, so nothing cancels there.
+    The equation at a non-pivot row br and column bc is then the sum of
+    w_{br,r} times row r of the image over the pivots r above br, minus
+    row br; a pair is passed over when none of these rows is nonzero.
+    Equations come out in the order (arrow, t, s, br, bc) and variables
+    by pivot, then row, both in basis order.
     """
     setup = _module_setup(m, "winding", fibred_via, lambda: _WindingSetup(m, fibred_via))
     basis = m.basis
@@ -379,84 +383,52 @@ def generate_equations(
     if not all(b in pos for b in beta.elements):
         raise ValueError("beta is not a subset of the basis")
     variables = cell_variables(basis, beta, setup.ambient_vertex_of)
-    var_index = {pair: i for i, pair in enumerate(variables)}
-    block, entries, row_of = setup.block, setup.entries, setup.row_of
-    # beta's rows in each block, in block order since beta is in basis order
-    beta_rows: dict[str, list[tuple[int, str]]] = {}
-    cols: dict[str, list[str]] = {}
+    # each pivot's chart column as (row, monomial), and each non-pivot row's
+    # pivots r above it with the index of w_{br,r}
+    chart = {b: [(b, ())] for b in beta.elements}
+    above: dict[str, dict[str, int]] = {}
+    for i, (c, b) in enumerate(variables):
+        chart[b].append((c, ((i, 1),)))
+        above.setdefault(c, {})[b] = i
+    cols: dict[str, list[str]] = {}  # beta's elements per vertex, in basis order
     for b in beta.elements:
-        v = basis.vertex_of[b]
-        beta_rows.setdefault(v, []).append((row_of[b], b))
-        cols.setdefault(v, []).append(b)
-
-    def chart_row(c: str, s: str) -> list[tuple[str, Monomial]]:
-        """Nonzero entries (column, monomial) of row c of the chart block W_{., s}."""
-        if c in beta_set:
-            return [(c, ())] if c in cols[s] else []
-        return [(bc, ((var_index[(c, bc)], 1),)) for bc in cols[s] if pos[c] < pos[bc]]
-
-    def right_factor(a, s: str) -> list[dict[str, dict[Monomial, int]]]:
-        """Rows of M_a W_{a.src,s} as {column: {monomial: coefficient}}.
-
-        Distinct source rows c give distinct monomials, so nothing cancels.
-        """
-        out = []
-        for row in entries[a.name]:
-            acc: dict[str, dict[Monomial, int]] = {}
-            for c, x in row:
-                for bc, mono in chart_row(c, s):
-                    acc.setdefault(bc, {})[mono] = x
-            out.append(acc)
-        return out
+        cols.setdefault(basis.vertex_of[b], []).append(b)
 
     equations = []
-    for at_name, fibre, tgt_fib, src_fib, arrow_into in setup.arrows:
-        factors: dict[str, tuple[dict, list]] = {}
-
-        def factor(s: str) -> tuple[dict, list]:
-            """Right factors of every fibre arrow at s, and the nonzero beta rows among them."""
-            if s not in factors:
-                rights = {a.name: right_factor(a, s) for a in fibre}
-                lhs = [
-                    (pos[r], r, rights[a.name][k])
-                    for a in fibre
-                    for k, r in beta_rows.get(a.tgt, ())
-                    if rights[a.name][k]
-                ]
-                factors[s] = (rights, lhs)
-            return factors[s]
-
+    for at_name, tgt_fib, src_fib, columns in setup.arrows:
         live_src = [s for s in src_fib if s in cols]
-        if not live_src:
+        rows_out = [(t, [b for b in setup.block[t] if b not in beta_set]) for t in tgt_fib]
+        if not live_src or not any(rows for _t, rows in rows_out):
             continue
-        for t in tgt_fib:
-            rows_out = [(i, b) for i, b in enumerate(block[t]) if b not in beta_set]
-            if not rows_out:
-                continue
-            arrow_t = arrow_into.get(t)
+        # per source pivot bc: its image rows, its nonzero pivot rows and the last one's position
+        images = {}
+        for s in live_src:
+            for bc in cols[s]:
+                image: dict[str, list[tuple[Monomial, int]]] = {}
+                for c, mono in chart[bc]:
+                    for r, x in columns.get(c, ()):
+                        image.setdefault(r, []).append((mono, x))
+                pivots = [(r, terms) for r, terms in image.items() if r in beta_set]
+                images[bc] = (image, pivots, max((pos[r] for r, _ in pivots), default=-1))
+        for t, rows in rows_out:
             for s in live_src:
-                rights, lhs = factor(s)
-                rhs = rights[arrow_t.name] if arrow_t is not None else None
-                for i, br in rows_out:
-                    # E = sum_a W_{t,a.tgt} M_a[beta rows] W_{a.src,s} - M_{a_t} W_{a_t.src,s};
-                    # on a non-pivot row br the left chart block is w_{br,r} for r > br.
-                    acc: dict[str, dict[Monomial, int]] = {}
-                    for p, r, row in lhs:
-                        if p < pos[br]:
-                            continue
-                        w = var_index[(br, r)]
-                        for bc, poly in row.items():
-                            into = acc.setdefault(bc, {})
-                            for mono, x in poly.items():
-                                prod = _times_var(w, mono)
-                                into[prod] = into.get(prod, 0) + x
-                    if rhs is not None:
-                        for bc, poly in rhs[i].items():
-                            into = acc.setdefault(bc, {})
-                            for mono, x in poly.items():
-                                into[mono] = into.get(mono, 0) - x
+                for br in rows:
+                    p, left = pos[br], above.get(br, {})
                     for bc in cols[s]:
-                        terms = {mono: x for mono, x in acc.get(bc, {}).items() if x}
+                        image, pivots, top = images[bc]
+                        own = image.get(br)
+                        if own is None and top < p:
+                            continue
+                        acc: dict[Monomial, int] = {}
+                        for r, terms in pivots:
+                            w = left.get(r)
+                            if w is not None:
+                                for mono, x in terms:
+                                    prod = _times_var(w, mono)
+                                    acc[prod] = acc.get(prod, 0) + x
+                        for mono, x in own or ():
+                            acc[mono] = acc.get(mono, 0) - x
+                        terms = {mono: x for mono, x in acc.items() if x}
                         if terms:
                             equations.append(CellEquation((at_name, t, s), br, bc, Poly(terms)))
     return CellEquationSystem(beta, tuple(variables), tuple(equations))

@@ -6,6 +6,7 @@ import pytest
 
 from quiver_schubert.catalog import catalog, catalog_names
 from quiver_schubert.linalg import identity_matrix
+from quiver_schubert.oracle import count
 from quiver_schubert.quiver import is_strictly_ordered, is_tree_extension, is_winding, validate
 from quiver_schubert.representation import is_ordered_above, representation_to_json
 
@@ -144,3 +145,17 @@ def test_a_spec_whose_sizes_make_no_module_is_refused_by_parameter(spec, message
     name = spec.split("(")[0]
     with pytest.raises(ValueError, match=rf"^invalid parameters for '{name}': {re.escape(message)}$"):
         catalog(spec)
+
+
+@pytest.mark.parametrize("spec, e", [
+    ("one_vertex(0)", {"1": 0}),
+    ("one_loop(0,0)", {"1": 0}),
+    ("kronecker_regular(0,1)", {"1": 0, "2": 0}),
+    ("kronecker_preprojective(0)", {"1": 0, "2": 1}),
+    ("kronecker_preinjective(0)", {"1": 1, "2": 0}),
+])
+def test_an_entry_of_size_0_asks_for_no_more_than_its_ranks(spec, e):
+    entry = catalog(spec)
+    assert dict(entry.dim_vector) == e
+    # e is 0 or the full rank at each vertex, so the Grassmannian is one point
+    assert [r.total for r in count(entry.representation, e, primes=(2, 3))] == [1, 1]

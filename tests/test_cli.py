@@ -10,6 +10,7 @@ from quiver_schubert.catalog import catalog
 from quiver_schubert.cli import main
 from quiver_schubert.quiver import quiver, quiver_to_json
 from quiver_schubert.representation import representation_to_json
+from quiver_schubert.schubert import cell_index, enumerate_cells, generate_equations
 
 
 def run(argv):
@@ -238,6 +239,20 @@ def test_golden_json_schemas():
     data = json.loads(out)
     assert set(data) == {"pair", "passed", "reason", "triples"}
 
+
+
+@pytest.mark.parametrize("spec, systems", [("ex_4_5_5", 112), ("kronecker_preprojective(5)", 75)])
+def test_equations_json_joins_the_systems_as_one_sorted_dump(spec, systems):
+    """The joined to_json() lines are the bytes of dumping the parsed systems with sorted keys."""
+    entry = catalog(spec)
+    rep, source = entry.representation, entry.upstairs
+    out = [
+        generate_equations(source, cell_index(source.basis, c.elements), fibred_via=entry.morphism)
+        for c in enumerate_cells(rep.basis, dict(entry.dim_vector), rep.quiver.vertices)
+    ]
+    code, printed, _ = run(["equations", "--catalog", spec, "--json"])
+    assert code == 0 and len(out) == systems
+    assert printed == json.dumps([json.loads(s.to_json()) for s in out], sort_keys=True) + "\n"
 
 @pytest.mark.parametrize("primes", ["4", "9", "-3", "0", "1"])
 def test_non_prime_modulus_is_an_input_error(primes):

@@ -7,18 +7,20 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import chart_coordinates, fold_winding, random_tree_extension, small_winding_cells
+from conftest import chart_coordinates, fold_winding, random_tree_extension, random_winding_module, small_winding_cells
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import column_echelon_max_pivot
 from quiver_schubert.oracle import _cell_points, assign_cell, cell_count
 from quiver_schubert.quiver import distances_to, full_subquiver, quiver, subquiver
 from quiver_schubert.representation import OrderedBasis, representation, restrict
 from quiver_schubert.schubert import (
+    CellIndex,
     PreconditionError,
     block_leq,
     cell_index,
     cell_partial_orders,
     cell_type,
+    cell_variables,
     enumerate_cells,
     generate_equations,
     grassmannian_fibration,
@@ -192,6 +194,25 @@ def test_winding_equation_solutions_match_pushed_cells():
                     direct = cell_count(pushed, beta_n, q)
                     via_equations = sum(1 for _ in system.solutions(q))
                     assert direct == via_equations, (name, elems, q)
+
+
+def test_cell_variables_follow_the_basis_for_any_element_order():
+    """By position of the pivot, then of the row, also for a CellIndex built unsorted."""
+    for seed in range(20):
+        m, f = random_winding_module(seed)
+        ambient = {b: f.vertex_map[m.basis.vertex_of[b]] for b in m.basis.order}
+        pos = m.basis.positions()
+        elems = random.Random(seed).sample(m.basis.order, len(m.basis.order) // 2)
+        expected = sorted(
+            (
+                (bp, b)
+                for b in elems
+                for bp in m.basis.order
+                if bp not in elems and pos[bp] < pos[b] and ambient[bp] == ambient[b]
+            ),
+            key=lambda pair: (pos[pair[1]], pos[pair[0]]),
+        )
+        assert cell_variables(m.basis, CellIndex(tuple(elems)), ambient) == expected, seed
 
 
 def test_random_winding_equations_count_the_pushed_cells():
