@@ -373,8 +373,10 @@ def generate_equations(
     The equation at a non-pivot row br and column bc is then the sum of
     w_{br,r} times row r of the image over the pivots r above br, minus
     row br; a pair is passed over when none of these rows is nonzero.
-    Equations come out in the order (arrow, t, s, br, bc) and variables
-    by pivot, then row, both in basis order.
+    The loops run over (arrow, t, s, br, bc) in fibre and basis order
+    and variables come by pivot, then row: the pinned equation streams
+    of the tests fix both orders.  Only the order of terms inside a Poly
+    is free, and nothing reads it unsorted.
     """
     setup = _module_setup(m, "winding", fibred_via, lambda: _WindingSetup(m, fibred_via))
     basis = m.basis
