@@ -70,7 +70,7 @@ def _require_sizes(**sizes: int) -> None:
 
 
 def _within_ranks(rep: Representation, e: Mapping[str, int]) -> dict[str, int]:
-    """e lowered to the rank at each vertex, so that an entry of size 0 asks for dimension 0."""
+    """e lowered to the rank at each vertex, so that an entry of size 0 asks for no more than it has."""
     return {v: min(d, rep.rank(v)) for v, d in e.items()}
 
 

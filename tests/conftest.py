@@ -232,16 +232,16 @@ def random_winding_module(seed: int):
     return representation(t, OrderedBasis(tuple(order), vertex_of), mats), f
 
 
-def small_winding_cells(seed: int, max_variables: int = 5):
-    """(M, F, F_*M, cell ids, system) for each cell of `random_winding_module(seed)`.
+def small_winding_cells(seed: int):
+    """(F, F_*M, cell ids, system) for each cell of M = `random_winding_module(seed)`.
 
     Every subset of the basis, in `combinations` order, whose system
-    through F has at most max_variables variables.
+    through F has at most 5 variables, so that brute force stays cheap.
     """
     m, f = random_winding_module(seed)
     pushed = push_forward(f, m)
     for r in range(len(m.basis.order) + 1):
         for elems in combinations(m.basis.order, r):
             system = generate_equations(m, cell_index(m.basis, elems), fibred_via=f)
-            if len(system.variables) <= max_variables:
-                yield m, f, pushed, elems, system
+            if len(system.variables) <= 5:
+                yield f, pushed, elems, system

@@ -220,7 +220,7 @@ def test_random_winding_equations_count_the_pushed_cells():
     arrows, empty blocks, shuffled bases and entries in {-2, ..., 2}."""
     cells = equations = loops = wide = 0
     for seed in range(40):
-        for m, f, pushed, elems, system in small_winding_cells(seed):
+        for f, pushed, elems, system in small_winding_cells(seed):
             beta_n = cell_index(pushed.basis, elems)
             for q in (2, 3):
                 via_equations = sum(1 for _ in system.solutions(q))

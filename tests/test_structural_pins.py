@@ -122,7 +122,7 @@ def test_equation_streams_are_pinned_on_cycles_and_loops():
 def test_equation_streams_are_pinned_on_random_windings():
     h = hashlib.sha256()
     for seed in range(40):
-        for _m, _f, _pushed, _elems, system in small_winding_cells(seed):
+        for _f, _pushed, _elems, system in small_winding_cells(seed):
             h.update(system.to_json().encode() + b"\n")
     assert h.hexdigest() == PINNED_WINDING_EQUATIONS
 
