@@ -5,8 +5,16 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
+from quiver_schubert.hypothesis_h import (
+    HypothesisResult,
+    TripleReport,
+    TripleType,
+    WindingContext,
+    _excusable,
+    _psi_less,
+)
 from quiver_schubert.linalg import column_echelon_max_pivot, mat_vec_mod
-from quiver_schubert.quiver import QuiverMorphism, disjoint_union, quiver, subquiver
+from quiver_schubert.quiver import QuiverMorphism, disjoint_union, is_strictly_ordered, quiver, subquiver
 from quiver_schubert.representation import (
     OrderedBasis,
     Representation,
@@ -14,11 +22,13 @@ from quiver_schubert.representation import (
     push_forward,
     representation,
 )
-from quiver_schubert.schubert import cell_index, generate_equations
+from quiver_schubert.schubert import cell_index, generate_equations, tree_setup
 
 
-def fold_winding(rep: Representation, s_vertices):
+def fold_winding(rep: Representation, s_vertices, s_arrows=()):
     """T + T folded back onto T, with basis ordered above S + S.
+
+    S is given by its vertices and arrows; both copies of each are in S + S.
 
     Returns (module upstairs, subquiver S', fold morphism).
     """
@@ -32,7 +42,11 @@ def fold_winding(rep: Representation, s_vertices):
         for a in t.arrows:
             mats[a.name + suf] = rep.matrices[a.name]
     upstairs = Representation(u, OrderedBasis(tuple(order), vertex_of), mats)
-    s = subquiver(u, [v + suf for v in s_vertices for suf in ("", "'")])
+    s = subquiver(
+        u,
+        [v + suf for v in s_vertices for suf in ("", "'")],
+        [a + suf for a in s_arrows for suf in ("", "'")],
+    )
     upstairs = order_above_extension(upstairs, s)
     fold = QuiverMorphism(
         u,
@@ -245,3 +259,64 @@ def small_winding_cells(seed: int):
             system = generate_equations(m, cell_index(m.basis, elems), fibred_via=f)
             if len(system.variables) <= 5:
                 yield f, pushed, elems, system
+
+
+def reference_triple(ctx: WindingContext, atilde: str, t: str, s: str):
+    """(type, every off-diagonal block pair of E(atilde, t, s)) by scanning the whole fibre.
+
+    The arrows between t and s are those with target after t and source
+    before s; each adds (t, a.tgt) and (a.src, s), after the pairs of the
+    arrows into t and out of s.  Assumes a strictly ordered fibre.
+    """
+    pos = ctx.pos
+    arrows = ctx.fibre_arrows(atilde)
+    arrow_t = next((a for a in arrows if a.tgt == t), None)
+    arrow_s = next((a for a in arrows if a.src == s), None)
+    if arrow_s is not None and arrow_s.tgt == t:
+        return TripleType.T1, []
+    if arrow_t is not None and pos(arrow_t.src) > pos(s):
+        return TripleType.T0, []
+    if arrow_s is not None and pos(t) > pos(arrow_s.tgt):
+        return TripleType.T0, []
+    between = [a for a in arrows if pos(t) < pos(a.tgt) and pos(a.src) < pos(s)]
+    pairs = [pr for a in between for pr in ((t, a.tgt), (a.src, s))]
+    if arrow_t is not None and arrow_s is not None:
+        below = _psi_less(ctx, (t, arrow_s.tgt), (arrow_t.src, s))
+        typ = TripleType.T2A if below else TripleType.T2B
+        return typ, [(arrow_t.src, s), (t, arrow_s.tgt), *pairs]
+    if arrow_s is not None:
+        above = any(_psi_less(ctx, (t, arrow_s.tgt), (a.src, s)) for a in between)
+        return (TripleType.T3B if above else TripleType.T3A), [(t, arrow_s.tgt), *pairs]
+    if arrow_t is not None:
+        above = any(_psi_less(ctx, (arrow_t.src, s), (t, a.tgt)) for a in between)
+        return (TripleType.T4B if above else TripleType.T4A), [(arrow_t.src, s), *pairs]
+    return (TripleType.T5 if between else TripleType.T0), pairs
+
+
+def reference_check_hypothesis_h(rep: Representation, sub, f: QuiverMorphism) -> HypothesisResult:
+    """`check_hypothesis_h` by its definition: every triple of every codomain arrow
+    lists its equation's block pairs in full and is charged to the largest by Psi.
+    """
+    tree_setup(rep, sub)
+    ctx = WindingContext(rep, sub, f)
+    if not is_strictly_ordered(f, ctx.vertex_key):
+        return HypothesisResult(False, reason="morphism is not strictly ordered")
+    dangers: dict = {}
+    for at in f.codomain.arrows:
+        for t in ctx.fibre(at.tgt):
+            for s in ctx.fibre(at.src):
+                typ, pairs = reference_triple(ctx, at.name, t, s)
+                if pairs:
+                    largest = max(pairs, key=lambda pr: ctx.psi_key(*pr))
+                    if ctx.psi_key(*largest)[0]:
+                        dangers.setdefault(largest, []).append(TripleReport((at.name, t, s), typ))
+    notes: list[str] = []
+    exceptions = []
+    for key in sorted(dangers, key=lambda pr: ctx.psi_key(*pr)):
+        charged = dangers[key]
+        if len(charged) == 1 and _excusable(ctx, charged[0], notes):
+            exceptions.append((key, charged[0]))
+            continue
+        reason = f"pair ({key[0]},{key[1]}) carries inadmissible equations"
+        return HypothesisResult(False, reason=reason, pair=key, triples=tuple(charged))
+    return HypothesisResult(True, exceptions=tuple(exceptions), notes=tuple(dict.fromkeys(notes)))

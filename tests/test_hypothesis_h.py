@@ -1,10 +1,17 @@
 """Relevant pairs, triple types, and the Hypothesis (H) decision procedure."""
 
 import json
+from functools import lru_cache
 
 import pytest
 
-from conftest import fold_winding
+from conftest import (
+    fold_winding,
+    random_tree_extension,
+    random_winding,
+    reference_check_hypothesis_h,
+    reference_triple,
+)
 from quiver_schubert.catalog import catalog
 from quiver_schubert.hypothesis_h import (
     TripleType,
@@ -13,8 +20,9 @@ from quiver_schubert.hypothesis_h import (
     classify_triple,
     relevant_pairs,
 )
-from quiver_schubert.quiver import Quiver, full_subquiver
-from quiver_schubert.schubert import PreconditionError
+from quiver_schubert.quiver import Quiver, full_subquiver, is_strictly_ordered
+from quiver_schubert.schubert import PreconditionError, tree_setup
+from test_structural_pins import _record
 
 
 def ctx_451():
@@ -171,3 +179,64 @@ def test_notes_are_distinct_for_every_catalog_winding():
         assert len(notes) == len(set(notes)), spec
     e = catalog("ex_4_5_5")
     assert len(check_hypothesis_h(e.upstairs, e.subquiver, e.morphism).notes) == 2
+
+
+@lru_cache(maxsize=1)
+def _h_inputs():
+    """(name, M, S, F) for the checks against the reference: small catalog
+    windings, and seeded tree extensions under a random winding and folded."""
+    inputs = []
+    for kind in ("preprojective", "preinjective"):
+        for n in range(1, 13):
+            e = catalog(f"kronecker_{kind}({n})")
+            inputs.append((f"kronecker_{kind}({n})", e.upstairs, e.subquiver, e.morphism))
+    for spec in ("ex_4_5_1", "ex_4_5_2", "ex_4_5_5"):
+        e = catalog(spec)
+        inputs.append((spec, e.upstairs, e.subquiver, e.morphism))
+    for seed in range(400):
+        rep, s, _e = random_tree_extension(seed, 14)
+        inputs.append((f"seed {seed}", rep, s, random_winding(seed, domain=rep.quiver)))
+        inputs.append((f"seed {seed} folded", *fold_winding(rep, s.vertices, s.arrows)))
+    return inputs
+
+
+def _outcome(check, rep, s, f) -> str:
+    try:
+        return _record(check(rep, s, f))
+    except PreconditionError as exc:
+        return f"PreconditionError: {exc}"
+
+
+def test_check_h_matches_the_reference_on_every_input():
+    looped = 0
+    for name, rep, s, f in _h_inputs():
+        expected = _outcome(reference_check_hypothesis_h, rep, s, f)
+        assert _outcome(check_hypothesis_h, rep, s, f) == expected, name
+        looped += not expected.startswith(("PreconditionError", '[false, "morphism is not'))
+    assert looped > 400  # most inputs reach the triple loop
+
+
+def test_equation_triples_form_a_suffix_of_each_source_fibre():
+    """Fix (atilde, t): the s whose equation has a block pair are a suffix of
+    the fibre over atilde's source, and every s before it is of type 0 or 1."""
+    suffixes = 0
+    for name, rep, sub, f in _h_inputs():
+        try:
+            tree_setup(rep, sub)
+            ctx = WindingContext(rep, sub, f)
+        except PreconditionError:
+            continue
+        if not is_strictly_ordered(f, ctx.vertex_key):
+            continue
+        for at in f.codomain.arrows:
+            for t in ctx.fibre(at.tgt):
+                sources = ctx.fibre(at.src)
+                carries = [bool(reference_triple(ctx, at.name, t, s)[1]) for s in sources]
+                start = carries.index(True) if True in carries else len(carries)
+                assert all(carries[start:]), (name, at.name, t)
+                for s in sources[:start]:
+                    typ = classify_triple(ctx, at.name, t, s)
+                    assert typ in (TripleType.T0, TripleType.T1), (name, at.name, t, s)
+                suffixes += 0 < start < len(carries)
+    assert suffixes > 100  # the suffix is often proper
+
