@@ -6,6 +6,18 @@ contains, and a pair may carry at most one such equation, which must be
 of a shape solvable for that block (type 2a/4a through an identity-matrix
 arrow, or type 2b/3a).  Equations touching only diagonal blocks or blocks
 known over S belong to the induction's base case and are exempt.
+
+On a strictly ordered fibre the arrows over one codomain arrow order
+sources and targets alike, which gives two facts.  Fix (atilde, t).  The
+s whose equation has a block pair form a suffix of the source fibre: s
+lies past the source of the arrow into t, or, with no such arrow, at or
+past the source of the first arrow with target after t.  Along the slice
+of arrows a between t and s, epsilon(t, a.tgt) grows and epsilon(a.src, s)
+shrinks, and relevance, the lead of the Psi key, never drops against
+them: it is fixed by s for (a.src, s), and for (t, a.tgt) holds on a
+suffix of the slice, as the basis is ordered above S.  So each family's
+largest key is at a slice end: a triple is charged in O(1), and only
+triples that carry an equation are walked.
 """
 
 from __future__ import annotations
@@ -192,11 +204,14 @@ def _psi_less(ctx: WindingContext, pair_a: tuple[str, str], pair_b: tuple[str, s
 def _walk_triple(
     ctx: WindingContext, atilde: str, t: str, s: str
 ) -> tuple[TripleType, list[tuple[str, str]]]:
-    """Type 0-5 of the triple (atilde, t, s) and the off-diagonal block pairs of E(atilde, t, s).
+    """Type 0-5 of the triple (atilde, t, s) and the candidate block pairs of E(atilde, t, s).
 
-    Both come from one list: the arrows of atilde's fibre lying between t
-    and s.  Each such arrow a adds the pairs (t, a.tgt) and (a.src, s); on
-    a strictly ordered fibre none of the pairs is diagonal.
+    Both come from one slice: the arrows of atilde's fibre lying between t
+    and s.  Each adds (t, a.tgt) and (a.src, s), never diagonal; the last
+    arrow's (t, a.tgt) and the first's (a.src, s) top their families (see
+    the module docstring) and join the pairs of the arrows into t and out
+    of s as candidates for the equation's largest pair.  The list is empty
+    exactly for types 0 and 1.
 
     Assumes atilde's fibre is strictly ordered, as `check_hypothesis_h`
     checks first: its arrows then order sources and targets alike, so the
@@ -222,7 +237,7 @@ def _walk_triple(
     else:
         # targets after t form a suffix of the fibre, sources before s a prefix
         between = fibre[bisect_right(tgt_positions, pos(t)) : bisect_left(src_positions, pos(s))]
-    pairs = [pr for a in between for pr in ((t, a.tgt), (a.src, s))]
+    pairs = [(t, between[-1].tgt), (between[0].src, s)] if between else []
     if arrow_t is not None and arrow_s is not None:
         below = _psi_less(ctx, (t, arrow_s.tgt), (arrow_t.src, s))
         return (TripleType.T2A if below else TripleType.T2B), [
@@ -300,18 +315,22 @@ def check_hypothesis_h(
         return HypothesisResult(False, reason="morphism is not strictly ordered")
 
     dangers: dict[tuple[str, str], list[TripleReport]] = {}
-    keys = ctx._psi_keys
+    keys, pos = ctx._psi_keys, ctx.pos
     for at in f.codomain.arrows:
-        for t in ctx.fibre(at.tgt):
-            for s in ctx.fibre(at.src):
+        targets = ctx.fibre(at.tgt)
+        sources, positions = ctx._sorted_fibre(at.src) if targets else ((), [])
+        arrows, by_tgt, _, src_positions, tgt_positions = ctx.arrow_fibre(at.name)
+        for t in targets:  # walk only the suffix of s whose triples carry an equation
+            arrow_t, after = by_tgt.get(t), bisect_right(tgt_positions, pos(t))
+            if arrow_t is not None:
+                start = bisect_right(positions, pos(arrow_t.src))
+            elif after < len(arrows):
+                start = bisect_left(positions, src_positions[after])
+            else:
+                continue
+            for s in sources[start:]:
                 typ, pairs = _walk_triple(ctx, at.name, t, s)
-                if not pairs:
-                    continue
-                # fill the memo first, so the maximum runs on dict lookups alone
-                for pr in pairs:
-                    if pr not in keys:
-                        ctx.psi_key(*pr)
-                largest = max(pairs, key=keys.__getitem__)
+                largest = max(pairs, key=lambda pr: ctx.psi_key(*pr))
                 if keys[largest][0]:  # charged only to a relevant pair
                     dangers.setdefault(largest, []).append(TripleReport((at.name, t, s), typ))
 

@@ -12,6 +12,7 @@ from conftest import (
     reference_check_hypothesis_h,
     reference_triple,
 )
+from quiver_schubert import hypothesis_h
 from quiver_schubert.catalog import catalog
 from quiver_schubert.hypothesis_h import (
     TripleType,
@@ -240,3 +241,18 @@ def test_equation_triples_form_a_suffix_of_each_source_fibre():
                 suffixes += 0 < start < len(carries)
     assert suffixes > 100  # the suffix is often proper
 
+
+def test_check_h_walks_only_the_triples_that_carry_an_equation(monkeypatch):
+    walked = []
+    walk = hypothesis_h._walk_triple
+
+    def counting_walk(ctx, atilde, t, s):
+        walked.append((atilde, t, s))
+        return walk(ctx, atilde, t, s)
+
+    monkeypatch.setattr(hypothesis_h, "_walk_triple", counting_walk)
+    e = catalog("kronecker_preprojective(40)")
+    check_hypothesis_h(e.upstairs, e.subquiver, e.morphism)
+    ctx = WindingContext(e.upstairs, e.subquiver, e.morphism)
+    triples = sum(len(ctx.fibre(a.tgt)) * len(ctx.fibre(a.src)) for a in e.morphism.codomain.arrows)
+    assert (len(walked), triples) == (1600, 3280)
