@@ -217,18 +217,23 @@ def test_check_h_matches_the_reference_on_every_input():
     assert looped > 400  # most inputs reach the triple loop
 
 
-def test_equation_triples_form_a_suffix_of_each_source_fibre():
-    """Fix (atilde, t): the s whose equation has a block pair are a suffix of
-    the fibre over atilde's source, and every s before it is of type 0 or 1."""
-    suffixes = 0
+def _looped_contexts():
+    """(name, context, F) for each input of `_h_inputs` that reaches the triple loop."""
     for name, rep, sub, f in _h_inputs():
         try:
             tree_setup(rep, sub)
             ctx = WindingContext(rep, sub, f)
         except PreconditionError:
             continue
-        if not is_strictly_ordered(f, ctx.vertex_key):
-            continue
+        if is_strictly_ordered(f, ctx.vertex_key):
+            yield name, ctx, f
+
+
+def test_equation_triples_form_a_suffix_of_each_source_fibre():
+    """Fix (atilde, t): the s whose equation has a block pair are a suffix of
+    the fibre over atilde's source, and every s before it is of type 0 or 1."""
+    suffixes = 0
+    for name, ctx, f in _looped_contexts():
         for at in f.codomain.arrows:
             for t in ctx.fibre(at.tgt):
                 sources = ctx.fibre(at.src)
@@ -240,6 +245,26 @@ def test_equation_triples_form_a_suffix_of_each_source_fibre():
                     assert typ in (TripleType.T0, TripleType.T1), (name, at.name, t, s)
                 suffixes += 0 < start < len(carries)
     assert suffixes > 100  # the suffix is often proper
+
+
+def test_the_walks_candidates_hold_each_equations_largest_block_pair():
+    """The slice ends stand for the whole slice: the largest of the walk's
+    candidates, by Psi key, is the largest block pair of the equation."""
+    at_an_end = 0
+    for name, ctx, f in _looped_contexts():
+        key = lambda pr: ctx.psi_key(*pr)  # noqa: E731
+        for at in f.codomain.arrows:
+            for t in ctx.fibre(at.tgt):
+                for s in ctx.fibre(at.src):
+                    typ, pairs = reference_triple(ctx, at.name, t, s)
+                    walked_typ, candidates = hypothesis_h._walk_triple(ctx, at.name, t, s)
+                    assert walked_typ is typ and bool(candidates) == bool(pairs), (name, at.name, t, s)
+                    if pairs:
+                        largest = max(pairs, key=key)
+                        assert max(candidates, key=key) == largest, (name, at.name, t, s)
+                        # a slice of two or more arrows whose end pair is the largest
+                        at_an_end += len(pairs) > len(candidates) and largest in candidates[-2:]
+    assert at_an_end > 10
 
 
 def test_check_h_walks_only_the_triples_that_carry_an_equation(monkeypatch):
