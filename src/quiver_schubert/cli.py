@@ -151,7 +151,7 @@ def _dim_vector(args, rep, entry: CatalogEntry | None):
         if entry is not None:
             return dict(entry.dim_vector)
         raise InputError("need --dim-vector")
-    parts = [int(x) for x in args.dim_vector.split(",")]
+    parts = _integers("--dim-vector", args.dim_vector)
     if len(parts) != len(rep.quiver.vertices):
         raise InputError(
             f"--dim-vector needs {len(rep.quiver.vertices)} entries "
@@ -173,9 +173,20 @@ def _check_beta_type(rep, beta, e) -> None:
         )
 
 
+def _integers(flag: str, text: str) -> list[int]:
+    """The comma list of a flag as integers; an entry that is not one is an input error naming both."""
+    parts = []
+    for x in text.split(","):
+        try:
+            parts.append(int(x))
+        except ValueError:
+            raise InputError(f"{flag} entries must be integers, got {x!r}") from None
+    return parts
+
+
 def _primes(args, default=(2, 3, 5)):
     if args.primes:
-        return tuple(int(x) for x in args.primes.split(","))
+        return tuple(_integers("--primes", args.primes))
     return default
 
 

@@ -44,7 +44,9 @@ would, so memory stays bounded whatever the point count.  The last step
 streams too when every earlier step is its neighbour, as its key then
 fixes the whole cell and the point before it.  Points come out in the
 same order as a plain recursion over the vertices would give, each chart
-in `iter_solutions_mod` order, and each as a fresh dict.
+in `iter_solutions_mod` order.  `enumerate_subreps` gets each as a fresh
+dict; `count` only counts, so it gets the last step's stored `(x, matrix)`
+points as they are, one per point.
 """
 
 from __future__ import annotations
@@ -421,8 +423,8 @@ def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
 
 
 def _cell_points(
-    m: Representation, beta: CellIndex, q: int, tables: _Tables | None = None
-) -> Iterator[dict[str, Matrix]]:
+    m: Representation, beta: CellIndex, q: int, tables: _Tables | None = None, *, _counting: bool = False
+) -> Iterator[dict[str, Matrix]] | Iterator[tuple[Vector, Matrix]]:
     """All F_q points of one Schubert cell, as per-vertex echelon matrices.
 
     Depth-first over the vertex steps with an explicit stack.  Each step
@@ -437,6 +439,11 @@ def _cell_points(
     copy of that prefix's dict plus the last vertex.  `tables`, built for
     m, is shared by the cells of one call, one prime at a time: a search
     at another prime empties its points.  Without it the cell builds its own.
+
+    `_counting` is for `count` and `cell_count`, which only count: the
+    last step then yields its `(x, matrix)` points as they are, and builds
+    no dict.  It still yields one item per point, as the traced benchmark
+    counts the points of a cell by the items this yields.
     """
     order = m.quiver.vertices
     n = len(order)
@@ -453,8 +460,8 @@ def _cell_points(
     mats: list = [()] * last
     first = tables.step(0, pivots)
     if last == 0:
-        for _, mat in _step_points(tables, first, values, q):
-            yield {name: mat}
+        points = _step_points(tables, first, values, q)
+        yield from points if _counting else ({name: mat} for _, mat in points)
         return
     pending: list = [iter(())] * last
     pending[0] = iter(_step_points(tables, first, values, q))
@@ -475,7 +482,9 @@ def _cell_points(
                 pending[j] = iter(found)
                 i = j
                 break
-            if found:  # a stored list may be empty; a stream is always true
+            if _counting:
+                yield from found
+            elif found:  # a stored list may be empty; a stream is always true
                 base = dict(zip(head, mats))
                 for _, end in found:
                     point = base.copy()
@@ -487,7 +496,7 @@ def _cell_points(
 
 def cell_count(m: Representation, beta: CellIndex, q: int) -> int:
     require_prime(q)
-    return sum(1 for _ in _cell_points(m, beta, q))
+    return sum(1 for _ in _cell_points(m, beta, q, _counting=True))
 
 
 def enumerate_subreps(
@@ -545,7 +554,9 @@ def count(
     tables = _Tables(m)
     reports = []
     for q in primes:
-        per_cell = {beta.key(): sum(1 for _ in _cell_points(m, beta, q, tables)) for beta in cells}
+        per_cell = {
+            beta.key(): sum(1 for _ in _cell_points(m, beta, q, tables, _counting=True)) for beta in cells
+        }
         reports.append(CountReport(q, sum(per_cell.values()), per_cell))
     return reports
 

@@ -494,6 +494,21 @@ def test_hypothesis_h_takes_s_from_subquiver():
     assert run(["hypothesis-h", "--catalog", "ex_4_5_1", "--subquiver", "1"]) == default
 
 
+@pytest.mark.parametrize(
+    "cmd, flag, value, shown",
+    [
+        ("count", "--primes", "2,,3", "''"),
+        ("poly", "--primes", "2,three", "'three'"),
+        ("euler", "--primes", "2.5", "'2.5'"),
+        ("count", "--dim-vector", "1,x", "'x'"),
+        ("cells", "--dim-vector", "1,", "''"),
+    ],
+)
+def test_a_list_entry_that_is_not_an_integer_names_its_flag(cmd, flag, value, shown):
+    code, out, err = run([cmd, "--catalog", "two_lines", flag, value])
+    assert (code, out, err) == (2, "", f"input error: {flag} entries must be integers, got {shown}\n")
+
+
 def test_negative_dim_vector_entry_is_an_input_error():
     code, out, err = run(["count", "--catalog", "two_lines", "--dim-vector=-1,1"])
     assert (code, out, err) == (2, "", "input error: dimension -1 is negative at vertex '1'\n")

@@ -163,6 +163,30 @@ def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
             assert 0 < sum(map(len, tables._points.values())) < kept
 
 
+def test_each_cell_counts_as_many_points_as_it_streams(monkeypatch):
+    """`count` reads the last step's points without building dicts; per cell it sees as many as enumerate_subreps.
+
+    one_vertex(3) has one step per cell; kronecker_preinjective(4) streams
+    its last step, whose key fixes the whole cell; one_loop(4,1) filters by
+    a loop.  With no memo room every list streams, with a little some are
+    kept, and with the default room all of them.
+    """
+    cases = [(f"seed {seed}", *random_branching_cycle(seed), 2) for seed in range(10)]
+    for spec, q in (("one_vertex(3)", 2), ("kronecker_preinjective(4)", 3), ("one_loop(4,1)", 5),
+                    ("degenerate_flag(3)", 3)):
+        entry = catalog(spec)
+        cases.append((spec, entry.representation, entry.dim_vector, q))
+    for budget in (0, 3000, oracle._MEMO_BYTES):
+        monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
+        for name, rep, e, q in cases:
+            streamed = {beta.key(): 0 for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices)}
+            for point in enumerate_subreps(rep, e, q):
+                streamed[point.cell.key()] += 1
+            (report,) = count(rep, e, primes=(q,))
+            assert report.per_cell == streamed, (name, budget)
+            assert report.total > 0, (name, budget)
+
+
 def _unlinked(rank: int, e: int):
     """Two vertices and no arrow: F^rank with subspace dimension e, and F^1 with 1."""
     names = [f"b{i}" for i in range(1, rank + 2)]
