@@ -117,7 +117,7 @@ def _from_file(path: str, parse, *context):
 
 def _reordered(args, rep):
     """rep in the basis order given by --order, if any."""
-    if args.order:
+    if args.order is not None:
         return reorder_basis(rep, [b.strip() for b in args.order.split(",")])
     return rep
 
@@ -147,7 +147,7 @@ def _load_winding(args, entry: CatalogEntry | None):
 
 
 def _dim_vector(args, rep, entry: CatalogEntry | None):
-    if not args.dim_vector:
+    if args.dim_vector is None:
         if entry is not None:
             return dict(entry.dim_vector)
         raise InputError("need --dim-vector")
@@ -185,7 +185,7 @@ def _integers(flag: str, text: str) -> list[int]:
 
 
 def _primes(args, default=(2, 3, 5)):
-    if args.primes:
+    if args.primes is not None:
         return tuple(_integers("--primes", args.primes))
     return default
 
@@ -223,7 +223,7 @@ def _quiver_of(args, entry: CatalogEntry | None):
 
 
 def _subquiver_of(args, q, entry):
-    if args.subquiver:
+    if args.subquiver is not None:
         groups = args.subquiver.split(";")
         verts = [v.strip() for v in groups[0].split(",") if v.strip()]
         arrows = [a.strip() for a in groups[1].split(",")] if len(groups) > 1 else []
@@ -324,9 +324,9 @@ def _run(args) -> int:
         return 0
 
     if cmd == "equations":
-        if args.beta:
+        if args.beta is not None:
             beta = cell_index(source.basis, [b.strip() for b in args.beta.split(",")])
-            if entry is not None or args.dim_vector:
+            if entry is not None or args.dim_vector is not None:
                 _check_beta_type(rep, beta, _dim_vector(args, rep, entry))
             betas = [beta]
         else:

@@ -32,7 +32,7 @@ from .quiver import Arrow, QuiverMorphism, Subquiver, distances_to, is_strictly_
 from .representation import Representation
 from .schubert import PreconditionError, tree_setup
 
-# Not called here since schubert.check_tree_setup owns the setup check; the traced
+# Not called here since schubert.tree_setup owns the setup check; the traced
 # benchmark run (perfbench/layers.py) still wraps both under this module.
 from .quiver import is_tree_extension  # noqa: F401
 from .representation import is_ordered_above  # noqa: F401
@@ -215,8 +215,8 @@ def _walk_triple(
 
     Assumes atilde's fibre is strictly ordered, as `check_hypothesis_h`
     checks first: its arrows then order sources and targets alike, so the
-    arrows between t and s are one slice of the source-sorted arrows,
-    found by bisection on their source or target positions.
+    arrows between t and s are one slice of the source-sorted arrows, the
+    suffix with target after t cut to the prefix with source before s.
     """
     fibre, by_tgt, by_src, src_positions, tgt_positions = ctx.arrow_fibre(atilde)
     arrow_t = by_tgt.get(t)
@@ -224,19 +224,11 @@ def _walk_triple(
     pos = ctx.pos
     if arrow_s is not None and arrow_s.tgt == t:
         return TripleType.T1, []
-    if arrow_t is not None:
-        lo, hi = pos(arrow_t.src), pos(s)
-        if lo >= hi:
-            return TripleType.T0, []
-        between = fibre[bisect_right(src_positions, lo) : bisect_left(src_positions, hi)]
-    elif arrow_s is not None:
-        lo, hi = pos(t), pos(arrow_s.tgt)
-        if lo >= hi:
-            return TripleType.T0, []
-        between = fibre[bisect_right(tgt_positions, lo) : bisect_left(tgt_positions, hi)]
-    else:
-        # targets after t form a suffix of the fibre, sources before s a prefix
-        between = fibre[bisect_right(tgt_positions, pos(t)) : bisect_left(src_positions, pos(s))]
+    if (arrow_t is not None and pos(arrow_t.src) > pos(s)) or (
+        arrow_s is not None and pos(arrow_s.tgt) < pos(t)
+    ):
+        return TripleType.T0, []
+    between = fibre[bisect_right(tgt_positions, pos(t)) : bisect_left(src_positions, pos(s))]
     pairs = [(t, between[-1].tgt), (between[0].src, s)] if between else []
     if arrow_t is not None and arrow_s is not None:
         below = _psi_less(ctx, (t, arrow_s.tgt), (arrow_t.src, s))

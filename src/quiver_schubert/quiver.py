@@ -212,54 +212,62 @@ def is_tree(q: Quiver) -> bool:
     return is_tree_extension(q, Subquiver(q, frozenset(), frozenset()))
 
 
-def is_tree_extension(t: Quiver, s: Subquiver) -> bool:
-    """True iff the quotient T/S is a tree as a geometric (undirected) graph.
+def tree_distances(t: Quiver, s: Subquiver) -> dict[str, int] | None:
+    """`distances_to(t, s)` when T/S is a tree as a geometric (undirected) graph, else None.
 
     A connected multigraph is a tree exactly when it has one edge fewer
     than vertices, so T/S is a tree iff T-S reaches every vertex from S
-    and has one arrow per vertex outside S.  With S empty, T's first
-    vertex stands in for S.
+    and has one arrow per vertex outside S: one walk decides both and
+    gives every distance.  With S empty, T's first vertex stands in for
+    S, and the distances are to it.
     """
     _refuse(s.validate())
     root = s.vertices or frozenset(t.vertices[:1])
     outside = sum(a.name not in s.arrows for a in t.arrows)
     if not root or outside != len(t.vertices) - len(root):
-        return False
-    return len(distances_to(t, Subquiver(t, root, s.arrows))) == len(t.vertices)
+        return None
+    dist = distances_to(t, Subquiver(t, root, s.arrows))
+    return dist if len(dist) == len(t.vertices) else None
+
+
+def is_tree_extension(t: Quiver, s: Subquiver) -> bool:
+    """True iff the quotient T/S is a tree as a geometric (undirected) graph."""
+    return tree_distances(t, s) is not None
+
+
+def _fibres(f: QuiverMorphism) -> Iterable[list[Arrow]]:
+    """The arrows of F's domain grouped by image, each group in domain order."""
+    by_image: dict[str, list[Arrow]] = {}
+    for a in f.domain.arrows:
+        by_image.setdefault(f.arrow_map[a.name], []).append(a)
+    return by_image.values()
 
 
 def is_winding(f: QuiverMorphism) -> bool:
     """Arrows sharing an image must share neither source nor target."""
-    by_image: dict[str, list[Arrow]] = {}
-    for a in f.domain.arrows:
-        by_image.setdefault(f.arrow_map[a.name], []).append(a)
-    for fibre in by_image.values():
-        srcs = [a.src for a in fibre]
-        tgts = [a.tgt for a in fibre]
-        if len(set(srcs)) != len(srcs) or len(set(tgts)) != len(tgts):
-            return False
-    return True
+    return all(
+        len({a.src for a in fibre}) == len(fibre) == len({a.tgt for a in fibre})
+        for fibre in _fibres(f)
+    )
 
 
 def is_strictly_ordered(f: QuiverMorphism, vertex_key: Mapping[str, int]) -> bool:
     """Fibre arrows must be simultaneously ordered on sources and targets.
 
-    vertex_key totally orders the domain vertices touched by each fibre;
-    a missing key raises.
+    Each fibre is sorted once by source key and only neighbours are
+    compared: source keys must all differ and target keys strictly
+    increase, which is the condition on every pair.  vertex_key totally
+    orders the domain vertices touched by each fibre; a missing key
+    raises before its fibre's order is read.
     """
-    by_image: dict[str, list[Arrow]] = {}
-    for a in f.domain.arrows:
-        by_image.setdefault(f.arrow_map[a.name], []).append(a)
-    for fibre in by_image.values():
+    for fibre in _fibres(f):
         for v in {a.src for a in fibre} | {a.tgt for a in fibre}:
             if v not in vertex_key:
                 raise ValueError(f"vertex {v!r} in a fibre is not ordered")
-        for i, a in enumerate(fibre):
-            for b in fibre[i + 1 :]:
-                ds = vertex_key[a.src] - vertex_key[b.src]
-                dt = vertex_key[a.tgt] - vertex_key[b.tgt]
-                if ds == 0 or dt == 0 or (ds < 0) != (dt < 0):
-                    return False
+        ranked = sorted((vertex_key[a.src], vertex_key[a.tgt]) for a in fibre)
+        for (s1, t1), (s2, t2) in zip(ranked, ranked[1:]):
+            if s1 == s2 or t1 >= t2:
+                return False
     return True
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import Matrix, identity_matrix, is_identity
 from .quiver import Arrow, Quiver, QuiverMorphism, Subquiver, difference_of, distances_to
-from .quiver import is_tree_extension, quiver, quiver_from_json, quiver_to_json
+from .quiver import quiver, quiver_from_json, quiver_to_json, tree_distances
 from .quiver import validate as validate_quiver
 
 
@@ -221,7 +221,8 @@ def is_ordered_above(m: Representation, s: Subquiver) -> tuple[bool, list[str]]:
     holds exactly when each arrow of T-S has its farther end later in the
     vertex order than its nearer end.  With S empty it is vacuous.
     """
-    if not is_tree_extension(m.quiver, s):
+    dist = tree_distances(m.quiver, s)
+    if dist is None:
         return False, ["T is not a tree extension of S"]
     diagnostics: list[str] = []
     pos = m.basis.positions()
@@ -237,7 +238,6 @@ def is_ordered_above(m: Representation, s: Subquiver) -> tuple[bool, list[str]]:
         key = None
 
     if key is not None and s.vertices:
-        dist = distances_to(m.quiver, s)
         for a in m.quiver.arrows:
             if a.name in s.arrows:
                 continue

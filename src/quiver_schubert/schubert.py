@@ -47,6 +47,7 @@ from .quiver import (
     is_strictly_ordered,
     is_tree_extension,
     is_winding,
+    tree_distances,
 )
 from .representation import Representation, is_ordered_above
 
@@ -454,38 +455,30 @@ class PreconditionError(ValueError):
     """A theorem's hypotheses are not met; distinct from a failed check."""
 
 
-def check_tree_setup(m: Representation, s: Subquiver) -> None:
-    """Hypotheses shared by the tree-extension theorems and the (H) check.
-
-    T must be a tree extension of S and the basis ordered above S, which
-    includes identity matrices on every arrow of T-S.
-    """
-    if not is_tree_extension(m.quiver, s):
-        raise PreconditionError("T is not a tree extension of S")
-    ok, diag = is_ordered_above(m, s)
-    if not ok:
-        raise PreconditionError("basis is not ordered above S: " + "; ".join(diag))
-
-
 class _TreeSetup:
     """The cell-independent part of the tree-extension theorems for one module and S.
 
-    Made only once `check_tree_setup` passes, so every arrow of T-S
-    carries an identity matrix: it sends the i-th element of its source
-    block to the i-th of its target block.  Keeps one (case, source
-    block, target block, identity image map) per arrow of T-S, in arrow
-    order.  The case is "I" when the arrow's target lies farther from S
-    and "II" when its source does; on a tree extension of a nonempty S
-    the two ends of an arrow of T-S are one step apart.
+    Raises PreconditionError, and is then not stored, unless T is a tree
+    extension of S and the basis is ordered above S.  The latter includes
+    identity matrices on T-S: each arrow there sends the i-th element of
+    its source block to the i-th of its target block.  Keeps one (case,
+    source block, target block, identity image map) per arrow of T-S, in
+    arrow order.  The case is "I" when the arrow's target lies farther
+    from S and "II" when its source does; on a tree extension of a
+    nonempty S the two ends of an arrow of T-S are one step apart.
     """
 
     def __init__(self, m: Representation, s: Subquiver):
-        check_tree_setup(m, s)
-        dist = distances_to(m.quiver, s)  # empty when S is, and then no case is read
+        dist = tree_distances(m.quiver, s)  # to T's first vertex when S is empty; no case is read then
+        if dist is None:
+            raise PreconditionError("T is not a tree extension of S")
+        ok, diag = is_ordered_above(m, s)
+        if not ok:
+            raise PreconditionError("basis is not ordered above S: " + "; ".join(diag))
         self.arrows = []
         for a in m.quiver.arrows:
             if a.name not in s.arrows:
-                case = "I" if dist.get(a.tgt, 0) > dist.get(a.src, 0) else "II"
+                case = "I" if dist[a.tgt] > dist[a.src] else "II"
                 src, tgt = m.basis.block(a.src), m.basis.block(a.tgt)
                 self.arrows.append((case, src, tgt, dict(zip(src, tgt))))
 
@@ -502,7 +495,7 @@ class _TreeSetup:
 def tree_setup(m: Representation, s: Subquiver) -> _TreeSetup:
     """The checked tree setup of (M, S), made on the first call for this S.
 
-    Raises PreconditionError, on every call, when `check_tree_setup` fails.
+    Raises PreconditionError, on every call, when its hypotheses fail.
     """
     return _module_setup(m, "tree", s, lambda: _TreeSetup(m, s))
 

@@ -547,3 +547,29 @@ def test_a_target_quiver_with_repeated_ids_is_an_input_error(tmp_path, command):
     morphism.write_text(json.dumps({"vertex_map": dict(f.vertex_map), "arrow_map": dict(f.arrow_map)}))
     argv = [command, "--rep", str(rep), "--morphism", str(morphism), "--target-quiver", str(target)]
     assert_refused(argv, "duplicate vertex id '2'", "duplicate arrow id 'gt'")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "--primes", ""], "--primes entries must be integers, got ''"),
+        (["poly", "--primes", ""], "--primes entries must be integers, got ''"),
+        (["cells", "--dim-vector", ""], "--dim-vector entries must be integers, got ''"),
+        (["equations", "--beta", "b1,b3", "--dim-vector", ""], "--dim-vector entries must be integers, got ''"),
+        (["equations", "--beta", ""], "not basis elements: ['']"),
+        (["cells", "--order", ""], "new order must be a permutation of the basis"),
+    ],
+)
+def test_an_empty_flag_value_is_read_not_taken_for_an_absent_flag(argv, message):
+    code, out, err = run([argv[0], "--catalog", "two_lines", *argv[1:]])
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
+def test_an_empty_subquiver_is_the_empty_subquiver():
+    for spec in ("two_lines", "kronecker_regular(1,0)", "ex_4_5_1"):
+        assert run(["tree-ext", "--catalog", spec, "--subquiver", ""]) == run(
+            ["tree-ext", "--catalog", spec, "--subquiver", ";"]
+        )
+    # not the entry's S = {1}: (H) needs a nonempty S
+    code, out, err = run(["hypothesis-h", "--catalog", "ex_4_5_1", "--subquiver", ""])
+    assert (code, out, err) == (2, "", "input error: S must be nonempty\n")

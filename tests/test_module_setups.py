@@ -8,6 +8,7 @@ setup of each kind however many equal keys it is called with.
 
 import dataclasses
 import gc
+import importlib
 import random
 import weakref
 
@@ -17,7 +18,7 @@ from conftest import random_tree_extension
 from quiver_schubert.catalog import catalog
 from quiver_schubert.hypothesis_h import check_hypothesis_h
 from quiver_schubert.quiver import QuiverMorphism, Subquiver, identity_morphism, morphism, quiver, subquiver
-from quiver_schubert.representation import reorder_basis
+from quiver_schubert.representation import is_ordered_above, reorder_basis, thin_representation
 from quiver_schubert.schubert import (
     PreconditionError,
     cell_index,
@@ -229,3 +230,52 @@ def test_a_module_keeps_one_tree_setup():
         setups.append(weakref.ref(tree_setup(rep, t)))
         del t
     assert _alive(keys) == 1 and _alive(setups) == 1
+
+
+WALKERS = ("quiver", "representation", "schubert", "hypothesis_h")
+
+
+def _counted_walks(monkeypatch) -> list:
+    """A list that gains one entry per T-S walk (`quiver.distances_to` call), through any module's name."""
+    # by import_module: the package binds the names quiver and representation to functions
+    modules = [importlib.import_module(f"quiver_schubert.{name}") for name in WALKERS]
+    walks, walk = [], modules[0].distances_to
+
+    def counted(t, s):
+        walks.append(s)
+        return walk(t, s)
+
+    for module in modules:
+        monkeypatch.setattr(module, "distances_to", counted)
+    return walks
+
+
+def _tree_inputs():
+    """Passing (module, S): catalog windings upstairs, a flag and seeded tree extensions."""
+    for spec in WINDINGS:
+        entry = catalog(spec)
+        yield entry.upstairs, entry.subquiver
+    entry = catalog("flag(4;1,2,3)")
+    yield entry.representation, entry.subquiver
+    for seed in range(10):
+        yield random_tree_extension(seed)[:2]
+
+
+def test_a_cold_tree_setup_walks_t_minus_s_twice_and_is_ordered_above_once(monkeypatch):
+    walks = _counted_walks(monkeypatch)
+    for rep, s in _tree_inputs():
+        walks.clear()
+        tree_setup(dataclasses.replace(rep), s)
+        assert len(walks) == 2
+        walks.clear()
+        assert is_ordered_above(rep, s) == (True, [])
+        assert len(walks) == 1
+    # a T-S with one arrow per vertex outside S that misses a vertex is refused after one walk
+    rep = thin_representation(quiver(["1", "2", "3"], [("l", "2", "2"), ("a", "2", "3")]))
+    s = subquiver(rep.quiver, ["1"])
+    walks.clear()
+    with pytest.raises(PreconditionError, match="not a tree extension"):
+        tree_setup(rep, s)
+    assert len(walks) == 1
+    assert is_ordered_above(rep, s) == (False, ["T is not a tree extension of S"])
+    assert len(walks) == 2

@@ -1,5 +1,7 @@
 """Quiver core: validation, quotients, tree extensions, windings."""
 
+import random
+
 import pytest
 
 from conftest import random_winding
@@ -23,6 +25,7 @@ from quiver_schubert.quiver import (
     validate,
 )
 from quiver_schubert.catalog import catalog
+from quiver_schubert.representation import reorder_basis
 
 
 def kronecker():
@@ -222,6 +225,60 @@ def test_strictly_ordered_needs_total_order():
     e = catalog("ex_4_5_1")
     with pytest.raises(ValueError):
         is_strictly_ordered(e.morphism, {"1": 0, "2": 1})
+
+
+def _strictly_ordered_all_pairs(f, vertex_key):
+    """The definition: any two arrows of a fibre order their sources and targets alike, strictly."""
+    by_image = {}
+    for a in f.domain.arrows:
+        by_image.setdefault(f.arrow_map[a.name], []).append(a)
+    for fibre in by_image.values():
+        for v in {a.src for a in fibre} | {a.tgt for a in fibre}:
+            if v not in vertex_key:
+                raise ValueError(f"vertex {v!r} in a fibre is not ordered")
+        for i, a in enumerate(fibre):
+            for b in fibre[i + 1 :]:
+                ds = vertex_key[a.src] - vertex_key[b.src]
+                dt = vertex_key[a.tgt] - vertex_key[b.tgt]
+                if ds == 0 or dt == 0 or (ds < 0) != (dt < 0):
+                    return False
+    return True
+
+
+def _ordered_verdict(check, f, vertex_key):
+    try:
+        return check(f, vertex_key)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _winding_keys():
+    """(winding, vertex key) pairs: catalog windings in basis order and reversed, then seeded windings."""
+    specs = ["ex_4_5_1", "ex_4_5_2", "ex_4_5_5", "kronecker_preprojective(200)"]
+    specs += [f"kronecker_{kind}({n})" for kind in ("preprojective", "preinjective") for n in range(1, 13)]
+    for spec in specs:
+        entry = catalog(spec)
+        up = entry.upstairs
+        for m in (up, reorder_basis(up, list(reversed(up.basis.order)))):
+            yield entry.morphism, m.basis.vertex_key(m.quiver.vertices)
+    for seed in range(300):
+        f = random_winding(seed)
+        rng = random.Random(seed)
+        vertices = list(f.domain.vertices)
+        rng.shuffle(vertices)
+        yield f, {v: i for i, v in enumerate(vertices)}
+        yield f, {v: rng.randint(0, 2) for v in vertices}  # ties
+        yield f, {v: i for i, v in enumerate(vertices[1:])}  # one vertex unordered
+
+
+def test_strictly_ordered_matches_the_all_pairs_definition():
+    verdicts = []
+    for f, key in _winding_keys():
+        verdict = _ordered_verdict(is_strictly_ordered, f, key)
+        assert verdict == _ordered_verdict(_strictly_ordered_all_pairs, f, key)
+        verdicts.append(verdict if isinstance(verdict, bool) else verdict[0])
+    # every outcome is reached many times
+    assert min(verdicts.count(v) for v in (True, False, "ValueError")) > 20
 
 
 def test_winding_composition_random():
