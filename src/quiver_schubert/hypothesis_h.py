@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 from .linalg import is_identity
-from .quiver import Arrow, QuiverMorphism, Subquiver, distances_to, is_strictly_ordered
+from .quiver import Arrow, QuiverMorphism, Subquiver, is_strictly_ordered, tree_distances
 from .representation import Representation
 from .schubert import PreconditionError, tree_setup
 
@@ -105,7 +105,9 @@ class WindingContext:
         if not self.sub.vertices:
             raise PreconditionError("S must be nonempty")
         self.vertex_key = self.rep.basis.vertex_key(self.rep.quiver.vertices)
-        self.distance = distances_to(self.rep.quiver, self.sub)
+        self.distance = tree_distances(self.rep.quiver, self.sub)
+        if self.distance is None:
+            raise PreconditionError("T is not a tree extension of S")
         self._fibres, self._fibre_arrows, self._arrow_fibres, self._psi_keys = {}, {}, {}, {}
 
     def pos(self, v: str) -> int:
@@ -209,9 +211,9 @@ def _walk_triple(
     Both come from one slice: the arrows of atilde's fibre lying between t
     and s.  Each adds (t, a.tgt) and (a.src, s), never diagonal; the last
     arrow's (t, a.tgt) and the first's (a.src, s) top their families (see
-    the module docstring) and join the pairs of the arrows into t and out
-    of s as candidates for the equation's largest pair.  The list is empty
-    exactly for types 0 and 1.
+    the module docstring), so types 3 and 4 read their subtypes from them,
+    and join the pairs of the arrows into t and out of s as candidates for
+    the equation's largest pair.  The list is empty exactly for types 0, 1.
 
     Assumes atilde's fibre is strictly ordered, as `check_hypothesis_h`
     checks first: its arrows then order sources and targets alike, so the
@@ -228,20 +230,20 @@ def _walk_triple(
         arrow_s is not None and pos(arrow_s.tgt) < pos(t)
     ):
         return TripleType.T0, []
-    between = fibre[bisect_right(tgt_positions, pos(t)) : bisect_left(src_positions, pos(s))]
-    pairs = [(t, between[-1].tgt), (between[0].src, s)] if between else []
+    first, end = bisect_right(tgt_positions, pos(t)), bisect_left(src_positions, pos(s))
+    pairs = [(t, fibre[end - 1].tgt), (fibre[first].src, s)] if first < end else []
     if arrow_t is not None and arrow_s is not None:
         below = _psi_less(ctx, (t, arrow_s.tgt), (arrow_t.src, s))
         return (TripleType.T2A if below else TripleType.T2B), [
             (arrow_t.src, s), (t, arrow_s.tgt), *pairs
         ]
     if arrow_s is not None:
-        above = any(_psi_less(ctx, (t, arrow_s.tgt), (a.src, s)) for a in between)
+        above = bool(pairs) and _psi_less(ctx, (t, arrow_s.tgt), pairs[1])
         return (TripleType.T3B if above else TripleType.T3A), [(t, arrow_s.tgt), *pairs]
     if arrow_t is not None:
-        above = any(_psi_less(ctx, (arrow_t.src, s), (t, a.tgt)) for a in between)
+        above = bool(pairs) and _psi_less(ctx, (arrow_t.src, s), pairs[0])
         return (TripleType.T4B if above else TripleType.T4A), [(arrow_t.src, s), *pairs]
-    return (TripleType.T5 if between else TripleType.T0), pairs
+    return (TripleType.T5 if pairs else TripleType.T0), pairs
 
 
 def classify_triple(ctx: WindingContext, atilde: str, t: str, s: str) -> TripleType:

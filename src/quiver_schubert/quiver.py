@@ -218,16 +218,18 @@ def tree_distances(t: Quiver, s: Subquiver) -> dict[str, int] | None:
     A connected multigraph is a tree exactly when it has one edge fewer
     than vertices, so T/S is a tree iff T-S reaches every vertex from S
     and has one arrow per vertex outside S: one walk decides both and
-    gives every distance.  With S empty, T's first vertex stands in for
-    S, and the distances are to it.
+    gives every distance, to T's first vertex when S is empty.  A valid s
+    keeps it for the last t, by identity; callers only read the shared dict.
     """
-    _refuse(s.validate())
-    root = s.vertices or frozenset(t.vertices[:1])
-    outside = sum(a.name not in s.arrows for a in t.arrows)
-    if not root or outside != len(t.vertices) - len(root):
-        return None
-    dist = distances_to(t, Subquiver(t, root, s.arrows))
-    return dist if len(dist) == len(t.vertices) else None
+    slot = getattr(s, "_tree_distances", None)
+    if slot is None or slot[0] is not t:
+        _refuse(s.validate())
+        root = s.vertices or frozenset(t.vertices[:1])
+        tree = root and sum(a.name not in s.arrows for a in t.arrows) == len(t.vertices) - len(root)
+        dist = distances_to(t, Subquiver(t, root, s.arrows)) if tree else {}
+        slot = (t, dist if tree and len(dist) == len(t.vertices) else None)
+        object.__setattr__(s, "_tree_distances", slot)
+    return slot[1]
 
 
 def is_tree_extension(t: Quiver, s: Subquiver) -> bool:

@@ -19,7 +19,8 @@ per-cell entry points share that work, and each module builds it once
 - the winding setup of (M, F): the checks that F is a winding on the
   quiver of M, the ambient vertex of every basis element, and for each
   codomain arrow its sorted fibres and the nonzero entries of every
-  column of F_*M there, which is all that equation assembly reads.
+  column of F_*M there, which is all that equation assembly reads;
+- the strict-winding check of (M, F) that `pi` needs, which keeps no data.
 
 None of this reads the cell, so a cell answered from a stored setup is
 answered exactly as from a fresh one.  Only a setup whose checks pass is
@@ -42,7 +43,6 @@ from .quiver import (
     QuiverMorphism,
     Subquiver,
     difference_of,
-    distances_to,
     identity_morphism,
     is_strictly_ordered,
     is_tree_extension,
@@ -99,6 +99,13 @@ def cell_type(basis, beta: CellIndex) -> dict[str, int]:
     return e
 
 
+def _check_dimension(v: str, ev: int, rank: int) -> None:
+    if ev < 0:
+        raise ValueError(f"dimension {ev} is negative at vertex {v!r}")
+    if ev > rank:
+        raise ValueError(f"dimension {ev} exceeds rank {rank} at vertex {v!r}")
+
+
 def enumerate_cells(basis, e: Mapping[str, int], vertices: Sequence[str]) -> list[CellIndex]:
     """All subsets of the basis of type e, in lexicographic order."""
     per_vertex = []
@@ -106,10 +113,7 @@ def enumerate_cells(basis, e: Mapping[str, int], vertices: Sequence[str]) -> lis
     for v in vertices:
         block = basis.block(v)
         ev = e.get(v, 0)
-        if ev < 0:
-            raise ValueError(f"dimension {ev} is negative at vertex {v!r}")
-        if ev > len(block):
-            raise ValueError(f"dimension {ev} exceeds rank {len(block)} at vertex {v!r}")
+        _check_dimension(v, ev, len(block))
         if ev and v in seen:
             raise ValueError(f"vertex {v!r} is listed twice, so its basis ids would repeat")
         seen.add(v)
@@ -566,9 +570,10 @@ def grassmannian_fibration(
     point count is the base count times the product of the Gaussian
     binomials.  S must be nonempty.
     """
-    for v in e:
+    for v, ev in e.items():
         if v not in m.quiver.vertices:
             raise ValueError(f"dimension vector names {v!r}, which is not a vertex")
+        _check_dimension(v, ev, m.rank(v))
     if not is_tree_extension(m.quiver, s):
         raise PreconditionError("T is not a tree extension of S")
     for name in sorted(difference_of(m.quiver, s).arrows):
@@ -577,7 +582,7 @@ def grassmannian_fibration(
             raise PreconditionError(f"arrow {name!r} in T-S is not invertible over every field")
     if not s.vertices:
         raise PreconditionError("S must be nonempty")
-    dist = distances_to(m.quiver, s)
+    dist = tree_distances(m.quiver, s)
     fibres = []
     for a in m.quiver.arrows:
         if a.name in s.arrows:
@@ -615,11 +620,12 @@ def pi(
 ) -> dict[tuple[str, str], int]:
     """Retract a push-forward cell point: keep diagonal fibre blocks only.
 
-    Requires a strictly ordered winding.
+    Requires a strictly ordered winding; its check is stored per (M, F).
     """
-    key = m.basis.vertex_key(m.quiver.vertices)
-    if not is_winding(f) or not is_strictly_ordered(f, key):
-        raise PreconditionError("pi needs a strictly ordered winding")
+    def check():
+        if not is_winding(f) or not is_strictly_ordered(f, m.basis.vertex_key(m.quiver.vertices)):
+            raise PreconditionError("pi needs a strictly ordered winding")
+    _module_setup(m, "strict_winding", f, check)
     out = {}
     for (bp, b), value in point.items():
         if m.basis.vertex_of[bp] == m.basis.vertex_of[b]:

@@ -267,6 +267,30 @@ def test_the_walks_candidates_hold_each_equations_largest_block_pair():
     assert at_an_end > 10
 
 
+def test_each_slice_end_pair_tops_its_family_by_psi_key():
+    """The T3 and T4 subtypes compare with one end pair of the slice: along it
+    epsilon(a.src, s) falls and epsilon(t, a.tgt) rises, so the first arrow's
+    (a.src, s) and the last arrow's (t, a.tgt) have the largest Psi keys."""
+    longer = 0
+    for name, ctx, f in _looped_contexts():
+        key, pos = (lambda pr: ctx.psi_key(*pr)), ctx.pos  # noqa: E731
+        for at in f.codomain.arrows:
+            arrows = ctx.fibre_arrows(at.name)
+            for t in ctx.fibre(at.tgt):
+                for s in ctx.fibre(at.src):
+                    between = [a for a in arrows if pos(t) < pos(a.tgt) and pos(a.src) < pos(s)]
+                    if not between:
+                        continue
+                    for family, end in (
+                        ([(a.src, s) for a in between], (between[0].src, s)),
+                        ([(t, a.tgt) for a in between], (t, between[-1].tgt)),
+                    ):
+                        top = max(map(key, family))
+                        assert [pr for pr in family if key(pr) == top] == [end], (name, at.name, t, s)
+                    longer += len(between) > 1
+    assert longer > 100
+
+
 def test_check_h_walks_only_the_triples_that_carry_an_equation(monkeypatch):
     walked = []
     walk = hypothesis_h._walk_triple

@@ -1,6 +1,7 @@
 """Per-module setups of the schubert per-cell calls.
 
-A module keeps one tree setup and one winding setup (`schubert._module_setup`).
+A module keeps one tree setup, one winding setup and one strict-winding check
+for `pi` (`schubert._module_setup`).
 These tests check that a warm module answers every cell exactly as a cold
 copy does, that a failed check is never stored, and that a module keeps one
 setup of each kind however many equal keys it is called with.
@@ -19,11 +20,14 @@ from quiver_schubert.catalog import catalog
 from quiver_schubert.hypothesis_h import check_hypothesis_h
 from quiver_schubert.quiver import QuiverMorphism, Subquiver, identity_morphism, morphism, quiver, subquiver
 from quiver_schubert.representation import is_ordered_above, reorder_basis, thin_representation
+from quiver_schubert import schubert
 from quiver_schubert.schubert import (
     PreconditionError,
     cell_index,
     enumerate_cells,
     generate_equations,
+    grassmannian_fibration,
+    pi,
     tree_cell_dimension,
     tree_cell_emptiness,
     tree_setup,
@@ -232,7 +236,7 @@ def test_a_module_keeps_one_tree_setup():
     assert _alive(keys) == 1 and _alive(setups) == 1
 
 
-WALKERS = ("quiver", "representation", "schubert", "hypothesis_h")
+WALKERS = ("quiver", "representation")  # the modules that still bind `distances_to`
 
 
 def _counted_walks(monkeypatch) -> list:
@@ -261,15 +265,27 @@ def _tree_inputs():
         yield random_tree_extension(seed)[:2]
 
 
-def test_a_cold_tree_setup_walks_t_minus_s_twice_and_is_ordered_above_once(monkeypatch):
+def test_each_s_is_walked_once_by_every_tree_question(monkeypatch):
     walks = _counted_walks(monkeypatch)
     for rep, s in _tree_inputs():
+        s = dataclasses.replace(s)  # an S that has not been walked
         walks.clear()
         tree_setup(dataclasses.replace(rep), s)
-        assert len(walks) == 2
-        walks.clear()
+        assert len(walks) == 1
         assert is_ordered_above(rep, s) == (True, [])
         assert len(walks) == 1
+    entry = catalog("kronecker_preprojective(3)")
+    up, s, f = entry.upstairs, dataclasses.replace(entry.subquiver), entry.morphism
+    walks.clear()
+    assert check_hypothesis_h(up, s, f).passed
+    assert len(walks) == 1
+    assert check_hypothesis_h(up, s, f).passed
+    assert len(walks) == 1
+    entry = catalog("flag(3;1,2)")
+    walks.clear()
+    s = dataclasses.replace(entry.subquiver)
+    assert grassmannian_fibration(entry.representation, s, {"1": 1, "2": 2}) == [(1, 2)]
+    assert len(walks) == 1
     # a T-S with one arrow per vertex outside S that misses a vertex is refused after one walk
     rep = thin_representation(quiver(["1", "2", "3"], [("l", "2", "2"), ("a", "2", "3")]))
     s = subquiver(rep.quiver, ["1"])
@@ -278,4 +294,22 @@ def test_a_cold_tree_setup_walks_t_minus_s_twice_and_is_ordered_above_once(monke
         tree_setup(rep, s)
     assert len(walks) == 1
     assert is_ordered_above(rep, s) == (False, ["T is not a tree extension of S"])
-    assert len(walks) == 2
+    assert len(walks) == 1
+
+
+def test_pi_checks_the_strict_winding_once_per_module_and_morphism(monkeypatch):
+    entry = catalog("kronecker_preprojective(3)")
+    up, f = entry.upstairs, entry.morphism
+    beta = cell_index(up.basis, ["2", "3"])
+    point = dict.fromkeys(generate_equations(up, beta, fibred_via=f).variables, 1)
+    expected = pi(f, dataclasses.replace(up), beta, point)
+    checks, check = [], schubert.is_strictly_ordered
+    monkeypatch.setattr(schubert, "is_strictly_ordered", lambda g, key: checks.append(g) or check(g, key))
+    assert all(pi(f, up, beta, point) == expected for _ in range(100))
+    assert len(checks) == 1
+    # a refused (module, F) stores nothing and raises on every call
+    bad = reorder_basis(catalog("ex_4_5_1").upstairs, ["1", "4", "3", "2"])
+    g = catalog("ex_4_5_1").morphism
+    beta = cell_index(bad.basis, ["3", "4"])
+    _raises_every_time(lambda: pi(g, bad, beta, {}), PreconditionError, "^pi needs a strictly ordered winding$")
+    assert len(checks) == 4 and not hasattr(bad, "_strict_winding_setup")

@@ -135,6 +135,15 @@ def test_grassmannian_fibration_refuses_a_non_tree_and_a_non_invertible_arrow():
         grassmannian_fibration(rep, subquiver(rep.quiver, ["1"]), {"1": 1, "2": 1})
 
 
+def test_grassmannian_fibration_refuses_a_dimension_outside_the_ranks():
+    entry = catalog("flag(3;1,2)")
+    rep, s = entry.representation, entry.subquiver
+    with pytest.raises(ValueError, match="^dimension -1 is negative at vertex '1'$"):
+        grassmannian_fibration(rep, s, {"1": -1, "2": 2})
+    with pytest.raises(ValueError, match="^dimension 7 exceeds rank 3 at vertex '2'$"):
+        grassmannian_fibration(rep, s, {"1": 1, "2": 7})
+
+
 def test_pi_refuses_a_winding_that_is_not_strictly_ordered():
     entry = catalog("ex_4_5_1")
     up = reorder_basis(entry.upstairs, ["1", "4", "3", "2"])
@@ -151,6 +160,9 @@ def test_a_winding_context_refuses_a_foreign_domain_and_an_empty_s():
         WindingContext(other, entry.subquiver, f)
     with pytest.raises(PreconditionError, match="^S must be nonempty$"):
         WindingContext(up, subquiver(up.quiver, []), f)
+    # T/S has a double edge, so the deltas would come from a cyclic quotient
+    with pytest.raises(PreconditionError, match="^T is not a tree extension of S$"):
+        WindingContext(up, subquiver(up.quiver, ["1", "3"]), f)
 
 
 def test_assign_cell_reads_a_subrep_point_and_needs_a_prime_for_raw_matrices():
