@@ -184,10 +184,9 @@ def _integers(flag: str, text: str) -> list[int]:
     return parts
 
 
-def _primes(args, default=(2, 3, 5)):
-    if args.primes is not None:
-        return tuple(_integers("--primes", args.primes))
-    return default
+def _primes(args) -> dict:
+    """The primes= keyword of a report when --primes is given; else the report's own default."""
+    return {} if args.primes is None else {"primes": tuple(_integers("--primes", args.primes))}
 
 
 def _budget(args) -> int:
@@ -225,6 +224,8 @@ def _quiver_of(args, entry: CatalogEntry | None):
 def _subquiver_of(args, q, entry):
     if args.subquiver is not None:
         groups = args.subquiver.split(";")
+        if len(groups) > 2:
+            raise InputError(f"--subquiver takes at most two ';' groups (vertices;arrows), got {args.subquiver!r}")
         verts = [v.strip() for v in groups[0].split(",") if v.strip()]
         arrows = [a.strip() for a in groups[1].split(",")] if len(groups) > 1 else []
         return subquiver(q, verts, [a for a in arrows if a])
@@ -348,7 +349,7 @@ def _run(args) -> int:
     budget = _budget(args)
 
     if cmd == "count":
-        reports = count(rep, e, primes=_primes(args), budget=budget)
+        reports = count(rep, e, budget=budget, **_primes(args))
         data = [json.loads(r.to_json()) for r in reports]
         lines = []
         for r in reports:
@@ -359,12 +360,12 @@ def _run(args) -> int:
         return 0
 
     if cmd == "poly":
-        poly = counting_polynomial(rep, e, budget=budget, primes=(_primes(args, None) or None))
+        poly = counting_polynomial(rep, e, budget=budget, **_primes(args))
         _emit(args, json.loads(poly.to_json()), poly.to_text())
         return 0
 
     if cmd == "verify-affine":
-        verdicts = verify_affine(rep, e, primes=_primes(args, (2, 3)), budget=budget)
+        verdicts = verify_affine(rep, e, budget=budget, **_primes(args))
         data = [
             {
                 "cell": v.cell,
@@ -383,14 +384,12 @@ def _run(args) -> int:
         return 0
 
     if cmd == "euler":
-        report = euler_characteristic(rep, e, primes=_primes(args, (2, 3)), budget=budget)
+        report = euler_characteristic(rep, e, budget=budget, **_primes(args))
         _emit(args, {"chi": report.chi, "primes": list(report.primes)}, f"chi = {report.chi}")
         return 0
 
     if cmd == "poincare":
-        report = poincare_polynomial(
-            rep, e, primes=_primes(args, (2, 3)), assert_smooth=args.assert_smooth, budget=budget
-        )
+        report = poincare_polynomial(rep, e, assert_smooth=args.assert_smooth, budget=budget, **_primes(args))
         data = {
             "betti": {str(k): v for k, v in sorted(report.betti.items())},
             "smooth_asserted": report.smooth_asserted,

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .linalg import is_identity
 from .quiver import Arrow, QuiverMorphism, Subquiver, is_strictly_ordered, tree_distances
 from .representation import Representation
-from .schubert import PreconditionError, tree_setup
+from .schubert import PreconditionError, _check_domain, tree_setup
 
 # Not called here since schubert.tree_setup owns the setup check; the traced
 # benchmark run (perfbench/layers.py) still wraps both under this module.
@@ -100,8 +100,7 @@ class WindingContext:
     )
 
     def __post_init__(self):
-        if self.morphism.domain != self.rep.quiver:
-            raise PreconditionError("morphism domain does not match the representation")
+        _check_domain(self.morphism, self.rep)
         if not self.sub.vertices:
             raise PreconditionError("S must be nonempty")
         self.vertex_key = self.rep.basis.vertex_key(self.rep.quiver.vertices)

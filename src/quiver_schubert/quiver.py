@@ -212,6 +212,22 @@ def is_tree(q: Quiver) -> bool:
     return is_tree_extension(q, Subquiver(q, frozenset(), frozenset()))
 
 
+def kept(obj, attr: str, key: object, build):
+    """The value obj keeps under attr for key, made by build() when the slot holds another key.
+
+    The slot is (key, value): the key is compared by identity and held
+    strongly, so that its identity cannot pass to a new object.  A call
+    with another key rebuilds and replaces the slot, so obj never keeps
+    more than one value per attr.  When build() raises, nothing is
+    stored and the next call raises again.
+    """
+    slot = getattr(obj, attr, None)
+    if slot is None or slot[0] is not key:
+        slot = (key, build())
+        object.__setattr__(obj, attr, slot)
+    return slot[1]
+
+
 def tree_distances(t: Quiver, s: Subquiver) -> dict[str, int] | None:
     """`distances_to(t, s)` when T/S is a tree as a geometric (undirected) graph, else None.
 
@@ -219,17 +235,15 @@ def tree_distances(t: Quiver, s: Subquiver) -> dict[str, int] | None:
     than vertices, so T/S is a tree iff T-S reaches every vertex from S
     and has one arrow per vertex outside S: one walk decides both and
     gives every distance, to T's first vertex when S is empty.  A valid s
-    keeps it for the last t, by identity; callers only read the shared dict.
+    on t keeps it for the last t (`kept`); callers only read the shared dict.
     """
-    slot = getattr(s, "_tree_distances", None)
-    if slot is None or slot[0] is not t:
-        _refuse(s.validate())
+    def walk():
+        _refuse(s.validate() + ["S is a subquiver of another quiver"] * (s.parent != t))
         root = s.vertices or frozenset(t.vertices[:1])
         tree = root and sum(a.name not in s.arrows for a in t.arrows) == len(t.vertices) - len(root)
         dist = distances_to(t, Subquiver(t, root, s.arrows)) if tree else {}
-        slot = (t, dist if tree and len(dist) == len(t.vertices) else None)
-        object.__setattr__(s, "_tree_distances", slot)
-    return slot[1]
+        return dist if tree and len(dist) == len(t.vertices) else None
+    return kept(s, "_tree_distances", t, walk)
 
 
 def is_tree_extension(t: Quiver, s: Subquiver) -> bool:

@@ -26,32 +26,27 @@ class OrderedBasis:
     vertex_of: Mapping[str, str] = field(hash=False)
 
     def __post_init__(self):
-        if len(set(self.order)) != len(self.order):
+        """Validate the order and build the positions and blocks that later reads return."""
+        pos = {b: i for i, b in enumerate(self.order)}
+        if len(pos) != len(self.order):
             raise ValueError("duplicate basis ids")
+        blocks: dict[str, list[str]] = {}
         for b in self.order:
             if b not in self.vertex_of:
                 raise ValueError(f"basis id {b!r} has no vertex")
+            blocks.setdefault(self.vertex_of[b], []).append(b)
+        object.__setattr__(self, "_positions", pos)
+        object.__setattr__(self, "_blocks", {v: tuple(bs) for v, bs in blocks.items()})
 
     def position(self, b: str) -> int:
-        return self.positions()[b]
+        return self._positions[b]
 
     def positions(self) -> Mapping[str, int]:
-        """Position of every basis id in the global order, built once per basis."""
-        pos = getattr(self, "_pos_cache", None)
-        if pos is None:
-            pos = {b: i for i, b in enumerate(self.order)}
-            object.__setattr__(self, "_pos_cache", pos)
-        return pos
+        """Position of every basis id in the global order."""
+        return self._positions
 
     def block(self, v: str) -> tuple[str, ...]:
-        blocks = getattr(self, "_block_cache", None)
-        if blocks is None:
-            blocks = {}
-            for b in self.order:
-                blocks.setdefault(self.vertex_of[b], []).append(b)
-            blocks = {k: tuple(vs) for k, vs in blocks.items()}
-            object.__setattr__(self, "_block_cache", blocks)
-        return blocks.get(v, ())
+        return self._blocks.get(v, ())
 
     def vertex_key(self, vertices: Iterable[str]) -> dict[str, int]:
         """Total order on the given vertices induced by the block order.

@@ -9,8 +9,9 @@ winding.
 
 The hypotheses of the tree-extension theorems and of the winding
 formalism hold per module, per S and per F, not per cell.  So the
-per-cell entry points share that work, and each module builds it once
-(`_module_setup`):
+per-cell entry points share that work, and each module keeps it for one
+S and one F through `quiver.kept`, in `_tree_setup`, `_winding_setup` and
+`_strict_winding_setup`:
 
 - the tree setup of (M, S): the checks that T/S is a tree and the basis
   is ordered above S, and for each arrow of T-S the identity image of
@@ -26,7 +27,7 @@ None of this reads the cell, so a cell answered from a stored setup is
 answered exactly as from a fresh one.  Only a setup whose checks pass is
 stored; a failing one raises again on every call.  Representations,
 subquivers and morphisms are immutable after use (the assumption
-`OrderedBasis.positions()` already makes), and S and F are matched by
+an `OrderedBasis` already makes of its order), and S and F are matched by
 identity, not equality, so a stored setup always belongs to the very
 objects it was built from.
 """
@@ -47,6 +48,7 @@ from .quiver import (
     is_strictly_ordered,
     is_tree_extension,
     is_winding,
+    kept,
     tree_distances,
 )
 from .representation import Representation, is_ordered_above
@@ -63,12 +65,8 @@ class CellIndex:
     elements: tuple[str, ...]
 
     def as_set(self) -> frozenset[str]:
-        """The elements as a set, built once per index."""
-        elems = getattr(self, "_set_cache", None)
-        if elems is None:
-            elems = frozenset(self.elements)
-            object.__setattr__(self, "_set_cache", elems)
-        return elems
+        """The elements as a set, built on first use: long cell lists mostly never ask."""
+        return kept(self, "_set", None, lambda: frozenset(self.elements))
 
     def __contains__(self, b: str) -> bool:
         return b in self.as_set()
@@ -224,28 +222,6 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# per-module setups
-
-
-def _module_setup(m: Representation, kind: str, key: object, build):
-    """The setup of one kind that m keeps for key, made by build() on first use.
-
-    m holds one slot per kind: the key, compared by identity and held
-    strongly so that its identity cannot pass to a new object, and the
-    setup.  A call with another key rebuilds and replaces the slot, so a
-    module never keeps more than one setup of a kind.  When build()
-    raises, nothing is stored and the next call raises again.
-    """
-    attr = f"_{kind}_setup"
-    slot = getattr(m, attr, None)
-    if slot is not None and slot[0] is key:
-        return slot[1]
-    setup = build()
-    object.__setattr__(m, attr, (key, setup))
-    return setup
-
-
-# ---------------------------------------------------------------------------
 # cell coordinates and defining equations
 
 
@@ -383,7 +359,7 @@ def generate_equations(
     of the tests fix both orders.  Only the order of terms inside a Poly
     is free, and nothing reads it unsorted.
     """
-    setup = _module_setup(m, "winding", fibred_via, lambda: _WindingSetup(m, fibred_via))
+    setup = kept(m, "_winding_setup", fibred_via, lambda: _WindingSetup(m, fibred_via))
     basis = m.basis
     pos = basis.positions()
     beta_set = beta.as_set()
@@ -501,7 +477,7 @@ def tree_setup(m: Representation, s: Subquiver) -> _TreeSetup:
 
     Raises PreconditionError, on every call, when its hypotheses fail.
     """
-    return _module_setup(m, "tree", s, lambda: _TreeSetup(m, s))
+    return kept(m, "_tree_setup", s, lambda: _TreeSetup(m, s))
 
 
 def tree_cell_emptiness(
@@ -601,11 +577,17 @@ def grassmannian_fibration(
 CellPoint = Mapping[tuple[str, str], int]
 
 
+def _check_domain(f: QuiverMorphism, m: Representation) -> None:
+    if f.domain != m.quiver:
+        raise PreconditionError("morphism domain does not match the representation")
+
+
 def iota(
     f: QuiverMorphism, m: Representation, beta: CellIndex, point: CellPoint
 ) -> dict[tuple[str, str], int]:
     """Embed a cell point of M into the cell of F_*M: same matrix, zero cross-blocks."""
-    ambient = {b: f.vertex_map[m.basis.vertex_of[b]] for b in m.basis.order}
+    _check_domain(f, m)
+    ambient = kept(m, "_winding_setup", f, lambda: _WindingSetup(m, f)).ambient_vertex_of
     out = {}
     for bp, b in cell_variables(m.basis, beta, ambient):
         if m.basis.vertex_of[bp] == m.basis.vertex_of[b]:
@@ -623,9 +605,10 @@ def pi(
     Requires a strictly ordered winding; its check is stored per (M, F).
     """
     def check():
+        _check_domain(f, m)
         if not is_winding(f) or not is_strictly_ordered(f, m.basis.vertex_key(m.quiver.vertices)):
             raise PreconditionError("pi needs a strictly ordered winding")
-    _module_setup(m, "strict_winding", f, check)
+    kept(m, "_strict_winding_setup", f, check)
     out = {}
     for (bp, b), value in point.items():
         if m.basis.vertex_of[bp] == m.basis.vertex_of[b]:

@@ -573,3 +573,25 @@ def test_an_empty_subquiver_is_the_empty_subquiver():
     # not the entry's S = {1}: (H) needs a nonempty S
     code, out, err = run(["hypothesis-h", "--catalog", "ex_4_5_1", "--subquiver", ""])
     assert (code, out, err) == (2, "", "input error: S must be nonempty\n")
+
+
+def test_reports_without_primes_sample_the_library_defaults():
+    common = ["--catalog", "two_lines", "--dim-vector", "1,1", "--json"]
+    code, out, _ = run(["count", *common])
+    assert code == 0 and [r["prime"] for r in json.loads(out)] == [2, 3, 5]
+    code, out, _ = run(["euler", *common])
+    assert code == 0 and json.loads(out)["primes"] == [2, 3]
+    code, out, _ = run(["verify-affine", *common])
+    assert code == 0 and [sorted(v["counts"]) for v in json.loads(out)] == [["2", "3"]] * 4
+    # poly samples at the first bound + 1 primes
+    code, out, _ = run(["poly", *common])
+    poly = json.loads(out)
+    assert code == 0 and poly["degree_bound"] == 2
+    assert [q for q, _ in poly["samples"]] == [2, 3, 5]
+
+
+@pytest.mark.parametrize("command", ["tree-ext", "hypothesis-h"])
+def test_a_subquiver_with_more_than_two_groups_is_an_input_error(command):
+    code, out, err = run([command, "--catalog", "ex_4_5_1", "--subquiver", "1;;junk"])
+    assert (code, out) == (2, "")
+    assert err == "input error: --subquiver takes at most two ';' groups (vertices;arrows), got '1;;junk'\n"

@@ -1,6 +1,7 @@
 """Module layering: package imports sit at module top, schubert never reaches the
-oracle, the package imports nothing outside the standard library, and every
-name the traced benchmark run wraps still resolves."""
+oracle, the package imports nothing outside the standard library, derived data
+is stored in one place, and every name the traced benchmark run wraps still
+resolves."""
 
 import ast
 import importlib
@@ -62,6 +63,30 @@ def test_package_imports_only_the_standard_library():
                 continue  # relative imports name the package itself
             outside += [f"{name}: {top}" for top in tops if top not in allowed]
     assert outside == []
+
+
+def _setattr_sites(node: ast.AST, scope: str) -> list[str]:
+    """The dotted scope of every `object.__setattr__(...)` call under node."""
+    sites = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            sites += _setattr_sites(child, f"{scope}.{child.name}")
+            continue
+        func = child.func if isinstance(child, ast.Call) else None
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr == "__setattr__"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "object"
+        ):
+            sites.append(scope)
+        sites += _setattr_sites(child, scope)
+    return sites
+
+
+def test_derived_data_is_stored_only_by_kept_and_the_basis():
+    sites = {site for name, tree in _modules() for site in _setattr_sites(tree, name.removesuffix(".py"))}
+    assert sites == {"quiver.kept", "representation.OrderedBasis.__post_init__"}
 
 
 def _load_perfbench(name: str):

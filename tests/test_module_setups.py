@@ -1,7 +1,7 @@
 """Per-module setups of the schubert per-cell calls.
 
 A module keeps one tree setup, one winding setup and one strict-winding check
-for `pi` (`schubert._module_setup`).
+for `pi`, each in one `quiver.kept` slot.
 These tests check that a warm module answers every cell exactly as a cold
 copy does, that a failed check is never stored, and that a module keeps one
 setup of each kind however many equal keys it is called with.

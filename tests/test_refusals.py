@@ -12,7 +12,15 @@ from quiver_schubert.cli import main
 from quiver_schubert.hypothesis_h import WindingContext
 from quiver_schubert.linalg import int_det
 from quiver_schubert.oracle import assign_cell, enumerate_subreps
-from quiver_schubert.quiver import Subquiver, compose, identity_morphism, morphism, quiver, subquiver
+from quiver_schubert.quiver import (
+    Subquiver,
+    compose,
+    identity_morphism,
+    is_tree_extension,
+    morphism,
+    quiver,
+    subquiver,
+)
 from quiver_schubert.representation import (
     OrderedBasis,
     direct_sum,
@@ -29,8 +37,10 @@ from quiver_schubert.schubert import (
     cell_index,
     cell_partial_orders,
     grassmannian_fibration,
+    iota,
     pi,
     preceq,
+    tree_setup,
 )
 
 
@@ -163,6 +173,36 @@ def test_a_winding_context_refuses_a_foreign_domain_and_an_empty_s():
     # T/S has a double edge, so the deltas would come from a cyclic quotient
     with pytest.raises(PreconditionError, match="^T is not a tree extension of S$"):
         WindingContext(up, subquiver(up.quiver, ["1", "3"]), f)
+
+
+def test_an_s_on_another_quiver_is_refused_and_not_kept():
+    entry = catalog("ex_4_5_1")
+    up, f = entry.upstairs, entry.morphism
+    # a vertex T lacks, and a quiver with T's vertex names but none of its arrows
+    twin = quiver(up.quiver.vertices, [])
+    for s in (subquiver(quiver(["9"], []), ["9"]), subquiver(twin, ["1"])):
+        for call in (
+            lambda: is_tree_extension(up.quiver, s),
+            lambda: tree_setup(up, s),
+            lambda: WindingContext(up, s, f),
+        ):
+            with pytest.raises(ValueError, match="^S is a subquiver of another quiver$"):
+                call()
+        assert not hasattr(s, "_tree_distances")
+    assert not hasattr(up, "_tree_setup")
+
+
+def test_iota_and_pi_refuse_a_morphism_of_another_quiver():
+    m = catalog("kronecker_preprojective(2)").upstairs
+    f = catalog("kronecker_preinjective(2)").morphism
+    beta = cell_index(m.basis, ["2", "3"])
+    message = "^morphism domain does not match the representation$"
+    with pytest.raises(PreconditionError, match=message):
+        iota(f, m, beta, {})
+    for _ in range(2):  # a refused check is not kept
+        with pytest.raises(PreconditionError, match=message):
+            pi(f, m, beta, {("1", "3"): 1})
+    assert not hasattr(m, "_strict_winding_setup")
 
 
 def test_assign_cell_reads_a_subrep_point_and_needs_a_prime_for_raw_matrices():
