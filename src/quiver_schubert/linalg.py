@@ -128,6 +128,37 @@ def _eliminate(aug: list[list[int]], pivots: list[int], columns: Iterable[int], 
         pivots.append(c)
 
 
+def rank_mod(rows: Sequence[Sequence[int]], rhs: Sequence[int], q: int) -> int | None:
+    """Rank of A over F_q, or None when A x = b is inconsistent.
+
+    Forward elimination only, one row at a time: each row of (A | b) is
+    cleared at the pivot column of every pivot row before it by
+    cross-multiplication, row <- p * row - a * pivot_row, and becomes a
+    pivot row at its first nonzero entry.  There is no pivot scaling, no
+    back-substitution and no solution built.  A row that clears to zero in
+    A but not in b makes the system inconsistent; otherwise it has
+    q^(nvars - rank) solutions.
+    """
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for row, b in zip(rows, rhs):
+        row = [x % q for x in row]
+        row.append(b % q)
+        for c, top in pivots:
+            f = row[c]
+            if f:
+                p = top[c]
+                row = [(p * x - f * y) % q for x, y in zip(row, top)]
+        for c, x in enumerate(row):
+            if x:
+                break
+        else:
+            continue
+        if c == len(row) - 1:
+            return None
+        pivots.append((c, row))
+    return len(pivots)
+
+
 def iter_solutions_mod(
     rows: Sequence[Sequence[int]],
     rhs: Sequence[int],

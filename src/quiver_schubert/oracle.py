@@ -45,8 +45,12 @@ streams too when every earlier step is its neighbour, as its key then
 fixes the whole cell and the point before it.  Points come out in the
 same order as a plain recursion over the vertices would give, each chart
 in `iter_solutions_mod` order.  `enumerate_subreps` gets each as a fresh
-dict; `count` only counts, so it gets the last step's stored `(x, matrix)`
-points as they are, one per point.
+dict.  `count` only counts, so it does not list the points of a last
+step without loops: their number is q^(nfree - rank) of the step's
+arrow rows at the placed values, or 0 when those are inconsistent, from
+the forward elimination of `rank_mod`, memoised per key like a point
+list.  A last step with loops, and every earlier step, is listed as
+above.  `count` still gets one item per point, the int 1.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -68,6 +72,7 @@ from .linalg import (
     iter_solutions_mod,
     lagrange_interpolate,
     primes_iter,
+    rank_mod,
     require_prime,
 )
 from .representation import Representation
@@ -165,10 +170,13 @@ class _Step:
     ones kept once; `_chart_solutions` and `_loops_hold` reduce them mod
     q where they read them.  `points` is the memo of the step's points
     (None when the key never recurs), and `coordinates(values)` its key:
-    the earlier neighbours' coordinates, bare when there is one.
+    the earlier neighbours' coordinates, bare when there is one.  A kept
+    last step also has `counts`, the memo of its number of points under
+    the same key, which `count` fills when the step has no loops; the
+    two memos never mix, so a listing never reads a count.
     """
 
-    __slots__ = ("chart", "pure", "rows", "loops", "lookahead", "coordinates", "points")
+    __slots__ = ("chart", "pure", "rows", "loops", "lookahead", "coordinates", "points", "counts")
 
     def __init__(self, chart: Chart, neighbours: tuple[int, ...], lookahead: tuple):
         self.chart = chart
@@ -178,6 +186,7 @@ class _Step:
         self.lookahead = lookahead
         self.coordinates = itemgetter(*neighbours) if neighbours else _no_coordinates
         self.points: dict | None = None
+        self.counts: dict | None = None
 
 
 def _no_coordinates(values: list) -> tuple:
@@ -205,9 +214,12 @@ class _Tables:
     step's `(x, matrix)` points over F_prime that pass its arrows, loops
     and lookahead rows, in `iter_solutions_mod` order.  Those conditions
     read nothing else, so every cell with the same key gets the same
-    list.  A key that fixes the whole cell gets a step with no memo,
-    assembled afresh at each lookup and not kept.  `room` is what is
-    left of `_MEMO_BYTES` at `prime`.
+    list.  A kept last step also has a memo of counts, held in `_counts`,
+    with the number of those points under the same coordinates; `count`
+    fills it instead of the point list when the step has no loops, and
+    a listing never reads it.  A key that fixes the whole cell gets a
+    step with no memo, assembled afresh at each lookup and not kept.
+    `room` is what is left of `_MEMO_BYTES` at `prime`, for both memos.
     """
 
     def __init__(self, m: Representation):
@@ -232,6 +244,7 @@ class _Tables:
         self.neighbours = [tuple(sorted(ks)) for ks in earlier]
         self._around = [ks + tuple(js) for ks, js in zip(self.neighbours, later)]  # every neighbour, some twice
         last = len(vertices) - 1
+        self._last = last
         self._unshared = last if last >= 0 and self.neighbours[last] == tuple(range(last)) else None
         self._charts: dict[tuple[int, tuple[str, ...]], Chart] = {}
         self._compiled: dict[tuple, tuple] = {}
@@ -241,6 +254,7 @@ class _Tables:
         self._lookup: dict[tuple, _Step] = {}
         self._steps: dict[tuple, _Step] = {}
         self._points: dict[tuple, dict] = {}
+        self._counts: dict[tuple, dict] = {}
         self.prime: int | None = None
         self.room = _MEMO_BYTES
 
@@ -248,7 +262,8 @@ class _Tables:
         """Search over F_q next: at another prime, empty every memo and chart point store and refill `room`."""
         if q != self.prime:
             self.prime, self.room = q, _MEMO_BYTES
-            for memo in chain(self._points.values(), (chart._points for chart in self._charts.values())):
+            charts = (chart._points for chart in self._charts.values())
+            for memo in chain(self._points.values(), self._counts.values(), charts):
                 memo.clear()
 
     def pivots(self, beta: CellIndex) -> tuple[tuple[str, ...], ...]:
@@ -312,6 +327,8 @@ class _Tables:
             if step is None:
                 step = self._steps[key] = self._assemble(i, pivots, lookahead)
                 step.points = self._points[key] = {}
+                if i == self._last:
+                    step.counts = self._counts[key] = {}
             self._lookup[around] = step
         return step
 
@@ -333,12 +350,10 @@ def _chart_solutions(step: _Step, values: list, q: int, lookahead: bool = False)
     """Chart coordinates of the step that satisfy every arrow to a placed vertex, and its lookahead rows when asked.
 
     The lookahead rows b(x) = 0 are read first, as rows b(x) - b(0) =
-    -b(0) mod q.  Then each arrow row is evaluated at its earlier step's
-    coordinates, `pure` first and then `rows`.  A row whose coefficients
-    all vanish is dropped, and ends the step before any elimination if
-    its right-hand side does not; so a pure row that does not vanish ends
-    the step before any other row is read.  `iter_solutions_mod` sees the
-    other arrow rows in wiring order, and the lookahead rows as its second
+    -b(0) mod q; a row that vanishes mod q is dropped, and ends the step
+    before any elimination if its constant does not.  Then the arrow rows
+    are read as `_arrow_rows` gives them.  `iter_solutions_mod` sees the
+    arrow rows in wiring order, and the lookahead rows as its second
     system, which it reads without changing the order of the solutions.
     The search always asks for the lookahead rows; the solutions of the
     arrow rows alone are what the rank tests check.
@@ -355,6 +370,22 @@ def _chart_solutions(step: _Step, values: list, q: int, lookahead: bool = False)
             ahead_rhs.append(-const % q)
         elif const % q:
             return iter(())
+    system = _arrow_rows(step, values, q)
+    if system is None:
+        return iter(())
+    return iter_solutions_mod(*system, nfree, q, ahead, ahead_rhs)
+
+
+def _arrow_rows(step: _Step, values: list, q: int) -> tuple[list[list[int]], list[int]] | None:
+    """The step's arrow rows at the placed values, as (rows, rhs) over F_q, or None when one cannot hold.
+
+    Each row is evaluated at its earlier step's coordinates, `pure` first
+    and then `rows`.  A row whose coefficients all vanish mod q is
+    dropped, and gives None before any other row is read if its
+    right-hand side does not; so a pure row that does not vanish ends the
+    step first.  The other rows come in wiring order.
+    """
+    nfree = step.chart.nfree
     rows: list[list[int]] = []
     rhs: list[int] = []
     for k, (b, terms), *coefficients in chain(step.pure, step.rows):  # a pure row has none
@@ -370,8 +401,31 @@ def _chart_solutions(step: _Step, values: list, q: int, lookahead: bool = False)
             rows.append(row)
             rhs.append(b % q)
         elif b % q:
-            return iter(())
-    return iter_solutions_mod(rows, rhs, nfree, q, ahead, ahead_rhs)
+            return None
+    return rows, rhs
+
+
+def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
+    """The number of points of the last step at the placed values.
+
+    A step with loops lists its points (`_step_points`) and counts them.
+    A loop-free one counts its arrow rows' solutions without listing
+    them: q^(nfree - rank) when they are consistent, from the forward
+    elimination of `rank_mod`, else 0.  The last step has no lookahead
+    rows.  A kept step memoises the int in `counts` under its earlier
+    neighbours' coordinates, charged `_MEMO_ENTRY_BYTES`, while the table
+    has room.  The search reads hits of that memo itself and calls this
+    only on a miss.
+    """
+    if step.loops:
+        return sum(1 for _ in _step_points(tables, step, values, q))
+    system = _arrow_rows(step, values, q)
+    rank = None if system is None else rank_mod(*system, q)
+    found = 0 if rank is None else q ** (step.chart.nfree - rank)
+    if step.counts is not None and tables.room >= _MEMO_ENTRY_BYTES:
+        tables.room -= _MEMO_ENTRY_BYTES
+        step.counts[step.coordinates(values)] = found
+    return found
 
 
 def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable:
@@ -383,7 +437,8 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     visited, and the rest come in the same order.  A list without a
     memo, or that does not fit in the table's room, is streamed and not
     kept.  The search reads memo hits itself and calls this past the
-    first step only on a miss.
+    first step only on a miss; `_last_count` calls it on a looped last
+    step either way.
     """
     memo = step.points
     if memo is not None:
@@ -424,7 +479,7 @@ def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
 
 def _cell_points(
     m: Representation, beta: CellIndex, q: int, tables: _Tables | None = None, *, _counting: bool = False
-) -> Iterator[dict[str, Matrix]] | Iterator[tuple[Vector, Matrix]]:
+) -> Iterator[dict[str, Matrix]] | Iterator[int]:
     """All F_q points of one Schubert cell, as per-vertex echelon matrices.
 
     Depth-first over the vertex steps with an explicit stack.  Each step
@@ -441,14 +496,15 @@ def _cell_points(
     at another prime empties its points.  Without it the cell builds its own.
 
     `_counting` is for `count` and `cell_count`, which only count: the
-    last step then yields its `(x, matrix)` points as they are, and builds
-    no dict.  It still yields one item per point, as the traced benchmark
+    last step is then counted by `_last_count`, which lists no point of a
+    loop-free step, and builds no dict.  It still yields one item per
+    point, the int 1, so the callers take the sum and the traced benchmark
     counts the points of a cell by the items this yields.
     """
     order = m.quiver.vertices
     n = len(order)
     if n == 0:
-        yield {}
+        yield 1 if _counting else {}
         return
     tables = tables or _Tables(m)
     tables.use_prime(q)
@@ -460,8 +516,10 @@ def _cell_points(
     mats: list = [()] * last
     first = tables.step(0, pivots)
     if last == 0:
-        points = _step_points(tables, first, values, q)
-        yield from points if _counting else ({name: mat} for _, mat in points)
+        if _counting:
+            yield from repeat(1, _last_count(tables, first, values, q))
+        else:
+            yield from ({name: mat} for _, mat in _step_points(tables, first, values, q))
         return
     pending: list = [iter(())] * last
     pending[0] = iter(_step_points(tables, first, values, q))
@@ -474,6 +532,11 @@ def _cell_points(
             step = steps[j]
             if step is None:
                 step = steps[j] = tables.step(j, pivots)
+            if _counting and j == last:
+                memo = step.counts
+                found = None if memo is None else memo.get(step.coordinates(values))
+                yield from repeat(1, _last_count(tables, step, values, q) if found is None else found)
+                continue
             memo = step.points
             found = None if memo is None else memo.get(step.coordinates(values))
             if found is None:
@@ -482,9 +545,7 @@ def _cell_points(
                 pending[j] = iter(found)
                 i = j
                 break
-            if _counting:
-                yield from found
-            elif found:  # a stored list may be empty; a stream is always true
+            if found:  # a stored list may be empty; a stream is always true
                 base = dict(zip(head, mats))
                 for _, end in found:
                     point = base.copy()
@@ -496,7 +557,7 @@ def _cell_points(
 
 def cell_count(m: Representation, beta: CellIndex, q: int) -> int:
     require_prime(q)
-    return sum(1 for _ in _cell_points(m, beta, q, _counting=True))
+    return sum(_cell_points(m, beta, q, _counting=True))
 
 
 def enumerate_subreps(
@@ -554,9 +615,7 @@ def count(
     tables = _Tables(m)
     reports = []
     for q in primes:
-        per_cell = {
-            beta.key(): sum(1 for _ in _cell_points(m, beta, q, tables, _counting=True)) for beta in cells
-        }
+        per_cell = {beta.key(): sum(_cell_points(m, beta, q, tables, _counting=True)) for beta in cells}
         reports.append(CountReport(q, sum(per_cell.values()), per_cell))
     return reports
 

@@ -149,9 +149,10 @@ def preceq(basis, beta: CellIndex, gamma: CellIndex) -> bool:
 def block_leq(basis, beta: CellIndex, gamma: CellIndex) -> bool:
     """beta <= gamma in the block sense: (b-g) < (b&g) < (g-b) elementwise."""
     pos = basis.positions()
-    b_only = [pos[x] for x in beta.elements if x not in gamma.as_set()]
-    both = [pos[x] for x in beta.elements if x in gamma.as_set()]
-    g_only = [pos[x] for x in gamma.elements if x not in beta.as_set()]
+    beta_set, gamma_set = beta.as_set(), gamma.as_set()
+    b_only = [pos[x] for x in beta.elements if x not in gamma_set]
+    both = [pos[x] for x in beta.elements if x in gamma_set]
+    g_only = [pos[x] for x in gamma.elements if x not in beta_set]
 
     def all_below(xs, ys):
         return all(x < y for x in xs for y in ys)
@@ -585,9 +586,17 @@ def _check_domain(f: QuiverMorphism, m: Representation) -> None:
 def iota(
     f: QuiverMorphism, m: Representation, beta: CellIndex, point: CellPoint
 ) -> dict[tuple[str, str], int]:
-    """Embed a cell point of M into the cell of F_*M: same matrix, zero cross-blocks."""
+    """Embed a cell point of M into the cell of F_*M: same matrix, zero cross-blocks.
+
+    Requires a winding; its check is made when the winding setup is built.
+    """
+    def setup():
+        if not is_winding(f):
+            raise PreconditionError("iota needs a winding")
+        return _WindingSetup(m, f)
+
     _check_domain(f, m)
-    ambient = kept(m, "_winding_setup", f, lambda: _WindingSetup(m, f)).ambient_vertex_of
+    ambient = kept(m, "_winding_setup", f, setup).ambient_vertex_of
     out = {}
     for bp, b in cell_variables(m.basis, beta, ambient):
         if m.basis.vertex_of[bp] == m.basis.vertex_of[b]:

@@ -1,9 +1,9 @@
-"""Linear algebra over F_q: the order in which solution sets are enumerated."""
+"""Linear algebra over F_q: the order in which solution sets are enumerated, and ranks without solving."""
 
 import random
 from itertools import product
 
-from quiver_schubert.linalg import iter_solutions_mod, solve_mod
+from quiver_schubert.linalg import iter_solutions_mod, rank_mod, solve_mod
 
 
 def _product_order(particular, basis, q):
@@ -89,3 +89,50 @@ def test_second_system_is_eliminated_after_the_first_from_the_right():
     assert particular == (1, 0, 0) and basis == [(1, 1, 2)]
     assert list(iter_solutions_mod([[1, 0, 1]], [1], 3, 3, [[0, 1, 1]], [0])) == [(1, 0, 0), (2, 1, 2), (0, 2, 1)]
     assert solve_mod([], [], 3, [[1, 1]], [1]) == ((0, 1), [(1, 2)])  # no own rows: the pivot is x1
+
+
+def _rank_cases(rng):
+    """(kind, q, A, b, nvars): seeded systems of each kind that rank_mod must read, for every q."""
+    for q in (2, 3, 5, 7, 11, 13, 17):
+        for _ in range(40):
+            nvars = rng.randint(1, 5)
+
+            def rows(n):
+                return [[rng.randrange(-q, 2 * q) for _ in range(nvars)] for _ in range(n)]
+
+            a = rows(rng.randint(1, nvars))
+            b = [rng.randrange(-q, 2 * q) for _ in a]
+            yield "random", q, a, b, nvars
+            # rank deficient and consistent: a combination of the rows, with the same combination of b
+            mix = [rng.randrange(q) for _ in a]
+            row = [sum(m * r[i] for m, r in zip(mix, a)) for i in range(nvars)]
+            yield "rank deficient", q, a + [row], b + [sum(m * v for m, v in zip(mix, b))], nvars
+            # the same row with a right-hand side off by one: inconsistent
+            yield "inconsistent", q, a + [row], b + [sum(m * v for m, v in zip(mix, b)) + 1], nvars
+            # rows that vanish mod q, with and without a right-hand side
+            zero = [q * rng.randrange(-2, 3) for _ in range(nvars)]
+            yield "zero rows", q, [zero] + a + [[0] * nvars], [0] + b + [q], nvars
+            yield "zero row, nonzero rhs", q, a + [zero], b + [rng.randrange(1, q)], nvars
+            tall = rows(nvars + rng.randint(1, 3))
+            yield "more rows than columns", q, tall, [rng.randrange(q) for _ in tall], nvars
+        yield "nvars = 0", q, [[]], [0], 0
+        yield "nvars = 0, nonzero rhs", q, [[], []], [0, 1], 0
+        yield "no rows", q, [], [], 0
+
+
+def test_rank_agrees_with_solve_mod_on_consistency_and_nullity():
+    """rank_mod is None exactly when solve_mod finds no solution, and nvars - rank is the nullity len(basis)."""
+    rng = random.Random(25)
+    seen = {}
+    for kind, q, a, b, nvars in _rank_cases(rng):
+        rank = rank_mod(a, b, q)
+        solved = solve_mod(a, b, q)
+        assert (rank is None) == (solved is None), (kind, q, a, b)
+        if solved is not None:
+            assert nvars - rank == len(solved[1]), (kind, q, a, b)
+        outcomes = seen.setdefault(kind, set())
+        outcomes.add(rank is None)
+    assert {k for k, v in seen.items() if v == {True}} == {"inconsistent", "zero row, nonzero rhs", "nvars = 0, nonzero rhs"}
+    assert all(False in seen[k] for k in ("random", "rank deficient", "zero rows", "nvars = 0", "no rows"))
+    assert seen["more rows than columns"] == {True, False}
+

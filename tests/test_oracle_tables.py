@@ -112,8 +112,11 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     step it constrains took the systems from 2,640 to 1,800: here every
     lookahead row is a constant that no point satisfies, so it ends its
     step before any elimination, and solve_mod sees the same 740 systems.
+    Counting the loop-free last step by its rank, not its points, splits
+    the 1,800 systems into 1,455 listed ones and 345 last-step keys, each
+    ranked once by rank_mod, and leaves 566 calls of solve_mod.
     """
-    calls = {"_chart_solutions": 0, "solve_mod": 0}
+    calls = {"_chart_solutions": 0, "solve_mod": 0, "rank_mod": 0}
     built = []
 
     def counted(owner, name):
@@ -132,13 +135,15 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
 
     counted(oracle, "_chart_solutions")
     counted(linalg, "solve_mod")
+    counted(oracle, "rank_mod")
     monkeypatch.setattr(oracle, "_Tables", RecordedTables)
     entry = catalog("degenerate_flag(4)")
     (report,) = count(entry.representation, entry.dim_vector, primes=(2,))
     assert report.total == 26961
     (tables,) = built
     assert calls["_chart_solutions"] == sum(map(len, tables._points.values()))
-    assert calls == {"_chart_solutions": 1800, "solve_mod": 740}
+    assert calls["rank_mod"] == sum(map(len, tables._counts.values()))
+    assert calls == {"_chart_solutions": 1455, "solve_mod": 566, "rank_mod": 345}
 
 
 def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
@@ -513,22 +518,25 @@ def test_point_dicts_are_fresh_and_independent():
 
 
 # Work of count() on each entry at these primes: calls of _chart_solutions,
-# solve_mod and iter_solutions_mod, and the points iter_solutions_mod yields.
-# Before each pure row was read at the earlier step it constrains they were
-# (3747, 565, 583, 946), (2290, 150, 162, 304), (1550, 53, 65, 112) and
-# (6, 0, 6, 16226).
+# solve_mod and iter_solutions_mod, the points iter_solutions_mod yields, and
+# calls of rank_mod.  Before each pure row was read at the earlier step it
+# constrains the first four were (3747, 565, 583, 946), (2290, 150, 162, 304),
+# (1550, 53, 65, 112) and (6, 0, 6, 16226); before the loop-free last step was
+# counted by its rank they were (767, 565, 574, 738), (190, 150, 162, 304),
+# (85, 53, 65, 112) and (6, 0, 6, 16226).  one_loop(4,1) has a cell whose loop
+# forms all vanish, so its one step is counted, not listed.
 PINNED_WORK = {
-    ("kronecker_preinjective(4)", (2, 3, 5)): (767, 565, 574, 738),
-    ("kronecker_preprojective(5)", (2, 3)): (190, 150, 162, 304),
-    ("ex_4_5_5", (2, 3)): (85, 53, 65, 112),
-    ("one_loop(4,1)", (11,)): (6, 0, 6, 16226),
+    ("kronecker_preinjective(4)", (2, 3, 5)): (42, 0, 6, 725, 568),
+    ("kronecker_preprojective(5)", (2, 3)): (38, 0, 10, 152, 152),
+    ("ex_4_5_5", (2, 3)): (30, 0, 10, 57, 55),
+    ("one_loop(4,1)", (11,)): (5, 0, 5, 16225, 1),
 }
 
 
 @pytest.mark.parametrize("spec, primes", sorted(PINNED_WORK))
 def test_pure_rows_and_loop_forms_save_images_not_solves(monkeypatch, spec, primes):
     """Pure rows read at the earlier step they constrain, and loops read as forms, save chart systems, not solves."""
-    calls = dict.fromkeys(("_chart_solutions", "solve_mod", "iter_solutions_mod", "yielded"), 0)
+    calls = dict.fromkeys(("_chart_solutions", "solve_mod", "iter_solutions_mod", "yielded", "rank_mod"), 0)
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -547,6 +555,7 @@ def test_pure_rows_and_loop_forms_save_images_not_solves(monkeypatch, spec, prim
 
     counted(oracle, "_chart_solutions")
     counted(linalg, "solve_mod")
+    counted(oracle, "rank_mod")
     monkeypatch.setattr(oracle, "iter_solutions_mod", yielding)
     entry = catalog(spec)
     count(entry.representation, entry.dim_vector, primes=primes)
@@ -708,3 +717,89 @@ def test_memoised_points_are_the_chart_solutions_that_satisfy_the_lookahead_rows
                 memos += 1
                 dropped += len(solutions) - len(kept)
     assert memos > 0 and ahead > 0 and dropped > 0
+
+
+# Every catalog family at sizes the oracle finishes under the default
+# budget at q = 2 at least; an entry over the budget at a prime is refused
+# by both paths there and is skipped at that prime.
+_CROSS_CHECK_SPECS = [
+    "one_vertex(0)", "one_vertex(1)", "one_vertex(4)",
+    "flag(1;1)", "flag(3;1,2)", "flag(2;1,1,2)",
+    "one_loop(1,0)", "one_loop(3,0)", "one_loop(3,2)", "one_loop(4,1)",
+    "two_lines",
+    "kronecker_regular(1,0)", "kronecker_regular(2,0)", "kronecker_regular(3,2)",
+    "ex_4_5_1", "ex_4_5_2", "ex_4_5_5",
+    "degenerate_flag(1)", "degenerate_flag(2)", "degenerate_flag(3)", "degenerate_flag(4)",
+    "degenerate_flag_pi(1)", "degenerate_flag_pi(2)", "degenerate_flag_pi(3)", "degenerate_flag_pi(4)",
+] + [f"kronecker_{kind}({n})" for kind in ("preprojective", "preinjective") for n in (1, 2, 3, 4, 5)]
+
+
+def _listed_per_cell(rep, e, q):
+    """The per-cell tally of the enumerate_subreps stream."""
+    listed = {beta.key(): 0 for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices)}
+    for point in enumerate_subreps(rep, e, q):
+        listed[point.cell.key()] += 1
+    return listed
+
+
+def _cross_check_cases():
+    for spec in _CROSS_CHECK_SPECS:
+        entry = catalog(spec)
+        yield spec, entry.representation, entry.dim_vector
+    for seed in range(20):
+        entry = catalog(f"forest_block({seed},10)")
+        yield f"forest_block({seed},10)", entry.representation, entry.dim_vector
+    for seed in range(40):
+        yield (f"seed {seed}", *random_branching_cycle(seed))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_each_cell_count_equals_the_tally_of_the_listing_path(monkeypatch, q):
+    """count, which ranks a loop-free last step instead of listing it, gives each cell the points enumerate_subreps lists."""
+    ranked = []
+    rank_mod = oracle.rank_mod
+
+    def recorded(rows, rhs, q):
+        ranked.append(rank_mod(rows, rhs, q))
+        return ranked[-1]
+
+    monkeypatch.setattr(oracle, "rank_mod", recorded)
+    checked = looped = 0
+    for name, rep, e in _cross_check_cases():
+        if oracle.ambient_size(rep, e, q) > oracle.DEFAULT_BUDGET:
+            continue
+        (report,) = count(rep, e, primes=(q,))
+        assert report.per_cell == _listed_per_cell(rep, e, q), name
+        checked += 1
+        looped += any(a.src == a.tgt for a in rep.quiver.arrows)
+    # consistent and inconsistent last steps were ranked, and modules with loops checked
+    assert checked >= 80 and looped >= 10 and None in ranked and any(ranked)
+
+
+def test_each_cell_count_equals_the_tally_of_the_listing_path_at_17():
+    entry = catalog("kronecker_preprojective(3)")
+    rep, e = entry.representation, entry.dim_vector
+    (report,) = count(rep, e, primes=(17,))
+    assert report.per_cell == _listed_per_cell(rep, e, 17)
+    assert report.total == 1 + 17 + 17**2
+
+
+def test_a_table_that_counted_lists_the_same_points_and_the_other_way_round():
+    """One table used for a count, then a listing at the same prime, never hands a stored count to the listing."""
+    cases = [(f"seed {seed}", *random_branching_cycle(seed), 3) for seed in range(10)]
+    for spec, q in (("degenerate_flag(3)", 3), ("ex_4_5_5", 2), ("kronecker_preinjective(4)", 5)):
+        entry = catalog(spec)
+        cases.append((spec, entry.representation, entry.dim_vector, q))
+    stored = 0
+    for name, rep, e, q in cases:
+        cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
+        fresh = [list(_cell_points(rep, beta, q)) for beta in cells]
+        counts = [len(points) for points in fresh]
+        tables = _Tables(rep)
+        assert [sum(_cell_points(rep, beta, q, tables, _counting=True)) for beta in cells] == counts, name
+        stored += sum(map(len, tables._counts.values()))
+        for beta, points in zip(cells, fresh):
+            listed = list(_cell_points(rep, beta, q, tables))
+            assert all(type(point) is dict for point in listed) and listed == points, (name, beta.key())
+        assert [sum(_cell_points(rep, beta, q, tables, _counting=True)) for beta in cells] == counts, name
+    assert stored > 0  # some counts were memoised before the listings ran

@@ -205,6 +205,18 @@ def test_iota_and_pi_refuse_a_morphism_of_another_quiver():
     assert not hasattr(m, "_strict_winding_setup")
 
 
+def test_iota_refuses_a_morphism_that_is_not_a_winding():
+    """The two-arrow fold of kronecker_regular(2,0) sends both arrows to one, so it is not a winding."""
+    m = catalog("kronecker_regular(2,0)").representation
+    codomain = quiver(["x", "y"], [("c", "x", "y")])
+    fold = morphism(m.quiver, codomain, {"1": "x", "2": "y"}, {"a": "c", "b": "c"})
+    beta = cell_index(m.basis, ["b1"])
+    for _ in range(2):  # a refused check is not kept
+        with pytest.raises(PreconditionError, match="^iota needs a winding$"):
+            iota(fold, m, beta, {})
+    assert not hasattr(m, "_winding_setup")
+
+
 def test_assign_cell_reads_a_subrep_point_and_needs_a_prime_for_raw_matrices():
     entry = catalog("two_lines")
     rep, e = entry.representation, dict(entry.dim_vector)

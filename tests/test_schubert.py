@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from conftest import chart_coordinates, fold_winding, random_tree_extension, random_winding_module, small_winding_cells
+from quiver_schubert import schubert
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import column_echelon_max_pivot
 from quiver_schubert.oracle import _cell_points, assign_cell, cell_count
@@ -490,6 +491,39 @@ def test_block_leq_examples():
     assert block_leq(b, cell_index(b, ["b1"]), cell_index(b, ["b2"]))
     assert not block_leq(b, cell_index(b, ["b2"]), cell_index(b, ["b1"]))
     assert block_leq(b, cell_index(b, []), cell_index(b, ["b1"]))
+
+
+# SHA-256 of both relation tables of cell_partial_orders on each entry's
+# cells, one line per ordered pair, taken while block_leq rebuilt the sets
+# of its cells once per element.
+PINNED_ORDERS = "c7665eebce5b1d654b3d4c3762792d0caf39b2ce5a8dd2c4d62ce3973992eaac"
+
+
+def test_block_leq_takes_each_set_once_and_keeps_the_relation_tables(monkeypatch):
+    """The tables are pinned, and each block_leq call asks each of its two cells for its set at most once."""
+    as_set, leq = CellIndex.as_set, schubert.block_leq
+    per_call = []
+
+    def counted_as_set(self):
+        per_call[-1] += 1
+        return as_set(self)
+
+    def counted_leq(*args):
+        per_call.append(0)
+        return leq(*args)
+
+    monkeypatch.setattr(CellIndex, "as_set", counted_as_set)
+    monkeypatch.setattr(schubert, "block_leq", counted_leq)
+    h = hashlib.sha256()
+    for spec in ("degenerate_flag(3)", "one_vertex(4)", "two_lines", "flag(3;1,2)"):
+        entry = catalog(spec)
+        rep = entry.representation
+        cells = enumerate_cells(rep.basis, entry.dim_vector, rep.quiver.vertices)
+        for table in cell_partial_orders(rep.basis, cells):
+            for (a, b), v in sorted(table.items()):
+                h.update(f"{spec};{a};{b};{v}\n".encode())
+    assert h.hexdigest() == PINNED_ORDERS
+    assert len(per_call) == 96**2 + 6**2 + 4**2 + 9**2 and max(per_call) <= 2
 
 
 def test_closure_specialisation_respects_preceq():
