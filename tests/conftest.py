@@ -14,7 +14,14 @@ from quiver_schubert.hypothesis_h import (
     _psi_less,
 )
 from quiver_schubert.linalg import column_echelon_max_pivot, mat_vec_mod
-from quiver_schubert.quiver import QuiverMorphism, disjoint_union, is_strictly_ordered, quiver, subquiver
+from quiver_schubert.quiver import (
+    QuiverMorphism,
+    disjoint_union,
+    identity_morphism,
+    is_strictly_ordered,
+    quiver,
+    subquiver,
+)
 from quiver_schubert.representation import (
     OrderedBasis,
     Representation,
@@ -22,7 +29,15 @@ from quiver_schubert.representation import (
     push_forward,
     representation,
 )
-from quiver_schubert.schubert import cell_index, generate_equations, tree_setup
+from quiver_schubert.schubert import (
+    CellEquation,
+    CellEquationSystem,
+    Poly,
+    cell_index,
+    cell_variables,
+    generate_equations,
+    tree_setup,
+)
 
 
 def fold_winding(rep: Representation, s_vertices, s_arrows=()):
@@ -320,3 +335,98 @@ def reference_check_hypothesis_h(rep: Representation, sub, f: QuiverMorphism) ->
         reason = f"pair ({key[0]},{key[1]}) carries inadmissible equations"
         return HypothesisResult(False, reason=reason, pair=key, triples=tuple(charged))
     return HypothesisResult(True, exceptions=tuple(exceptions), notes=tuple(dict.fromkeys(notes)))
+
+
+def _reference_times_var(i: int, mono):
+    """The monomial w_i * mono, for mono of degree at most one."""
+    if not mono:
+        return ((i, 1),)
+    (j, _), = mono
+    if i == j:
+        return ((i, 2),)
+    return ((i, 1), (j, 1)) if i < j else ((j, 1), (i, 1))
+
+
+def reference_generate_equations(m: Representation, beta, fibred_via: QuiverMorphism | None = None):
+    """`generate_equations` by gathering: every (arrow, t, s, row, pivot) is visited.
+
+    For each codomain arrow and pivot bc over its source, the image column
+    M W_{., bc} is built from the columns of F_*M at bc and at the
+    non-pivots c with a coordinate w_{c,bc}.  The equation at a non-pivot
+    row br and column bc is the sum of w_{br,r} times row r of the image
+    over the pivots r with such a coordinate, minus row br; the loops run
+    over (arrow, t, s, br, bc) in fibre and basis order.  The winding
+    tables are built here, from the module, on every call.
+    """
+    f = fibred_via if fibred_via is not None else identity_morphism(m.quiver)
+    basis = m.basis
+    pos = basis.positions()
+    ambient_vertex_of = {b: f.vertex_map[basis.vertex_of[b]] for b in basis.order}
+    block = {v: basis.block(v) for v in m.quiver.vertices}
+
+    def block_start(v: str) -> int:
+        return pos[block[v][0]] if block[v] else -1
+
+    arrows = []
+    for at in f.codomain.arrows:
+        columns: dict = {}
+        for a in f.fibre_arrows(at.name):
+            for r, row in zip(block[a.tgt], m.matrices[a.name]):
+                for c, x in zip(block[a.src], row):
+                    if x:
+                        columns.setdefault(c, []).append((r, x))
+        arrows.append((
+            at.name,
+            sorted(f.fibre_vertices(at.tgt), key=block_start),
+            sorted(f.fibre_vertices(at.src), key=block_start),
+            columns,
+        ))
+
+    beta_set = set(beta.elements)
+    variables = cell_variables(basis, beta, ambient_vertex_of)
+    chart = {b: [(b, ())] for b in beta.elements}
+    above: dict = {}
+    for i, (c, b) in enumerate(variables):
+        chart[b].append((c, ((i, 1),)))
+        above.setdefault(c, {})[b] = i
+    cols: dict = {}
+    for b in beta.elements:
+        cols.setdefault(basis.vertex_of[b], []).append(b)
+
+    equations = []
+    for at_name, tgt_fib, src_fib, columns in arrows:
+        live_src = [s for s in src_fib if s in cols]
+        rows_out = [(t, [b for b in block[t] if b not in beta_set]) for t in tgt_fib]
+        if not live_src or not any(rows for _t, rows in rows_out):
+            continue
+        images = {}
+        for s in live_src:
+            for bc in cols[s]:
+                image: dict = {}
+                for c, mono in chart[bc]:
+                    for r, x in columns.get(c, ()):
+                        image.setdefault(r, []).append((mono, x))
+                pivots = [(r, terms) for r, terms in image.items() if r in beta_set]
+                images[bc] = (image, pivots, max((pos[r] for r, _ in pivots), default=-1))
+        for t, rows in rows_out:
+            for s in live_src:
+                for br in rows:
+                    p, left = pos[br], above.get(br, {})
+                    for bc in cols[s]:
+                        image, pivots, top = images[bc]
+                        own = image.get(br)
+                        if own is None and top < p:
+                            continue
+                        acc: dict = {}
+                        for r, terms in pivots:
+                            w = left.get(r)
+                            if w is not None:
+                                for mono, x in terms:
+                                    prod = _reference_times_var(w, mono)
+                                    acc[prod] = acc.get(prod, 0) + x
+                        for mono, x in own or ():
+                            acc[mono] = acc.get(mono, 0) - x
+                        terms = {mono: x for mono, x in acc.items() if x}
+                        if terms:
+                            equations.append(CellEquation((at_name, t, s), br, bc, Poly(terms)))
+    return CellEquationSystem(beta, tuple(variables), tuple(equations))
