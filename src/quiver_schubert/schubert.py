@@ -10,8 +10,8 @@ winding.
 The hypotheses of the tree-extension theorems and of the winding
 formalism hold per module, per S and per F, not per cell.  So the
 per-cell entry points share that work, and each module keeps it for one
-S and one F through `quiver.kept`, in `_tree_setup`, `_winding_setup` and
-`_strict_winding_setup`:
+S and one F through `quiver.kept`, in `_tree_setup`, `_winding_setup`,
+`_identity_winding_setup` and `_strict_winding_setup`:
 
 - the tree setup of (M, S): the checks that T/S is a tree and the basis
   is ordered above S, and for each arrow of T-S the identity image of
@@ -19,8 +19,12 @@ S and one F through `quiver.kept`, in `_tree_setup`, `_winding_setup` and
   from S;
 - the winding setup of (M, F): the checks that F is a winding on the
   quiver of M, the ambient vertex of every basis element, and for each
-  codomain arrow its sorted fibres and the nonzero entries of every
-  column of F_*M there, which is all that equation assembly reads;
+  codomain arrow the rank of every vertex in its target and source
+  fibres, sorted by block start, and the nonzero entries of every column
+  of F_*M there, which is all that equation assembly reads.  The setup
+  of the identity winding (no F) has its own slot, so cells asked with
+  and without F in turn, as when C_beta(N) is set beside C_beta(F_*N),
+  build each setup once;
 - the strict-winding check of (M, F) that `pi` needs, which keeps no data.
 
 None of this reads the cell, so a cell answered from a stored setup is
@@ -284,7 +288,7 @@ def cell_variables(basis, beta: CellIndex, ambient_vertex_of: Mapping[str, str])
     One walk over the basis: at each pivot b the non-pivots seen so far
     at b's ambient vertex are its rows b'.
     """
-    beta_set = beta.as_set()
+    beta_set = set(beta.elements)  # transient, as in `tree_cell_emptiness`
     seen: dict[str, list[str]] = {}
     out = []
     for b in basis.order:
@@ -300,11 +304,14 @@ class _WindingSetup:
     """The cell-independent part of `generate_equations` for one module and winding.
 
     Raises ValueError, and is then not stored, unless F is a winding on
-    the quiver of M.  For each codomain arrow it keeps the target and
-    source fibres sorted by block start and the columns of F_*M at that
-    arrow: for each basis element c over its source, the nonzero entries
-    (row element, value) of column c of the fibre arrow leaving c's
-    vertex (one at most, F being a winding).
+    the quiver of M.  For each codomain arrow it keeps the columns of
+    F_*M at that arrow: for each basis element c over its source, the
+    nonzero entries (row element, value) of column c of the fibre arrow
+    leaving c's vertex (one at most, F being a winding).  These are all
+    the entries the scatter charges.  Next to them it keeps the rank of
+    each vertex in the arrow's target fibre and in its source fibre, both
+    sorted by block start, which place each equation in the order of the
+    pinned streams.
     """
 
     def __init__(self, m: Representation, fibred_via: QuiverMorphism | None):
@@ -316,10 +323,11 @@ class _WindingSetup:
         basis = m.basis
         pos = basis.positions()
         self.ambient_vertex_of = {b: f.vertex_map[basis.vertex_of[b]] for b in basis.order}
-        self.block = block = {v: basis.block(v) for v in m.quiver.vertices}
+        block = {v: basis.block(v) for v in m.quiver.vertices}
 
-        def block_start(v: str) -> int:
-            return pos[block[v][0]] if block[v] else -1
+        def ranks(fibre: Iterable[str]) -> dict[str, int]:
+            ordered = sorted(fibre, key=lambda v: pos[block[v][0]] if block[v] else -1)
+            return {v: i for i, v in enumerate(ordered)}
 
         self.arrows = []
         for at in f.codomain.arrows:
@@ -329,12 +337,8 @@ class _WindingSetup:
                     for c, x in zip(block[a.src], row):
                         if x:
                             columns.setdefault(c, []).append((r, x))
-            self.arrows.append((
-                at.name,
-                sorted(f.fibre_vertices(at.tgt), key=block_start),
-                sorted(f.fibre_vertices(at.src), key=block_start),
-                columns,
-            ))
+            t_rank, s_rank = ranks(f.fibre_vertices(at.tgt)), ranks(f.fibre_vertices(at.src))
+            self.arrows.append((at.name, t_rank, s_rank, columns))
 
 
 def generate_equations(
@@ -347,74 +351,67 @@ def generate_equations(
     Rows indexed by pivot elements are trivially satisfied and skipped;
     identically-zero polynomials are dropped.
 
-    Assembly is sparse and reads columns.  For each codomain arrow and
-    pivot bc over its source, the image column M W_{., bc} is built once
-    from the stored columns of bc and of the non-pivots c with a
-    coordinate w_{c,bc}; each row of it is a list of (monomial, value),
-    and distinct c give distinct monomials, so nothing cancels there.
-    The equation at a non-pivot row br and column bc is then the sum of
-    w_{br,r} times row r of the image over the pivots r above br, minus
-    row br; a pair is passed over when none of these rows is nonzero.
-    The loops run over (arrow, t, s, br, bc) in fibre and basis order
-    and variables come by pivot, then row: the pinned equation streams
-    of the tests fix both orders.  Only the order of terms inside a Poly
-    is free, and nothing reads it unsorted.
+    For a codomain arrow, a non-pivot row br and a pivot bc over its
+    source, the equation is the sum of w_{br,r} (M W)_{r,bc} over the
+    pivots r that have a coordinate w_{br,r}, minus (M W)_{br,bc}.
+    Column bc of M W is the stored column of bc plus w_{c,bc} times
+    that of each non-pivot c of bc's chart column.  Assembly scatters:
+    each entry (r, x) of these columns, with the monomial 1 or w_{c,bc}
+    of its c, is charged straight to the equations it enters, at
+    (br, bc) with w_{br,r} for each row br of r's chart column when r is
+    a pivot, and at (r, bc) with -x when r is not.  The work follows the
+    terms written, not the size of the fibres.  An equation receives
+    exactly the terms a visit of its (t, s, br, bc) would sum, added in
+    one dict, so the same terms cancel and the same zero polynomials are
+    dropped.  Each arrow's equations are then sorted by (rank of t, rank
+    of s, position of br, of bc), which is the order of the loops over
+    (arrow, t, s, br, bc) the pinned streams of the tests were taken
+    from; variables come by pivot, then row.  Only the order of terms
+    inside a Poly is free, and nothing reads it unsorted.
     """
-    setup = kept(m, "_winding_setup", fibred_via, lambda: _WindingSetup(m, fibred_via))
+    if fibred_via is None:
+        setup = kept(m, "_identity_winding_setup", None, lambda: _WindingSetup(m, None))
+    else:
+        setup = kept(m, "_winding_setup", fibred_via, lambda: _WindingSetup(m, fibred_via))
     basis = m.basis
-    pos = basis.positions()
-    beta_set = beta.as_set()
+    pos, vertex_of = basis.positions(), basis.vertex_of
     if not all(b in pos for b in beta.elements):
         raise ValueError("beta is not a subset of the basis")
+    # a transient set, not beta.as_set(): callers keep whole lists of cells
+    beta_set = set(beta.elements)
     variables = cell_variables(basis, beta, setup.ambient_vertex_of)
-    # each pivot's chart column as (row, monomial), and each non-pivot row's
-    # pivots r above it with the index of w_{br,r}
-    chart = {b: [(b, ())] for b in beta.elements}
-    above: dict[str, dict[str, int]] = {}
+    # each pivot's chart column below its 1, as (row, index of w_{row,pivot})
+    chart: dict[str, list[tuple[str, int]]] = {b: [] for b in beta.elements}
     for i, (c, b) in enumerate(variables):
-        chart[b].append((c, ((i, 1),)))
-        above.setdefault(c, {})[b] = i
-    cols: dict[str, list[str]] = {}  # beta's elements per vertex, in basis order
-    for b in beta.elements:
-        cols.setdefault(basis.vertex_of[b], []).append(b)
+        chart[b].append((c, i))
 
     equations = []
-    for at_name, tgt_fib, src_fib, columns in setup.arrows:
-        live_src = [s for s in src_fib if s in cols]
-        rows_out = [(t, [b for b in setup.block[t] if b not in beta_set]) for t in tgt_fib]
-        if not live_src or not any(rows for _t, rows in rows_out):
-            continue
-        # per source pivot bc: its image rows, its nonzero pivot rows and the last one's position
-        images = {}
-        for s in live_src:
-            for bc in cols[s]:
-                image: dict[str, list[tuple[Monomial, int]]] = {}
-                for c, mono in chart[bc]:
-                    for r, x in columns.get(c, ()):
-                        image.setdefault(r, []).append((mono, x))
-                pivots = [(r, terms) for r, terms in image.items() if r in beta_set]
-                images[bc] = (image, pivots, max((pos[r] for r, _ in pivots), default=-1))
-        for t, rows in rows_out:
-            for s in live_src:
-                for br in rows:
-                    p, left = pos[br], above.get(br, {})
-                    for bc in cols[s]:
-                        image, pivots, top = images[bc]
-                        own = image.get(br)
-                        if own is None and top < p:
-                            continue
-                        acc: dict[Monomial, int] = {}
-                        for r, terms in pivots:
-                            w = left.get(r)
-                            if w is not None:
-                                for mono, x in terms:
-                                    prod = _times_var(w, mono)
-                                    acc[prod] = acc.get(prod, 0) + x
-                        for mono, x in own or ():
-                            acc[mono] = acc.get(mono, 0) - x
-                        terms = {mono: x for mono, x in acc.items() if x}
-                        if terms:
-                            equations.append(CellEquation((at_name, t, s), br, bc, Poly(terms)))
+    for at_name, t_rank, s_rank, columns in setup.arrows:
+        keyed = []
+        for bc in beta.elements:
+            s = vertex_of[bc]
+            if s not in s_rank:
+                continue
+            acc: dict[str, dict[Monomial, int]] = {}  # the equations (br, bc), by br
+            for c, mono in ((bc, ()), *((c, ((i, 1),)) for c, i in chart[bc])):
+                for r, x in columns.get(c, ()):
+                    if r in beta_set:
+                        for br, w in chart[r]:
+                            terms = acc.setdefault(br, {})
+                            prod = _times_var(w, mono)
+                            terms[prod] = terms.get(prod, 0) + x
+                    else:
+                        terms = acc.setdefault(r, {})
+                        terms[mono] = terms.get(mono, 0) - x
+            for br, terms in acc.items():
+                if 0 in terms.values():
+                    terms = {mono: x for mono, x in terms.items() if x}
+                if terms:
+                    t = vertex_of[br]
+                    key = (t_rank[t], s_rank[s], pos[br], pos[bc])
+                    keyed.append((key, CellEquation((at_name, t, s), br, bc, Poly(terms))))
+        keyed.sort()  # the keys are distinct, so no two equations are compared
+        equations += [eq for _key, eq in keyed]
     return CellEquationSystem(beta, tuple(variables), tuple(equations))
 
 

@@ -1,7 +1,8 @@
 """Per-module setups of the schubert per-cell calls.
 
-A module keeps one tree setup, one winding setup and one strict-winding check
-for `pi`, each in one `quiver.kept` slot.
+A module keeps one tree setup, one winding setup for a morphism, one for the
+identity winding and one strict-winding check for `pi`, each in one
+`quiver.kept` slot.
 These tests check that a warm module answers every cell exactly as a cold
 copy does, that a failed check is never stored, and that a module keeps one
 setup of each kind however many equal keys it is called with.
@@ -73,7 +74,7 @@ def _assert_warm_equals_cold(m, cells, f=None, s=None):
     cold_copy = lambda: dataclasses.replace(m)  # noqa: E731 - a module with no stored setups
     for g in (f, None) if f is not None else (None,):
         warm = _equation_answers(m, cells, g)
-        assert getattr(m, "_winding_setup")[0] is g
+        assert getattr(m, "_winding_setup" if g is not None else "_identity_winding_setup")[0] is g
         cold = [_equation_answers(cold_copy(), [beta], g)[0] for beta in cells]
         assert warm == cold
     if s is not None:
@@ -123,8 +124,37 @@ def test_warm_slot_follows_the_latest_key():
     cells = [cell_index(up.basis, c) for c in (["1"], ["2", "3"], list(up.basis.order))]
     cold = [generate_equations(dataclasses.replace(up), beta, fibred_via=g).to_json()
             for beta in cells for g in (f, None)]
-    # alternating keys rebuild the one slot on every call
+    # a morphism and no morphism read two slots, so alternating rebuilds neither
     assert [generate_equations(up, beta, fibred_via=g).to_json() for beta in cells for g in (f, None)] == cold
+
+
+def test_alternating_with_the_identity_winding_builds_two_setups(monkeypatch):
+    entry = catalog("ex_4_5_5")
+    up, f = entry.upstairs, entry.morphism
+    cells = [cell_index(up.basis, c.elements) for c in enumerate_cells(
+        entry.representation.basis, dict(entry.dim_vector), entry.representation.quiver.vertices)]
+    built = []
+    init = schubert._WindingSetup.__init__
+
+    def counted(self, m, fibred_via):
+        built.append(fibred_via)
+        init(self, m, fibred_via)
+
+    monkeypatch.setattr(schubert._WindingSetup, "__init__", counted)
+    for beta in cells:
+        for g in (None, f):
+            generate_equations(up, beta, fibred_via=g)
+    assert len(cells) == 112 and built == [None, f]
+    assert getattr(up, "_identity_winding_setup")[0] is None and getattr(up, "_winding_setup")[0] is f
+
+
+def test_generate_equations_keeps_no_set_on_the_cell():
+    entry = catalog("kronecker_preprojective(3)")
+    up = entry.upstairs
+    for g in (None, entry.morphism):
+        beta = cell_index(up.basis, ["2", "3"])
+        assert generate_equations(up, beta, fibred_via=g).equations
+        assert not hasattr(beta, "_set")
 
 
 def _kronecker_fold():
@@ -153,7 +183,7 @@ def test_a_non_winding_is_refused_on_every_call():
     # a stored good setup survives a refused morphism
     plain = generate_equations(rep, beta).to_json()
     _raises_every_time(lambda: generate_equations(rep, beta, fibred_via=fold), ValueError, "must be a winding")
-    assert getattr(rep, "_winding_setup")[0] is None
+    assert getattr(rep, "_identity_winding_setup")[0] is None
     assert generate_equations(rep, beta).to_json() == plain
 
 
