@@ -369,18 +369,16 @@ def generate_equations(
     from; variables come by pivot, then row.  Only the order of terms
     inside a Poly is free, and nothing reads it unsorted.
     """
-    if fibred_via is None:
-        setup = kept(m, "_identity_winding_setup", None, lambda: _WindingSetup(m, None))
-    else:
-        setup = kept(m, "_winding_setup", fibred_via, lambda: _WindingSetup(m, fibred_via))
+    slot = "_winding_setup" if fibred_via is not None else "_identity_winding_setup"
+    setup = kept(m, slot, fibred_via, lambda: _WindingSetup(m, fibred_via))
     basis = m.basis
     pos, vertex_of = basis.positions(), basis.vertex_of
     if not all(b in pos for b in beta.elements):
         raise ValueError("beta is not a subset of the basis")
-    # a transient set, not beta.as_set(): callers keep whole lists of cells
-    beta_set = set(beta.elements)
     variables = cell_variables(basis, beta, setup.ambient_vertex_of)
-    # each pivot's chart column below its 1, as (row, index of w_{row,pivot})
+    # each pivot's chart column below its 1, as (row, index of w_{row,pivot});
+    # its keys are beta, so it also answers membership (not beta.as_set(),
+    # which would keep a frozenset on every cell a caller holds)
     chart: dict[str, list[tuple[str, int]]] = {b: [] for b in beta.elements}
     for i, (c, b) in enumerate(variables):
         chart[b].append((c, i))
@@ -395,7 +393,7 @@ def generate_equations(
             acc: dict[str, dict[Monomial, int]] = {}  # the equations (br, bc), by br
             for c, mono in ((bc, ()), *((c, ((i, 1),)) for c, i in chart[bc])):
                 for r, x in columns.get(c, ()):
-                    if r in beta_set:
+                    if r in chart:
                         for br, w in chart[r]:
                             terms = acc.setdefault(br, {})
                             prod = _times_var(w, mono)

@@ -180,11 +180,16 @@ def test_a_non_winding_is_refused_on_every_call():
     beta = cell_index(rep.basis, ["b1"])
     _raises_every_time(lambda: generate_equations(rep, beta, fibred_via=fold), ValueError, "must be a winding")
     assert not hasattr(rep, "_winding_setup")
-    # a stored good setup survives a refused morphism
-    plain = generate_equations(rep, beta).to_json()
+    # a stored good setup survives a refused morphism in the same slot
+    good = identity_morphism(rep.quiver)
+    plain = generate_equations(rep, beta, fibred_via=good).to_json()
+    _raises_every_time(lambda: generate_equations(rep, beta, fibred_via=fold), ValueError, "must be a winding")
+    assert getattr(rep, "_winding_setup")[0] is good
+    assert generate_equations(rep, beta, fibred_via=good).to_json() == plain
+    # and the identity-winding slot, which the fold never reaches
+    assert generate_equations(rep, beta).to_json() == plain
     _raises_every_time(lambda: generate_equations(rep, beta, fibred_via=fold), ValueError, "must be a winding")
     assert getattr(rep, "_identity_winding_setup")[0] is None
-    assert generate_equations(rep, beta).to_json() == plain
 
 
 def test_a_domain_mismatch_and_a_foreign_beta_are_refused_on_every_call():
