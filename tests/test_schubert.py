@@ -129,6 +129,27 @@ def test_equations_identity_winding_two_lines():
     assert renders in ({"1"}, {"-1"})  # inconsistent: the cell is empty
 
 
+def test_equation_records_read_by_name_compare_by_value_and_stay_frozen():
+    e = catalog("ex_4_5_1")
+    system = generate_equations(e.upstairs, cell_index(e.upstairs.basis, ["3", "4"]), fibred_via=e.morphism)
+    eq = system.equations[0]
+    at, t, s = eq.triple
+    assert (at, t, s) == ("at", "1", "4")
+    assert isinstance(eq.row, str) and isinstance(eq.col, str)
+    assert isinstance(eq.poly, schubert.Poly) and eq.poly.terms
+    same = schubert.CellEquation(eq.triple, eq.row, eq.col, schubert.Poly(dict(eq.poly.terms)))
+    assert same == eq and same is not eq
+    assert schubert.Poly({((0, 1),): 1}) != schubert.Poly({((0, 1),): -1})
+    assert schubert.CellEquation(eq.triple, eq.row, eq.col, schubert.Poly({})) != eq
+    for record, name in ((eq, "row"), (eq, "poly"), (eq.poly, "terms")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    # the terms are left out of the hash, so every Poly hashes as the empty record
+    assert hash(eq.poly) == hash(schubert.Poly({})) == hash(())
+    assert hash(same) == hash(eq) == hash((eq.triple, eq.row, eq.col, eq.poly))
+    assert len({eq, same}) == 1
+
+
 def test_equation_solutions_match_cell_points():
     """Dual route on every small catalog example: generated-system solutions
     must equal the oracle's chart enumeration, cell by cell."""

@@ -74,6 +74,14 @@ PINNED_CYCLE_EQUATIONS = {
 # fibres of several arrows, empty blocks, shuffled bases, negative entries.
 PINNED_WINDING_EQUATIONS = "dbff14757085c8a1b493d29bb0a770232bdc988aff059b003e74803c9fe9dab0"
 
+# Same digest at benchmark scale, one stream per entry: the cells of
+# kronecker_preprojective(12) through its winding and those of
+# degenerate_flag(4) through the identity winding.
+PINNED_LARGE_EQUATIONS = {
+    "kronecker_preprojective(12)": (936, "771d127d04681eff415937fc9b5b69dddf8eb9f428d728d71ab2a999d42590ba"),
+    "degenerate_flag(4)": (2500, "4a800d7f83b27befb604ce04e226b93287d790b5b62e3d8945479c01e73a9bc6"),
+}
+
 # SHA-256 of `_record` lines of the full HypothesisResult: per family over
 # n = 1..40 in order, and per single entry.
 PINNED_HYPOTHESIS = {
@@ -111,6 +119,20 @@ def test_equation_streams_are_pinned(spec):
     assert _stream(source, betas, None) == plain
     if winding is not None:
         assert _stream(source, betas, entry.morphism) == winding
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_LARGE_EQUATIONS))
+def test_equation_streams_are_pinned_at_benchmark_scale(spec):
+    cells, digest = PINNED_LARGE_EQUATIONS[spec]
+    entry = catalog(spec)
+    rep = entry.representation
+    source = entry.upstairs if entry.upstairs is not None else rep
+    betas = [
+        cell_index(source.basis, c.elements)
+        for c in enumerate_cells(rep.basis, dict(entry.dim_vector), rep.quiver.vertices)
+    ]
+    assert len(betas) == cells
+    assert _stream(source, betas, entry.morphism) == digest
 
 
 def test_equation_streams_are_pinned_on_cycles_and_loops():
