@@ -196,7 +196,8 @@ def relevant_pairs(ctx: WindingContext) -> list[RelevantPair]:
 
 
 def _psi_less(ctx: WindingContext, pair_a: tuple[str, str], pair_b: tuple[str, str]) -> bool:
-    ka, kb = ctx.psi_key(*pair_a), ctx.psi_key(*pair_b)
+    keys = ctx._psi_keys  # a key is a nonempty tuple, so a miss is the only falsy read
+    ka, kb = keys.get(pair_a) or ctx.psi_key(*pair_a), keys.get(pair_b) or ctx.psi_key(*pair_b)
     if ka == kb and pair_a != pair_b:
         raise ValueError(f"Psi comparison ties on distinct pairs {pair_a} and {pair_b}")
     return ka < kb
@@ -218,18 +219,24 @@ def _walk_triple(
     checks first: its arrows then order sources and targets alike, so the
     arrows between t and s are one slice of the source-sorted arrows, the
     suffix with target after t cut to the prefix with source before s.
+
+    t and s go through `ctx.pos` once each, which refuses a vertex with an
+    empty basis block.  The arrow ends are read from `ctx.vertex_key`
+    directly: `arrow_fibre` placed every end of atilde's fibre through
+    `ctx.pos` when it built the lookups, so an end with an empty block has
+    been refused before any triple over atilde is walked.
     """
     fibre, by_tgt, by_src, src_positions, tgt_positions = ctx.arrow_fibre(atilde)
     arrow_t = by_tgt.get(t)
     arrow_s = by_src.get(s)
-    pos = ctx.pos
     if arrow_s is not None and arrow_s.tgt == t:
         return TripleType.T1, []
-    if (arrow_t is not None and pos(arrow_t.src) > pos(s)) or (
-        arrow_s is not None and pos(arrow_s.tgt) < pos(t)
+    pos_t, pos_s, placed = ctx.pos(t), ctx.pos(s), ctx.vertex_key
+    if (arrow_t is not None and placed[arrow_t.src] > pos_s) or (
+        arrow_s is not None and placed[arrow_s.tgt] < pos_t
     ):
         return TripleType.T0, []
-    first, end = bisect_right(tgt_positions, pos(t)), bisect_left(src_positions, pos(s))
+    first, end = bisect_right(tgt_positions, pos_t), bisect_left(src_positions, pos_s)
     pairs = [(t, fibre[end - 1].tgt), (fibre[first].src, s)] if first < end else []
     if arrow_t is not None and arrow_s is not None:
         below = _psi_less(ctx, (t, arrow_s.tgt), (arrow_t.src, s))
@@ -308,7 +315,7 @@ def check_hypothesis_h(
         return HypothesisResult(False, reason="morphism is not strictly ordered")
 
     dangers: dict[tuple[str, str], list[TripleReport]] = {}
-    keys, pos = ctx._psi_keys, ctx.pos
+    keys, pos, psi_key = ctx._psi_keys, ctx.pos, ctx.psi_key
     for at in f.codomain.arrows:
         targets = ctx.fibre(at.tgt)
         sources, positions = ctx._sorted_fibre(at.src) if targets else ((), [])
@@ -323,8 +330,12 @@ def check_hypothesis_h(
                 continue
             for s in sources[start:]:
                 typ, pairs = _walk_triple(ctx, at.name, t, s)
-                largest = max(pairs, key=lambda pr: ctx.psi_key(*pr))
-                if keys[largest][0]:  # charged only to a relevant pair
+                top = None  # the first candidate of largest key, as max() would pick
+                for pr in pairs:
+                    psi = keys.get(pr) or psi_key(*pr)
+                    if top is None or psi > top:
+                        largest, top = pr, psi
+                if top[0]:  # charged only to a relevant pair
                     dangers.setdefault(largest, []).append(TripleReport((at.name, t, s), typ))
 
     notes: list[str] = []

@@ -18,10 +18,11 @@ S and one F through `quiver.kept`, in `_tree_setup`, `_winding_setup`,
   every basis element along it and which of its ends lies farther
   from S;
 - the winding setup of (M, F): the checks that F is a winding on the
-  quiver of M, the ambient vertex of every basis element, and for each
-  codomain arrow the rank of every vertex in its target and source
-  fibres, sorted by block start, and the nonzero entries of every column
-  of F_*M there, which is all that equation assembly reads.  The setup
+  quiver of M, the elements before every basis element at its ambient
+  vertex, which give each cell's chart columns, and for each codomain
+  arrow the rank of every basis element's vertex in its target and
+  source fibres, sorted by block start, and the nonzero entries of every
+  column of F_*M there, which is all that equation assembly reads.  The setup
   of the identity winding (no F) has its own slot, so cells asked with
   and without F in turn, as when C_beta(N) is set beside C_beta(F_*N),
   build each setup once;
@@ -39,9 +40,9 @@ objects it was built from.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import int_det
 from .quiver import (
@@ -189,9 +190,11 @@ def cell_partial_orders(basis, cells: Sequence[CellIndex]):
 Monomial = tuple[tuple[int, int], ...]  # ((var index, exponent), ...) sorted
 
 
-@dataclass(frozen=True)
-class Poly:
-    terms: Mapping[Monomial, int] = field(hash=False)
+class Poly(NamedTuple):
+    terms: Mapping[Monomial, int]
+
+    def __hash__(self) -> int:
+        return hash(())  # the terms are a dict, so left out, and every Poly hashes alike
 
     def evaluate(self, values: Sequence[int], q: int) -> int:
         total = 0
@@ -230,8 +233,7 @@ class Poly:
 # cell coordinates and defining equations
 
 
-@dataclass(frozen=True)
-class CellEquation:
+class CellEquation(NamedTuple):
     triple: tuple[str, str, str]  # (codomain arrow, target fibre vertex, source fibre vertex)
     row: str
     col: str
@@ -285,33 +287,64 @@ class CellEquationSystem:
 def cell_variables(basis, beta: CellIndex, ambient_vertex_of: Mapping[str, str]) -> list[tuple[str, str]]:
     """Free coordinate positions (b', b) of the echelon chart, by position of b, then of b'.
 
-    One walk over the basis: at each pivot b the non-pivots seen so far
-    at b's ambient vertex are its rows b'.
+    Builds for this call the lists of earlier elements that a winding
+    setup keeps, and reads them as `generate_equations` does.  ValueError
+    if beta is not a subset of the basis.
     """
-    beta_set = set(beta.elements)  # transient, as in `tree_cell_emptiness`
+    return _chart_columns(_earlier_rows(basis.order, ambient_vertex_of), basis.positions(), beta)[0]
+
+
+def _earlier_rows(order: Sequence[str], ambient_vertex_of: Mapping[str, str]) -> dict[str, tuple[str, ...]]:
+    """For each basis element, the elements before it at its ambient vertex, in basis order."""
     seen: dict[str, list[str]] = {}
-    out = []
-    for b in basis.order:
+    earlier = {}
+    for b in order:
         rows = seen.setdefault(ambient_vertex_of[b], [])
-        if b in beta_set:
-            out.extend((bp, b) for bp in rows)
-        else:
-            rows.append(b)
-    return out
+        earlier[b] = tuple(rows)
+        rows.append(b)
+    return earlier
+
+
+def _chart_columns(
+    earlier: Mapping[str, tuple[str, ...]], pos: Mapping[str, int], beta: CellIndex
+) -> tuple[list[tuple[str, str]], dict[str, list[tuple[str, int]]]]:
+    """Beta's variables (b', b), by position of b then b', and each pivot's chart column.
+
+    The rows b' of a pivot b are the non-pivots among the elements before
+    b at its ambient vertex; b's chart column lists them as (b', index of
+    w_{b',b}).  Only beta's pivots are visited, in basis order, so beta may
+    come unsorted.  The chart's keys, beta, also answer membership (not
+    beta.as_set(), which would keep a frozenset on every cell a caller
+    holds).  ValueError if beta is not a subset of the basis.
+    """
+    try:
+        pivots = sorted(beta.elements, key=pos.__getitem__)
+    except KeyError:
+        raise ValueError("beta is not a subset of the basis") from None
+    chart: dict[str, list[tuple[str, int]]] = {b: [] for b in pivots}
+    variables = []
+    for b, column in chart.items():
+        for c in earlier[b]:
+            if c not in chart:
+                column.append((c, len(variables)))
+                variables.append((c, b))
+    return variables, chart
 
 
 class _WindingSetup:
     """The cell-independent part of `generate_equations` for one module and winding.
 
     Raises ValueError, and is then not stored, unless F is a winding on
-    the quiver of M.  For each codomain arrow it keeps the columns of
+    the quiver of M.  For each basis element it keeps the elements before
+    it at the same ambient vertex, from which `_chart_columns` reads a
+    cell's variables.  For each codomain arrow it keeps the columns of
     F_*M at that arrow: for each basis element c over its source, the
     nonzero entries (row element, value) of column c of the fibre arrow
     leaving c's vertex (one at most, F being a winding).  These are all
-    the entries the scatter charges.  Next to them it keeps the rank of
-    each vertex in the arrow's target fibre and in its source fibre, both
-    sorted by block start, which place each equation in the order of the
-    pinned streams.
+    the entries the scatter charges.  Next to them it keeps, for each
+    basis element over the arrow's target fibre and over its source
+    fibre, the rank of its vertex there, fibres sorted by block start,
+    which place each equation in the order of the pinned streams.
     """
 
     def __init__(self, m: Representation, fibred_via: QuiverMorphism | None):
@@ -322,12 +355,12 @@ class _WindingSetup:
             raise ValueError("fibred_via must be a winding")
         basis = m.basis
         pos = basis.positions()
-        self.ambient_vertex_of = {b: f.vertex_map[basis.vertex_of[b]] for b in basis.order}
+        self.earlier = _earlier_rows(basis.order, {b: f.vertex_map[basis.vertex_of[b]] for b in basis.order})
         block = {v: basis.block(v) for v in m.quiver.vertices}
 
         def ranks(fibre: Iterable[str]) -> dict[str, int]:
             ordered = sorted(fibre, key=lambda v: pos[block[v][0]] if block[v] else -1)
-            return {v: i for i, v in enumerate(ordered)}
+            return {b: i for i, v in enumerate(ordered) for b in block[v]}
 
         self.arrows = []
         for at in f.codomain.arrows:
@@ -354,73 +387,66 @@ def generate_equations(
     For a codomain arrow, a non-pivot row br and a pivot bc over its
     source, the equation is the sum of w_{br,r} (M W)_{r,bc} over the
     pivots r that have a coordinate w_{br,r}, minus (M W)_{br,bc}.
-    Column bc of M W is the stored column of bc plus w_{c,bc} times
-    that of each non-pivot c of bc's chart column.  Assembly scatters:
-    each entry (r, x) of these columns, with the monomial 1 or w_{c,bc}
-    of its c, is charged straight to the equations it enters, at
-    (br, bc) with w_{br,r} for each row br of r's chart column when r is
-    a pivot, and at (r, bc) with -x when r is not.  The work follows the
-    terms written, not the size of the fibres.  An equation receives
-    exactly the terms a visit of its (t, s, br, bc) would sum, added in
-    one dict, so the same terms cancel and the same zero polynomials are
-    dropped.  Each arrow's equations are then sorted by (rank of t, rank
-    of s, position of br, of bc), which is the order of the loops over
-    (arrow, t, s, br, bc) the pinned streams of the tests were taken
-    from; variables come by pivot, then row.  Only the order of terms
-    inside a Poly is free, and nothing reads it unsorted.
+    Column bc of M W is bc's stored column plus w_{c,bc} times that of
+    each non-pivot c of bc's chart column (see `_chart_columns`).
+    Assembly scatters: each entry (r, x) of bc's column, then of each c,
+    is charged with its monomial 1 or w_{c,bc} straight to the equations
+    it enters, at (br, bc) times w_{br,r} for each row br of r's chart
+    column when r is a pivot, and at (r, bc) negated when r is not.  The
+    work follows the terms written, not the size of the fibres, and the
+    same terms cancel as a visit of each (t, s, br, bc) would sum them.
+    Each arrow's equations are then sorted by (rank of t, rank of s,
+    position of br, of bc), the ranks kept per element by the setup,
+    which is the order of the loops over (arrow, t, s, br, bc) the pinned
+    streams of the tests were taken from; variables come by pivot, then
+    row.  Only the order of terms inside a Poly is free, and nothing
+    reads it unsorted.
     """
     slot = "_winding_setup" if fibred_via is not None else "_identity_winding_setup"
     setup = kept(m, slot, fibred_via, lambda: _WindingSetup(m, fibred_via))
-    basis = m.basis
-    pos, vertex_of = basis.positions(), basis.vertex_of
-    if not all(b in pos for b in beta.elements):
-        raise ValueError("beta is not a subset of the basis")
-    variables = cell_variables(basis, beta, setup.ambient_vertex_of)
-    # each pivot's chart column below its 1, as (row, index of w_{row,pivot});
-    # its keys are beta, so it also answers membership (not beta.as_set(),
-    # which would keep a frozenset on every cell a caller holds)
-    chart: dict[str, list[tuple[str, int]]] = {b: [] for b in beta.elements}
-    for i, (c, b) in enumerate(variables):
-        chart[b].append((c, i))
+    pos, vertex_of = m.basis.positions(), m.basis.vertex_of
+    variables, chart = _chart_columns(setup.earlier, pos, beta)
 
     equations = []
     for at_name, t_rank, s_rank, columns in setup.arrows:
         keyed = []
-        for bc in beta.elements:
-            s = vertex_of[bc]
-            if s not in s_rank:
+        for bc, bc_rows in chart.items():
+            s = s_rank.get(bc)
+            if s is None:
                 continue
             acc: dict[str, dict[Monomial, int]] = {}  # the equations (br, bc), by br
-            for c, mono in ((bc, ()), *((c, ((i, 1),)) for c, i in chart[bc])):
+            for r, x in columns.get(bc, ()):
+                rows = chart.get(r)
+                if rows is None:
+                    terms = acc.setdefault(r, {})
+                    terms[()] = terms.get((), 0) - x
+                    continue
+                for br, w in rows:
+                    terms = acc.setdefault(br, {})
+                    prod = ((w, 1),)
+                    terms[prod] = terms.get(prod, 0) + x
+            for c, i in bc_rows:
+                mono = ((i, 1),)
                 for r, x in columns.get(c, ()):
-                    if r in chart:
-                        for br, w in chart[r]:
-                            terms = acc.setdefault(br, {})
-                            prod = _times_var(w, mono)
-                            terms[prod] = terms.get(prod, 0) + x
-                    else:
+                    rows = chart.get(r)
+                    if rows is None:
                         terms = acc.setdefault(r, {})
                         terms[mono] = terms.get(mono, 0) - x
+                        continue
+                    for br, w in rows:
+                        terms = acc.setdefault(br, {})
+                        prod = ((w, 1), (i, 1)) if w < i else ((i, 1), (w, 1)) if i < w else ((i, 2),)
+                        terms[prod] = terms.get(prod, 0) + x
             for br, terms in acc.items():
                 if 0 in terms.values():
                     terms = {mono: x for mono, x in terms.items() if x}
                 if terms:
-                    t = vertex_of[br]
-                    key = (t_rank[t], s_rank[s], pos[br], pos[bc])
-                    keyed.append((key, CellEquation((at_name, t, s), br, bc, Poly(terms))))
+                    key = (t_rank[br], s, pos[br], pos[bc])
+                    triple = (at_name, vertex_of[br], vertex_of[bc])
+                    keyed.append((key, CellEquation(triple, br, bc, Poly(terms))))
         keyed.sort()  # the keys are distinct, so no two equations are compared
         equations += [eq for _key, eq in keyed]
     return CellEquationSystem(beta, tuple(variables), tuple(equations))
-
-
-def _times_var(i: int, mono: Monomial) -> Monomial:
-    """The monomial w_i * mono, for mono of degree at most one."""
-    if not mono:
-        return ((i, 1),)
-    (j, _), = mono
-    if i == j:
-        return ((i, 2),)
-    return ((i, 1), (j, 1)) if i < j else ((j, 1), (i, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +617,9 @@ def iota(
         return _WindingSetup(m, f)
 
     _check_domain(f, m)
-    ambient = kept(m, "_winding_setup", f, setup).ambient_vertex_of
+    earlier = kept(m, "_winding_setup", f, setup).earlier
     out = {}
-    for bp, b in cell_variables(m.basis, beta, ambient):
+    for bp, b in _chart_columns(earlier, m.basis.positions(), beta)[0]:
         if m.basis.vertex_of[bp] == m.basis.vertex_of[b]:
             out[(bp, b)] = int(point.get((bp, b), 0))
         else:

@@ -305,3 +305,20 @@ def test_check_h_walks_only_the_triples_that_carry_an_equation(monkeypatch):
     ctx = WindingContext(e.upstairs, e.subquiver, e.morphism)
     triples = sum(len(ctx.fibre(a.tgt)) * len(ctx.fibre(a.src)) for a in e.morphism.codomain.arrows)
     assert (len(walked), triples) == (1600, 3280)
+
+
+@pytest.mark.parametrize(
+    "spec", ["kronecker_preprojective(40)", "kronecker_preinjective(40)", "ex_4_5_5"]
+)
+def test_check_h_computes_each_psi_key_once(monkeypatch, spec):
+    calls = []
+    psi_key = WindingContext.psi_key
+
+    def counting_psi_key(ctx, p, p_prime):
+        calls.append((p, p_prime))
+        return psi_key(ctx, p, p_prime)
+
+    monkeypatch.setattr(WindingContext, "psi_key", counting_psi_key)
+    e = catalog(spec)
+    check_hypothesis_h(e.upstairs, e.subquiver, e.morphism)
+    assert len(calls) == len(set(calls)) > 0, spec

@@ -33,9 +33,11 @@ from quiver_schubert.representation import (
     thin_representation,
 )
 from quiver_schubert.schubert import (
+    CellIndex,
     PreconditionError,
     cell_index,
     cell_partial_orders,
+    generate_equations,
     grassmannian_fibration,
     iota,
     pi,
@@ -203,6 +205,15 @@ def test_iota_and_pi_refuse_a_morphism_of_another_quiver():
         with pytest.raises(PreconditionError, match=message):
             pi(f, m, beta, {("1", "3"): 1})
     assert not hasattr(m, "_strict_winding_setup")
+
+
+def test_iota_refuses_a_cell_outside_the_basis_as_generate_equations_does():
+    entry = catalog("kronecker_preprojective(3)")
+    up, f = entry.upstairs, entry.morphism
+    stranger = CellIndex(("zz",))
+    for call in (lambda: iota(f, up, stranger, {}), lambda: generate_equations(up, stranger, fibred_via=f)):
+        with pytest.raises(ValueError, match="^beta is not a subset of the basis$"):
+            call()
 
 
 def test_iota_refuses_a_morphism_that_is_not_a_winding():
