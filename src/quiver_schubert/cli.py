@@ -211,6 +211,14 @@ def _emit(args, data, text: str) -> None:
         print(text)
 
 
+def _json_list(items) -> str:
+    """The JSON list of the items' `to_json()` dumps, as `_emit` would print it.
+
+    Each dump is already sorted-key JSON, so the list needs no round trip.
+    """
+    return "[" + ", ".join(item.to_json() for item in items) + "]"
+
+
 def _quiver_of(args, entry: CatalogEntry | None):
     if entry is not None:
         return entry.representation.quiver
@@ -293,8 +301,7 @@ def _run(args) -> int:
 
     if cmd == "pushforward":
         up, f = _load_winding(args, entry)
-        text = representation_to_json(push_forward(f, up))
-        _emit(args, json.loads(text), text)
+        print(representation_to_json(push_forward(f, up)))  # the same sorted-key JSON in both modes
         return 0
 
     if cmd == "hypothesis-h":
@@ -302,16 +309,12 @@ def _run(args) -> int:
             raise InputError("hypothesis-h needs a catalog winding")
         up, f = _load_winding(args, entry)
         result = check_hypothesis_h(up, _subquiver_of(args, up.quiver, entry), f)
-        _emit(
-            args,
-            json.loads(result.witness_json()),
-            ("PASS" if result.passed else "FAIL: " + result.reason)
-            + (
-                "\n" + "\n".join(f"  ({','.join(t.triple)}) type {t.type.value}" for t in result.triples)
-                if result.triples
-                else ""
-            ),
-        )
+        if args.as_json:
+            print(result.witness_json())  # already sorted-key JSON
+        else:
+            lines = ["PASS" if result.passed else "FAIL: " + result.reason]
+            lines += (f"  ({','.join(t.triple)}) type {t.type.value}" for t in result.triples)
+            print("\n".join(lines))
         return 0 if result.passed else 1
 
     rep = _load_rep(args, entry)
@@ -339,8 +342,7 @@ def _run(args) -> int:
             ]
         out = [generate_equations(source, beta, fibred_via=f) for beta in betas]
         if args.as_json:
-            # each system's to_json() is already sorted-key JSON, so the list needs no round trip
-            print("[" + ", ".join(s.to_json() for s in out) + "]")
+            print(_json_list(out))
         else:
             print("\n\n".join(s.to_text() for s in out))
         return 0
@@ -350,18 +352,20 @@ def _run(args) -> int:
 
     if cmd == "count":
         reports = count(rep, e, budget=budget, **_primes(args))
-        data = [json.loads(r.to_json()) for r in reports]
-        lines = []
-        for r in reports:
-            lines.append(f"q={r.prime}: total {r.total}")
-            for key, c in r.per_cell.items():
-                lines.append(f"  {{{key}}}: {c}")
-        _emit(args, data, "\n".join(lines))
+        if args.as_json:
+            print(_json_list(reports))
+        else:
+            lines = []
+            for r in reports:
+                lines.append(f"q={r.prime}: total {r.total}")
+                for key, c in r.per_cell.items():
+                    lines.append(f"  {{{key}}}: {c}")
+            print("\n".join(lines))
         return 0
 
     if cmd == "poly":
         poly = counting_polynomial(rep, e, budget=budget, **_primes(args))
-        _emit(args, json.loads(poly.to_json()), poly.to_text())
+        print(poly.to_json() if args.as_json else poly.to_text())
         return 0
 
     if cmd == "verify-affine":

@@ -32,11 +32,18 @@ lookahead rows join the step's key, so cells whose later neighbours put
 the same rows on it share it.  Each loop condition is compiled as a
 quadratic form in the chart coordinates.  Forms are reduced mod q only
 where they are read, so a row that vanishes only mod q stays at the
-later step.  A step's rows and loop filter read only the step and its
-earlier neighbours' coordinates, so each step memoises its points per
-tuple of those coordinates: two cells that agree there get the same list
-in the same order, and every cell of the call solves each distinct
-system once.
+later step.  A step's loop filter and lookahead rows read only the
+step's own coordinates, and its arrow rows only a few of its earlier
+neighbours' coordinates: those that some term of their forms reads.  So
+each step has two memos of its points.  The first is keyed by the tuple
+of all its earlier neighbours' coordinates, which one C call builds from
+the placed values, and is read first: most lookups hit it.  On a miss
+the step builds the tuple of the coordinates its rows read and looks it
+up in the second; a hit there is the same list, stored under the full
+tuple too.  A step whose rows read every coordinate has no second memo,
+since its read tuple would tell no more than the full one.  Two cells
+that agree on the read coordinates get the same list in the same order,
+and every cell of the call solves each distinct system once.
 Each point is kept once per chart with its echelon matrix.  The memos of
 one prime take at most about `_MEMO_BYTES` and are emptied at the next;
 a step whose points would not fit streams them as a search without memos
@@ -48,9 +55,9 @@ in `iter_solutions_mod` order.  `enumerate_subreps` gets each as a fresh
 dict.  `count` only counts, so it does not list the points of a last
 step without loops: their number is q^(nfree - rank) of the step's
 arrow rows at the placed values, or 0 when those are inconsistent, from
-the forward elimination of `rank_mod`, memoised per key like a point
-list.  A last step with loops, and every earlier step, is listed as
-above.  `count` still gets one item per point, the int 1.
+the forward elimination of `rank_mod`, memoised like a point list.  A
+last step with loops, and every earlier step, is listed as above.
+`count` still gets one item per point, the int 1.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ from .linalg import mat_vec_mod  # noqa: F401
 DEFAULT_BUDGET = 10**8
 
 # Memory that the step memos of one call may take, charged per entry and
-# per stored point; count(degenerate_flag(4)) at q = 3 is charged 27 MB.
+# per stored point; count(degenerate_flag(4)) at q = 3 is charged 9.4 MiB.
 _MEMO_BYTES = 32 * 2**20
 _MEMO_ENTRY_BYTES = 200  # key, dict slot and tuple header
 
@@ -168,15 +175,27 @@ class _Step:
     integer quadratic form (constant, ((var, coefficient), ...), ((var,
     var, coefficient), ...)) in x.  Zero forms are dropped, and repeated
     ones kept once; `_chart_solutions` and `_loops_hold` reduce them mod
-    q where they read them.  `points` is the memo of the step's points
-    (None when the key never recurs), and `coordinates(values)` its key:
-    the earlier neighbours' coordinates, bare when there is one.  A kept
-    last step also has `counts`, the memo of its number of points under
-    the same key, which `count` fills when the step has no loops; the
-    two memos never mix, so a listing never reads a count.
+    q where they read them.  `reads` holds the (earlier neighbour,
+    coordinate) pairs that some term of a b or an a_v reads, sorted:
+    the arrow rows read nothing else, and the loops and lookahead rows
+    read only x, so the step's result at a prime depends on the placed
+    values only through those pairs.  `points` is the memo of the step's
+    points (None when the key never recurs), and `coordinates(values)`
+    its key: the earlier neighbours' coordinates, bare when there is one.
+    It is read first, since a C `itemgetter` builds its key.
+    `read_points` holds the same lists keyed by the values at `reads`,
+    and is read on a miss of `points`; it is None when `reads` holds
+    every coordinate, as its key would then tell no more.  A kept last
+    step also has `counts` and `read_counts`, the memos of its number of
+    points under the same two keys, which `count` fills when the step has
+    no loops; the point and count memos never mix, so a listing never
+    reads a count.
     """
 
-    __slots__ = ("chart", "pure", "rows", "loops", "lookahead", "coordinates", "points", "counts")
+    __slots__ = (
+        "chart", "pure", "rows", "loops", "lookahead", "coordinates", "reads",
+        "points", "counts", "read_points", "read_counts",
+    )
 
     def __init__(self, chart: Chart, neighbours: tuple[int, ...], lookahead: tuple):
         self.chart = chart
@@ -185,8 +204,11 @@ class _Step:
         self.loops: dict[tuple, None] = {}
         self.lookahead = lookahead
         self.coordinates = itemgetter(*neighbours) if neighbours else _no_coordinates
+        self.reads: tuple[tuple[int, int], ...] = ()
         self.points: dict | None = None
         self.counts: dict | None = None
+        self.read_points: dict | None = None
+        self.read_counts: dict | None = None
 
 
 def _no_coordinates(values: list) -> tuple:
@@ -213,13 +235,19 @@ class _Tables:
     under the key, maps the earlier neighbours' chart coordinates to the
     step's `(x, matrix)` points over F_prime that pass its arrows, loops
     and lookahead rows, in `iter_solutions_mod` order.  Those conditions
-    read nothing else, so every cell with the same key gets the same
-    list.  A kept last step also has a memo of counts, held in `_counts`,
-    with the number of those points under the same coordinates; `count`
-    fills it instead of the point list when the step has no loops, and
-    a listing never reads it.  A key that fixes the whole cell gets a
-    step with no memo, assembled afresh at each lookup and not kept.
-    `room` is what is left of `_MEMO_BYTES` at `prime`, for both memos.
+    read nothing but the step's `reads` among those coordinates, so its
+    read-keyed memo, held in `_read_points`, maps the values there to
+    the same lists: it is read when the first memo misses, and every
+    cell with the same key and read values gets the same list.  A step
+    whose rows read every coordinate has no read-keyed memo.  A kept
+    last step also has memos of counts, held in `_counts` and
+    `_read_counts`, with the number of those points under the same two
+    keys; `count` fills them instead of the point lists when the step
+    has no loops, and a listing never reads them.  A key that fixes the
+    whole cell gets a step with no memo, assembled afresh at each lookup
+    and not kept.  `room` is what is left of `_MEMO_BYTES` at `prime`,
+    for all four memos: each entry is charged `_MEMO_ENTRY_BYTES` and
+    each solved list its points once.
     """
 
     def __init__(self, m: Representation):
@@ -255,6 +283,8 @@ class _Tables:
         self._steps: dict[tuple, _Step] = {}
         self._points: dict[tuple, dict] = {}
         self._counts: dict[tuple, dict] = {}
+        self._read_points: dict[tuple, dict] = {}
+        self._read_counts: dict[tuple, dict] = {}
         self.prime: int | None = None
         self.room = _MEMO_BYTES
 
@@ -262,8 +292,9 @@ class _Tables:
         """Search over F_q next: at another prime, empty every memo and chart point store and refill `room`."""
         if q != self.prime:
             self.prime, self.room = q, _MEMO_BYTES
+            stores = (self._points, self._counts, self._read_points, self._read_counts)
             charts = (chart._points for chart in self._charts.values())
-            for memo in chain(self._points.values(), self._counts.values(), charts):
+            for memo in chain(*(store.values() for store in stores), charts):
                 memo.clear()
 
     def pivots(self, beta: CellIndex) -> tuple[tuple[str, ...], ...]:
@@ -329,6 +360,12 @@ class _Tables:
                 step.points = self._points[key] = {}
                 if i == self._last:
                     step.counts = self._counts[key] = {}
+                step.reads = _read_pairs(step)
+                if len(step.reads) < sum(self.chart(k, pivots[k]).nfree for k in self.neighbours[i]):
+                    # keys that differ only at an unread coordinate share one result
+                    step.read_points = self._read_points[key] = {}
+                    if i == self._last:
+                        step.read_counts = self._read_counts[key] = {}
             self._lookup[around] = step
         return step
 
@@ -405,6 +442,33 @@ def _arrow_rows(step: _Step, values: list, q: int) -> tuple[list[list[int]], lis
     return rows, rhs
 
 
+def _read_pairs(step: _Step) -> tuple[tuple[int, int], ...]:
+    """The (earlier neighbour, coordinate) pairs that some term of a b or an a_v of the step's rows reads, sorted."""
+    pairs = set()
+    for k, (_, terms), *coefficients in chain(step.pure, step.rows):  # a pure row has none
+        pairs.update((k, u) for u, _ in terms)
+        for _, (_, terms) in chain(*coefficients):
+            pairs.update((k, u) for u, _ in terms)
+    return tuple(sorted(pairs))
+
+
+def _read_values(step: _Step, values: list) -> tuple:
+    """The key of the step's read-keyed memos: the placed value of each pair in `reads`, in order."""
+    return tuple([values[k][u] for k, u in step.reads])
+
+
+def _shared(tables: _Tables, memo: dict, read_memo: dict, coordinates: tuple, reads: tuple):
+    """The result that read_memo holds under reads, also stored in memo under coordinates while the table has room.
+
+    None when read_memo holds none.
+    """
+    found = read_memo.get(reads)
+    if found is not None and tables.room >= _MEMO_ENTRY_BYTES:
+        tables.room -= _MEMO_ENTRY_BYTES
+        memo[coordinates] = found
+    return found
+
+
 def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
     """The number of points of the last step at the placed values.
 
@@ -412,19 +476,31 @@ def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
     A loop-free one counts its arrow rows' solutions without listing
     them: q^(nfree - rank) when they are consistent, from the forward
     elimination of `rank_mod`, else 0.  The last step has no lookahead
-    rows.  A kept step memoises the int in `counts` under its earlier
-    neighbours' coordinates, charged `_MEMO_ENTRY_BYTES`, while the table
-    has room.  The search reads hits of that memo itself and calls this
-    only on a miss.
+    rows.  The search reads hits of `counts`, keyed by all the earlier
+    neighbours' coordinates, itself and calls this only on a miss.  A
+    step with `read_counts` then looks up the values at its `reads`, the
+    only ones its arrow rows read, there: a hit is stored under the full
+    key too and returned unranked.  A kept step stores a new count under
+    each key it has, charged `_MEMO_ENTRY_BYTES` each, while the table
+    has room.
     """
     if step.loops:
         return sum(1 for _ in _step_points(tables, step, values, q))
+    memo, shared = step.counts, step.read_counts
+    if shared is not None:
+        coordinates, reads = step.coordinates(values), _read_values(step, values)
+        found = _shared(tables, memo, shared, coordinates, reads)
+        if found is not None:
+            return found
     system = _arrow_rows(step, values, q)
     rank = None if system is None else rank_mod(*system, q)
     found = 0 if rank is None else q ** (step.chart.nfree - rank)
-    if step.counts is not None and tables.room >= _MEMO_ENTRY_BYTES:
-        tables.room -= _MEMO_ENTRY_BYTES
-        step.counts[step.coordinates(values)] = found
+    entries = _MEMO_ENTRY_BYTES if shared is None else 2 * _MEMO_ENTRY_BYTES
+    if memo is not None and tables.room >= entries:
+        tables.room -= entries
+        memo[step.coordinates(values)] = found
+        if shared is not None:
+            shared[reads] = found
     return found
 
 
@@ -434,16 +510,24 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     They are its chart solutions that pass its loops and vanish on its
     lookahead rows, which `iter_solutions_mod` reads with the arrow rows:
     no point that a later neighbour's pure row would refuse is listed or
-    visited, and the rest come in the same order.  A list without a
-    memo, or that does not fit in the table's room, is streamed and not
-    kept.  The search reads memo hits itself and calls this past the
-    first step only on a miss; `_last_count` calls it on a looped last
-    step either way.
+    visited, and the rest come in the same order.  `points`, keyed by
+    all the earlier neighbours' coordinates, is read first; the search
+    reads its hits itself and calls this past the first step only on a
+    miss, and `_last_count` calls it on a looped last step either way.
+    On a miss a step with `read_points` looks up the values at its
+    `reads` there: the arrow rows read nothing else, so a hit is this
+    step's list, and is stored under the full key too while the table
+    has room.  A new list is stored under each key the step has.  A list
+    without a memo, or that does not fit in the table's room, is
+    streamed and not kept.
     """
-    memo = step.points
+    memo, shared = step.points, step.read_points
     if memo is not None:
         coordinates = step.coordinates(values)
         found = memo.get(coordinates)
+        if found is None and shared is not None:
+            reads = _read_values(step, values)
+            found = _shared(tables, memo, shared, coordinates, reads)
         if found is not None:
             return found
     solutions = _chart_solutions(step, values, q, True)  # with its lookahead rows
@@ -452,11 +536,14 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     chart = step.chart
     if memo is None:
         return map(chart.build, solutions)
-    fits = max(tables.room - _MEMO_ENTRY_BYTES, -1) // chart.point_bytes
+    entries = _MEMO_ENTRY_BYTES if shared is None else 2 * _MEMO_ENTRY_BYTES
+    fits = max(tables.room - entries, -1) // chart.point_bytes
     head = list(islice(solutions, fits + 1))
     if len(head) <= fits:  # all of them
-        tables.room -= _MEMO_ENTRY_BYTES + len(head) * chart.point_bytes
+        tables.room -= entries + len(head) * chart.point_bytes
         found = memo[coordinates] = tuple(map(chart.point, head))
+        if shared is not None:
+            shared[reads] = found
         return found
     return map(chart.build, chain(head, solutions))
 

@@ -1,13 +1,17 @@
 """CLI behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 
+from quiver_schubert import cli, oracle
 from quiver_schubert.catalog import catalog
 from quiver_schubert.cli import main
+from quiver_schubert.hypothesis_h import HypothesisResult
 from quiver_schubert.quiver import quiver, quiver_to_json
 from quiver_schubert.representation import representation_to_json
 from quiver_schubert.schubert import cell_index, enumerate_cells, generate_equations
@@ -595,3 +599,86 @@ def test_a_subquiver_with_more_than_two_groups_is_an_input_error(command):
     code, out, err = run([command, "--catalog", "ex_4_5_1", "--subquiver", "1;;junk"])
     assert (code, out) == (2, "")
     assert err == "input error: --subquiver takes at most two ';' groups (vertices;arrows), got '1;;junk'\n"
+
+
+# (argv, exit code, SHA-256 of stdout) of count, poly and hypothesis-h in both
+# modes, taken when --json printed each result parsed and dumped again.
+PINNED_REPORT_OUTPUTS = [
+    (["count", "two_lines", "--dim-vector", "1,1", "--primes", "2,3"], 0,
+     "5e0731999884cdb6fb4979baccd8a577ece85591676e5390b19770bf92bf372f"),
+    (["count", "two_lines", "--dim-vector", "1,1", "--primes", "2,3", "--json"], 0,
+     "346aae2e2f1cb4cfc959456d67044d7b2f09e7159e9188dbe83efdc6b3f2f996"),
+    (["count", "degenerate_flag(3)", "--primes", "2,3"], 0,
+     "bbc54aecfd7b24f03a1dc6240a35c92d2f44a6802da47764e10c7c87264e33f1"),
+    (["count", "degenerate_flag(3)", "--primes", "2,3", "--json"], 0,
+     "e8add9dc615d939dc1ec5d6c1e2c8e5f2766bf30cacbe9a031ea63b5e96e3a19"),
+    (["count", "ex_4_5_5", "--primes", "2"], 0,
+     "e68a21df0b931d8196f44c24efe8f2fe01190811d210a39df9a2101ded8774f6"),
+    (["count", "ex_4_5_5", "--primes", "2", "--json"], 0,
+     "45be340ba1f4abdd300d596d49dce9e82e2161e4fbfbced53cc17bc94ce0c815"),
+    (["count", "one_vertex(0)", "--primes", "2"], 0,
+     "38f55fd6f292d6c5850056418b15f6be2118b29365ed1ae2ab8431f18a308309"),
+    (["count", "one_vertex(0)", "--primes", "2", "--json"], 0,
+     "c373535b4d2e601d64ef6c21950cd6dfc6b53f13d092b3e28aef502ae9ba6f83"),
+    (["poly", "two_lines", "--dim-vector", "1,1"], 0,
+     "88dc646f8db743dcd1fb643080554058d11ac4201964a3cdfd0bb7d74d263c40"),
+    (["poly", "two_lines", "--dim-vector", "1,1", "--json"], 0,
+     "022b699a9c8dec8821ea8ccdfe8db5ace568cb8b5dc464bb5b614f9f7f0f365e"),
+    (["poly", "kronecker_preprojective(3)"], 0,
+     "455f875a8b00108f053c7c2c858fce8951488414d03108bf36a82f6b8ef8c86f"),
+    (["poly", "kronecker_preprojective(3)", "--json"], 0,
+     "b50de7f52cde607b801beb2534b4e9b2f5f385e8f45a463d933c0a33d0790473"),
+    (["hypothesis-h", "ex_4_5_1"], 1,
+     "970fd836a890adec3a130360f53ffa12f1a824f0ac86c462a18187d1552310d8"),
+    (["hypothesis-h", "ex_4_5_1", "--json"], 1,
+     "130d196f921977adf524c490fdd346cb514b2a9eda5a7c0f8e5bbfd90b9fc4e8"),
+    (["hypothesis-h", "ex_4_5_5"], 0,
+     "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431"),
+    (["hypothesis-h", "ex_4_5_5", "--json"], 0,
+     "9264e08cd61e11f0cbf212a0bac13f93631f97c671a55641168df65cab5e8d2c"),
+    (["hypothesis-h", "kronecker_preprojective(12)"], 0,
+     "c26de83abdc9496cd1301470918ec39ecca1cf389ef0ae1c6504da1800d1c431"),
+    (["hypothesis-h", "kronecker_preprojective(12)", "--json"], 0,
+     "20ccc1a4bdbbccab457ff5d574d154fa6755679cdff8d8d6222106f4702f8b4d"),
+    (["hypothesis-h", "kronecker_preinjective(12)"], 1,
+     "20c66efd6580732189fdf58f807b8166b8904b51da9f56a48389a4224dd9edbb"),
+    (["hypothesis-h", "kronecker_preinjective(12)", "--json"], 1,
+     "85973433710d2bd4c0bf7f383be04f574c9dd69a326ace29ab72f25cae68d9b2"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_REPORT_OUTPUTS)
+def test_report_outputs_are_the_bytes_of_the_round_trip(monkeypatch, argv, code, digest):
+    """count, poly and hypothesis-h print the same bytes in both modes, building JSON only under --json.
+
+    Under --json the sorted-key dumps are printed as they are, never parsed
+    back; in text mode no dump is built at all.
+    """
+    cmd, spec, *rest = argv
+    dumps = {"count": (oracle.CountReport, "to_json"), "poly": (oracle.CountingPolynomial, "to_json"),
+             "hypothesis-h": (HypothesisResult, "witness_json")}
+    owner, name = dumps[cmd]
+    built = []
+    inner = getattr(owner, name)
+
+    def recorded(self):
+        built.append(inner(self))
+        return built[-1]
+
+    monkeypatch.setattr(owner, name, recorded)
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=json.dumps))  # no parse on these paths
+    got, out, _ = run([cmd, "--catalog", spec, *rest])
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    assert bool(built) == ("--json" in rest)
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("ex_4_5_1", "34f09a4115302100e62cdc2db50ba702793e14aa8e64730879be1a97ba8a273b"),
+    ("kronecker_preprojective(10)", "8bac736eb55334590beaa24ea3edc5a32b73ed81b1a9eebce8f5f89602ea2a2c"),
+])
+def test_pushforward_prints_its_sorted_dump_as_it_is_in_both_modes(monkeypatch, spec, digest):
+    """The SHA-256 of stdout, taken when pushforward parsed its dump and, under --json, dumped it again."""
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=json.dumps))  # no parse on this path
+    for mode in ([], ["--json"]):
+        code, out, _ = run(["pushforward", "--catalog", spec, *mode])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), mode

@@ -11,7 +11,7 @@ cells come in.
 import hashlib
 import random
 import tracemalloc
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -107,14 +107,20 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     """Work counts of count(degenerate_flag(4)) at q = 2.
 
     Solving every cell's steps afresh took 55,551 chart systems and 17,932
-    calls of solve_mod; sharing the step point lists solves each distinct
-    system, one per memo key, once.  Reading each pure row at the earlier
-    step it constrains took the systems from 2,640 to 1,800: here every
-    lookahead row is a constant that no point satisfies, so it ends its
-    step before any elimination, and solve_mod sees the same 740 systems.
-    Counting the loop-free last step by its rank, not its points, splits
-    the 1,800 systems into 1,455 listed ones and 345 last-step keys, each
-    ranked once by rank_mod, and leaves 566 calls of solve_mod.
+    calls of solve_mod; sharing the step point lists solved each distinct
+    system once per tuple of the earlier neighbours' coordinates.  Reading
+    each pure row at the earlier step it constrains took the systems from
+    2,640 to 1,800: here every lookahead row is a constant that no point
+    satisfies, so it ends its step before any elimination, and solve_mod
+    saw the same 740 systems.  Counting the loop-free last step by its
+    rank, not its points, split the 1,800 systems into 1,455 listed ones
+    and 345 ranked last-step keys, and left 566 calls of solve_mod.  A
+    step's arrow rows read only a few of those coordinates, so its result
+    is now solved once per tuple of the coordinates they read: 514 listed
+    systems, 180 calls of solve_mod and 71 of rank_mod.  Each solve or
+    rank is one entry of a read-keyed memo, or of the full one at a step
+    whose rows read every coordinate, and a full-coordinate tuple that
+    meets an equal read tuple takes the same result without a call.
     """
     calls = {"_chart_solutions": 0, "solve_mod": 0, "rank_mod": 0}
     built = []
@@ -141,9 +147,34 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     (report,) = count(entry.representation, entry.dim_vector, primes=(2,))
     assert report.total == 26961
     (tables,) = built
-    assert calls["_chart_solutions"] == sum(map(len, tables._points.values()))
-    assert calls["rank_mod"] == sum(map(len, tables._counts.values()))
-    assert calls == {"_chart_solutions": 1455, "solve_mod": 566, "rank_mod": 345}
+    assert calls["_chart_solutions"] == sum(len(memo) for _, memo in _solved(tables, "points"))
+    assert calls["rank_mod"] == sum(len(memo) for _, memo in _solved(tables, "counts"))
+    assert any(tables._read_points.values()) and any(tables._read_counts.values())
+    assert sum(map(len, tables._points.values())) == 1455 and sum(map(len, tables._counts.values())) == 345
+    assert calls == {"_chart_solutions": 514, "solve_mod": 180, "rank_mod": 71}
+
+
+def _memos(tables):
+    """Every memo of the table's kept steps: points and counts, by full coordinates and by read coordinates."""
+    for memos in (tables._points, tables._counts, tables._read_points, tables._read_counts):
+        yield from memos.values()
+
+
+def _solved(tables, name):
+    """(step, memo) for each kept step with a memo `name`, or its read-keyed one where it has one: each result once."""
+    for step in tables._steps.values():
+        memo = getattr(step, "read_" + name)
+        if memo is None:
+            memo = getattr(step, name)
+        if memo is not None:
+            yield step, memo
+
+
+def _charged(tables):
+    """The room that the memos of tables hold: one entry per key of each memo, and each solved list's points once."""
+    entries = sum(map(len, _memos(tables))) * oracle._MEMO_ENTRY_BYTES
+    solved = _solved(tables, "points")
+    return entries + sum(step.chart.point_bytes * len(found) for step, memo in solved for found in memo.values())
 
 
 def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
@@ -157,11 +188,13 @@ def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
         tables = _Tables(rep)
         expected = [list(_cell_points(rep, beta, q, tables)) for beta in cells]
         kept = sum(map(len, tables._points.values()))
+        assert tables.room == oracle._MEMO_BYTES - _charged(tables), name
         for budget in (0, 3000, 30000):
             monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
             tables = _Tables(rep)
             assert [list(_cell_points(rep, beta, q, tables)) for beta in cells] == expected, (name, budget)
             assert 0 <= tables.room <= budget
+            assert tables.room == budget - _charged(tables), (name, budget)  # read-keyed entries are charged too
         monkeypatch.undo()
         if name == "degenerate_flag(3)":
             # 30,000 bytes keep some of its step lists but not all of them
@@ -174,14 +207,16 @@ def test_each_cell_counts_as_many_points_as_it_streams(monkeypatch):
     one_vertex(3) has one step per cell; kronecker_preinjective(4) streams
     its last step, whose key fixes the whole cell; one_loop(4,1) filters by
     a loop.  With no memo room every list streams, with a little some are
-    kept, and with the default room all of them.
+    kept, and with the default room all of them.  With 500 bytes one count
+    fits under both its keys, and a later key that shares its read tuple
+    takes it without storing it again.
     """
     cases = [(f"seed {seed}", *random_branching_cycle(seed), 2) for seed in range(10)]
     for spec, q in (("one_vertex(3)", 2), ("kronecker_preinjective(4)", 3), ("one_loop(4,1)", 5),
                     ("degenerate_flag(3)", 3)):
         entry = catalog(spec)
         cases.append((spec, entry.representation, entry.dim_vector, q))
-    for budget in (0, 3000, oracle._MEMO_BYTES):
+    for budget in (0, 500, 3000, oracle._MEMO_BYTES):
         monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
         for name, rep, e, q in cases:
             streamed = {beta.key(): 0 for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices)}
@@ -224,15 +259,19 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
     assert total == 33880 and peak < 2
 
     switches = []  # (prime, points kept before the switch, all emptied after it)
+    read = []  # read-keyed entries held before each switch
 
     class RecordedTables(_Tables):
         def use_prime(self, q):
             switched, kept = q != self.prime, sum(map(len, self._points.values()))
+            held = sum(map(len, chain(self._read_points.values(), self._read_counts.values())))
             super().use_prime(q)
             charts = self._charts.values()
             emptied = not any(self._points.values()) and not any(c._points for c in charts)
+            emptied = emptied and not any(_memos(self))
             if switched:
                 switches.append((q, kept, emptied and self.room == oracle._MEMO_BYTES))
+                read.append(held)
 
     monkeypatch.setattr(oracle, "_Tables", RecordedTables)
     tracemalloc.start()
@@ -244,6 +283,13 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
     assert [r.total for r in reports] == [1395, 33880] and peak < 2
     (_, _, first), (q, kept, second) = switches
     assert first and second and q == 3 and kept > 0  # q = 2 filled memos that the switch emptied
+
+    # degenerate_flag(3) has steps whose rows leave coordinates unread: their read-keyed memos are emptied too
+    del switches[:], read[:]
+    entry = catalog("degenerate_flag(3)")
+    reports = count(entry.representation, entry.dim_vector, primes=(2, 3, 5))
+    assert [r.total for r in reports] == [531, 3340, 42066]
+    assert [emptied for _, _, emptied in switches] == [True] * 3 and read[0] == 0 and all(read[1:])
 
 
 def _vanishing_mod_small_primes():
@@ -717,6 +763,65 @@ def test_memoised_points_are_the_chart_solutions_that_satisfy_the_lookahead_rows
                 memos += 1
                 dropped += len(solutions) - len(kept)
     assert memos > 0 and ahead > 0 and dropped > 0
+
+
+def _values_at(tables, i, ys):
+    """A values list with ys[j] at the j-th earlier neighbour of step i, and () elsewhere."""
+    values = [()] * len(tables.blocks)
+    for k, y in zip(tables.neighbours[i], ys):
+        values[k] = y
+    return values
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_step_reads_nothing_but_its_read_coordinates(q):
+    """Values that agree on a kept step's read coordinates give the same chart solutions and last-step count.
+
+    The read-keyed memos rest on this.  Each kept step is checked at every
+    key its search reached and at two random points of its neighbours'
+    charts, against the same values with every coordinate that the step
+    does not read moved to another residue.  Both sides are solved on an
+    unkept copy of the step, so no memo answers.
+    """
+    rng = random.Random(q)
+    checked = moved = lasts = 0
+    for name, rep, e in _arrow_cases():
+        tables = _Tables(rep)
+        cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
+        for beta in cells:
+            list(_cell_points(rep, beta, q, tables))
+            sum(_cell_points(rep, beta, q, tables, _counting=True))
+        for key, step in tables._steps.items():
+            i = key[0]
+            neighbours = tables.neighbours[i]
+            pivots = [()] * len(tables.blocks)
+            pivots[i] = key[1]
+            for k, tuple_k in zip(neighbours, key[2:]):
+                pivots[k] = tuple_k
+            bare = tables._assemble(i, pivots, step.lookahead)
+            sizes = [tables.chart(k, pivots[k]).nfree for k in neighbours]
+            keys = chain(step.points, step.counts or ())
+            reached = [_values_at(tables, i, c if len(neighbours) > 1 else [c]) for c in keys]
+            drawn = [
+                _values_at(tables, i, [tuple(rng.randrange(q) for _ in range(n)) for n in sizes]) for _ in range(2)
+            ]
+            for values in reached + drawn:
+                other = [list(y) for y in values]
+                for k in neighbours:
+                    for u in range(len(other[k])):
+                        if (k, u) not in step.reads:
+                            other[k][u] = (other[k][u] + rng.randrange(1, q)) % q
+                            moved += 1
+                other = [tuple(y) for y in other]
+                assert oracle._read_values(step, other) == oracle._read_values(step, values)
+                for solve in (lambda v: list(oracle._chart_solutions(bare, v, q, True)),
+                              lambda v: list(oracle._chart_solutions(bare, v, q))):
+                    assert solve(other) == solve(values), (name, key, values, other)
+                if step.counts is not None:
+                    assert oracle._last_count(tables, bare, other, q) == oracle._last_count(tables, bare, values, q)
+                    lasts += 1
+                checked += 1
+    assert checked > 0 and moved > 0 and lasts > 0
 
 
 # Every catalog family at sizes the oracle finishes under the default
