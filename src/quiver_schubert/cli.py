@@ -40,7 +40,7 @@ from .representation import (
     representation_from_json,
     representation_to_json,
 )
-from .schubert import cell_index, cell_type, enumerate_cells, generate_equations
+from .schubert import cell_index, cell_plan, cell_type, enumerate_cells, generate_equations
 
 
 class InputError(ValueError):
@@ -322,8 +322,7 @@ def _run(args) -> int:
 
     if cmd == "cells":
         e = _dim_vector(args, rep, entry)
-        cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
-        keys = [c.key() for c in cells]
+        keys = [key for key, _ in cell_plan(rep.basis, e, rep.quiver.vertices)]
         _emit(args, keys, "\n".join("{" + k + "}" for k in keys))
         return 0
 

@@ -2,7 +2,10 @@
 
 Subrepresentations are enumerated chart by chart: one echelon chart per
 pivot-set combination, so per-cell counting is a byproduct of the
-partition rather than a post-hoc filter.
+partition rather than a post-hoc filter.  A cell reaches the search as
+its pivot tuple at each vertex: `count` takes them, with the key, from
+`schubert.cell_plan` and builds no `CellIndex`, while `cell_count` and
+`enumerate_subreps` group a `CellIndex` by vertex with `cell_pivots`.
 
 A cell is searched vertex by vertex in quiver order.  The step of a
 vertex holds its chart, the arrows to and from vertices placed earlier
@@ -32,18 +35,14 @@ lookahead rows join the step's key, so cells whose later neighbours put
 the same rows on it share it.  Each loop condition is compiled as a
 quadratic form in the chart coordinates.  Forms are reduced mod q only
 where they are read, so a row that vanishes only mod q stays at the
-later step.  A step's loop filter and lookahead rows read only the
-step's own coordinates, and its arrow rows only a few of its earlier
-neighbours' coordinates: those that some term of their forms reads.  So
-each step has two memos of its points.  The first is keyed by the tuple
-of all its earlier neighbours' coordinates, which one C call builds from
-the placed values, and is read first: most lookups hit it.  On a miss
-the step builds the tuple of the coordinates its rows read and looks it
-up in the second; a hit there is the same list, stored under the full
-tuple too.  A step whose rows read every coordinate has no second memo,
-since its read tuple would tell no more than the full one.  Two cells
-that agree on the read coordinates get the same list in the same order,
-and every cell of the call solves each distinct system once.
+later step.  A step's arrow rows read only the earlier neighbours'
+coordinates that some term of their forms reads, often few, and its
+loops and lookahead rows only its own.  So each step memoises its points
+twice: keyed by all its earlier neighbours' coordinates, which one C
+call builds and most lookups hit, and, read on a miss, by the
+coordinates its rows read (see `_Step`).  Cells that agree there get the
+same list in the same order, and every cell of the call solves each
+distinct system once.
 Each point is kept once per chart with its echelon matrix.  The memos of
 one prime take at most about `_MEMO_BYTES` and are emptied at the next;
 a step whose points would not fit streams them as a search without memos
@@ -83,7 +82,7 @@ from .linalg import (
     require_prime,
 )
 from .representation import Representation
-from .schubert import CellIndex, cell_index, enumerate_cells
+from .schubert import CellIndex, cell_index, cell_plan, enumerate_cells
 
 # Not called here since the chart plan applies arrow matrices itself; the
 # traced benchmark run (perfbench/layers.py) still wraps it under this module.
@@ -218,12 +217,12 @@ def _no_coordinates(values: list) -> tuple:
 class _Tables:
     """The cell-independent parts of the search of m, built on first use and shared by every prime.
 
-    Charts are keyed by (vertex step, pivot tuple) and the compiled rows
-    of an arrow by (arrow, source pivot tuple, target pivot tuple).  An
-    arrow's rows are compiled once per call: its pure rows go to the
-    earlier end, as lookahead rows, and the rest to the later end.
-    `neighbours[i]` lists the earlier steps that share a non-loop arrow
-    with step i, and `pivots(beta)` the pivot tuples of a cell.
+    A cell comes as its pivot tuple at each step.  Charts are keyed by
+    (vertex step, pivot tuple) and the compiled rows of an arrow by
+    (arrow, source pivot tuple, target pivot tuple).  An arrow's rows are
+    compiled once per call: its pure rows go to the earlier end, as
+    lookahead rows, and the rest to the later end.  `neighbours[i]` lists
+    the earlier steps that share a non-loop arrow with step i.
 
     `step(i, pivots)` is the wired `_Step` of step i.  It is keyed by i,
     the pivot tuples at i and at each earlier neighbour and the lookahead
@@ -231,23 +230,14 @@ class _Tables:
     neighbours give the same rows share it; a first lookup on the pivot
     tuples of all of i's neighbours finds it without hashing forms.  It
     is built from the compiled rows when a search first reaches that key
-    and shared by every cell with it.  Its memo, also held in `_points`
-    under the key, maps the earlier neighbours' chart coordinates to the
-    step's `(x, matrix)` points over F_prime that pass its arrows, loops
-    and lookahead rows, in `iter_solutions_mod` order.  Those conditions
-    read nothing but the step's `reads` among those coordinates, so its
-    read-keyed memo, held in `_read_points`, maps the values there to
-    the same lists: it is read when the first memo misses, and every
-    cell with the same key and read values gets the same list.  A step
-    whose rows read every coordinate has no read-keyed memo.  A kept
-    last step also has memos of counts, held in `_counts` and
-    `_read_counts`, with the number of those points under the same two
-    keys; `count` fills them instead of the point lists when the step
-    has no loops, and a listing never reads them.  A key that fixes the
-    whole cell gets a step with no memo, assembled afresh at each lookup
-    and not kept.  `room` is what is left of `_MEMO_BYTES` at `prime`,
-    for all four memos: each entry is charged `_MEMO_ENTRY_BYTES` and
-    each solved list its points once.
+    and shared by every cell with it.  Its memos of points over F_prime
+    (see `_Step`) are also held here under the key, in `_points` and
+    `_read_points`, and a kept last step's memos of counts in `_counts`
+    and `_read_counts`, so that `use_prime` empties them all.  A key that
+    fixes the whole cell gets a step with no memo, assembled afresh at
+    each lookup and not kept.  `room` is what is left of `_MEMO_BYTES` at
+    `prime`, for all four memos: each entry is charged
+    `_MEMO_ENTRY_BYTES` and each solved list its points once.
     """
 
     def __init__(self, m: Representation):
@@ -276,9 +266,6 @@ class _Tables:
         self._unshared = last if last >= 0 and self.neighbours[last] == tuple(range(last)) else None
         self._charts: dict[tuple[int, tuple[str, ...]], Chart] = {}
         self._compiled: dict[tuple, tuple] = {}
-        self._step_of = {b: i for i, block in enumerate(self.blocks) for b in block}
-        self._pivot_tuples: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._pivots: dict[tuple[str, ...], tuple] = {}
         self._lookup: dict[tuple, _Step] = {}
         self._steps: dict[tuple, _Step] = {}
         self._points: dict[tuple, dict] = {}
@@ -296,17 +283,6 @@ class _Tables:
             charts = (chart._points for chart in self._charts.values())
             for memo in chain(*(store.values() for store in stores), charts):
                 memo.clear()
-
-    def pivots(self, beta: CellIndex) -> tuple[tuple[str, ...], ...]:
-        """The cell's pivot tuple at each step, built once per call; equal tuples are shared between cells."""
-        found = self._pivots.get(beta.elements)
-        if found is None:
-            groups: list[list[str]] = [[] for _ in self.blocks]
-            for b in beta.elements:
-                groups[self._step_of[b]].append(b)
-            shared = self._pivot_tuples
-            found = self._pivots[beta.elements] = tuple(shared.setdefault(t, t) for t in map(tuple, groups))
-        return found
 
     def chart(self, i: int, pivots: tuple[str, ...]) -> Chart:
         key = (i, pivots)
@@ -565,22 +541,25 @@ def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
 
 
 def _cell_points(
-    m: Representation, beta: CellIndex, q: int, tables: _Tables | None = None, *, _counting: bool = False
+    m: Representation, pivots: Sequence[tuple], q: int, tables: _Tables | None = None, *, _counting: bool = False
 ) -> Iterator[dict[str, Matrix]] | Iterator[int]:
     """All F_q points of one Schubert cell, as per-vertex echelon matrices.
 
-    Depth-first over the vertex steps with an explicit stack.  Each step
-    is looked up in `tables` when the search first reaches it, so a cell
-    whose search dies at one step never wires the later ones; as each
-    step lists only points that its later neighbours' pure rows accept, a
-    search dies at the first step such a row refuses.  The points come
-    from the step's memo (see `_Tables`): the cells of one call solve
-    each distinct chart system once, while the memos have room; past
-    that, new lists stream as they are solved.  The last step
-    is walked inside the loop over the step before it: each point is a
-    copy of that prefix's dict plus the last vertex.  `tables`, built for
-    m, is shared by the cells of one call, one prime at a time: a search
-    at another prime empties its points.  Without it the cell builds its own.
+    The cell comes as its pivot tuple at each vertex, in quiver order:
+    `count` takes them from `cell_plan`, and a caller that holds a
+    `CellIndex` from `cell_pivots`.  Depth-first over the vertex steps
+    with an explicit stack.  Each step is looked up in `tables` when the
+    search first reaches it, so a cell whose search dies at one step never
+    wires the later ones; as each step lists only points that its later
+    neighbours' pure rows accept, a search dies at the first step such a
+    row refuses.  The points come from the step's memo (see `_Tables`):
+    the cells of one call solve each distinct chart system once, while the
+    memos have room; past that, new lists stream as they are solved.  The
+    last step is walked inside the loop over the step before it: each
+    point is a copy of that prefix's dict plus the last vertex.  `tables`,
+    built for m, is shared by the cells of one call, one prime at a time:
+    a search at another prime empties its points.  Without it the cell
+    builds its own.
 
     `_counting` is for `count` and `cell_count`, which only count: the
     last step is then counted by `_last_count`, which lists no point of a
@@ -595,7 +574,6 @@ def _cell_points(
         return
     tables = tables or _Tables(m)
     tables.use_prime(q)
-    pivots = tables.pivots(beta)
     last = n - 1
     head, name = order[:last], order[last]
     steps: list = [None] * n  # this cell's later steps, looked up on arrival
@@ -642,9 +620,16 @@ def _cell_points(
             i -= 1
 
 
+def cell_pivots(m: Representation, beta: CellIndex) -> tuple[tuple[str, ...], ...]:
+    """The cell's ids at each vertex of m, in quiver order; `cell_index`'s ValueError on an unknown or repeated id."""
+    cell_index(m.basis, beta.elements)
+    vertex_of = m.basis.vertex_of
+    return tuple(tuple(b for b in beta.elements if vertex_of[b] == v) for v in m.quiver.vertices)
+
+
 def cell_count(m: Representation, beta: CellIndex, q: int) -> int:
     require_prime(q)
-    return sum(_cell_points(m, beta, q, _counting=True))
+    return sum(_cell_points(m, cell_pivots(m, beta), q, _counting=True))
 
 
 def enumerate_subreps(
@@ -662,7 +647,7 @@ def enumerate_subreps(
     _check_budget(m, e, q, budget)
     tables = _Tables(m)
     for beta in enumerate_cells(m.basis, e, m.quiver.vertices):
-        for subspaces in _cell_points(m, beta, q, tables):
+        for subspaces in _cell_points(m, cell_pivots(m, beta), q, tables):
             yield SubrepPoint(q, subspaces, beta)
 
 
@@ -694,15 +679,16 @@ def count(
     primes: Sequence[int] = (2, 3, 5),
     budget: int = DEFAULT_BUDGET,
 ) -> list[CountReport]:
+    """F_q point counts of Gr_e(m) per prime, per cell of `enumerate_cells` (keys, order, refusals) via `cell_plan`."""
     _require_distinct(primes)
     for q in primes:
         require_prime(q)
         _check_budget(m, e, q, budget)
-    cells = enumerate_cells(m.basis, e, m.quiver.vertices)
+    cells = cell_plan(m.basis, e, m.quiver.vertices)
     tables = _Tables(m)
     reports = []
     for q in primes:
-        per_cell = {beta.key(): sum(_cell_points(m, beta, q, tables, _counting=True)) for beta in cells}
+        per_cell = {key: sum(_cell_points(m, pivots, q, tables, _counting=True)) for key, pivots in cells}
         reports.append(CountReport(q, sum(per_cell.values()), per_cell))
     return reports
 

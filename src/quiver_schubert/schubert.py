@@ -109,8 +109,13 @@ def _check_dimension(v: str, ev: int, rank: int) -> None:
         raise ValueError(f"dimension {ev} exceeds rank {rank} at vertex {v!r}")
 
 
-def enumerate_cells(basis, e: Mapping[str, int], vertices: Sequence[str]) -> list[CellIndex]:
-    """All subsets of the basis of type e, in lexicographic order."""
+def _cell_combinations(basis, e: Mapping[str, int], vertices: Sequence[str]):
+    """The `product` of each vertex's combinations of e_v ids of its block, and the map of one to the cell's ids.
+
+    A bad e raises ValueError first.  The ids come in basis order: joined when the blocks of `vertices` make
+    up the basis one after another, else sorted.  Each comes from one vertex's block, listed once, so none is
+    unknown or repeated and the checks of `cell_index` are not needed.
+    """
     per_vertex = []
     seen = set()
     for v in vertices:
@@ -124,13 +129,22 @@ def enumerate_cells(basis, e: Mapping[str, int], vertices: Sequence[str]) -> lis
     for v in e:
         if v not in seen:
             raise ValueError(f"dimension vector names {v!r}, which is not a vertex")
-    # every id comes from the block of one vertex, listed once, so no id is
-    # unknown or repeated and the checks of `cell_index` are not needed
+    if tuple(chain.from_iterable(map(basis.block, vertices))) == basis.order:
+        return product(*per_vertex), chain.from_iterable
     pos = basis.positions().__getitem__
-    return [
-        CellIndex(tuple(sorted(chain.from_iterable(combo), key=pos)))
-        for combo in product(*per_vertex)
-    ]
+    return product(*per_vertex), lambda combo: sorted(chain.from_iterable(combo), key=pos)
+
+
+def enumerate_cells(basis, e: Mapping[str, int], vertices: Sequence[str]) -> list[CellIndex]:
+    """All subsets of the basis of type e, each in basis order, in lexicographic order of per-vertex combinations."""
+    combos, elements = _cell_combinations(basis, e, vertices)
+    return [CellIndex(tuple(elements(combo))) for combo in combos]
+
+
+def cell_plan(basis, e: Mapping[str, int], vertices: Sequence[str]) -> list[tuple[str, tuple[tuple[str, ...], ...]]]:
+    """The cells of `enumerate_cells`, in its order, each as (its `CellIndex.key()`, its pivot tuple at each vertex)."""
+    combos, elements = _cell_combinations(basis, e, vertices)
+    return [(",".join(elements(combo)), combo) for combo in combos]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from quiver_schubert.linalg import gaussian_binomial
 from quiver_schubert.oracle import (
     _cell_points,
     cell_count,
+    cell_pivots,
     count,
     counting_polynomial,
     euler_characteristic,
@@ -363,7 +364,7 @@ def _sample_m_points(m, s, f, quota, primes=(2, 3, 5)):
         if tree_cell_emptiness(m, s, beta, base_is_empty=False):
             continue
         for q in primes:
-            for matrices in _cell_points(m, beta, q):
+            for matrices in _cell_points(m, cell_pivots(m, beta), q):
                 points.append((beta, q, chart_coordinates(m, beta, matrices)))
                 if len(points) >= quota:
                     return points

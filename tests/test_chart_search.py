@@ -7,7 +7,7 @@ import pytest
 
 from conftest import independent_total
 from quiver_schubert.catalog import catalog
-from quiver_schubert.oracle import _cell_points, cell_count
+from quiver_schubert.oracle import _cell_points, cell_count, cell_pivots
 from quiver_schubert.quiver import quiver
 from quiver_schubert.representation import OrderedBasis, representation
 from quiver_schubert.schubert import enumerate_cells
@@ -69,7 +69,7 @@ def _update_stream(h, rep, e, q):
     """Feed every cell key and every point of every cell, in order, into h."""
     for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
         h.update(f"{beta.key()}\n".encode())
-        for point in _cell_points(rep, beta, q):
+        for point in _cell_points(rep, cell_pivots(rep, beta), q):
             h.update(f"{list(point.items())!r}\n".encode())
 
 

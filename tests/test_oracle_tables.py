@@ -18,7 +18,7 @@ import pytest
 from quiver_schubert import linalg, oracle
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import column_echelon_max_pivot, mat_vec_mod
-from quiver_schubert.oracle import _cell_points, _Tables, cell_count, count, enumerate_subreps
+from quiver_schubert.oracle import _cell_points, _Tables, cell_count, cell_pivots, count, enumerate_subreps
 from quiver_schubert.quiver import full_subquiver, quiver
 from quiver_schubert.representation import OrderedBasis, representation, restrict
 from quiver_schubert.schubert import enumerate_cells
@@ -90,13 +90,13 @@ def test_shared_step_points_do_not_depend_on_cell_order():
     loops = 0
     for rep, e, q in _order_cases():
         cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
-        fresh = {beta.key(): list(_cell_points(rep, beta, q)) for beta in cells}
+        fresh = {beta.key(): list(_cell_points(rep, cell_pivots(rep, beta), q)) for beta in cells}
         tables = _Tables(rep)
         shuffled = list(cells)
         rng.shuffle(shuffled)
         for order in (cells[::-1], shuffled):
             for beta in order:
-                assert list(_cell_points(rep, beta, q, tables)) == fresh[beta.key()], beta.key()
+                assert list(_cell_points(rep, cell_pivots(rep, beta), q, tables)) == fresh[beta.key()], beta.key()
         widest = max(widest, *map(len, tables.neighbours))
         loops += sum(1 for s, t, _ in tables.arrows if s == t)
     # the keys with two or more neighbours' coordinates and the memoised loop filter both ran
@@ -186,13 +186,13 @@ def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
     for name, rep, e, q in cases:
         cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
         tables = _Tables(rep)
-        expected = [list(_cell_points(rep, beta, q, tables)) for beta in cells]
+        expected = [list(_cell_points(rep, cell_pivots(rep, beta), q, tables)) for beta in cells]
         kept = sum(map(len, tables._points.values()))
         assert tables.room == oracle._MEMO_BYTES - _charged(tables), name
         for budget in (0, 3000, 30000):
             monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
             tables = _Tables(rep)
-            assert [list(_cell_points(rep, beta, q, tables)) for beta in cells] == expected, (name, budget)
+            assert [list(_cell_points(rep, cell_pivots(rep, beta), q, tables)) for beta in cells] == expected, (name, budget)
             assert 0 <= tables.room <= budget
             assert tables.room == budget - _charged(tables), (name, budget)  # read-keyed entries are charged too
         monkeypatch.undo()
@@ -345,7 +345,7 @@ def test_entries_that_vanish_mod_a_sampled_prime_are_dropped_where_they_are_read
         # the case is not vacuous: some wired forms are nonzero over Z and vanish mod q
         tables = _Tables(rep)
         for beta in cells:
-            list(_cell_points(rep, beta, q, tables))
+            list(_cell_points(rep, cell_pivots(rep, beta), q, tables))
         assert any(
             (c or terms) and c % q == 0 and all(t[-1] % q == 0 for t in terms)
             for step in tables._steps.values()
@@ -474,7 +474,7 @@ def test_one_step_is_wired_per_distinct_key(monkeypatch):
         lookups = []
         _record_step_lookups(tables, lookups)
         for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
-            list(_cell_points(rep, beta, q, tables))
+            list(_cell_points(rep, cell_pivots(rep, beta), q, tables))
         found = {}
         for _, key, step in lookups:
             if step.points is not None:
@@ -524,7 +524,7 @@ def test_a_cell_wires_only_the_steps_its_search_reaches():
     shallower = 0
     for beta in cells:
         del lookups[:]
-        points = sum(1 for _ in _cell_points(rep, beta, q, tables))
+        points = sum(1 for _ in _cell_points(rep, cell_pivots(rep, beta), q, tables))
         steps = [i for i, _, _ in lookups]
         depth = 1 + sum(
             1
@@ -550,12 +550,12 @@ def test_point_dicts_are_fresh_and_independent():
     for entry, q in cases:
         rep, e = entry.representation, entry.dim_vector
         cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
-        fresh = [list(_cell_points(rep, beta, q)) for beta in cells]
+        fresh = [list(_cell_points(rep, cell_pivots(rep, beta), q)) for beta in cells]
         tables = _Tables(rep)
         for _ in range(2):  # the second pass reads the memos the first one filled
             for beta, expected in zip(cells, fresh):
                 seen, copies = [], []
-                for point in _cell_points(rep, beta, q, tables):
+                for point in _cell_points(rep, cell_pivots(rep, beta), q, tables):
                     copies.append(dict(point))
                     point.clear()
                     seen.append(point)
@@ -746,7 +746,7 @@ def test_memoised_points_are_the_chart_solutions_that_satisfy_the_lookahead_rows
     for name, rep, e in _arrow_cases():
         tables = _Tables(rep)
         for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
-            list(_cell_points(rep, beta, q, tables))
+            list(_cell_points(rep, cell_pivots(rep, beta), q, tables))
         for key, step in tables._steps.items():
             i = key[0]
             neighbours = tables.neighbours[i]
@@ -789,8 +789,8 @@ def test_a_step_reads_nothing_but_its_read_coordinates(q):
         tables = _Tables(rep)
         cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
         for beta in cells:
-            list(_cell_points(rep, beta, q, tables))
-            sum(_cell_points(rep, beta, q, tables, _counting=True))
+            list(_cell_points(rep, cell_pivots(rep, beta), q, tables))
+            sum(_cell_points(rep, cell_pivots(rep, beta), q, tables, _counting=True))
         for key, step in tables._steps.items():
             i = key[0]
             neighbours = tables.neighbours[i]
@@ -898,13 +898,13 @@ def test_a_table_that_counted_lists_the_same_points_and_the_other_way_round():
     stored = 0
     for name, rep, e, q in cases:
         cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
-        fresh = [list(_cell_points(rep, beta, q)) for beta in cells]
+        fresh = [list(_cell_points(rep, cell_pivots(rep, beta), q)) for beta in cells]
         counts = [len(points) for points in fresh]
         tables = _Tables(rep)
-        assert [sum(_cell_points(rep, beta, q, tables, _counting=True)) for beta in cells] == counts, name
+        assert [sum(_cell_points(rep, cell_pivots(rep, beta), q, tables, _counting=True)) for beta in cells] == counts, name
         stored += sum(map(len, tables._counts.values()))
         for beta, points in zip(cells, fresh):
-            listed = list(_cell_points(rep, beta, q, tables))
+            listed = list(_cell_points(rep, cell_pivots(rep, beta), q, tables))
             assert all(type(point) is dict for point in listed) and listed == points, (name, beta.key())
-        assert [sum(_cell_points(rep, beta, q, tables, _counting=True)) for beta in cells] == counts, name
+        assert [sum(_cell_points(rep, cell_pivots(rep, beta), q, tables, _counting=True)) for beta in cells] == counts, name
     assert stored > 0  # some counts were memoised before the listings ran

@@ -11,7 +11,7 @@ from conftest import chart_coordinates, fold_winding, random_tree_extension, ran
 from quiver_schubert import schubert
 from quiver_schubert.catalog import catalog
 from quiver_schubert.linalg import column_echelon_max_pivot
-from quiver_schubert.oracle import _cell_points, assign_cell, cell_count
+from quiver_schubert.oracle import _cell_points, assign_cell, cell_count, cell_pivots
 from quiver_schubert.quiver import distances_to, full_subquiver, quiver, subquiver
 from quiver_schubert.representation import OrderedBasis, representation, restrict
 from quiver_schubert.schubert import (
@@ -263,7 +263,7 @@ def test_cell_points_round_trip_assign_cell():
         rep = catalog(spec).representation
         for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
             for q in (2, 3):
-                for point in _cell_points(rep, beta, q):
+                for point in _cell_points(rep, cell_pivots(rep, beta), q):
                     assert assign_cell(point, rep.basis, q).key() == beta.key()
 
 
@@ -428,7 +428,7 @@ def test_iota_pi_retraction_and_equations():
             beta = cell_index(m.basis, elems)
             sys_m = generate_equations(m, beta)
             sys_n = generate_equations(m, beta, fibred_via=f)
-            for matrices in _cell_points(m, beta, q):
+            for matrices in _cell_points(m, cell_pivots(m, beta), q):
                 coords = chart_coordinates(m, beta, matrices)
                 up = iota(f, m, beta, coords)
                 vals = [up.get(v, 0) for v in sys_n.variables]
