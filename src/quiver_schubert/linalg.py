@@ -105,7 +105,7 @@ def solve_mod(
 
 
 def _eliminate(aug: list[list[int]], pivots: list[int], columns: Iterable[int], end: int, q: int) -> None:
-    """Gauss-Jordan steps on the augmented rows over F_q, one per column in turn that has a pivot.
+    """Gauss-Jordan steps on the rows of aug over F_q, one per column in turn that has a pivot.
 
     The pivot row is the first unused row before `end` that is nonzero
     in the column; it is moved to row len(pivots), scaled to 1 there and
@@ -219,34 +219,13 @@ def column_echelon_max_pivot(
     Pivot convention: every column is normalised so its largest-index
     nonzero entry is 1 and that row is zero in all other columns.  The
     result is (columns sorted by pivot row, pivot rows); rank-deficient
-    inputs simply yield fewer columns.
+    inputs simply yield fewer columns.  It is `_eliminate` with the
+    columns as its rows, over the row indices from the last one down.
     """
     cols = [[x % q for x in col] for col in columns]
     pivots: list[int] = []
-    kept: list[list[int]] = []
-    while cols:
-        best = None
-        best_pivot = -1
-        for idx, col in enumerate(cols):
-            support = [i for i, x in enumerate(col) if x % q != 0]
-            if support and support[-1] > best_pivot:
-                best_pivot = support[-1]
-                best = idx
-        if best is None:
-            break
-        col = cols.pop(best)
-        inv = pow(col[best_pivot], -1, q)
-        col = [(x * inv) % q for x in col]
-        for other in cols + kept:
-            f = other[best_pivot] % q
-            if f:
-                for i in range(len(other)):
-                    other[i] = (other[i] - f * col[i]) % q
-        kept.append(col)
-        pivots.append(best_pivot)
-    order = sorted(range(len(kept)), key=lambda i: pivots[i])
-    cols_sorted = tuple(tuple(kept[i]) for i in order)
-    return cols_sorted, tuple(pivots[i] for i in order)
+    _eliminate(cols, pivots, range(len(cols[0]) - 1, -1, -1) if cols else (), len(cols), q)
+    return tuple(map(tuple, reversed(cols[: len(pivots)]))), tuple(reversed(pivots))
 
 
 def gaussian_binomial(m: int, e: int, q: int) -> int:

@@ -27,22 +27,22 @@ format: a linear equation in the later end's chart coordinates whose
 coefficients and right-hand side are integer linear forms in the earlier
 end's coordinates.  A row that reads no coordinate of the later end is
 *pure*: it is a linear condition b = 0 on the earlier end alone, and is
-read there, as one of that step's *lookahead rows*.  A step lists only
-the points where its lookahead rows vanish, in the order it would list
-them all, so no point that a later neighbour would refuse is visited;
-the later step keeps its pure rows, which then always vanish.  The
-lookahead rows join the step's key, so cells whose later neighbours put
-the same rows on it share it.  Each loop condition is compiled as a
-quadratic form in the chart coordinates.  Forms are reduced mod q only
-where they are read, so a row that vanishes only mod q stays at the
-later step.  A step's arrow rows read only the earlier neighbours'
-coordinates that some term of their forms reads, often few, and its
-loops and lookahead rows only its own.  So each step memoises its points
-twice: keyed by all its earlier neighbours' coordinates, which one C
-call builds and most lookups hit, and, read on a miss, by the
-coordinates its rows read (see `_Step`).  Cells that agree there get the
-same list in the same order, and every cell of the call solves each
-distinct system once.
+read there, as one of that step's *lookahead rows*, and only there.  A
+step lists only the points where its lookahead rows vanish, in the order
+it would list them all, so no point that a later neighbour would refuse
+is visited, and the later step, which only ever meets such points, does
+not read the row again.  The lookahead rows join the step's key, so
+cells whose later neighbours put the same rows on it share it.  Each
+loop condition is compiled as a quadratic form in the chart coordinates.
+Forms are reduced mod q only where they are read, so a row that vanishes
+only mod q stays at the later step.  A step's arrow rows read only the
+earlier neighbours' coordinates that some term of their forms reads,
+often few, and its loops and lookahead rows only its own.  So each step
+memoises its points twice: keyed by all its earlier neighbours'
+coordinates, which one C call builds and most lookups hit, and, read on
+a miss, by the coordinates its rows read (see `_Step`).  Cells that
+agree there get the same list in the same order, and every cell of the
+call solves each distinct system once.
 Each point is kept once per chart with its echelon matrix.  The memos of
 one prime take at most about `_MEMO_BYTES` and are emptied at the next;
 a step whose points would not fit streams them as a search without memos
@@ -163,22 +163,23 @@ class _Step:
     step k's coordinates and each a_v and b is an integer linear form
     (constant, ((var, coefficient), ...)) in y with zero terms dropped.
     A row (k, b, ((v, a_v), ...)) keeps only the a_v that are not zero.
-    A row with none left is *pure*: `pure` holds it as (k, b), once, and
-    the step has no points unless every such b vanishes; the other rows
-    go into `rows` in wiring order.  A pure row reads only step k, so it
-    is also one of k's lookahead rows, and the search reads it there: at
-    this step it always vanishes.  `lookahead` holds the step's own
-    lookahead rows, the distinct forms b(x) that its later neighbours'
-    pure rows put on x, sorted; `_step_points` lists only the points
-    where every one vanishes.  `loops` holds each loop condition as an
-    integer quadratic form (constant, ((var, coefficient), ...), ((var,
-    var, coefficient), ...)) in x.  Zero forms are dropped, and repeated
-    ones kept once; `_chart_solutions` and `_loops_hold` reduce them mod
-    q where they read them.  `reads` holds the (earlier neighbour,
-    coordinate) pairs that some term of a b or an a_v reads, sorted:
-    the arrow rows read nothing else, and the loops and lookahead rows
-    read only x, so the step's result at a prime depends on the placed
-    values only through those pairs.  `points` is the memo of the step's
+    A row with none left is *pure*: a condition b(y) = 0 on step k alone,
+    which is one of k's lookahead rows and is read there only.  The other
+    rows go into `rows` in wiring order.  `lookahead` holds the step's
+    own lookahead rows, the distinct forms b(x) that its later
+    neighbours' pure rows put on x, sorted; `_step_points` lists only the
+    points where every one vanishes, so a later step never meets values
+    that a pure row of its own would refuse.  `loops` holds each loop
+    condition as an integer quadratic form (constant, ((var,
+    coefficient), ...), ((var, var, coefficient), ...)) in x.  Zero forms
+    are dropped, and repeated ones kept once; `_chart_solutions` and
+    `_loops_hold` reduce them mod q where they read them.  `reads` holds
+    the (earlier neighbour, coordinate) pairs that some term of a b or an
+    a_v of `rows` reads, sorted: the arrow rows read nothing else, and
+    the loops and lookahead rows read only x, so the step's result at a
+    prime depends on the placed values only through those pairs.  The
+    memos below live on the step alone; `_Tables.use_prime` empties
+    those of every kept step.  `points` is the memo of the step's
     points (None when the key never recurs), and `coordinates(values)`
     its key: the earlier neighbours' coordinates, bare when there is one.
     It is read first, since a C `itemgetter` builds its key.
@@ -192,13 +193,12 @@ class _Step:
     """
 
     __slots__ = (
-        "chart", "pure", "rows", "loops", "lookahead", "coordinates", "reads",
+        "chart", "rows", "loops", "lookahead", "coordinates", "reads",
         "points", "counts", "read_points", "read_counts",
     )
 
     def __init__(self, chart: Chart, neighbours: tuple[int, ...], lookahead: tuple):
         self.chart = chart
-        self.pure: dict[tuple, None] = {}  # ordered set of (k, b)
         self.rows: list[tuple] = []
         self.loops: dict[tuple, None] = {}
         self.lookahead = lookahead
@@ -230,13 +230,12 @@ class _Tables:
     neighbours give the same rows share it; a first lookup on the pivot
     tuples of all of i's neighbours finds it without hashing forms.  It
     is built from the compiled rows when a search first reaches that key
-    and shared by every cell with it.  Its memos of points over F_prime
-    (see `_Step`) are also held here under the key, in `_points` and
-    `_read_points`, and a kept last step's memos of counts in `_counts`
-    and `_read_counts`, so that `use_prime` empties them all.  A key that
+    and shared by every cell with it, in `_steps` under the key.  Its
+    memos over F_prime sit on the step alone (see `_Step`), and
+    `use_prime` empties those of every step in `_steps`.  A key that
     fixes the whole cell gets a step with no memo, assembled afresh at
     each lookup and not kept.  `room` is what is left of `_MEMO_BYTES` at
-    `prime`, for all four memos: each entry is charged
+    `prime`, for all the memos of all the steps: each entry is charged
     `_MEMO_ENTRY_BYTES` and each solved list its points once.
     """
 
@@ -268,21 +267,18 @@ class _Tables:
         self._compiled: dict[tuple, tuple] = {}
         self._lookup: dict[tuple, _Step] = {}
         self._steps: dict[tuple, _Step] = {}
-        self._points: dict[tuple, dict] = {}
-        self._counts: dict[tuple, dict] = {}
-        self._read_points: dict[tuple, dict] = {}
-        self._read_counts: dict[tuple, dict] = {}
         self.prime: int | None = None
         self.room = _MEMO_BYTES
 
     def use_prime(self, q: int) -> None:
-        """Search over F_q next: at another prime, empty every memo and chart point store and refill `room`."""
+        """Search over F_q next: at another prime, empty every step memo and chart point store and refill `room`."""
         if q != self.prime:
             self.prime, self.room = q, _MEMO_BYTES
-            stores = (self._points, self._counts, self._read_points, self._read_counts)
-            charts = (chart._points for chart in self._charts.values())
-            for memo in chain(*(store.values() for store in stores), charts):
-                memo.clear()
+            for step in self._steps.values():
+                for memo in filter(None, (step.points, step.counts, step.read_points, step.read_counts)):
+                    memo.clear()
+            for chart in self._charts.values():
+                chart._points.clear()
 
     def chart(self, i: int, pivots: tuple[str, ...]) -> Chart:
         key = (i, pivots)
@@ -294,7 +290,7 @@ class _Tables:
         """Arrow k compiled on the charts of its ends with these pivots, once per call.
 
         A loop gives its quadratic forms.  Any other arrow gives (pure,
-        rows): `pure` its distinct pure rows (earlier end, b), each a
+        rows): `pure` the distinct forms b of its pure rows, each a
         condition b(y) = 0 on the coordinates y of the earlier end, and
         `rows` its other rows (earlier end, b, ((v, a_v), ...)), with zero
         a_v dropped, in wiring order.
@@ -315,7 +311,7 @@ class _Tables:
                     if coefficients:
                         rows.append((min(s, t), b, coefficients))
                     elif b[0] or b[1]:
-                        pure[min(s, t), b] = None
+                        pure[b] = None
                 found = (tuple(pure), tuple(rows))
             self._compiled[key] = found
         return found
@@ -327,40 +323,37 @@ class _Tables:
         around = (i, pivots[i], *[pivots[k] for k in self._around[i]])
         step = self._lookup.get(around)
         if step is None:
-            pure = [row for k in self._ahead[i] for row in self.compiled(k, pivots)[0]]
-            lookahead = tuple(sorted({b for _, b in pure})) if pure else ()
+            lookahead = tuple(sorted({b for k in self._ahead[i] for b in self.compiled(k, pivots)[0]}))
             key = (i, pivots[i], *[pivots[k] for k in self.neighbours[i]], lookahead)
             step = self._steps.get(key)
             if step is None:
                 step = self._steps[key] = self._assemble(i, pivots, lookahead)
-                step.points = self._points[key] = {}
+                step.points = {}
                 if i == self._last:
-                    step.counts = self._counts[key] = {}
+                    step.counts = {}
                 step.reads = _read_pairs(step)
                 if len(step.reads) < sum(self.chart(k, pivots[k]).nfree for k in self.neighbours[i]):
                     # keys that differ only at an unread coordinate share one result
-                    step.read_points = self._read_points[key] = {}
+                    step.read_points = {}
                     if i == self._last:
-                        step.read_counts = self._read_counts[key] = {}
+                        step.read_counts = {}
             self._lookup[around] = step
         return step
 
     def _assemble(self, i: int, pivots: Sequence[tuple[str, ...]], lookahead: tuple) -> _Step:
-        """A step i with these lookahead rows, from the compiled rows of its arrows to earlier steps and its loops."""
+        """A step i with these lookahead rows, from its loops and the non-pure rows of its arrows to earlier steps."""
         step = _Step(self.chart(i, pivots[i]), self.neighbours[i], lookahead)
         for k in self._arrows_at[i]:
             s, t, _ = self.arrows[k]
             if s == t:
                 step.loops.update(dict.fromkeys(self.compiled(k, pivots)))
             else:
-                pure, rows = self.compiled(k, pivots)
-                step.pure.update(dict.fromkeys(pure))
-                step.rows += rows
+                step.rows += self.compiled(k, pivots)[1]
         return step
 
 
-def _chart_solutions(step: _Step, values: list, q: int, lookahead: bool = False) -> Iterator[Vector]:
-    """Chart coordinates of the step that satisfy every arrow to a placed vertex, and its lookahead rows when asked.
+def _chart_solutions(step: _Step, values: list, q: int) -> Iterator[Vector]:
+    """Chart coordinates of the step that satisfy its arrow rows at the placed values and its lookahead rows.
 
     The lookahead rows b(x) = 0 are read first, as rows b(x) - b(0) =
     -b(0) mod q; a row that vanishes mod q is dropped, and ends the step
@@ -368,13 +361,13 @@ def _chart_solutions(step: _Step, values: list, q: int, lookahead: bool = False)
     are read as `_arrow_rows` gives them.  `iter_solutions_mod` sees the
     arrow rows in wiring order, and the lookahead rows as its second
     system, which it reads without changing the order of the solutions.
-    The search always asks for the lookahead rows; the solutions of the
-    arrow rows alone are what the rank tests check.
+    A step assembled with no lookahead rows gives the solutions of its
+    arrow rows alone.
     """
     nfree = step.chart.nfree
     ahead: list[list[int]] = []
     ahead_rhs: list[int] = []
-    for const, terms in step.lookahead if lookahead else ():
+    for const, terms in step.lookahead:
         row = [0] * nfree
         for u, c in terms:
             row[u] = c % q
@@ -392,21 +385,21 @@ def _chart_solutions(step: _Step, values: list, q: int, lookahead: bool = False)
 def _arrow_rows(step: _Step, values: list, q: int) -> tuple[list[list[int]], list[int]] | None:
     """The step's arrow rows at the placed values, as (rows, rhs) over F_q, or None when one cannot hold.
 
-    Each row is evaluated at its earlier step's coordinates, `pure` first
-    and then `rows`.  A row whose coefficients all vanish mod q is
-    dropped, and gives None before any other row is read if its
-    right-hand side does not; so a pure row that does not vanish ends the
-    step first.  The other rows come in wiring order.
+    Each row of `rows` is evaluated, in wiring order, at its earlier
+    step's coordinates.  A row whose coefficients all vanish mod q is
+    dropped, and gives None before any later row is read if its
+    right-hand side does not.  Pure rows are read at the earlier steps,
+    as lookahead rows, so they vanish at every placed value.
     """
     nfree = step.chart.nfree
     rows: list[list[int]] = []
     rhs: list[int] = []
-    for k, (b, terms), *coefficients in chain(step.pure, step.rows):  # a pure row has none
+    for k, (b, terms), coefficients in step.rows:
         y = values[k]
         for u, c in terms:
             b += c * y[u]
         row = [0] * nfree
-        for v, (a, terms) in chain(*coefficients):
+        for v, (a, terms) in coefficients:
             for u, c in terms:
                 a += c * y[u]
             row[v] = a % q
@@ -421,9 +414,9 @@ def _arrow_rows(step: _Step, values: list, q: int) -> tuple[list[list[int]], lis
 def _read_pairs(step: _Step) -> tuple[tuple[int, int], ...]:
     """The (earlier neighbour, coordinate) pairs that some term of a b or an a_v of the step's rows reads, sorted."""
     pairs = set()
-    for k, (_, terms), *coefficients in chain(step.pure, step.rows):  # a pure row has none
+    for k, (_, terms), coefficients in step.rows:
         pairs.update((k, u) for u, _ in terms)
-        for _, (_, terms) in chain(*coefficients):
+        for _, (_, terms) in coefficients:
             pairs.update((k, u) for u, _ in terms)
     return tuple(sorted(pairs))
 
@@ -506,7 +499,7 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
             found = _shared(tables, memo, shared, coordinates, reads)
         if found is not None:
             return found
-    solutions = _chart_solutions(step, values, q, True)  # with its lookahead rows
+    solutions = _chart_solutions(step, values, q)
     if step.loops:
         solutions = (x for x in solutions if _loops_hold(step, x, q))
     chart = step.chart
@@ -652,7 +645,7 @@ def enumerate_subreps(
 
 
 def assign_cell(point: SubrepPoint | Mapping[str, Matrix], basis, q: int | None = None) -> CellIndex:
-    """Cell of a subrepresentation point: pivot profile of canonical echelon forms."""
+    """Cell of a subrepresentation point: pivot profile of canonical echelon forms; ValueError names a bad matrix."""
     if isinstance(point, SubrepPoint):
         subspaces = point.subspaces
         q = point.prime
@@ -664,8 +657,14 @@ def assign_cell(point: SubrepPoint | Mapping[str, Matrix], basis, q: int | None 
     pivots: list[str] = []
     for v, mat in subspaces.items():
         block = basis.block(v)
+        if mat and not block:
+            raise ValueError(f"vertex {v!r} has no basis ids")
+        if len(mat) != len(block):
+            raise ValueError(f"the matrix at vertex {v!r} has {len(mat)} rows, not {len(block)}")
         ncols = len(mat[0]) if mat else 0
-        cols = [[mat[r][j] for r in range(len(block))] for j in range(ncols)]
+        if any(len(row) != ncols for row in mat):
+            raise ValueError(f"the rows of the matrix at vertex {v!r} differ in length")
+        cols = [[row[j] for row in mat] for j in range(ncols)]
         canon, pivot_rows = column_echelon_max_pivot(cols, q)
         if len(pivot_rows) != ncols:
             raise ValueError(f"generators at vertex {v!r} are dependent over F_{q}")

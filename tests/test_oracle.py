@@ -67,6 +67,22 @@ def test_assign_cell_dependent_generators():
         assign_cell({"1": ((1, 1), (1, 1))}, rep.basis, 2)
 
 
+@pytest.mark.parametrize(
+    "subspaces, message",
+    [
+        ({"9": ((1,),)}, "vertex '9' has no basis ids"),
+        ({"1": ((1,),)}, "the matrix at vertex '1' has 1 rows, not 2"),
+        ({"1": ((1,), (0,), (0,))}, "the matrix at vertex '1' has 3 rows, not 2"),
+        ({"1": ((1,), (0, 1))}, "the rows of the matrix at vertex '1' differ in length"),
+    ],
+)
+def test_assign_cell_refuses_a_malformed_raw_matrix(subspaces, message):
+    """An unknown vertex, a row count other than the block size and ragged rows are refused by vertex."""
+    rep = catalog("two_lines").representation
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        assign_cell(subspaces, rep.basis, 2)
+
+
 @pytest.mark.parametrize("q", [0, 1, 4, 6])
 def test_assign_cell_refuses_a_modulus_that_is_not_prime(q):
     rep = catalog("two_lines").representation

@@ -149,15 +149,18 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     (tables,) = built
     assert calls["_chart_solutions"] == sum(len(memo) for _, memo in _solved(tables, "points"))
     assert calls["rank_mod"] == sum(len(memo) for _, memo in _solved(tables, "counts"))
-    assert any(tables._read_points.values()) and any(tables._read_counts.values())
-    assert sum(map(len, tables._points.values())) == 1455 and sum(map(len, tables._counts.values())) == 345
+    assert any(_memos(tables, "read_points")) and any(_memos(tables, "read_counts"))
+    assert sum(map(len, _memos(tables, "points"))) == 1455 and sum(map(len, _memos(tables, "counts"))) == 345
     assert calls == {"_chart_solutions": 514, "solve_mod": 180, "rank_mod": 71}
 
 
-def _memos(tables):
-    """Every memo of the table's kept steps: points and counts, by full coordinates and by read coordinates."""
-    for memos in (tables._points, tables._counts, tables._read_points, tables._read_counts):
-        yield from memos.values()
+def _memos(tables, *names):
+    """The memos `names` of each kept step that has them; by default all four, by full and by read coordinates."""
+    for step in tables._steps.values():
+        for name in names or ("points", "counts", "read_points", "read_counts"):
+            memo = getattr(step, name)
+            if memo is not None:
+                yield memo
 
 
 def _solved(tables, name):
@@ -187,7 +190,7 @@ def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
         cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
         tables = _Tables(rep)
         expected = [list(_cell_points(rep, cell_pivots(rep, beta), q, tables)) for beta in cells]
-        kept = sum(map(len, tables._points.values()))
+        kept = sum(map(len, _memos(tables, "points")))
         assert tables.room == oracle._MEMO_BYTES - _charged(tables), name
         for budget in (0, 3000, 30000):
             monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
@@ -198,7 +201,7 @@ def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
         monkeypatch.undo()
         if name == "degenerate_flag(3)":
             # 30,000 bytes keep some of its step lists but not all of them
-            assert 0 < sum(map(len, tables._points.values())) < kept
+            assert 0 < sum(map(len, _memos(tables, "points"))) < kept
 
 
 def test_each_cell_counts_as_many_points_as_it_streams(monkeypatch):
@@ -263,11 +266,11 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
 
     class RecordedTables(_Tables):
         def use_prime(self, q):
-            switched, kept = q != self.prime, sum(map(len, self._points.values()))
-            held = sum(map(len, chain(self._read_points.values(), self._read_counts.values())))
+            switched, kept = q != self.prime, sum(map(len, _memos(self, "points")))
+            held = sum(map(len, _memos(self, "read_points", "read_counts")))
             super().use_prime(q)
             charts = self._charts.values()
-            emptied = not any(self._points.values()) and not any(c._points for c in charts)
+            emptied = not any(_memos(self, "points")) and not any(c._points for c in charts)
             emptied = emptied and not any(_memos(self))
             if switched:
                 switches.append((q, kept, emptied and self.room == oracle._MEMO_BYTES))
@@ -316,9 +319,8 @@ def _reduced(rep, q):
 
 
 def _forms(step):
-    """Every form wired into the step, as (constant, terms) with each term's coefficient last."""
-    for _, b in step.pure:
-        yield b
+    """Every form the step reads, lookahead rows first, as (constant, terms) with each term's coefficient last."""
+    yield from step.lookahead
     for _, b, coefficients in step.rows:
         yield b
         yield from (a for _, a in coefficients)
@@ -481,7 +483,7 @@ def test_one_step_is_wired_per_distinct_key(monkeypatch):
                 assert found.setdefault(key, step) is step, key
         kept = {id(step) for step in found.values()}
         assert kept == set(map(id, tables._steps.values()))
-        assert all(tables._points[key] is step.points for key, step in tables._steps.items())
+        assert all(type(step.points) is dict for step in tables._steps.values())
         assert all(key[-1] == step.lookahead for key, step in tables._steps.items())
         fresh = sum(1 for _, _, step in lookups if step.points is None)
         assert len(built) == len(kept) + fresh  # a kept step is built once, an unkept one at each lookup
@@ -665,7 +667,9 @@ def _arrow_cases():
 def _placed(tables, pivots, q, values, i=0):
     """(step index, wired step) at each point the search of one cell places before that step.
 
-    values holds the placed points when each pair comes out.
+    Each step places its chart solutions that pass its loops and its
+    lookahead rows, as the search does.  values holds the placed points
+    when each pair comes out.
     """
     step = tables.step(i, pivots)
     yield i, step
@@ -689,7 +693,8 @@ def test_arrow_rows_agree_with_a_rank_test_on_every_chart_point(q):
     each end's chart point.  Every wired step of every cell is checked at
     every point its search places on the neighbours: on every point of
     its own chart when there are at most 81, else on every solution and
-    ten random points.
+    ten random points.  The solutions are those of an unkept copy of the
+    step with no lookahead rows, so that only the arrows decide.
     """
     rng = random.Random(q)
     outcomes = set()
@@ -713,7 +718,7 @@ def test_arrow_rows_agree_with_a_rank_test_on_every_chart_point(q):
                     continue
                 seen.add(key)
                 g = {k: _generators(tables.chart(k, pivots[k]), values[k]) for k in tables.neighbours[i]}
-                passed = set(oracle._chart_solutions(step, values, q))
+                passed = set(oracle._chart_solutions(tables._assemble(i, pivots, ()), values, q))
                 nfree = step.chart.nfree
                 points = product(range(q), repeat=nfree)
                 if q**nfree > 81:
@@ -738,9 +743,10 @@ def _lookahead_holds(step, x, q):
 def test_memoised_points_are_the_chart_solutions_that_satisfy_the_lookahead_rows(q):
     """Every memoised point satisfies its step's lookahead rows; every chart solution that the step drops violates one.
 
-    The memo of each kept step is compared, at every key, with the step's
-    chart solutions there that pass its loops, filtered by its lookahead
-    rows, in order.
+    The memo of each kept step is compared, at every key, with the chart
+    solutions there that pass its loops, filtered by its lookahead rows,
+    in order.  The chart solutions come from an unkept copy of the step
+    with no lookahead rows.
     """
     memos = dropped = ahead = 0
     for name, rep, e in _arrow_cases():
@@ -751,18 +757,56 @@ def test_memoised_points_are_the_chart_solutions_that_satisfy_the_lookahead_rows
             i = key[0]
             neighbours = tables.neighbours[i]
             ahead += bool(step.lookahead)
+            bare = tables._assemble(i, _key_pivots(tables, key), ())
             for coordinates, points in step.points.items():
                 values = [()] * len(tables.blocks)
                 for k, y in zip(neighbours, coordinates if len(neighbours) > 1 else [coordinates]):
                     values[k] = y
                 assert step.coordinates(values) == coordinates
-                solutions = [x for x in oracle._chart_solutions(step, values, q) if oracle._loops_hold(step, x, q)]
+                solutions = [x for x in oracle._chart_solutions(bare, values, q) if oracle._loops_hold(step, x, q)]
                 kept = [x for x, _ in points]
                 assert all(_lookahead_holds(step, x, q) for x in kept), (name, key, coordinates)
                 assert kept == [x for x in solutions if _lookahead_holds(step, x, q)], (name, key, coordinates)
                 memos += 1
                 dropped += len(solutions) - len(kept)
     assert memos > 0 and ahead > 0 and dropped > 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_every_pure_row_is_a_lookahead_row_at_the_earlier_end(q):
+    """Each pure row of a reached arrow is a lookahead row of every step the search built at its earlier end.
+
+    The later end does not read its pure rows, so the search stays exact
+    only because the earlier end's points all satisfy them.  No step
+    keeps a row without coefficients.
+    """
+    pure_rows = 0
+    for name, rep, e in _arrow_cases():
+        tables = _Tables(rep)
+        lookups = []
+        _record_step_lookups(tables, lookups)
+        for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
+            pivots = cell_pivots(rep, beta)
+            del lookups[:]
+            list(_cell_points(rep, pivots, q, tables))
+            for i, _, step in lookups:
+                assert all(coefficients for _, _, coefficients in step.rows), (name, beta.key(), i)
+                for k, (s, t, _) in enumerate(tables.arrows):
+                    if s != t and min(s, t) == i:
+                        pure, _ = tables._compiled[k, pivots[s], pivots[t]]  # reached when step i was
+                        assert set(pure) <= set(step.lookahead), (name, beta.key(), k)
+                        pure_rows += len(pure)
+    assert pure_rows > 0
+
+
+def _key_pivots(tables, key):
+    """Pivot tuples at the step of a kept step's key and at its earlier neighbours, and () elsewhere."""
+    i = key[0]
+    pivots = [()] * len(tables.blocks)
+    pivots[i] = key[1]
+    for k, tuple_k in zip(tables.neighbours[i], key[2:]):
+        pivots[k] = tuple_k
+    return pivots
 
 
 def _values_at(tables, i, ys):
@@ -780,8 +824,9 @@ def test_a_step_reads_nothing_but_its_read_coordinates(q):
     The read-keyed memos rest on this.  Each kept step is checked at every
     key its search reached and at two random points of its neighbours'
     charts, against the same values with every coordinate that the step
-    does not read moved to another residue.  Both sides are solved on an
-    unkept copy of the step, so no memo answers.
+    does not read moved to another residue.  Both sides are solved on
+    unkept copies of the step, with and without its lookahead rows, so no
+    memo answers.
     """
     rng = random.Random(q)
     checked = moved = lasts = 0
@@ -794,11 +839,8 @@ def test_a_step_reads_nothing_but_its_read_coordinates(q):
         for key, step in tables._steps.items():
             i = key[0]
             neighbours = tables.neighbours[i]
-            pivots = [()] * len(tables.blocks)
-            pivots[i] = key[1]
-            for k, tuple_k in zip(neighbours, key[2:]):
-                pivots[k] = tuple_k
-            bare = tables._assemble(i, pivots, step.lookahead)
+            pivots = _key_pivots(tables, key)
+            bare, unfiltered = (tables._assemble(i, pivots, rows) for rows in (step.lookahead, ()))
             sizes = [tables.chart(k, pivots[k]).nfree for k in neighbours]
             keys = chain(step.points, step.counts or ())
             reached = [_values_at(tables, i, c if len(neighbours) > 1 else [c]) for c in keys]
@@ -814,9 +856,10 @@ def test_a_step_reads_nothing_but_its_read_coordinates(q):
                             moved += 1
                 other = [tuple(y) for y in other]
                 assert oracle._read_values(step, other) == oracle._read_values(step, values)
-                for solve in (lambda v: list(oracle._chart_solutions(bare, v, q, True)),
-                              lambda v: list(oracle._chart_solutions(bare, v, q))):
-                    assert solve(other) == solve(values), (name, key, values, other)
+                for copy in (bare, unfiltered):
+                    assert list(oracle._chart_solutions(copy, other, q)) == list(
+                        oracle._chart_solutions(copy, values, q)
+                    ), (name, key, values, other)
                 if step.counts is not None:
                     assert oracle._last_count(tables, bare, other, q) == oracle._last_count(tables, bare, values, q)
                     lasts += 1
@@ -902,7 +945,7 @@ def test_a_table_that_counted_lists_the_same_points_and_the_other_way_round():
         counts = [len(points) for points in fresh]
         tables = _Tables(rep)
         assert [sum(_cell_points(rep, cell_pivots(rep, beta), q, tables, _counting=True)) for beta in cells] == counts, name
-        stored += sum(map(len, tables._counts.values()))
+        stored += sum(map(len, _memos(tables, "counts")))
         for beta, points in zip(cells, fresh):
             listed = list(_cell_points(rep, cell_pivots(rep, beta), q, tables))
             assert all(type(point) is dict for point in listed) and listed == points, (name, beta.key())
