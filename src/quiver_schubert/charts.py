@@ -26,10 +26,15 @@ class Chart:
     numbered column by column, top to bottom: `column_free[j]` lists the
     (row, var) pairs of column j, `row_free[k]` the (column, var) pairs of
     row nonpivot_rows[k], and `entries` the row-major matrix as indices
-    into x + (0, 1).  `point` keeps each point once per chart; `build`
-    makes a fresh one.  `point_bytes` bounds the memory of one stored
-    point: the pair, x, the matrix and its rows, x's ints (28 bytes each
-    below 2**30), one memo slot and one intern dict entry.
+    into x + (0, 1).  `point` keeps each point once per chart, and
+    `points` each list of them; `build` makes a fresh one.  The oracle's
+    step memos hold bare x, and only a listing asks `points` for the
+    matrices of a memoised list, so the chart keeps no point and no list
+    that no memo holds.  `point_bytes` is what a memo is charged per
+    stored x.  It bounds the memory of the x with what a listing may
+    intern for it: x, its ints (28 bytes each below 2**30) and its memo
+    slot, then the pair, the matrix and its rows, one intern dict entry
+    and its slot in the interned list.
     """
 
     def __init__(self, block: Sequence[str], pivots: Sequence[str]):
@@ -54,6 +59,7 @@ class Chart:
             for j, p in enumerate(self.pivot_rows)
         ]
         self._points: dict[Vector, tuple[Vector, Matrix]] = {}
+        self._lists: dict[tuple, tuple] = {}
         rows = self.nrows * (_TUPLE_BYTES + 8 + 8 * len(self.pivot_rows))
         self.point_bytes = 3 * _TUPLE_BYTES + 16 + 36 * self.nfree + rows + 8 + 100
 
@@ -66,10 +72,21 @@ class Chart:
         return x, ((),) * self.nrows
 
     def point(self, x: Vector) -> tuple[Vector, Matrix]:
-        """`build(x)`, built on first use and shared after."""
+        """`build(x)`, built on first use and shared after; the oracle asks only for memoised x."""
         found = self._points.get(x)
         if found is None:
             found = self._points[x] = self.build(x)
+        return found
+
+    def points(self, xs: tuple[Vector, ...]) -> tuple[tuple[Vector, Matrix], ...]:
+        """`point(x)` for each x of a list, as one tuple built on first use and shared after.
+
+        Keyed by the list itself, so a listing that meets a memoised list
+        again takes its pairs with one lookup, not one per point.
+        """
+        found = self._lists.get(xs)
+        if found is None:
+            found = self._lists[xs] = tuple(map(self.point, xs))
         return found
 
     def images(self, columns: Sequence[Vector]) -> list:

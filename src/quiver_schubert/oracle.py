@@ -3,9 +3,9 @@
 Subrepresentations are enumerated chart by chart: one echelon chart per
 pivot-set combination, so per-cell counting is a byproduct of the
 partition rather than a post-hoc filter.  A cell reaches the search as
-its pivot tuple at each vertex: `count` takes them, with the key, from
-`schubert.cell_plan` and builds no `CellIndex`, while `cell_count` and
-`enumerate_subreps` group a `CellIndex` by vertex with `cell_pivots`.
+its pivot tuple at each vertex: `count` and `enumerate_subreps` take
+them from `schubert.cell_plan`, in the order of `enumerate_cells`, and
+`cell_count` groups a `CellIndex` by vertex with `cell_pivots`.
 
 A cell is searched vertex by vertex in quiver order.  The step of a
 vertex holds its chart, the arrows to and from vertices placed earlier
@@ -43,20 +43,23 @@ coordinates, which one C call builds and most lookups hit, and, read on
 a miss, by the coordinates its rows read (see `_Step`).  Cells that
 agree there get the same list in the same order, and every cell of the
 call solves each distinct system once.
-Each point is kept once per chart with its echelon matrix.  The memos of
-one prime take at most about `_MEMO_BYTES` and are emptied at the next;
-a step whose points would not fit streams them as a search without memos
-would, so memory stays bounded whatever the point count.  The last step
+A memo holds each point as its bare chart coordinates; only a listing
+gives a point its echelon matrix, interned by the chart for a memoised
+list and built afresh for a streamed one.  The memos of one prime take
+at most about `_MEMO_BYTES` and are emptied at the next; a step whose
+points would not fit streams them as a search without memos would, so
+memory stays bounded whatever the point count.  The last step
 streams too when every earlier step is its neighbour, as its key then
 fixes the whole cell and the point before it.  Points come out in the
 same order as a plain recursion over the vertices would give, each chart
 in `iter_solutions_mod` order.  `enumerate_subreps` gets each as a fresh
-dict.  `count` only counts, so it does not list the points of a last
-step without loops: their number is q^(nfree - rank) of the step's
-arrow rows at the placed values, or 0 when those are inconsistent, from
-the forward elimination of `rank_mod`, memoised like a point list.  A
-last step with loops, and every earlier step, is listed as above.
-`count` still gets one item per point, the int 1.
+dict.  `count` only counts, in a walk over the coordinates that builds
+no matrix and no dict (`_cell_total`), and it does not list the points
+of a last step without loops: their number is q^(nfree - rank) of the
+step's arrow rows at the placed values, or 0 when those are
+inconsistent, from the forward elimination of `rank_mod`, memoised like
+a point list.  A last step with loops, and every earlier step, is listed
+as above.
 """
 
 from __future__ import annotations
@@ -180,9 +183,10 @@ class _Step:
     prime depends on the placed values only through those pairs.  The
     memos below live on the step alone; `_Tables.use_prime` empties
     those of every kept step.  `points` is the memo of the step's
-    points (None when the key never recurs), and `coordinates(values)`
-    its key: the earlier neighbours' coordinates, bare when there is one.
-    It is read first, since a C `itemgetter` builds its key.
+    points, a tuple of bare chart coordinates x (None when the key never
+    recurs), and `coordinates(values)` its key: the earlier neighbours'
+    coordinates, bare when there is one.  It is read first, since a C
+    `itemgetter` builds its key.
     `read_points` holds the same lists keyed by the values at `reads`,
     and is read on a miss of `points`; it is None when `reads` holds
     every coordinate, as its key would then tell no more.  A kept last
@@ -279,6 +283,7 @@ class _Tables:
                     memo.clear()
             for chart in self._charts.values():
                 chart._points.clear()
+                chart._lists.clear()
 
     def chart(self, i: int, pivots: tuple[str, ...]) -> Chart:
         key = (i, pivots)
@@ -473,8 +478,8 @@ def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
     return found
 
 
-def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable:
-    """The step's `(x, matrix)` points at the placed values, memoised by its earlier neighbours' coordinates.
+def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable[Vector]:
+    """The step's points at the placed values, as bare coordinates x, memoised by its earlier neighbours' coordinates.
 
     They are its chart solutions that pass its loops and vanish on its
     lookahead rows, which `iter_solutions_mod` reads with the arrow rows:
@@ -486,9 +491,10 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     On a miss a step with `read_points` looks up the values at its
     `reads` there: the arrow rows read nothing else, so a hit is this
     step's list, and is stored under the full key too while the table
-    has room.  A new list is stored under each key the step has.  A list
-    without a memo, or that does not fit in the table's room, is
-    streamed and not kept.
+    has room.  A new list is stored under each key the step has, as a
+    tuple of the x, charged `chart.point_bytes` each.  A list without a
+    memo, or that does not fit in the table's room, is streamed as an
+    iterator and not kept.
     """
     memo, shared = step.points, step.read_points
     if memo is not None:
@@ -502,19 +508,19 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     solutions = _chart_solutions(step, values, q)
     if step.loops:
         solutions = (x for x in solutions if _loops_hold(step, x, q))
-    chart = step.chart
     if memo is None:
-        return map(chart.build, solutions)
+        return solutions
     entries = _MEMO_ENTRY_BYTES if shared is None else 2 * _MEMO_ENTRY_BYTES
-    fits = max(tables.room - entries, -1) // chart.point_bytes
+    point_bytes = step.chart.point_bytes
+    fits = max(tables.room - entries, -1) // point_bytes
     head = list(islice(solutions, fits + 1))
     if len(head) <= fits:  # all of them
-        tables.room -= entries + len(head) * chart.point_bytes
-        found = memo[coordinates] = tuple(map(chart.point, head))
+        tables.room -= entries + len(head) * point_bytes
+        found = memo[coordinates] = tuple(head)
         if shared is not None:
             shared[reads] = found
         return found
-    return map(chart.build, chain(head, solutions))
+    return chain(head, solutions)
 
 
 def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
@@ -533,39 +539,87 @@ def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
     return True
 
 
+def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
+    """The number of F_q points of one cell: `_cell_points`' search over bare coordinates, with no matrix or dict.
+
+    The last step is counted, not walked: from its `counts` memo on a hit,
+    else by `_last_count`, which lists no point of a loop-free step.
+    """
+    last = len(tables.blocks) - 1
+    if last < 0:
+        return 1
+    tables.use_prime(q)
+    steps: list = [None] * (last + 1)  # this cell's later steps, looked up on arrival
+    values: list = [()] * last
+    first = tables.step(0, pivots)
+    if last == 0:
+        return _last_count(tables, first, values, q)
+    pending: list = [iter(())] * last
+    pending[0] = iter(_step_points(tables, first, values, q))
+    total = 0
+    i = 0
+    while i >= 0:
+        for x in pending[i]:
+            values[i] = x
+            j = i + 1
+            step = steps[j]
+            if step is None:
+                step = steps[j] = tables.step(j, pivots)
+            if j == last:
+                memo = step.counts
+                found = None if memo is None else memo.get(step.coordinates(values))
+                total += _last_count(tables, step, values, q) if found is None else found
+                continue
+            memo = step.points
+            found = None if memo is None else memo.get(step.coordinates(values))
+            pending[j] = iter(_step_points(tables, step, values, q) if found is None else found)
+            i = j
+            break
+        else:
+            i -= 1
+    return total
+
+
+def _with_matrices(chart: Chart, found: Iterable) -> Iterator[tuple[Vector, Matrix]]:
+    """(x, echelon matrix) for each x of a step's points: interned for a memoised list (a tuple), fresh for a stream."""
+    return iter(chart.points(found)) if type(found) is tuple else map(chart.build, found)
+
+
 def _cell_points(
     m: Representation, pivots: Sequence[tuple], q: int, tables: _Tables | None = None, *, _counting: bool = False
 ) -> Iterator[dict[str, Matrix]] | Iterator[int]:
     """All F_q points of one Schubert cell, as per-vertex echelon matrices.
 
     The cell comes as its pivot tuple at each vertex, in quiver order:
-    `count` takes them from `cell_plan`, and a caller that holds a
-    `CellIndex` from `cell_pivots`.  Depth-first over the vertex steps
-    with an explicit stack.  Each step is looked up in `tables` when the
-    search first reaches it, so a cell whose search dies at one step never
-    wires the later ones; as each step lists only points that its later
-    neighbours' pure rows accept, a search dies at the first step such a
-    row refuses.  The points come from the step's memo (see `_Tables`):
-    the cells of one call solve each distinct chart system once, while the
-    memos have room; past that, new lists stream as they are solved.  The
-    last step is walked inside the loop over the step before it: each
+    `count` and `enumerate_subreps` take them from `cell_plan`, and a
+    caller that holds a `CellIndex` from `cell_pivots`.  Depth-first over
+    the vertex steps with an explicit stack.  Each step is looked up in
+    `tables` when the search first reaches it, so a cell whose search dies
+    at one step never wires the later ones; as each step lists only points
+    that its later neighbours' pure rows accept, a search dies at the
+    first step such a row refuses.  The points come from the step's memo
+    (see `_Tables`): the cells of one call solve each distinct chart
+    system once, while the memos have room; past that, new lists stream as
+    they are solved.  Each point x gets its matrix from `_with_matrices`.
+    The last step is walked inside the loop over the step before it: each
     point is a copy of that prefix's dict plus the last vertex.  `tables`,
     built for m, is shared by the cells of one call, one prime at a time:
     a search at another prime empties its points.  Without it the cell
     builds its own.
 
-    `_counting` is for `count` and `cell_count`, which only count: the
-    last step is then counted by `_last_count`, which lists no point of a
-    loop-free step, and builds no dict.  It still yields one item per
-    point, the int 1, so the callers take the sum and the traced benchmark
-    counts the points of a cell by the items this yields.
+    `_counting` is for `count`, which only counts: it yields one item per
+    point, the int 1, of `_cell_total`'s sum, only so that the traced
+    benchmark counts the points of a cell by the items this yields.
     """
+    tables = tables or _Tables(m)
+    if _counting:
+        yield from repeat(1, _cell_total(tables, pivots, q))
+        return
     order = m.quiver.vertices
     n = len(order)
     if n == 0:
-        yield 1 if _counting else {}
+        yield {}
         return
-    tables = tables or _Tables(m)
     tables.use_prime(q)
     last = n - 1
     head, name = order[:last], order[last]
@@ -574,13 +628,10 @@ def _cell_points(
     mats: list = [()] * last
     first = tables.step(0, pivots)
     if last == 0:
-        if _counting:
-            yield from repeat(1, _last_count(tables, first, values, q))
-        else:
-            yield from ({name: mat} for _, mat in _step_points(tables, first, values, q))
+        yield from ({name: mat} for _, mat in _with_matrices(first.chart, _step_points(tables, first, values, q)))
         return
     pending: list = [iter(())] * last
-    pending[0] = iter(_step_points(tables, first, values, q))
+    pending[0] = _with_matrices(first.chart, _step_points(tables, first, values, q))
     i = 0
     while i >= 0:
         for x, mat in pending[i]:
@@ -590,25 +641,22 @@ def _cell_points(
             step = steps[j]
             if step is None:
                 step = steps[j] = tables.step(j, pivots)
-            if _counting and j == last:
-                memo = step.counts
-                found = None if memo is None else memo.get(step.coordinates(values))
-                yield from repeat(1, _last_count(tables, step, values, q) if found is None else found)
-                continue
             memo = step.points
             found = None if memo is None else memo.get(step.coordinates(values))
             if found is None:
                 found = _step_points(tables, step, values, q)
+            if not found:  # a stored list may be empty; a stream is always true
+                continue
+            found = _with_matrices(step.chart, found)
             if j < last:
-                pending[j] = iter(found)
+                pending[j] = found
                 i = j
                 break
-            if found:  # a stored list may be empty; a stream is always true
-                base = dict(zip(head, mats))
-                for _, end in found:
-                    point = base.copy()
-                    point[name] = end
-                    yield point
+            base = dict(zip(head, mats))
+            for _, end in found:
+                point = base.copy()
+                point[name] = end
+                yield point
         else:
             i -= 1
 
@@ -621,8 +669,9 @@ def cell_pivots(m: Representation, beta: CellIndex) -> tuple[tuple[str, ...], ..
 
 
 def cell_count(m: Representation, beta: CellIndex, q: int) -> int:
+    """The number of F_q points of the cell beta, by `_cell_total` over bare coordinates, with no matrix built."""
     require_prime(q)
-    return sum(_cell_points(m, cell_pivots(m, beta), q, _counting=True))
+    return _cell_total(_Tables(m), cell_pivots(m, beta), q)
 
 
 def enumerate_subreps(
@@ -639,8 +688,9 @@ def enumerate_subreps(
     require_prime(q)
     _check_budget(m, e, q, budget)
     tables = _Tables(m)
-    for beta in enumerate_cells(m.basis, e, m.quiver.vertices):
-        for subspaces in _cell_points(m, cell_pivots(m, beta), q, tables):
+    vertices = m.quiver.vertices
+    for beta, (_, pivots) in zip(enumerate_cells(m.basis, e, vertices), cell_plan(m.basis, e, vertices)):
+        for subspaces in _cell_points(m, pivots, q, tables):
             yield SubrepPoint(q, subspaces, beta)
 
 

@@ -764,7 +764,7 @@ def test_memoised_points_are_the_chart_solutions_that_satisfy_the_lookahead_rows
                     values[k] = y
                 assert step.coordinates(values) == coordinates
                 solutions = [x for x in oracle._chart_solutions(bare, values, q) if oracle._loops_hold(step, x, q)]
-                kept = [x for x, _ in points]
+                kept = list(points)
                 assert all(_lookahead_holds(step, x, q) for x in kept), (name, key, coordinates)
                 assert kept == [x for x in solutions if _lookahead_holds(step, x, q)], (name, key, coordinates)
                 memos += 1
@@ -951,3 +951,71 @@ def test_a_table_that_counted_lists_the_same_points_and_the_other_way_round():
             assert all(type(point) is dict for point in listed) and listed == points, (name, beta.key())
         assert [sum(_cell_points(rep, cell_pivots(rep, beta), q, tables, _counting=True)) for beta in cells] == counts, name
     assert stored > 0  # some counts were memoised before the listings ran
+
+
+def test_the_count_path_builds_no_matrix(monkeypatch):
+    """count reads bare chart coordinates: with Chart.build and Chart.point raising, every total stays the same.
+
+    Each case runs with the default memo room and with none, so memoised
+    lists and streams are both counted.  The random cycles' totals are
+    tallied first by enumerate_subreps, which builds matrices.
+    """
+    cases = [("degenerate_flag(3)", (2, 3, 5), [531, 3340, 42066]), ("one_loop(4,1)", (11,), [1]),
+             ("kronecker_preinjective(4)", (2, 3, 5), [3, 4, 6])]
+    cases = [(catalog(spec).representation, catalog(spec).dim_vector, primes, totals) for spec, primes, totals in cases]
+    for seed in range(40):
+        rep, e = random_branching_cycle(seed)
+        cases.append((rep, e, (2,), [sum(_listed_per_cell(rep, e, 2).values())]))
+
+    def refused(self, x):
+        raise AssertionError("the count path built a matrix")
+
+    monkeypatch.setattr(oracle.Chart, "build", refused)
+    monkeypatch.setattr(oracle.Chart, "point", refused)
+    for budget in (oracle._MEMO_BYTES, 0):
+        monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
+        for rep, e, primes, totals in cases:
+            assert [r.total for r in count(rep, e, primes=primes)] == totals, (budget, primes)
+    assert any(totals[0] for *_, totals in cases[3:])
+
+
+def test_a_listing_interns_only_memoised_points(monkeypatch):
+    """enumerate_subreps interns a matrix only for a point that a step memo holds.
+
+    With no memo room every list streams and no chart keeps a point or a
+    list.  With the default room each chart keeps only coordinates that
+    appear in a memo list of a step on that chart, and only such lists.
+    """
+    built = []
+
+    class RecordedTables(_Tables):
+        def __init__(self, m):
+            super().__init__(m)
+            built.append(self)
+
+    monkeypatch.setattr(oracle, "_Tables", RecordedTables)
+    cases = [(*random_branching_cycle(seed), 2) for seed in range(10)]
+    for spec in ("degenerate_flag(3)", "ex_4_5_5"):
+        entry = catalog(spec)
+        cases.append((entry.representation, entry.dim_vector, 3))
+    interned = 0
+    for budget in (0, oracle._MEMO_BYTES):
+        monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
+        for rep, e, q in cases:
+            del built[:]
+            for _ in enumerate_subreps(rep, e, q):
+                pass
+            (tables,) = built
+            memoised = {}  # chart -> (its memo lists, the points in them)
+            for step in tables._steps.values():
+                lists, held = memoised.setdefault(id(step.chart), (set(), set()))
+                for memo in filter(None, (step.points, step.read_points)):
+                    lists.update(memo.values())
+                    held.update(chain.from_iterable(memo.values()))
+            for chart in tables._charts.values():
+                lists, held = memoised.get(id(chart), (set(), set()))
+                assert set(chart._points) <= held and set(chart._lists) <= lists
+                if budget == 0:
+                    assert not chart._points and not chart._lists
+                interned += len(chart._points)
+    assert interned > 0
