@@ -31,10 +31,12 @@ class Chart:
     step memos hold bare x, and only a listing asks `points` for the
     matrices of a memoised list, so the chart keeps no point and no list
     that no memo holds.  `point_bytes` is what a memo is charged per
-    stored x.  It bounds the memory of the x with what a listing may
-    intern for it: x, its ints (28 bytes each below 2**30) and its memo
-    slot, then the pair, the matrix and its rows, one intern dict entry
-    and its slot in the interned list.
+    stored x: x, its ints (32 bytes each as CPython allocates one below
+    2**30, none below 257) and its slot in the memo's tuple.
+    `matrix_bytes` is what a listing is charged per x of a list it has
+    `points` intern: the pair, the matrix and its rows, one intern dict
+    entry and its slot in the interned list.  A count interns nothing, so
+    its memos pay `point_bytes` alone.
     """
 
     def __init__(self, block: Sequence[str], pivots: Sequence[str]):
@@ -60,8 +62,9 @@ class Chart:
         ]
         self._points: dict[Vector, tuple[Vector, Matrix]] = {}
         self._lists: dict[tuple, tuple] = {}
+        self.point_bytes = _TUPLE_BYTES + 40 * self.nfree + 8
         rows = self.nrows * (_TUPLE_BYTES + 8 + 8 * len(self.pivot_rows))
-        self.point_bytes = 3 * _TUPLE_BYTES + 16 + 36 * self.nfree + rows + 8 + 100
+        self.matrix_bytes = 2 * _TUPLE_BYTES + 16 + rows + 8 + 100
 
     def build(self, x: Vector) -> tuple[Vector, Matrix]:
         """(x, echelon matrix at x)."""
@@ -82,7 +85,8 @@ class Chart:
         """`point(x)` for each x of a list, as one tuple built on first use and shared after.
 
         Keyed by the list itself, so a listing that meets a memoised list
-        again takes its pairs with one lookup, not one per point.
+        again takes its pairs with one lookup, not one per point.  The
+        oracle calls it only for a list it has charged `matrix_bytes` per x.
         """
         found = self._lists.get(xs)
         if found is None:

@@ -43,23 +43,29 @@ coordinates, which one C call builds and most lookups hit, and, read on
 a miss, by the coordinates its rows read (see `_Step`).  Cells that
 agree there get the same list in the same order, and every cell of the
 call solves each distinct system once.
-A memo holds each point as its bare chart coordinates; only a listing
-gives a point its echelon matrix, interned by the chart for a memoised
-list and built afresh for a streamed one.  The memos of one prime take
-at most about `_MEMO_BYTES` and are emptied at the next; a step whose
-points would not fit streams them as a search without memos would, so
-memory stays bounded whatever the point count.  The last step
-streams too when every earlier step is its neighbour, as its key then
-fixes the whole cell and the point before it.  Points come out in the
-same order as a plain recursion over the vertices would give, each chart
-in `iter_solutions_mod` order.  `enumerate_subreps` gets each as a fresh
-dict.  `count` only counts, in a walk over the coordinates that builds
-no matrix and no dict (`_cell_total`), and it does not list the points
-of a last step without loops: their number is q^(nfree - rank) of the
-step's arrow rows at the placed values, or 0 when those are
-inconsistent, from the forward elimination of `rank_mod`, memoised like
-a point list.  A last step with loops, and every earlier step, is listed
-as above.
+A memo holds each point as its bare chart coordinates, and is charged
+for no more; only a listing gives a point its echelon matrix, interned
+by the chart for a memoised list, and charged there, while there is
+room, and built afresh for a streamed one or one that does not fit.
+The memos of one prime take at most about `_MEMO_BYTES` and are emptied
+at the next; a step whose points would take more than half the room
+left streams them as a search without memos would, so memory stays
+bounded whatever the point count.
+The last step streams too when every earlier step is its neighbour, as
+its key then fixes the whole cell and the point before it.  Points come
+out in the same order as a plain recursion over the vertices would
+give, each chart in `iter_solutions_mod` order.  `enumerate_subreps`
+gets each as a fresh dict.  `count` only counts, in a walk over the
+coordinates that builds no matrix and no dict (`_cell_total`), and it
+does not list the points of a last step without loops: their number is
+q^(nfree - rank) of the step's arrow rows at the placed values, or 0
+when those are inconsistent, from the forward elimination of
+`rank_mod`, memoised like a point list.  A last step with loops, and
+every earlier step, is listed as above.  The last step's count summed
+over the points of the step before it depends on the placed values
+only through the coordinates that the two steps' rows read, so that
+step keeps the sum under those values, shared by every cell
+(`_tail_total`).
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ from .linalg import mat_vec_mod  # noqa: F401
 DEFAULT_BUDGET = 10**8
 
 # Memory that the step memos of one call may take, charged per entry and
-# per stored point; count(degenerate_flag(4)) at q = 3 is charged 9.4 MiB.
+# per stored point; count(degenerate_flag(4)) at q = 3 is charged 4.2 MiB.
 _MEMO_BYTES = 32 * 2**20
 _MEMO_ENTRY_BYTES = 200  # key, dict slot and tuple header
 
@@ -193,12 +199,14 @@ class _Step:
     step also has `counts` and `read_counts`, the memos of its number of
     points under the same two keys, which `count` fills when the step has
     no loops; the point and count memos never mix, so a listing never
-    reads a count.
+    reads a count.  A kept step just before the last has `tails`, made on
+    first use: for each kept last step after it, the memo of the last
+    step's count summed over this step's points (`_tail_total`).
     """
 
     __slots__ = (
         "chart", "rows", "loops", "lookahead", "coordinates", "reads",
-        "points", "counts", "read_points", "read_counts",
+        "points", "counts", "read_points", "read_counts", "tails",
     )
 
     def __init__(self, chart: Chart, neighbours: tuple[int, ...], lookahead: tuple):
@@ -212,6 +220,7 @@ class _Step:
         self.counts: dict | None = None
         self.read_points: dict | None = None
         self.read_counts: dict | None = None
+        self.tails: dict | None = None
 
 
 def _no_coordinates(values: list) -> tuple:
@@ -239,8 +248,11 @@ class _Tables:
     `use_prime` empties those of every step in `_steps`.  A key that
     fixes the whole cell gets a step with no memo, assembled afresh at
     each lookup and not kept.  `room` is what is left of `_MEMO_BYTES` at
-    `prime`, for all the memos of all the steps: each entry is charged
-    `_MEMO_ENTRY_BYTES` and each solved list its points once.
+    `prime`, for all the memos of all the steps and the lists the charts
+    intern for them: each memo entry, tail sums included, is charged
+    `_MEMO_ENTRY_BYTES`, each solved list `chart.point_bytes` per point
+    once, and each list that a listing interns `_MEMO_ENTRY_BYTES` and
+    `chart.matrix_bytes` per point (`_with_matrices`).
     """
 
     def __init__(self, m: Representation):
@@ -280,6 +292,8 @@ class _Tables:
             self.prime, self.room = q, _MEMO_BYTES
             for step in self._steps.values():
                 for memo in filter(None, (step.points, step.counts, step.read_points, step.read_counts)):
+                    memo.clear()
+                for _, memo in (step.tails or {}).values():
                     memo.clear()
             for chart in self._charts.values():
                 chart._points.clear()
@@ -492,9 +506,11 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     `reads` there: the arrow rows read nothing else, so a hit is this
     step's list, and is stored under the full key too while the table
     has room.  A new list is stored under each key the step has, as a
-    tuple of the x, charged `chart.point_bytes` each.  A list without a
-    memo, or that does not fit in the table's room, is streamed as an
-    iterator and not kept.
+    tuple of the x, charged `chart.point_bytes` each, when it takes at
+    most half the table's room: one long list, solved again when it
+    recurs, must not crowd out the many small entries, counts and tail
+    sums, that later cells read.  A list without a memo, or that does not
+    fit, is streamed as an iterator and not kept.
     """
     memo, shared = step.points, step.read_points
     if memo is not None:
@@ -512,7 +528,7 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
         return solutions
     entries = _MEMO_ENTRY_BYTES if shared is None else 2 * _MEMO_ENTRY_BYTES
     point_bytes = step.chart.point_bytes
-    fits = max(tables.room - entries, -1) // point_bytes
+    fits = max(tables.room // 2 - entries, -1) // point_bytes
     head = list(islice(solutions, fits + 1))
     if len(head) <= fits:  # all of them
         tables.room -= entries + len(head) * point_bytes
@@ -542,8 +558,11 @@ def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
 def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
     """The number of F_q points of one cell: `_cell_points`' search over bare coordinates, with no matrix or dict.
 
-    The last step is counted, not walked: from its `counts` memo on a hit,
-    else by `_last_count`, which lists no point of a loop-free step.
+    The search walks the steps before the one before the last.  At each
+    arrival there, the last step's count summed over the points of the
+    step before it is read from the cell's tail memo, filled by this cell
+    or another, and else found by `_tail_total`; an arrival where the
+    step's memo holds no point adds nothing.
     """
     last = len(tables.blocks) - 1
     if last < 0:
@@ -551,12 +570,16 @@ def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
     tables.use_prime(q)
     steps: list = [None] * (last + 1)  # this cell's later steps, looked up on arrival
     values: list = [()] * last
-    first = tables.step(0, pivots)
+    first = steps[0] = tables.step(0, pivots)
     if last == 0:
         return _last_count(tables, first, values, q)
-    pending: list = [iter(())] * last
+    before = last - 1
+    if before == 0:
+        return _tail_total(tables, steps, pivots, None, values, q)[0]
+    pending: list = [iter(())] * before
     pending[0] = iter(_step_points(tables, first, values, q))
     total = 0
+    tail = None  # (separator, memo) of this cell's two last steps, once the last is wired, if both are kept
     i = 0
     while i >= 0:
         for x in pending[i]:
@@ -565,10 +588,18 @@ def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
             step = steps[j]
             if step is None:
                 step = steps[j] = tables.step(j, pivots)
-            if j == last:
-                memo = step.counts
+            if j == before:
+                if tail is not None:
+                    found = tail[1].get(tuple([values[k][u] for k, u in tail[0]]))
+                    if found is not None:
+                        total += found
+                        continue
+                memo = step.points
                 found = None if memo is None else memo.get(step.coordinates(values))
-                total += _last_count(tables, step, values, q) if found is None else found
+                if found == ():
+                    continue
+                found, tail = _tail_total(tables, steps, pivots, found, values, q)
+                total += found
                 continue
             memo = step.points
             found = None if memo is None else memo.get(step.coordinates(values))
@@ -580,9 +611,83 @@ def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
     return total
 
 
-def _with_matrices(chart: Chart, found: Iterable) -> Iterator[tuple[Vector, Matrix]]:
-    """(x, echelon matrix) for each x of a step's points: interned for a memoised list (a tuple), fresh for a stream."""
-    return iter(chart.points(found)) if type(found) is tuple else map(chart.build, found)
+def _tail_total(
+    tables: _Tables, steps: list, pivots: Sequence[tuple], points: tuple | None, values: list, q: int
+) -> tuple[int, tuple | None]:
+    """The last step's count summed over the points of the step before it, and the cell's tail memo.
+
+    `steps` holds the cell's steps up to the one before the last, and the
+    last once a point of the one before has wired it.  `points` are that
+    step's points when the caller found them in its memo, else None.
+    When both steps are kept, the one before the last has a tail memo for
+    this last step in `tails`, (separator, memo), made once per pair of
+    steps: the separator holds the pairs of its own `reads` and those of
+    the last step's `reads` below it.  Each step's result depends on the
+    placed values only through its `reads`, so the sum depends on them
+    only through the separator, and the memo keeps it under the values
+    there.  On a miss, or with no memo, a plain loop adds the last step's
+    count at each point, from `counts` or `_last_count`, and a memo
+    stores the sum while the table has room, charged `_MEMO_ENTRY_BYTES`.
+    The memo is returned for the cell's later arrivals: None while the
+    last step is not wired, or when either step is not kept.
+    """
+    before, last = steps[-2], steps[-1]
+    if points is None:
+        points = _step_points(tables, before, values, q)
+    if last is None:  # wired only once the step before it has a point
+        if type(points) is not tuple:
+            points = iter(points)
+            head = next(points, None)
+            if head is None:
+                return 0, None
+            points = chain((head,), points)
+        elif not points:
+            return 0, None
+        last = steps[-1] = tables.step(len(values), pivots)
+    i = len(values) - 1
+    tail = None
+    if before.points is not None and last.points is not None:
+        if before.tails is None:
+            before.tails = {}
+        tail = before.tails.get(last)
+        if tail is None:
+            separator = tuple(sorted({*before.reads, *[(k, u) for k, u in last.reads if k < i]}))
+            tail = before.tails[last] = (separator, {})
+        separator, memo = tail
+        key = tuple([values[k][u] for k, u in separator])
+        found = memo.get(key)
+        if found is not None:
+            return found, tail
+    counts, coordinates = last.counts, last.coordinates
+    total = 0
+    for x in points:
+        values[i] = x
+        found = None if counts is None else counts.get(coordinates(values))
+        total += _last_count(tables, last, values, q) if found is None else found
+    if tail is not None and tables.room >= _MEMO_ENTRY_BYTES:
+        tables.room -= _MEMO_ENTRY_BYTES
+        memo[key] = total
+    return total, tail
+
+
+def _with_matrices(tables: _Tables, chart: Chart, found: Iterable) -> Iterator[tuple[Vector, Matrix]]:
+    """(x, echelon matrix) for each x of a step's points.
+
+    A memoised list (a tuple) has its pairs interned by the chart
+    (`Chart.points`), once per chart and list: the first time, while the
+    table has room for `_MEMO_ENTRY_BYTES` and `chart.matrix_bytes` per x,
+    which it is charged.  A stream, or a list that does not fit, gets
+    fresh pairs from `Chart.build`.
+    """
+    if type(found) is tuple:
+        interned = chart._lists.get(found)
+        if interned is not None:
+            return iter(interned)
+        cost = _MEMO_ENTRY_BYTES + len(found) * chart.matrix_bytes
+        if tables.room >= cost:
+            tables.room -= cost
+            return iter(chart.points(found))
+    return map(chart.build, found)
 
 
 def _cell_points(
@@ -627,11 +732,12 @@ def _cell_points(
     values: list = [()] * last
     mats: list = [()] * last
     first = tables.step(0, pivots)
+    listed = _with_matrices(tables, first.chart, _step_points(tables, first, values, q))
     if last == 0:
-        yield from ({name: mat} for _, mat in _with_matrices(first.chart, _step_points(tables, first, values, q)))
+        yield from ({name: mat} for _, mat in listed)
         return
     pending: list = [iter(())] * last
-    pending[0] = _with_matrices(first.chart, _step_points(tables, first, values, q))
+    pending[0] = listed
     i = 0
     while i >= 0:
         for x, mat in pending[i]:
@@ -647,7 +753,7 @@ def _cell_points(
                 found = _step_points(tables, step, values, q)
             if not found:  # a stored list may be empty; a stream is always true
                 continue
-            found = _with_matrices(step.chart, found)
+            found = _with_matrices(tables, step.chart, found)
             if j < last:
                 pending[j] = found
                 i = j

@@ -41,6 +41,12 @@ def dellac_betti(n: int) -> list[int]:
 def test_dellac_betti_numbers_are_the_known_ones():
     assert dellac_betti(3) == [1, 3, 7, 10, 10, 6, 1]
     assert sum(dellac_betti(4)) == 295  # a normalised median Genocchi number
+    assert dellac_betti(5) == [1, 5, 18, 47, 103, 189, 301, 414, 495, 508, 441, 315, 175, 70, 15, 1]
+    assert sum(dellac_betti(5)) == 3098
+    assert dellac_betti(6) == [
+        1, 6, 25, 77, 199, 440, 863, 1511, 2395, 3438, 4492, 5320, 5705, 5488, 4699, 3516, 2254, 1190, 490, 140, 21, 1
+    ]
+    assert sum(dellac_betti(6)) == 42271
 
 
 def test_poincare_polynomial_of_degenerate_flags_equals_the_dellac_betti_numbers():
@@ -52,7 +58,14 @@ def test_poincare_polynomial_of_degenerate_flags_equals_the_dellac_betti_numbers
 
 
 def test_count_of_degenerate_flag_3_at_13_is_the_dellac_sum():
-    """Sum of b_d 13^d = 7,363,370: a count past the default memo room, whose steps stream."""
+    """Sum of b_d 13^d = 7,363,370: a count whose memos, charged for bare coordinates, fit the default room."""
     entry = catalog("degenerate_flag(3)")
     (report,) = count(entry.representation, entry.dim_vector, primes=(13,), budget=10**12)
     assert report.total == sum(b * 13**d for d, b in enumerate(dellac_betti(3))) == 7363370
+
+
+def test_count_of_degenerate_flag_5_at_2_is_the_dellac_sum():
+    """Sum of b_d 2^d = 3,132,699: a five-step flag, whose steps before the last keep tail sums across its cells."""
+    entry = catalog("degenerate_flag(5)")
+    (report,) = count(entry.representation, entry.dim_vector, primes=(2,), budget=10**13)
+    assert report.total == sum(b * 2**d for d, b in enumerate(dellac_betti(5))) == 3132699

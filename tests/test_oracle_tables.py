@@ -17,6 +17,7 @@ import pytest
 
 from quiver_schubert import linalg, oracle
 from quiver_schubert.catalog import catalog
+from quiver_schubert.charts import _TUPLE_BYTES, Chart
 from quiver_schubert.linalg import column_echelon_max_pivot, mat_vec_mod
 from quiver_schubert.oracle import _cell_points, _Tables, cell_count, cell_pivots, count, enumerate_subreps
 from quiver_schubert.quiver import full_subquiver, quiver
@@ -120,10 +121,14 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     systems, 180 calls of solve_mod and 71 of rank_mod.  Each solve or
     rank is one entry of a read-keyed memo, or of the full one at a step
     whose rows read every coordinate, and a full-coordinate tuple that
-    meets an equal read tuple takes the same result without a call.
+    meets an equal read tuple takes the same result without a call.  The
+    step before the last keeps the last step's count summed over its
+    points, 343 sums, under the values both steps' rows read before it;
+    an arrival that finds its sum looks up neither step, so the full-key
+    point entries went from 1,455 to 1,092, with the same solves.
     """
     calls = {"_chart_solutions": 0, "solve_mod": 0, "rank_mod": 0}
-    built = []
+    built = _record_tables(monkeypatch)
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -134,15 +139,9 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    class RecordedTables(_Tables):
-        def __init__(self, m):
-            super().__init__(m)
-            built.append(self)
-
     counted(oracle, "_chart_solutions")
     counted(linalg, "solve_mod")
     counted(oracle, "rank_mod")
-    monkeypatch.setattr(oracle, "_Tables", RecordedTables)
     entry = catalog("degenerate_flag(4)")
     (report,) = count(entry.representation, entry.dim_vector, primes=(2,))
     assert report.total == 26961
@@ -150,17 +149,35 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     assert calls["_chart_solutions"] == sum(len(memo) for _, memo in _solved(tables, "points"))
     assert calls["rank_mod"] == sum(len(memo) for _, memo in _solved(tables, "counts"))
     assert any(_memos(tables, "read_points")) and any(_memos(tables, "read_counts"))
-    assert sum(map(len, _memos(tables, "points"))) == 1455 and sum(map(len, _memos(tables, "counts"))) == 345
+    assert sum(map(len, _memos(tables, "points"))) == 1092 and sum(map(len, _memos(tables, "counts"))) == 345
+    assert sum(map(len, _memos(tables, "tails"))) == 343
     assert calls == {"_chart_solutions": 514, "solve_mod": 180, "rank_mod": 71}
 
 
+def _record_tables(monkeypatch):
+    """A list to which every `_Tables` that the oracle builds from now on appends itself."""
+    built = []
+
+    class RecordedTables(_Tables):
+        def __init__(self, m):
+            super().__init__(m)
+            built.append(self)
+
+    monkeypatch.setattr(oracle, "_Tables", RecordedTables)
+    return built
+
+
 def _memos(tables, *names):
-    """The memos `names` of each kept step that has them; by default all four, by full and by read coordinates."""
+    """The memos `names` of each kept step that has them; by default all: by full and by read coordinates, and tails.
+
+    "tails" names the tail memos of a step before the last, one per kept last step after it.
+    """
     for step in tables._steps.values():
-        for name in names or ("points", "counts", "read_points", "read_counts"):
-            memo = getattr(step, name)
-            if memo is not None:
-                yield memo
+        for name in names or ("points", "counts", "read_points", "read_counts", "tails"):
+            if name == "tails":
+                yield from (memo for _, memo in (step.tails or {}).values())
+            elif getattr(step, name) is not None:
+                yield getattr(step, name)
 
 
 def _solved(tables, name):
@@ -174,10 +191,18 @@ def _solved(tables, name):
 
 
 def _charged(tables):
-    """The room that the memos of tables hold: one entry per key of each memo, and each solved list's points once."""
+    """The room that the memos of tables hold, and the lists the charts intern for them.
+
+    One entry per key of each memo, tail memos included, each solved
+    list's points once, and one entry and the matrices of its points for
+    each interned list.
+    """
     entries = sum(map(len, _memos(tables))) * oracle._MEMO_ENTRY_BYTES
     solved = _solved(tables, "points")
-    return entries + sum(step.chart.point_bytes * len(found) for step, memo in solved for found in memo.values())
+    points = sum(step.chart.point_bytes * len(found) for step, memo in solved for found in memo.values())
+    charts = tables._charts.values()
+    interned = sum(oracle._MEMO_ENTRY_BYTES + chart.matrix_bytes * len(xs) for chart in charts for xs in chart._lists)
+    return entries + points + interned
 
 
 def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
@@ -212,15 +237,20 @@ def test_each_cell_counts_as_many_points_as_it_streams(monkeypatch):
     a loop.  With no memo room every list streams, with a little some are
     kept, and with the default room all of them.  With 500 bytes one count
     fits under both its keys, and a later key that shares its read tuple
-    takes it without storing it again.
+    takes it without storing it again.  At every budget the count's table
+    is charged exactly what its memos hold, tail sums included; with 3,000
+    bytes and more, some steps before the last keep tail sums.
     """
+    built = _record_tables(monkeypatch)
     cases = [(f"seed {seed}", *random_branching_cycle(seed), 2) for seed in range(10)]
     for spec, q in (("one_vertex(3)", 2), ("kronecker_preinjective(4)", 3), ("one_loop(4,1)", 5),
                     ("degenerate_flag(3)", 3)):
         entry = catalog(spec)
         cases.append((spec, entry.representation, entry.dim_vector, q))
+    tails = {}
     for budget in (0, 500, 3000, oracle._MEMO_BYTES):
         monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
+        tails[budget] = 0
         for name, rep, e, q in cases:
             streamed = {beta.key(): 0 for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices)}
             for point in enumerate_subreps(rep, e, q):
@@ -228,6 +258,10 @@ def test_each_cell_counts_as_many_points_as_it_streams(monkeypatch):
             (report,) = count(rep, e, primes=(q,))
             assert report.per_cell == streamed, (name, budget)
             assert report.total > 0, (name, budget)
+            tables = built[-1]
+            assert 0 <= tables.room == budget - _charged(tables), (name, budget)
+            tails[budget] += sum(map(len, _memos(tables, "tails")))
+    assert tails[0] == 0 and tails[3000] and tails[oracle._MEMO_BYTES], tails
 
 
 def _unlinked(rank: int, e: int):
@@ -251,7 +285,7 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
 
     Gr_3(F_3^6) has 33,880 points.  one_vertex(6) has one step per cell,
     whose list never recurs, so nothing is kept.  Two unlinked vertices
-    keep their step lists: about 11 MB of them under the default budget,
+    keep their step lists: charged 12.8 MB under the default budget,
     which they fit in, and a peak under 2 MiB with a budget of 1 MiB.
     """
     entry = catalog("one_vertex(6)")
@@ -263,18 +297,21 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
 
     switches = []  # (prime, points kept before the switch, all emptied after it)
     read = []  # read-keyed entries held before each switch
+    tails = []  # tail sums held before each switch
 
     class RecordedTables(_Tables):
         def use_prime(self, q):
             switched, kept = q != self.prime, sum(map(len, _memos(self, "points")))
             held = sum(map(len, _memos(self, "read_points", "read_counts")))
+            summed = sum(map(len, _memos(self, "tails")))
             super().use_prime(q)
             charts = self._charts.values()
             emptied = not any(_memos(self, "points")) and not any(c._points for c in charts)
-            emptied = emptied and not any(_memos(self))
+            emptied = emptied and not any(_memos(self)) and not any(_memos(self, "tails"))
             if switched:
                 switches.append((q, kept, emptied and self.room == oracle._MEMO_BYTES))
                 read.append(held)
+                tails.append(summed)
 
     monkeypatch.setattr(oracle, "_Tables", RecordedTables)
     tracemalloc.start()
@@ -287,12 +324,98 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
     (_, _, first), (q, kept, second) = switches
     assert first and second and q == 3 and kept > 0  # q = 2 filled memos that the switch emptied
 
-    # degenerate_flag(3) has steps whose rows leave coordinates unread: their read-keyed memos are emptied too
-    del switches[:], read[:]
+    # degenerate_flag(3) has steps whose rows leave coordinates unread, and three steps:
+    # their read-keyed memos and the tail sums of its middle steps are emptied too
+    del switches[:], read[:], tails[:]
     entry = catalog("degenerate_flag(3)")
     reports = count(entry.representation, entry.dim_vector, primes=(2, 3, 5))
     assert [r.total for r in reports] == [531, 3340, 42066]
     assert [emptied for _, _, emptied in switches] == [True] * 3 and read[0] == 0 and all(read[1:])
+    assert tails[0] == 0 and all(tails[1:])
+
+
+def test_a_last_step_that_is_not_kept_gets_no_tail_memo(monkeypatch):
+    """A tail memo needs both last steps kept: none on the Kronecker quiver, each under () for two unlinked vertices.
+
+    The last step of kronecker_preinjective(4) has the first step as its
+    neighbour, so its key fixes the whole cell and it is assembled afresh
+    at each lookup.  Two vertices with no arrow keep their last step; its
+    count summed over the first step's points reads no placed value.
+    """
+    built = _record_tables(monkeypatch)
+    entry = catalog("kronecker_preinjective(4)")
+    assert [r.total for r in count(entry.representation, entry.dim_vector, primes=(2, 3, 5))] == [3, 4, 6]
+    (tables,) = built
+    assert tables._unshared == tables._last == 1
+    assert tables._steps and all(step.tails is None for step in tables._steps.values())
+    assert [r.total for r in count(*_unlinked(3, 1), primes=(2, 3))] == [7, 13]
+    tables = built[-1]
+    assert tables._unshared is None
+    assert [list(memo) for memo in _memos(tables, "tails")] == [[()]] * 3  # one first step per cell
+
+
+def test_a_count_at_13_keeps_tail_sums_within_its_memory(monkeypatch):
+    """count(degenerate_flag(3), (13,)) stores tail sums, and its traced peak stays under the memo budget.
+
+    Its memos are charged for bare coordinates, as the count interns no
+    matrix, so the lists of its earlier steps leave room for the tail sums.
+    """
+    built = _record_tables(monkeypatch)
+    entry = catalog("degenerate_flag(3)")
+    tracemalloc.start()
+    try:
+        (report,) = count(entry.representation, entry.dim_vector, primes=(13,), budget=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (tables,) = built
+    assert report.total == 7363370
+    assert sum(map(len, _memos(tables, "tails"))) > 0 and tables.room > 0
+    assert peak < oracle._MEMO_BYTES
+
+
+def test_a_step_list_is_kept_only_in_half_the_room_left():
+    """A new point list is stored only while it takes at most half the room; else it streams and is charged nothing.
+
+    At q = 3 the first step of Gr_2(F^4) with pivots b3, b4 has 81 points.
+    A long list that took all the room would leave none for the counts
+    and tail sums that later cells read.
+    """
+    rep, _ = _unlinked(4, 2)
+    for q, factor, kept in ((3, 1, False), (3, 2, True), (2, 2, True)):
+        tables = _Tables(rep)
+        step = tables.step(0, [("b3", "b4"), ("b5",)])
+        charge = oracle._MEMO_ENTRY_BYTES + q**4 * step.chart.point_bytes
+        tables.room = factor * charge
+        found = oracle._step_points(tables, step, [()], q)
+        assert len(list(found)) == q**4
+        assert (type(found) is tuple) == kept and step.points == ({(): found} if kept else {}), (q, factor)
+        assert tables.room == factor * charge - kept * charge, (q, factor)
+
+
+def test_memo_charges_bound_the_memory_they_stand_for():
+    """A memo list of x costs at most `point_bytes` per x, and interning its matrices at most `matrix_bytes` more.
+
+    Measured with tracemalloc on lists of 500 and 3,000 points with
+    distinct coordinates of at least 1,000, which CPython does not share.
+    """
+    for block, pivots in ((tuple("abcd"), ("a",)), (tuple("abcdef"), tuple("bdf")), (tuple("abcdef"), tuple("def")),
+                          (tuple("abcdefgh"), tuple("efgh"))):
+        chart = Chart(block, pivots)
+        n = chart.nfree
+        for size in (500, 3000):
+            tracemalloc.start()
+            try:
+                xs = tuple(tuple(range(1000 + i * n, 1000 + (i + 1) * n)) for i in range(size))
+                listed = tracemalloc.get_traced_memory()[0]
+                chart.points(xs)
+                interned = tracemalloc.get_traced_memory()[0] - listed
+            finally:
+                tracemalloc.stop()
+            assert listed <= size * chart.point_bytes + _TUPLE_BYTES, (pivots, size)
+            assert interned <= oracle._MEMO_ENTRY_BYTES + size * chart.matrix_bytes, (pivots, size)
+            chart._points.clear()
+            chart._lists.clear()
 
 
 def _vanishing_mod_small_primes():
@@ -986,14 +1109,7 @@ def test_a_listing_interns_only_memoised_points(monkeypatch):
     list.  With the default room each chart keeps only coordinates that
     appear in a memo list of a step on that chart, and only such lists.
     """
-    built = []
-
-    class RecordedTables(_Tables):
-        def __init__(self, m):
-            super().__init__(m)
-            built.append(self)
-
-    monkeypatch.setattr(oracle, "_Tables", RecordedTables)
+    built = _record_tables(monkeypatch)
     cases = [(*random_branching_cycle(seed), 2) for seed in range(10)]
     for spec in ("degenerate_flag(3)", "ex_4_5_5"):
         entry = catalog(spec)
