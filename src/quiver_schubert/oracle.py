@@ -38,11 +38,11 @@ Forms are reduced mod q only where they are read, so a row that vanishes
 only mod q stays at the later step.  A step's arrow rows read only the
 earlier neighbours' coordinates that some term of their forms reads,
 often few, and its loops and lookahead rows only its own.  So each step
-memoises its points twice: keyed by all its earlier neighbours'
-coordinates, which one C call builds and most lookups hit, and, read on
-a miss, by the coordinates its rows read (see `_Step`).  Cells that
-agree there get the same list in the same order, and every cell of the
-call solves each distinct system once.
+memoises its points once, keyed by the placed values at the coordinates
+its rows read, taken by one C `itemgetter` where the step reads all of
+some neighbours' coordinates or some of one neighbour's (see `_Step`).
+Cells that agree there get the same list in the same order, and every
+cell of the call solves each distinct system once, and stores it once.
 A memo holds each point as its bare chart coordinates, and is charged
 for no more; only a listing gives a point its echelon matrix, interned
 by the chart for a memoised list, and charged there, while there is
@@ -188,38 +188,29 @@ class _Step:
     the loops and lookahead rows read only x, so the step's result at a
     prime depends on the placed values only through those pairs.  The
     memos below live on the step alone; `_Tables.use_prime` empties
-    those of every kept step.  `points` is the memo of the step's
-    points, a tuple of bare chart coordinates x (None when the key never
-    recurs), and `coordinates(values)` its key: the earlier neighbours'
-    coordinates, bare when there is one.  It is read first, since a C
-    `itemgetter` builds its key.
-    `read_points` holds the same lists keyed by the values at `reads`,
-    and is read on a miss of `points`; it is None when `reads` holds
-    every coordinate, as its key would then tell no more.  A kept last
-    step also has `counts` and `read_counts`, the memos of its number of
-    points under the same two keys, which `count` fills when the step has
-    no loops; the point and count memos never mix, so a listing never
-    reads a count.  A kept step just before the last has `tails`, made on
-    first use: for each kept last step after it, the memo of the last
-    step's count summed over this step's points (`_tail_total`).
+    those of every kept step.  Each is keyed by `key(values)`, the placed
+    values at `reads` in the shape `_Tables.reader` gives them, so cells
+    whose values agree there share one entry.  `points` is the memo of
+    the step's points, a tuple of bare chart coordinates x (None when the
+    key never recurs).  A kept last step also has `counts`, the memo of
+    its number of points, which `count` fills when the step has no loops;
+    the point and count memos never mix, so a listing never reads a
+    count.  A kept step just before the last has `tails`, made on first
+    use: for each kept last step after it, the memo of the last step's
+    count summed over this step's points (`_tail_total`).
     """
 
-    __slots__ = (
-        "chart", "rows", "loops", "lookahead", "coordinates", "reads",
-        "points", "counts", "read_points", "read_counts", "tails",
-    )
+    __slots__ = ("chart", "rows", "loops", "lookahead", "reads", "key", "points", "counts", "tails")
 
-    def __init__(self, chart: Chart, neighbours: tuple[int, ...], lookahead: tuple):
+    def __init__(self, chart: Chart, lookahead: tuple):
         self.chart = chart
         self.rows: list[tuple] = []
         self.loops: dict[tuple, None] = {}
         self.lookahead = lookahead
-        self.coordinates = itemgetter(*neighbours) if neighbours else _no_coordinates
         self.reads: tuple[tuple[int, int], ...] = ()
+        self.key = _no_coordinates  # set with `reads` on a kept step; a step with no memo never reads it
         self.points: dict | None = None
         self.counts: dict | None = None
-        self.read_points: dict | None = None
-        self.read_counts: dict | None = None
         self.tails: dict | None = None
 
 
@@ -244,15 +235,16 @@ class _Tables:
     tuples of all of i's neighbours finds it without hashing forms.  It
     is built from the compiled rows when a search first reaches that key
     and shared by every cell with it, in `_steps` under the key.  Its
-    memos over F_prime sit on the step alone (see `_Step`), and
-    `use_prime` empties those of every step in `_steps`.  A key that
-    fixes the whole cell gets a step with no memo, assembled afresh at
-    each lookup and not kept.  `room` is what is left of `_MEMO_BYTES` at
-    `prime`, for all the memos of all the steps and the lists the charts
-    intern for them: each memo entry, tail sums included, is charged
-    `_MEMO_ENTRY_BYTES`, each solved list `chart.point_bytes` per point
-    once, and each list that a listing interns `_MEMO_ENTRY_BYTES` and
-    `chart.matrix_bytes` per point (`_with_matrices`).
+    memos over F_prime sit on the step alone (see `_Step`), keyed by the
+    values at its `reads` through `reader`, and `use_prime` empties those
+    of every step in `_steps`.  A key that fixes the whole cell gets a
+    step with no memo, assembled afresh at each lookup and not kept.
+    `room` is what is left of `_MEMO_BYTES` at `prime`, for all the memos
+    of all the steps and the lists the charts intern for them: each memo
+    entry, tail sums included, is charged `_MEMO_ENTRY_BYTES`, each solved
+    list `chart.point_bytes` per point, and each list that a listing
+    interns `_MEMO_ENTRY_BYTES` and `chart.matrix_bytes` per point
+    (`_with_matrices`).
     """
 
     def __init__(self, m: Representation):
@@ -291,7 +283,7 @@ class _Tables:
         if q != self.prime:
             self.prime, self.room = q, _MEMO_BYTES
             for step in self._steps.values():
-                for memo in filter(None, (step.points, step.counts, step.read_points, step.read_counts)):
+                for memo in filter(None, (step.points, step.counts)):
                     memo.clear()
                 for _, memo in (step.tails or {}).values():
                     memo.clear()
@@ -351,17 +343,31 @@ class _Tables:
                 if i == self._last:
                     step.counts = {}
                 step.reads = _read_pairs(step)
-                if len(step.reads) < sum(self.chart(k, pivots[k]).nfree for k in self.neighbours[i]):
-                    # keys that differ only at an unread coordinate share one result
-                    step.read_points = {}
-                    if i == self._last:
-                        step.read_counts = {}
+                step.key = self.reader(step.reads, pivots)
             self._lookup[around] = step
         return step
 
+    def reader(self, reads: tuple[tuple[int, int], ...], pivots: Sequence[tuple[str, ...]]):
+        """The key function of a memo whose result depends on the placed values only at these sorted pairs.
+
+        It takes the placed values at `reads`, with no Python loop where it
+        can: () for no pairs; the bare coordinates of the steps read, by
+        one C `itemgetter`, when the pairs are every coordinate of those
+        steps; the values at the pairs on the one step read, by one C
+        `itemgetter` on its coordinates; else a tuple of the values at the
+        pairs, in order.  The pivot tuples fix each step's coordinates.
+        """
+        read = sorted({k for k, _ in reads})
+        if len(reads) == sum(self.chart(k, pivots[k]).nfree for k in read):
+            return itemgetter(*read) if read else _no_coordinates
+        if len(read) == 1:
+            k, get = read[0], itemgetter(*[u for _, u in reads])
+            return lambda values: get(values[k])
+        return lambda values: tuple([values[k][u] for k, u in reads])
+
     def _assemble(self, i: int, pivots: Sequence[tuple[str, ...]], lookahead: tuple) -> _Step:
         """A step i with these lookahead rows, from its loops and the non-pure rows of its arrows to earlier steps."""
-        step = _Step(self.chart(i, pivots[i]), self.neighbours[i], lookahead)
+        step = _Step(self.chart(i, pivots[i]), lookahead)
         for k in self._arrows_at[i]:
             s, t, _ = self.arrows[k]
             if s == t:
@@ -440,23 +446,6 @@ def _read_pairs(step: _Step) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def _read_values(step: _Step, values: list) -> tuple:
-    """The key of the step's read-keyed memos: the placed value of each pair in `reads`, in order."""
-    return tuple([values[k][u] for k, u in step.reads])
-
-
-def _shared(tables: _Tables, memo: dict, read_memo: dict, coordinates: tuple, reads: tuple):
-    """The result that read_memo holds under reads, also stored in memo under coordinates while the table has room.
-
-    None when read_memo holds none.
-    """
-    found = read_memo.get(reads)
-    if found is not None and tables.room >= _MEMO_ENTRY_BYTES:
-        tables.room -= _MEMO_ENTRY_BYTES
-        memo[coordinates] = found
-    return found
-
-
 def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
     """The number of points of the last step at the placed values.
 
@@ -464,61 +453,42 @@ def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
     A loop-free one counts its arrow rows' solutions without listing
     them: q^(nfree - rank) when they are consistent, from the forward
     elimination of `rank_mod`, else 0.  The last step has no lookahead
-    rows.  The search reads hits of `counts`, keyed by all the earlier
-    neighbours' coordinates, itself and calls this only on a miss.  A
-    step with `read_counts` then looks up the values at its `reads`, the
-    only ones its arrow rows read, there: a hit is stored under the full
-    key too and returned unranked.  A kept step stores a new count under
-    each key it has, charged `_MEMO_ENTRY_BYTES` each, while the table
-    has room.
+    rows.  The search reads hits of `counts` itself and calls this only
+    on a miss; a kept step stores the new count there under `key(values)`,
+    charged `_MEMO_ENTRY_BYTES`, while the table has room.
     """
     if step.loops:
         return sum(1 for _ in _step_points(tables, step, values, q))
-    memo, shared = step.counts, step.read_counts
-    if shared is not None:
-        coordinates, reads = step.coordinates(values), _read_values(step, values)
-        found = _shared(tables, memo, shared, coordinates, reads)
-        if found is not None:
-            return found
     system = _arrow_rows(step, values, q)
     rank = None if system is None else rank_mod(*system, q)
     found = 0 if rank is None else q ** (step.chart.nfree - rank)
-    entries = _MEMO_ENTRY_BYTES if shared is None else 2 * _MEMO_ENTRY_BYTES
-    if memo is not None and tables.room >= entries:
-        tables.room -= entries
-        memo[step.coordinates(values)] = found
-        if shared is not None:
-            shared[reads] = found
+    if step.counts is not None and tables.room >= _MEMO_ENTRY_BYTES:
+        tables.room -= _MEMO_ENTRY_BYTES
+        step.counts[step.key(values)] = found
     return found
 
 
 def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable[Vector]:
-    """The step's points at the placed values, as bare coordinates x, memoised by its earlier neighbours' coordinates.
+    """The step's points at the placed values, as bare coordinates x, memoised by the values its rows read.
 
     They are its chart solutions that pass its loops and vanish on its
     lookahead rows, which `iter_solutions_mod` reads with the arrow rows:
     no point that a later neighbour's pure row would refuse is listed or
     visited, and the rest come in the same order.  `points`, keyed by
-    all the earlier neighbours' coordinates, is read first; the search
-    reads its hits itself and calls this past the first step only on a
-    miss, and `_last_count` calls it on a looped last step either way.
-    On a miss a step with `read_points` looks up the values at its
-    `reads` there: the arrow rows read nothing else, so a hit is this
-    step's list, and is stored under the full key too while the table
-    has room.  A new list is stored under each key the step has, as a
-    tuple of the x, charged `chart.point_bytes` each, when it takes at
-    most half the table's room: one long list, solved again when it
-    recurs, must not crowd out the many small entries, counts and tail
-    sums, that later cells read.  A list without a memo, or that does not
-    fit, is streamed as an iterator and not kept.
+    `key(values)`, is read first; the search reads its hits itself and
+    calls this past the first step only on a miss, and `_last_count`
+    calls it on a looped last step either way.  A new list is stored
+    there as a tuple of the x, charged `_MEMO_ENTRY_BYTES` and
+    `chart.point_bytes` per x, when it takes at most half the table's
+    room: one long list, solved again when it recurs, must not crowd out
+    the many small entries, counts and tail sums, that later cells read.
+    A list without a memo, or that does not fit, is streamed as an
+    iterator and not kept.
     """
-    memo, shared = step.points, step.read_points
+    memo = step.points
     if memo is not None:
-        coordinates = step.coordinates(values)
-        found = memo.get(coordinates)
-        if found is None and shared is not None:
-            reads = _read_values(step, values)
-            found = _shared(tables, memo, shared, coordinates, reads)
+        key = step.key(values)
+        found = memo.get(key)
         if found is not None:
             return found
     solutions = _chart_solutions(step, values, q)
@@ -526,15 +496,12 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
         solutions = (x for x in solutions if _loops_hold(step, x, q))
     if memo is None:
         return solutions
-    entries = _MEMO_ENTRY_BYTES if shared is None else 2 * _MEMO_ENTRY_BYTES
     point_bytes = step.chart.point_bytes
-    fits = max(tables.room // 2 - entries, -1) // point_bytes
+    fits = max(tables.room // 2 - _MEMO_ENTRY_BYTES, -1) // point_bytes
     head = list(islice(solutions, fits + 1))
     if len(head) <= fits:  # all of them
-        tables.room -= entries + len(head) * point_bytes
-        found = memo[coordinates] = tuple(head)
-        if shared is not None:
-            shared[reads] = found
+        tables.room -= _MEMO_ENTRY_BYTES + len(head) * point_bytes
+        found = memo[key] = tuple(head)
         return found
     return chain(head, solutions)
 
@@ -579,7 +546,7 @@ def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
     pending: list = [iter(())] * before
     pending[0] = iter(_step_points(tables, first, values, q))
     total = 0
-    tail = None  # (separator, memo) of this cell's two last steps, once the last is wired, if both are kept
+    tail = None  # (key, memo) of this cell's two last steps, once the last is wired, if both are kept
     i = 0
     while i >= 0:
         for x in pending[i]:
@@ -590,19 +557,19 @@ def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
                 step = steps[j] = tables.step(j, pivots)
             if j == before:
                 if tail is not None:
-                    found = tail[1].get(tuple([values[k][u] for k, u in tail[0]]))
+                    found = tail[1].get(tail[0](values))
                     if found is not None:
                         total += found
                         continue
                 memo = step.points
-                found = None if memo is None else memo.get(step.coordinates(values))
+                found = None if memo is None else memo.get(step.key(values))
                 if found == ():
                     continue
                 found, tail = _tail_total(tables, steps, pivots, found, values, q)
                 total += found
                 continue
             memo = step.points
-            found = None if memo is None else memo.get(step.coordinates(values))
+            found = None if memo is None else memo.get(step.key(values))
             pending[j] = iter(_step_points(tables, step, values, q) if found is None else found)
             i = j
             break
@@ -620,16 +587,17 @@ def _tail_total(
     last once a point of the one before has wired it.  `points` are that
     step's points when the caller found them in its memo, else None.
     When both steps are kept, the one before the last has a tail memo for
-    this last step in `tails`, (separator, memo), made once per pair of
-    steps: the separator holds the pairs of its own `reads` and those of
-    the last step's `reads` below it.  Each step's result depends on the
-    placed values only through its `reads`, so the sum depends on them
-    only through the separator, and the memo keeps it under the values
-    there.  On a miss, or with no memo, a plain loop adds the last step's
-    count at each point, from `counts` or `_last_count`, and a memo
-    stores the sum while the table has room, charged `_MEMO_ENTRY_BYTES`.
-    The memo is returned for the cell's later arrivals: None while the
-    last step is not wired, or when either step is not kept.
+    this last step in `tails`, (key, memo), made once per pair of steps:
+    the key, built by `_Tables.reader`, takes the values at the pairs of
+    its own `reads` and of the last step's `reads` below it.  Each step's
+    result depends on the placed values only through its `reads`, so the
+    sum depends on them only through those pairs, and the memo keeps it
+    under the values there.  On a miss, or with no memo, a plain loop
+    adds the last step's count at each point, from `counts` or
+    `_last_count`, and a memo stores the sum while the table has room,
+    charged `_MEMO_ENTRY_BYTES`.  The memo is returned for the cell's
+    later arrivals: None while the last step is not wired, or when either
+    step is not kept.
     """
     before, last = steps[-2], steps[-1]
     if points is None:
@@ -652,17 +620,17 @@ def _tail_total(
         tail = before.tails.get(last)
         if tail is None:
             separator = tuple(sorted({*before.reads, *[(k, u) for k, u in last.reads if k < i]}))
-            tail = before.tails[last] = (separator, {})
-        separator, memo = tail
-        key = tuple([values[k][u] for k, u in separator])
+            tail = before.tails[last] = (tables.reader(separator, pivots), {})
+        read, memo = tail
+        key = read(values)
         found = memo.get(key)
         if found is not None:
             return found, tail
-    counts, coordinates = last.counts, last.coordinates
+    counts, count_key = last.counts, last.key
     total = 0
     for x in points:
         values[i] = x
-        found = None if counts is None else counts.get(coordinates(values))
+        found = None if counts is None else counts.get(count_key(values))
         total += _last_count(tables, last, values, q) if found is None else found
     if tail is not None and tables.room >= _MEMO_ENTRY_BYTES:
         tables.room -= _MEMO_ENTRY_BYTES
@@ -748,7 +716,7 @@ def _cell_points(
             if step is None:
                 step = steps[j] = tables.step(j, pivots)
             memo = step.points
-            found = None if memo is None else memo.get(step.coordinates(values))
+            found = None if memo is None else memo.get(step.key(values))
             if found is None:
                 found = _step_points(tables, step, values, q)
             if not found:  # a stored list may be empty; a stream is always true

@@ -9,6 +9,7 @@ t^(2 inv(C)) over the configurations C of size n + 1 (E. Feigin,
 Nothing here solves a linear system.
 """
 
+from quiver_schubert import oracle
 from quiver_schubert.catalog import catalog
 from quiver_schubert.oracle import count, poincare_polynomial
 
@@ -62,6 +63,43 @@ def test_count_of_degenerate_flag_3_at_13_is_the_dellac_sum():
     entry = catalog("degenerate_flag(3)")
     (report,) = count(entry.representation, entry.dim_vector, primes=(13,), budget=10**12)
     assert report.total == sum(b * 13**d for d, b in enumerate(dellac_betti(3))) == 7363370
+
+
+def test_count_of_degenerate_flag_3_at_17_solves_each_system_once(monkeypatch):
+    """Sum of b_d 17^d = 33,543,126, with 644 listed systems and 639 ranks, and memo room left at the end.
+
+    Each step keeps one memo, keyed by the values its rows read, so every
+    distinct system is solved once and stored once, and the memos fit the
+    default room.  Two memos per step, one of them keyed by every earlier
+    neighbour's coordinates, filled the room here and listed 36,611
+    systems.
+    """
+    calls = {"iter_solutions_mod": 0, "rank_mod": 0}
+    built = []
+
+    def counted(name):
+        inner = getattr(oracle, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(oracle, name, wrapper)
+
+    class RecordedTables(oracle._Tables):
+        def __init__(self, m):
+            super().__init__(m)
+            built.append(self)
+
+    counted("iter_solutions_mod")
+    counted("rank_mod")
+    monkeypatch.setattr(oracle, "_Tables", RecordedTables)
+    entry = catalog("degenerate_flag(3)")
+    (report,) = count(entry.representation, entry.dim_vector, primes=(17,), budget=10**13)
+    assert report.total == sum(b * 17**d for d, b in enumerate(dellac_betti(3))) == 33543126
+    assert calls == {"iter_solutions_mod": 644, "rank_mod": 639}
+    (tables,) = built
+    assert tables.room > 0
 
 
 def test_count_of_degenerate_flag_5_at_2_is_the_dellac_sum():

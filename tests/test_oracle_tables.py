@@ -15,6 +15,7 @@ from itertools import chain, product
 
 import pytest
 
+from conftest import independent_total
 from quiver_schubert import linalg, oracle
 from quiver_schubert.catalog import catalog
 from quiver_schubert.charts import _TUPLE_BYTES, Chart
@@ -118,14 +119,13 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     and 345 ranked last-step keys, and left 566 calls of solve_mod.  A
     step's arrow rows read only a few of those coordinates, so its result
     is now solved once per tuple of the coordinates they read: 514 listed
-    systems, 180 calls of solve_mod and 71 of rank_mod.  Each solve or
-    rank is one entry of a read-keyed memo, or of the full one at a step
-    whose rows read every coordinate, and a full-coordinate tuple that
-    meets an equal read tuple takes the same result without a call.  The
-    step before the last keeps the last step's count summed over its
-    points, 343 sums, under the values both steps' rows read before it;
-    an arrival that finds its sum looks up neither step, so the full-key
-    point entries went from 1,455 to 1,092, with the same solves.
+    systems, 180 calls of solve_mod and 71 of rank_mod.  Each step keeps
+    one memo, keyed by the values its rows read, so each solve or rank is
+    one entry and no result is stored twice (a second memo keyed by all
+    the earlier neighbours' coordinates held 1,092 point and 345 count
+    entries).  The step before the last keeps the last step's count
+    summed over its points, 343 sums, under the values both steps' rows
+    read before it.
     """
     calls = {"_chart_solutions": 0, "solve_mod": 0, "rank_mod": 0}
     built = _record_tables(monkeypatch)
@@ -146,10 +146,8 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     (report,) = count(entry.representation, entry.dim_vector, primes=(2,))
     assert report.total == 26961
     (tables,) = built
-    assert calls["_chart_solutions"] == sum(len(memo) for _, memo in _solved(tables, "points"))
-    assert calls["rank_mod"] == sum(len(memo) for _, memo in _solved(tables, "counts"))
-    assert any(_memos(tables, "read_points")) and any(_memos(tables, "read_counts"))
-    assert sum(map(len, _memos(tables, "points"))) == 1092 and sum(map(len, _memos(tables, "counts"))) == 345
+    assert calls["_chart_solutions"] == sum(map(len, _memos(tables, "points"))) == 514
+    assert calls["rank_mod"] == sum(map(len, _memos(tables, "counts"))) == 71
     assert sum(map(len, _memos(tables, "tails"))) == 343
     assert calls == {"_chart_solutions": 514, "solve_mod": 180, "rank_mod": 71}
 
@@ -168,38 +166,28 @@ def _record_tables(monkeypatch):
 
 
 def _memos(tables, *names):
-    """The memos `names` of each kept step that has them; by default all: by full and by read coordinates, and tails.
+    """The memos `names` of each kept step that has them; by default all: points, counts and tails.
 
     "tails" names the tail memos of a step before the last, one per kept last step after it.
     """
     for step in tables._steps.values():
-        for name in names or ("points", "counts", "read_points", "read_counts", "tails"):
+        for name in names or ("points", "counts", "tails"):
             if name == "tails":
                 yield from (memo for _, memo in (step.tails or {}).values())
             elif getattr(step, name) is not None:
                 yield getattr(step, name)
 
 
-def _solved(tables, name):
-    """(step, memo) for each kept step with a memo `name`, or its read-keyed one where it has one: each result once."""
-    for step in tables._steps.values():
-        memo = getattr(step, "read_" + name)
-        if memo is None:
-            memo = getattr(step, name)
-        if memo is not None:
-            yield step, memo
-
-
 def _charged(tables):
     """The room that the memos of tables hold, and the lists the charts intern for them.
 
     One entry per key of each memo, tail memos included, each solved
-    list's points once, and one entry and the matrices of its points for
-    each interned list.
+    list's points, and one entry and the matrices of its points for each
+    interned list.
     """
     entries = sum(map(len, _memos(tables))) * oracle._MEMO_ENTRY_BYTES
-    solved = _solved(tables, "points")
-    points = sum(step.chart.point_bytes * len(found) for step, memo in solved for found in memo.values())
+    kept = [step for step in tables._steps.values() if step.points is not None]
+    points = sum(step.chart.point_bytes * len(found) for step in kept for found in step.points.values())
     charts = tables._charts.values()
     interned = sum(oracle._MEMO_ENTRY_BYTES + chart.matrix_bytes * len(xs) for chart in charts for xs in chart._lists)
     return entries + points + interned
@@ -222,7 +210,7 @@ def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
             tables = _Tables(rep)
             assert [list(_cell_points(rep, cell_pivots(rep, beta), q, tables)) for beta in cells] == expected, (name, budget)
             assert 0 <= tables.room <= budget
-            assert tables.room == budget - _charged(tables), (name, budget)  # read-keyed entries are charged too
+            assert tables.room == budget - _charged(tables), (name, budget)
         monkeypatch.undo()
         if name == "degenerate_flag(3)":
             # 30,000 bytes keep some of its step lists but not all of them
@@ -235,11 +223,10 @@ def test_each_cell_counts_as_many_points_as_it_streams(monkeypatch):
     one_vertex(3) has one step per cell; kronecker_preinjective(4) streams
     its last step, whose key fixes the whole cell; one_loop(4,1) filters by
     a loop.  With no memo room every list streams, with a little some are
-    kept, and with the default room all of them.  With 500 bytes one count
-    fits under both its keys, and a later key that shares its read tuple
-    takes it without storing it again.  At every budget the count's table
-    is charged exactly what its memos hold, tail sums included; with 3,000
-    bytes and more, some steps before the last keep tail sums.
+    kept, and with the default room all of them.  At every budget the
+    count's table is charged exactly what its memos hold, one entry per
+    key, tail sums included; with 3,000 bytes and more, some steps before
+    the last keep tail sums.
     """
     built = _record_tables(monkeypatch)
     cases = [(f"seed {seed}", *random_branching_cycle(seed), 2) for seed in range(10)]
@@ -296,13 +283,13 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
     assert total == 33880 and peak < 2
 
     switches = []  # (prime, points kept before the switch, all emptied after it)
-    read = []  # read-keyed entries held before each switch
+    counted = []  # last-step counts held before each switch
     tails = []  # tail sums held before each switch
 
     class RecordedTables(_Tables):
         def use_prime(self, q):
             switched, kept = q != self.prime, sum(map(len, _memos(self, "points")))
-            held = sum(map(len, _memos(self, "read_points", "read_counts")))
+            held = sum(map(len, _memos(self, "counts")))
             summed = sum(map(len, _memos(self, "tails")))
             super().use_prime(q)
             charts = self._charts.values()
@@ -310,7 +297,7 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
             emptied = emptied and not any(_memos(self)) and not any(_memos(self, "tails"))
             if switched:
                 switches.append((q, kept, emptied and self.room == oracle._MEMO_BYTES))
-                read.append(held)
+                counted.append(held)
                 tails.append(summed)
 
     monkeypatch.setattr(oracle, "_Tables", RecordedTables)
@@ -324,13 +311,13 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
     (_, _, first), (q, kept, second) = switches
     assert first and second and q == 3 and kept > 0  # q = 2 filled memos that the switch emptied
 
-    # degenerate_flag(3) has steps whose rows leave coordinates unread, and three steps:
-    # their read-keyed memos and the tail sums of its middle steps are emptied too
-    del switches[:], read[:], tails[:]
+    # degenerate_flag(3) has a loop-free last step and three steps:
+    # its last step's counts and the tail sums of its middle steps are emptied too
+    del switches[:], counted[:], tails[:]
     entry = catalog("degenerate_flag(3)")
     reports = count(entry.representation, entry.dim_vector, primes=(2, 3, 5))
     assert [r.total for r in reports] == [531, 3340, 42066]
-    assert [emptied for _, _, emptied in switches] == [True] * 3 and read[0] == 0 and all(read[1:])
+    assert [emptied for _, _, emptied in switches] == [True] * 3 and counted[0] == 0 and all(counted[1:])
     assert tails[0] == 0 and all(tails[1:])
 
 
@@ -783,8 +770,43 @@ def _arrow_cases():
     for spec in ("ex_4_5_5", "kronecker_preinjective(4)", "degenerate_flag(3)"):
         entry = catalog(spec)
         yield spec, entry.representation, entry.dim_vector
+    yield ("partly read pair", *_partly_read_pair())
     for seed in range(40):
         yield (f"seed {seed}", *random_branching_cycle(seed))
+
+
+def _partly_read_pair():
+    """Two vertices of rank 3 with arrows into a plane, and an arrow on from it to a fourth vertex.
+
+    On the charts with pivots b3, b6 and b8, with coordinates y, z and x,
+    arrow a asks x * y[0] = 1 and arrow b asks x = z[0] + 1, so the step
+    at vertex 3 reads part of each of its two earlier neighbours, and a
+    key that forgot either value would hand one y the points of another.
+    """
+    vertex_of = {f"b{i}": v for i, v in zip(range(1, 11), "1112223344")}
+    mats = {"a": [[0, 0, 1], [1, 0, 0]], "b": [[1, 0, 1], [0, 0, 1]], "c": [[1, 0], [0, 1]]}
+    arrows = [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")]
+    rep = representation(quiver(["1", "2", "3", "4"], arrows), OrderedBasis(tuple(vertex_of), vertex_of), mats)
+    return rep, dict.fromkeys("1234", 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_step_that_reads_part_of_two_neighbours_counts_exactly(monkeypatch, q):
+    """Memos keyed by some coordinates of two neighbours give the brute-force total, and each cell what it lists.
+
+    Each step at vertex 3 with pivot b8, over pivots b3 and b6, reads one
+    of the two coordinates of each, and keeps points; as the step before
+    the last it also keeps tail sums under those two values.
+    """
+    built = _record_tables(monkeypatch)
+    rep, e = _partly_read_pair()
+    (report,) = count(rep, e, primes=(q,))
+    (tables,) = built
+    assert report.total == independent_total(rep, e, q)
+    assert report.per_cell == _listed_per_cell(rep, e, q)
+    steps = [step for key, step in tables._steps.items() if key[:4] == (2, ("b8",), ("b3",), ("b6",))]
+    assert steps and all(step.reads == ((0, 0), (1, 0)) for step in steps)
+    assert any(step.points for step in steps) and any(_memos(tables, "tails"))
 
 
 def _placed(tables, pivots, q, values, i=0):
@@ -836,7 +858,7 @@ def test_arrow_rows_agree_with_a_rank_test_on_every_chart_point(q):
             pivots = [tuple(b for b in block if b in chosen) for block in tables.blocks]
             values = [()] * len(vertices)
             for i, step in _placed(tables, pivots, q, values):
-                key = (step, step.coordinates(values))
+                key = (step, tuple(values[k] for k in tables.neighbours[i]))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -878,18 +900,15 @@ def test_memoised_points_are_the_chart_solutions_that_satisfy_the_lookahead_rows
             list(_cell_points(rep, cell_pivots(rep, beta), q, tables))
         for key, step in tables._steps.items():
             i = key[0]
-            neighbours = tables.neighbours[i]
+            pivots = _key_pivots(tables, key)
             ahead += bool(step.lookahead)
-            bare = tables._assemble(i, _key_pivots(tables, key), ())
-            for coordinates, points in step.points.items():
-                values = [()] * len(tables.blocks)
-                for k, y in zip(neighbours, coordinates if len(neighbours) > 1 else [coordinates]):
-                    values[k] = y
-                assert step.coordinates(values) == coordinates
+            bare = tables._assemble(i, pivots, ())
+            for read, points in step.points.items():
+                values = _values_read(tables, key, step, read)
                 solutions = [x for x in oracle._chart_solutions(bare, values, q) if oracle._loops_hold(step, x, q)]
                 kept = list(points)
-                assert all(_lookahead_holds(step, x, q) for x in kept), (name, key, coordinates)
-                assert kept == [x for x in solutions if _lookahead_holds(step, x, q)], (name, key, coordinates)
+                assert all(_lookahead_holds(step, x, q) for x in kept), (name, key, read)
+                assert kept == [x for x in solutions if _lookahead_holds(step, x, q)], (name, key, read)
                 memos += 1
                 dropped += len(solutions) - len(kept)
     assert memos > 0 and ahead > 0 and dropped > 0
@@ -940,14 +959,32 @@ def _values_at(tables, i, ys):
     return values
 
 
+def _values_read(tables, key, step, read):
+    """Values at the earlier neighbours of the kept step under key that its memo key maps to read: 0 where unread.
+
+    The memo key is (), a bare value, a tuple of them or a tuple of whole
+    coordinate tuples; flattened, it lists the values at `reads` in order.
+    """
+    flat = [read] if type(read) is int else [v for part in read for v in (part if type(part) is tuple else [part])]
+    assert len(flat) == len(step.reads)
+    pivots = _key_pivots(tables, key)
+    values = _values_at(tables, key[0], [[0] * tables.chart(k, pivots[k]).nfree for k in tables.neighbours[key[0]]])
+    for (k, u), v in zip(step.reads, flat):
+        values[k][u] = v
+    values = [tuple(y) for y in values]
+    assert step.key(values) == read
+    return values
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_a_step_reads_nothing_but_its_read_coordinates(q):
     """Values that agree on a kept step's read coordinates give the same chart solutions and last-step count.
 
-    The read-keyed memos rest on this.  Each kept step is checked at every
-    key its search reached and at two random points of its neighbours'
-    charts, against the same values with every coordinate that the step
-    does not read moved to another residue.  Both sides are solved on
+    The step's memos, keyed by the values at its reads, rest on this.
+    Each kept step is checked at every key its search reached and at two
+    random points of its neighbours' charts, against the same values with
+    every coordinate that the step does not read moved to another
+    residue; both map to the same memo key.  Both sides are solved on
     unkept copies of the step, with and without its lookahead rows, so no
     memo answers.
     """
@@ -966,7 +1003,7 @@ def test_a_step_reads_nothing_but_its_read_coordinates(q):
             bare, unfiltered = (tables._assemble(i, pivots, rows) for rows in (step.lookahead, ()))
             sizes = [tables.chart(k, pivots[k]).nfree for k in neighbours]
             keys = chain(step.points, step.counts or ())
-            reached = [_values_at(tables, i, c if len(neighbours) > 1 else [c]) for c in keys]
+            reached = [_values_read(tables, key, step, read) for read in keys]
             drawn = [
                 _values_at(tables, i, [tuple(rng.randrange(q) for _ in range(n)) for n in sizes]) for _ in range(2)
             ]
@@ -978,7 +1015,7 @@ def test_a_step_reads_nothing_but_its_read_coordinates(q):
                             other[k][u] = (other[k][u] + rng.randrange(1, q)) % q
                             moved += 1
                 other = [tuple(y) for y in other]
-                assert oracle._read_values(step, other) == oracle._read_values(step, values)
+                assert step.key(other) == step.key(values)
                 for copy in (bare, unfiltered):
                     assert list(oracle._chart_solutions(copy, other, q)) == list(
                         oracle._chart_solutions(copy, values, q)
@@ -1125,9 +1162,9 @@ def test_a_listing_interns_only_memoised_points(monkeypatch):
             memoised = {}  # chart -> (its memo lists, the points in them)
             for step in tables._steps.values():
                 lists, held = memoised.setdefault(id(step.chart), (set(), set()))
-                for memo in filter(None, (step.points, step.read_points)):
-                    lists.update(memo.values())
-                    held.update(chain.from_iterable(memo.values()))
+                if step.points:
+                    lists.update(step.points.values())
+                    held.update(chain.from_iterable(step.points.values()))
             for chart in tables._charts.values():
                 lists, held = memoised.get(id(chart), (set(), set()))
                 assert set(chart._points) <= held and set(chart._lists) <= lists
