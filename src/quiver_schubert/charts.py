@@ -2,10 +2,12 @@
 
 A chart is the echelon pattern of one pivot tuple at one vertex: its
 points are the subspaces with those pivots, one per tuple of free
-coordinates.  An arrow's generator images on a chart, and the rows and
-quadratic forms that say those images lie in a span, are built over Z:
-the oracle reduces them mod q only where it reads them, so one compiled
-form serves every prime.
+coordinates.  An arrow's generator images on its source chart are built
+over Z as per-row integer forms, once per arrow and source chart; the
+rows and quadratic forms that say those images lie in a target chart's
+span are picked from them, once per pair of charts.  The oracle reduces
+them mod q only where it reads them, so one compiled form serves every
+prime.
 """
 
 from __future__ import annotations
@@ -94,60 +96,66 @@ class Chart:
         return found
 
     def images(self, columns: Sequence[Vector]) -> list:
-        """Image of each chart generator under an arrow with these integer columns.
+        """Image of each chart generator under an arrow with these integer columns, as per-row forms.
 
-        One (constant, terms) pair per generator j: the image is
-        constant + sum(x[var] * vec for var, vec in terms).  Terms whose
-        vector is zero over Z are dropped; nothing here is reduced mod q.
+        One list w per generator, one form per target row r: w[r] =
+        (const[r], ((var, vec[r]), ...)) for the image const + sum(x[var]
+        * vec), with terms zero over Z dropped and nothing reduced mod q.
         """
         return [
-            (columns[p], [(var, columns[r]) for r, var in free if any(columns[r])])
+            [(c, tuple([(v, columns[r][t]) for r, v in free if columns[r][t]])) for t, c in enumerate(columns[p])]
             for p, free in zip(self.pivot_rows, self.column_free)
         ]
 
     def incoming_rows(self, images: list) -> Iterator[tuple]:
         """Rows (b, ((v, a_v), ...)) saying that these images of an earlier step's generators lie in this chart's span.
 
-        Each image w = const + sum(y[u] * vec) is in the span when, on each
-        nonpivot row r, w[r] = sum_j w[pivot j] * x[r, j].
+        Each image w is in the span when, on each nonpivot row r,
+        w[r] = sum_j w[pivot j] * x[r, j]: the rows pick those forms.
         """
-        for const, terms in images:  # integer entries, reduced mod q where the rows are read
-            w = [(c, tuple((u, vec[p]) for u, vec in terms if vec[p])) for p, c in enumerate(const)]
+        for w in images:
             for r, free in zip(self.nonpivot_rows, self.row_free):
                 yield w[r], [(var, w[self.pivot_rows[j]]) for j, var in free]
 
     def outgoing_rows(self, images: list) -> Iterator[tuple]:
         """Rows (b, ((v, a_v), ...)) saying that these images of a later step's generators lie in this chart's span.
 
-        Each image w = const + sum(x[v] * vec) is in the span at this
-        chart's coordinates y when, on each nonpivot row r,
-        w[r] = sum_c w[pivot c] * y[r, c].
+        Each image w, a form in the later step's coordinates x, is in the
+        span at this chart's coordinates y when, on each nonpivot row r,
+        w[r] = sum_c w[pivot c] * y[r, c]; each x[v] that a picked form
+        reads gets its a_v, in increasing v.
         """
         for r, free in zip(self.nonpivot_rows, self.row_free):
             weights = [(self.pivot_rows[c], var) for c, var in free]
-            for const, terms in images:
-                b = (-const[r], tuple((var, const[p]) for p, var in weights if const[p]))
-                yield b, [(v, (vec[r], tuple((var, -vec[p]) for p, var in weights if vec[p]))) for v, vec in terms]
+            for w in images:
+                const, terms = w[r]
+                a = {v: (c, []) for v, c in terms}
+                for p, var in weights:
+                    for v, c in w[p][1]:
+                        a.setdefault(v, (0, []))[1].append((var, -c))
+                b = (-const, tuple([(var, w[p][0]) for p, var in weights if w[p][0]]))
+                yield b, [(v, (c, tuple(ys))) for v, (c, ys) in sorted(a.items())]
 
     def loop_forms(self, images: list) -> tuple:
         """A loop with these generator images, as the distinct nonzero quadratic forms that must vanish.
 
-        With w = const + sum(x[v] * vec) the image, each nonpivot row r
-        gives w[r] - sum_j w[pivot j] * x[r, j] = 0, expanded here.
+        For each image w, each nonpivot row r gives w[r] - sum_j w[pivot j]
+        * x[r, j] = 0, expanded here.
         """
         forms: dict[tuple, None] = {}
-        for const, terms in images:
+        for w in images:
             for r, free in zip(self.nonpivot_rows, self.row_free):
-                linear = {v: vec[r] for v, vec in terms}
+                const, terms = w[r]
+                linear = dict(terms)
                 quadratic: dict[tuple[int, int], int] = {}
                 for j, u in free:
-                    p = self.pivot_rows[j]
-                    linear[u] = linear.get(u, 0) - const[p]
-                    for v, vec in terms:
+                    c, pivot_terms = w[self.pivot_rows[j]]
+                    linear[u] = linear.get(u, 0) - c
+                    for v, b in pivot_terms:
                         pair = (min(u, v), max(u, v))
-                        quadratic[pair] = quadratic.get(pair, 0) - vec[p]
+                        quadratic[pair] = quadratic.get(pair, 0) - b
                 linear_terms = tuple((v, a) for v, a in sorted(linear.items()) if a)
                 quadratic_terms = tuple((u, v, b) for (u, v), b in sorted(quadratic.items()) if b)
-                if const[r] or linear_terms or quadratic_terms:
-                    forms[const[r], linear_terms, quadratic_terms] = None
+                if const or linear_terms or quadratic_terms:
+                    forms[const, linear_terms, quadratic_terms] = None
         return tuple(forms)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -128,37 +128,6 @@ def _eliminate(aug: list[list[int]], pivots: list[int], columns: Iterable[int], 
         pivots.append(c)
 
 
-def rank_mod(rows: Sequence[Sequence[int]], rhs: Sequence[int], q: int) -> int | None:
-    """Rank of A over F_q, or None when A x = b is inconsistent.
-
-    Forward elimination only, one row at a time: each row of (A | b) is
-    cleared at the pivot column of every pivot row before it by
-    cross-multiplication, row <- p * row - a * pivot_row, and becomes a
-    pivot row at its first nonzero entry.  There is no pivot scaling, no
-    back-substitution and no solution built.  A row that clears to zero in
-    A but not in b makes the system inconsistent; otherwise it has
-    q^(nvars - rank) solutions.
-    """
-    pivots: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for row, b in zip(rows, rhs):
-        row = [x % q for x in row]
-        row.append(b % q)
-        for c, top in pivots:
-            f = row[c]
-            if f:
-                p = top[c]
-                row = [(p * x - f * y) % q for x, y in zip(row, top)]
-        for c, x in enumerate(row):
-            if x:
-                break
-        else:
-            continue
-        if c == len(row) - 1:
-            return None
-        pivots.append((c, row))
-    return len(pivots)
-
-
 def iter_solutions_mod(
     rows: Sequence[Sequence[int]],
     rhs: Sequence[int],
@@ -258,24 +227,26 @@ def require_prime(q: int) -> None:
 
 
 def lagrange_interpolate(points: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
-    """Coefficients (ascending degree) of the interpolating polynomial."""
-    n = len(points)
-    coeffs = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] += c * (-xj)
-                new[k + 1] += c
-            basis = new
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
+    """Coefficients (ascending degree) of the interpolating polynomial.
+
+    Built in ints over one common denominator, the lcm of the
+    |prod_{j != i}(x_i - x_j)|: each basis polynomial prod_{j != i}(x - x_j)
+    is the product of every (x - x_j), divided by (x - x_i) synthetically.
+    The Fractions are made once, at the end.
+    """
+    product_all = [1]  # prod_j (x - x_j), ascending
+    for xj, _ in points:
+        product_all = [a - xj * b for a, b in zip([0, *product_all], [*product_all, 0])]
+    denominators = [prod(xi - xj for j, (xj, _) in enumerate(points) if j != i) for i, (xi, _) in enumerate(points)]
+    common = lcm(*map(abs, denominators))
+    numerators = [0] * len(points)
+    for (xi, yi), d in zip(points, denominators):
+        scale = yi * (common // d)
+        carry = 0
+        for k in range(len(points), 0, -1):
+            carry = product_all[k] + xi * carry  # coefficient k - 1 of prod_{j != i}(x - x_j)
+            numerators[k - 1] += scale * carry
+    coeffs = [Fraction(c, common) for c in numerators]
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)

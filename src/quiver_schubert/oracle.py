@@ -21,11 +21,12 @@ step, and a cell whose search dies at one step never wires the next.
 
 The search is one flat depth-first loop.  At each step, containment
 along arrows whose other endpoint is already placed is linear in the
-chart coordinates and solved exactly; loops are filtered.  Each arrow is
-compiled once per call and pair of end pivot tuples into rows of one
-format: a linear equation in the later end's chart coordinates whose
-coefficients and right-hand side are integer linear forms in the earlier
-end's coordinates.  A row that reads no coordinate of the later end is
+chart coordinates and solved exactly; loops are filtered.  An arrow's
+generator images are built once per call and source pivot tuple, and
+each pair of end pivot tuples picks from them rows of one format: a
+linear equation in the later end's chart coordinates whose coefficients
+and right-hand side are integer linear forms in the earlier end's
+coordinates.  A row that reads no coordinate of the later end is
 *pure*: it is a linear condition b = 0 on the earlier end alone, and is
 read there, as one of that step's *lookahead rows*, and only there.  A
 step lists only the points where its lookahead rows vanish, in the order
@@ -59,13 +60,14 @@ gets each as a fresh dict.  `count` only counts, in a walk over the
 coordinates that builds no matrix and no dict (`_cell_total`), and it
 does not list the points of a last step without loops: their number is
 q^(nfree - rank) of the step's arrow rows at the placed values, or 0
-when those are inconsistent, from the forward elimination of
-`rank_mod`, memoised like a point list.  A last step with loops, and
-every earlier step, is listed as above.  The last step's count summed
-over the points of the step before it depends on the placed values
-only through the coordinates that the two steps' rows read, so that
-step keeps the sum under those values, shared by every cell
-(`_tail_total`).
+when those are inconsistent, memoised like a point list.  The rank is
+the number of rows that `_arrow_rows`, the one evaluator of both paths,
+returns after eliminating each row as it reads it.  A last step with
+loops, and every earlier step, is listed as above.  The last step's
+count summed over the points of the step before it depends on the
+placed values only through the coordinates that the two steps' rows
+read, so that step keeps the sum under those values, shared by every
+cell (`_tail_total`).
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ from .linalg import (
     iter_solutions_mod,
     lagrange_interpolate,
     primes_iter,
-    rank_mod,
     require_prime,
 )
 from .representation import Representation
@@ -222,10 +223,11 @@ class _Tables:
     """The cell-independent parts of the search of m, built on first use and shared by every prime.
 
     A cell comes as its pivot tuple at each step.  Charts are keyed by
-    (vertex step, pivot tuple) and the compiled rows of an arrow by
-    (arrow, source pivot tuple, target pivot tuple).  An arrow's rows are
-    compiled once per call: its pure rows go to the earlier end, as
-    lookahead rows, and the rest to the later end.  `neighbours[i]` lists
+    (vertex step, pivot tuple), an arrow's images by (arrow, source pivot
+    tuple) and its compiled rows by (arrow, source pivot tuple, target
+    pivot tuple), none charged to `room`.  An arrow's rows are compiled
+    once per call: its pure rows go to the earlier end, as lookahead
+    rows, and the rest to the later end.  `neighbours[i]` lists
     the earlier steps that share a non-loop arrow with step i.
 
     `step(i, pivots)` is the wired `_Step` of step i.  It is keyed by i,
@@ -272,6 +274,7 @@ class _Tables:
         self._last = last
         self._unshared = last if last >= 0 and self.neighbours[last] == tuple(range(last)) else None
         self._charts: dict[tuple[int, tuple[str, ...]], Chart] = {}
+        self._images: dict[tuple, list] = {}
         self._compiled: dict[tuple, tuple] = {}
         self._lookup: dict[tuple, _Step] = {}
         self._steps: dict[tuple, _Step] = {}
@@ -300,7 +303,8 @@ class _Tables:
     def compiled(self, k: int, pivots: Sequence[tuple[str, ...]]) -> tuple:
         """Arrow k compiled on the charts of its ends with these pivots, once per call.
 
-        A loop gives its quadratic forms.  Any other arrow gives (pure,
+        The target chart picks them from the images kept in `_images`.  A
+        loop gives its quadratic forms.  Any other arrow gives (pure,
         rows): `pure` the distinct forms b of its pure rows, each a
         condition b(y) = 0 on the coordinates y of the earlier end, and
         `rows` its other rows (earlier end, b, ((v, a_v), ...)), with zero
@@ -310,7 +314,9 @@ class _Tables:
         key = (k, pivots[s], pivots[t])
         found = self._compiled.get(key)
         if found is None:
-            images = self.chart(s, pivots[s]).images(columns)
+            images = self._images.get(key[:2])
+            if images is None:
+                images = self._images[key[:2]] = self.chart(s, pivots[s]).images(columns)
             target = self.chart(t, pivots[t])
             if s == t:
                 found = target.loop_forms(images)
@@ -383,11 +389,11 @@ def _chart_solutions(step: _Step, values: list, q: int) -> Iterator[Vector]:
     The lookahead rows b(x) = 0 are read first, as rows b(x) - b(0) =
     -b(0) mod q; a row that vanishes mod q is dropped, and ends the step
     before any elimination if its constant does not.  Then the arrow rows
-    are read as `_arrow_rows` gives them.  `iter_solutions_mod` sees the
-    arrow rows in wiring order, and the lookahead rows as its second
-    system, which it reads without changing the order of the solutions.
-    A step assembled with no lookahead rows gives the solutions of its
-    arrow rows alone.
+    are read in the echelon form `_arrow_rows` gives them, whose reduced
+    form, and so the order of the solutions, is that of the rows in
+    wiring order.  `iter_solutions_mod` reads the lookahead rows as its
+    second system, without changing that order.  A step assembled with
+    no lookahead rows gives the solutions of its arrow rows alone.
     """
     nfree = step.chart.nfree
     ahead: list[list[int]] = []
@@ -401,24 +407,29 @@ def _chart_solutions(step: _Step, values: list, q: int) -> Iterator[Vector]:
             ahead_rhs.append(-const % q)
         elif const % q:
             return iter(())
-    system = _arrow_rows(step, values, q)
-    if system is None:
+    rows = _arrow_rows(step, values, q)
+    if rows is None:
         return iter(())
-    return iter_solutions_mod(*system, nfree, q, ahead, ahead_rhs)
+    return iter_solutions_mod([r[:-1] for r in rows], [r[-1] for r in rows], nfree, q, ahead, ahead_rhs)
 
 
-def _arrow_rows(step: _Step, values: list, q: int) -> tuple[list[list[int]], list[int]] | None:
-    """The step's arrow rows at the placed values, as (rows, rhs) over F_q, or None when one cannot hold.
+def _arrow_rows(step: _Step, values: list, q: int) -> list[list[int]] | None:
+    """The step's arrow rows at the placed values in echelon form over F_q, or None when they cannot all hold.
 
+    The one evaluator of a step's rows, for the count and the listing.
     Each row of `rows` is evaluated, in wiring order, at its earlier
-    step's coordinates.  A row whose coefficients all vanish mod q is
-    dropped, and gives None before any later row is read if its
-    right-hand side does not.  Pure rows are read at the earlier steps,
-    as lookahead rows, so they vanish at every placed value.
+    step's coordinates as the augmented row (a_v ..., b) mod q, and at
+    once cleared at the pivot column of each row kept so far by
+    cross-multiplication, row <- p * row - a * top.  A row that clears to
+    zero is dropped, and one that clears to zero but for b gives None
+    before any later row is read; any other is kept, its pivot at its
+    first nonzero entry.  The rows kept span the rows read, and their
+    number is the rank.  Pure rows are read at the earlier steps, as
+    lookahead rows, so they vanish at every placed value.
     """
     nfree = step.chart.nfree
     rows: list[list[int]] = []
-    rhs: list[int] = []
+    columns: list[int] = []  # the pivot column of each row of rows
     for k, (b, terms), coefficients in step.rows:
         y = values[k]
         for u, c in terms:
@@ -428,12 +439,22 @@ def _arrow_rows(step: _Step, values: list, q: int) -> tuple[list[list[int]], lis
             for u, c in terms:
                 a += c * y[u]
             row[v] = a % q
-        if any(row):
-            rows.append(row)
-            rhs.append(b % q)
-        elif b % q:
+        row.append(b % q)
+        for c, top in zip(columns, rows):
+            f = row[c]
+            if f:
+                p = top[c]
+                row = [(p * x - f * z) % q for x, z in zip(row, top)]
+        for c, x in enumerate(row):
+            if x:
+                break
+        else:
+            continue
+        if c == nfree:
             return None
-    return rows, rhs
+        rows.append(row)
+        columns.append(c)
+    return rows
 
 
 def _read_pairs(step: _Step) -> tuple[tuple[int, int], ...]:
@@ -451,17 +472,17 @@ def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
 
     A step with loops lists its points (`_step_points`) and counts them.
     A loop-free one counts its arrow rows' solutions without listing
-    them: q^(nfree - rank) when they are consistent, from the forward
-    elimination of `rank_mod`, else 0.  The last step has no lookahead
-    rows.  The search reads hits of `counts` itself and calls this only
-    on a miss; a kept step stores the new count there under `key(values)`,
-    charged `_MEMO_ENTRY_BYTES`, while the table has room.
+    them: q^(nfree - rank) when they are consistent, with the rank the
+    number of echelon rows that `_arrow_rows` returns, else 0.  The last
+    step has no lookahead rows.  The search reads hits of `counts` itself
+    and calls this only on a miss; a kept step stores the new count there
+    under `key(values)`, charged `_MEMO_ENTRY_BYTES`, while the table has
+    room.
     """
     if step.loops:
         return sum(1 for _ in _step_points(tables, step, values, q))
-    system = _arrow_rows(step, values, q)
-    rank = None if system is None else rank_mod(*system, q)
-    found = 0 if rank is None else q ** (step.chart.nfree - rank)
+    rows = _arrow_rows(step, values, q)
+    found = 0 if rows is None else q ** (step.chart.nfree - len(rows))
     if step.counts is not None and tables.room >= _MEMO_ENTRY_BYTES:
         tables.room -= _MEMO_ENTRY_BYTES
         step.counts[step.key(values)] = found

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 from quiver_schubert.hypothesis_h import (
@@ -430,3 +431,178 @@ def reference_generate_equations(m: Representation, beta, fibred_via: QuiverMorp
                         if terms:
                             equations.append(CellEquation((at_name, t, s), br, bc, Poly(terms)))
     return CellEquationSystem(beta, tuple(variables), tuple(equations))
+
+
+def rank_mod(rows, rhs, q: int) -> int | None:
+    """Rank of A over F_q, or None when A x = b is inconsistent.
+
+    Forward elimination only, one row at a time: each row of (A | b) is
+    cleared at the pivot column of every pivot row before it by
+    cross-multiplication, row <- p * row - a * pivot_row, and becomes a
+    pivot row at its first nonzero entry.  A row that clears to zero in A
+    but not in b makes the system inconsistent; otherwise it has
+    q^(nvars - rank) solutions.  The reference for the elimination that
+    `oracle._arrow_rows` does as it reads each row.
+    """
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for row, b in zip(rows, rhs):
+        row = [x % q for x in row]
+        row.append(b % q)
+        for c, top in pivots:
+            f = row[c]
+            if f:
+                p = top[c]
+                row = [(p * x - f * y) % q for x, y in zip(row, top)]
+        for c, x in enumerate(row):
+            if x:
+                break
+        else:
+            continue
+        if c == len(row) - 1:
+            return None
+        pivots.append((c, row))
+    return len(pivots)
+
+
+def reference_arrow_rows(step, values, q: int):
+    """A step's arrow rows at the placed values as (rows, rhs) over F_q, uneliminated, or None when one cannot hold.
+
+    Each row is evaluated in wiring order; one whose coefficients all
+    vanish mod q is dropped, and gives None before any later row is read
+    if its right-hand side does not.  The row builder that fed the
+    reference `rank_mod` and `iter_solutions_mod` before the oracle
+    eliminated each row as it read it.
+    """
+    nfree = step.chart.nfree
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for k, (b, terms), coefficients in step.rows:
+        y = values[k]
+        for u, c in terms:
+            b += c * y[u]
+        row = [0] * nfree
+        for v, (a, terms) in coefficients:
+            for u, c in terms:
+                a += c * y[u]
+            row[v] = a % q
+        if any(row):
+            rows.append(row)
+            rhs.append(b % q)
+        elif b % q:
+            return None
+    return rows, rhs
+
+
+def fraction_lagrange_interpolate(points):
+    """Coefficients (ascending degree) of the interpolating polynomial, in Fraction arithmetic throughout.
+
+    The reference for `linalg.lagrange_interpolate`, which works in ints
+    over one common denominator.
+    """
+    n = len(points)
+    coeffs = [Fraction(0)] * n
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            denom *= xi - xj
+            new = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                new[k] += c * (-xj)
+                new[k + 1] += c
+            basis = new
+        scale = Fraction(yi) / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def reference_compile(chart, columns, target, s: int, t: int):
+    """Arrow compiled from source `chart` to `target` as one pass per pair of charts.
+
+    Builds the arrow's generator images on the source chart afresh, as
+    (constant, ((var, vector), ...)) per generator, and turns them into
+    the target's rows or loop forms: the per-pair compile that
+    `oracle._Tables.compiled` did before it kept each arrow's images once
+    per source chart.  A loop gives its forms, any other arrow (pure,
+    rows) in the format of `compiled`.
+    """
+    images = [
+        (columns[p], [(var, columns[r]) for r, var in free if any(columns[r])])
+        for p, free in zip(chart.pivot_rows, chart.column_free)
+    ]
+    if s == t:
+        forms: dict = {}
+        for const, terms in images:
+            for r, free in zip(target.nonpivot_rows, target.row_free):
+                linear = {v: vec[r] for v, vec in terms}
+                quadratic: dict = {}
+                for j, u in free:
+                    p = target.pivot_rows[j]
+                    linear[u] = linear.get(u, 0) - const[p]
+                    for v, vec in terms:
+                        pair = (min(u, v), max(u, v))
+                        quadratic[pair] = quadratic.get(pair, 0) - vec[p]
+                linear_terms = tuple((v, a) for v, a in sorted(linear.items()) if a)
+                quadratic_terms = tuple((u, v, b) for (u, v), b in sorted(quadratic.items()) if b)
+                if const[r] or linear_terms or quadratic_terms:
+                    forms[const[r], linear_terms, quadratic_terms] = None
+        return tuple(forms)
+
+    def incoming():
+        for const, terms in images:
+            w = [(c, tuple((u, vec[p]) for u, vec in terms if vec[p])) for p, c in enumerate(const)]
+            for r, free in zip(target.nonpivot_rows, target.row_free):
+                yield w[r], [(var, w[target.pivot_rows[j]]) for j, var in free]
+
+    def outgoing():
+        for r, free in zip(target.nonpivot_rows, target.row_free):
+            weights = [(target.pivot_rows[c], var) for c, var in free]
+            for const, terms in images:
+                b = (-const[r], tuple((var, const[p]) for p, var in weights if const[p]))
+                yield b, [(v, (vec[r], tuple((var, -vec[p]) for p, var in weights if vec[p]))) for v, vec in terms]
+
+    pure: dict = {}
+    rows = []
+    for b, coefficients in incoming() if s < t else outgoing():
+        coefficients = tuple((v, a) for v, a in coefficients if a[0] or a[1])
+        if coefficients:
+            rows.append((min(s, t), b, coefficients))
+        elif b[0] or b[1]:
+            pure[b] = None
+    return tuple(pure), tuple(rows)
+
+
+def record_count_path_rows(monkeypatch) -> list:
+    """A list to which the count path's elimination appends each result it returns, from now on.
+
+    That is each call of `oracle._arrow_rows` made by a loop-free
+    `oracle._last_count`, once per last-step system a count reads: its
+    echelon rows, or None.  Each entry is (step, placed values, q, result).
+    """
+    from quiver_schubert import oracle
+
+    found: list = []
+    counting: list = []
+    last_count, arrow_rows = oracle._last_count, oracle._arrow_rows
+
+    def recorded_last_count(tables, step, values, q):
+        counting.append(not step.loops)
+        try:
+            return last_count(tables, step, values, q)
+        finally:
+            counting.pop()
+
+    def recorded_arrow_rows(step, values, q):
+        rows = arrow_rows(step, values, q)
+        if counting and counting[-1]:
+            found.append((step, list(values), q, rows))
+        return rows
+
+    monkeypatch.setattr(oracle, "_last_count", recorded_last_count)
+    monkeypatch.setattr(oracle, "_arrow_rows", recorded_arrow_rows)
+    return found

@@ -1,9 +1,10 @@
-"""Linear algebra over F_q: the order in which solution sets are enumerated, and ranks without solving."""
+"""Linear algebra over F_q: the order in which solution sets are enumerated, ranks without solving, and interpolation."""
 
 import random
 from itertools import product
 
-from quiver_schubert.linalg import iter_solutions_mod, rank_mod, solve_mod
+from conftest import fraction_lagrange_interpolate, rank_mod
+from quiver_schubert.linalg import iter_solutions_mod, lagrange_interpolate, solve_mod
 
 
 def _product_order(particular, basis, q):
@@ -121,7 +122,7 @@ def _rank_cases(rng):
 
 
 def test_rank_agrees_with_solve_mod_on_consistency_and_nullity():
-    """rank_mod is None exactly when solve_mod finds no solution, and nvars - rank is the nullity len(basis)."""
+    """The reference rank_mod is None exactly when solve_mod finds no solution, and nvars - rank is the nullity len(basis)."""
     rng = random.Random(25)
     seen = {}
     for kind, q, a, b, nvars in _rank_cases(rng):
@@ -136,3 +137,34 @@ def test_rank_agrees_with_solve_mod_on_consistency_and_nullity():
     assert all(False in seen[k] for k in ("random", "rank deficient", "zero rows", "nvars = 0", "no rows"))
     assert seen["more rows than columns"] == {True, False}
 
+
+
+def test_integer_interpolation_agrees_with_fraction_interpolation():
+    """lagrange_interpolate, in ints over one common denominator, gives the coefficients of the Fraction reference.
+
+    Seeded sample sets of 0 to 12 distinct points, at primes as the
+    counting polynomial takes them and at arbitrary integers, some of
+    them negative, with zero, negative and large totals.
+    """
+    rng = random.Random(34)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    kinds = set()
+    for n in range(13):
+        for _ in range(40):
+            xs = rng.sample(primes, n) if rng.random() < 0.5 else rng.sample(range(-40, 60), n)
+            kind = rng.choice(["zero", "negative", "large", "small"])
+            kinds.add(kind)
+
+            def total():
+                return {
+                    "zero": 0,
+                    "negative": -rng.randrange(1, 10**6),
+                    "large": rng.randrange(-(10**40), 10**40),
+                    "small": rng.randrange(-5, 6),
+                }[kind]
+
+            points = [(x, total()) for x in xs]
+            assert lagrange_interpolate(points) == fraction_lagrange_interpolate(points), points
+    assert kinds == {"zero", "negative", "large", "small"}
+    assert lagrange_interpolate([(2, 7), (3, 13), (5, 31)]) == (1, 1, 1)  # x^2 + x + 1
+    assert lagrange_interpolate([]) == () and lagrange_interpolate([(3, -4)]) == (-4,)

@@ -15,7 +15,13 @@ from itertools import chain, product
 
 import pytest
 
-from conftest import independent_total
+from conftest import (
+    independent_total,
+    rank_mod,
+    record_count_path_rows,
+    reference_arrow_rows,
+    reference_compile,
+)
 from quiver_schubert import linalg, oracle
 from quiver_schubert.catalog import catalog
 from quiver_schubert.charts import _TUPLE_BYTES, Chart
@@ -119,7 +125,9 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     and 345 ranked last-step keys, and left 566 calls of solve_mod.  A
     step's arrow rows read only a few of those coordinates, so its result
     is now solved once per tuple of the coordinates they read: 514 listed
-    systems, 180 calls of solve_mod and 71 of rank_mod.  Each step keeps
+    systems, 180 calls of solve_mod and 71 ranks, each now one call of
+    the count path's elimination (`_arrow_rows` under a loop-free
+    `_last_count`; it was `rank_mod` on the built rows).  Each step keeps
     one memo, keyed by the values its rows read, so each solve or rank is
     one entry and no result is stored twice (a second memo keyed by all
     the earlier neighbours' coordinates held 1,092 point and 345 count
@@ -127,8 +135,9 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     summed over its points, 343 sums, under the values both steps' rows
     read before it.
     """
-    calls = {"_chart_solutions": 0, "solve_mod": 0, "rank_mod": 0}
+    calls = {"_chart_solutions": 0, "solve_mod": 0}
     built = _record_tables(monkeypatch)
+    ranked = record_count_path_rows(monkeypatch)
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -141,15 +150,14 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
 
     counted(oracle, "_chart_solutions")
     counted(linalg, "solve_mod")
-    counted(oracle, "rank_mod")
     entry = catalog("degenerate_flag(4)")
     (report,) = count(entry.representation, entry.dim_vector, primes=(2,))
     assert report.total == 26961
     (tables,) = built
     assert calls["_chart_solutions"] == sum(map(len, _memos(tables, "points"))) == 514
-    assert calls["rank_mod"] == sum(map(len, _memos(tables, "counts"))) == 71
+    assert len(ranked) == sum(map(len, _memos(tables, "counts"))) == 71
     assert sum(map(len, _memos(tables, "tails"))) == 343
-    assert calls == {"_chart_solutions": 514, "solve_mod": 180, "rank_mod": 71}
+    assert calls == {"_chart_solutions": 514, "solve_mod": 180}
 
 
 def _record_tables(monkeypatch):
@@ -545,6 +553,103 @@ def test_one_table_serves_every_prime_of_a_call(monkeypatch, spec, primes):
     assert reports == [count(m, e, primes=(q,))[0] for q in primes]
 
 
+# Arrow images and compiled (arrow, source pivots, target pivots) keys that
+# count() builds on each entry at these primes.  Each compile built its
+# images afresh before the table kept them per (arrow, source pivot tuple).
+PINNED_IMAGES = {
+    ("ex_4_5_5", (2, 3)): (10, 232),
+    ("kronecker_preinjective(4)", (2, 3, 5)): (10, 40),
+}
+
+
+@pytest.mark.parametrize("spec, primes", sorted(PINNED_IMAGES))
+def test_arrow_images_are_built_once_per_source_chart(monkeypatch, spec, primes):
+    """count builds an arrow's images once per (arrow, source pivot tuple) it reaches, whatever the target charts."""
+    built = _record_tables(monkeypatch)
+    images = []  # (chart, columns) of every image build
+
+    class RecordedChart(oracle.Chart):
+        def images(self, columns):
+            images.append((self, columns))
+            return super().images(columns)
+
+    monkeypatch.setattr(oracle, "Chart", RecordedChart)
+    entry = catalog(spec)
+    count(entry.representation, entry.dim_vector, primes=primes)
+    (tables,) = built
+    reached = {(k, source) for k, source, _ in tables._compiled}
+    assert set(tables._images) == reached
+    assert (len(images), len(tables._compiled)) == (len(reached), PINNED_IMAGES[spec, primes][1])
+    assert len(images) == PINNED_IMAGES[spec, primes][0]
+
+
+def test_compiled_rows_equal_the_per_pair_compile():
+    """Every (arrow, source pivots, target pivots) that a cell can reach compiles to what one pass per pair of charts gives.
+
+    The rows and loop forms picked from the images kept per source chart
+    are checked, pure rows and rows in order, against `reference_compile`,
+    which builds the images afresh for each pair, on every catalog family
+    of the cross-check and on the random cycles, which have backward
+    arrows and loops.
+    """
+    kinds = set()
+    for name, rep, e in _cross_check_cases():
+        tables = _Tables(rep)
+        for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
+            pivots = cell_pivots(rep, beta)
+            for k in range(len(tables.arrows)):
+                tables.compiled(k, pivots)
+        for (k, source, target), found in tables._compiled.items():
+            s, t, columns = tables.arrows[k]
+            expected = reference_compile(tables.chart(s, source), columns, tables.chart(t, target), s, t)
+            assert found == expected, (name, k, source, target)
+            kinds.add("loop" if s == t else "forward" if s < t else "backward")
+        assert len(tables._images) == len({(k, source) for k, source, _ in tables._compiled}), name
+    assert kinds == {"loop", "forward", "backward"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_the_count_path_elimination_reads_the_rank_of_the_built_rows(monkeypatch, q):
+    """At every last-step arrival of a count, the rank `_last_count` reads is the reference rank of the rows as built.
+
+    With no memo room, every arrival at a loop-free last step calls
+    `_last_count`, which reads the number of echelon rows `_arrow_rows`
+    returns, or None.  That equals `rank_mod` on the rows that the
+    reference builder makes, evaluated and reduced mod q and not
+    eliminated, or its None.  The returned rows are in echelon form: each
+    has its pivot at its first nonzero entry, in a column that every
+    other row is zero in or meets after its own pivot.  The arrivals
+    include rows that vanish only mod q, rows that vanish over Z and
+    inconsistent systems.
+    """
+    monkeypatch.setattr(oracle, "_MEMO_BYTES", 0)
+    ranked = record_count_path_rows(monkeypatch)
+    seen = set()
+    for name, rep, e in _cross_check_cases():
+        if oracle.ambient_size(rep, e, q) > oracle.DEFAULT_BUDGET:
+            continue
+        del ranked[:]
+        count(rep, e, primes=(q,))
+        for step, values, _, rows in ranked:
+            built = reference_arrow_rows(step, values, q)
+            expected = None if built is None else rank_mod(*built, q)
+            assert (None if rows is None else len(rows)) == expected, (name, values)
+            seen.add("consistent" if rows is not None else "inconsistent")
+            if rows:
+                leads = [row.index(next(filter(None, row))) for row in rows]
+                assert len(set(leads)) == len(leads) and max(leads) < step.chart.nfree, (name, values)
+                assert all(rows[j][c] == 0 for i, c in enumerate(leads) for j in range(i + 1, len(rows)))
+            for k, (b, terms), coefficients in step.rows:
+                y = values[k]
+                forms = [b + sum(c * y[u] for u, c in terms)]
+                forms += [a + sum(c * y[u] for u, c in terms) for _, (a, terms) in coefficients]
+                if not any(forms):
+                    seen.add("zero over Z")
+                elif not any(f % q for f in forms):
+                    seen.add("zero mod q only")
+    assert seen == {"consistent", "inconsistent", "zero over Z", "zero mod q only"}
+
+
 def _step_key(tables, pivots, i):
     """Lookup key of step i: the step and the pivot tuples at i and at each of its neighbours, earlier and later."""
     return (i, pivots[i], *[pivots[k] for k in tables._around[i]])
@@ -676,25 +781,32 @@ def test_point_dicts_are_fresh_and_independent():
 
 
 # Work of count() on each entry at these primes: calls of _chart_solutions,
-# solve_mod and iter_solutions_mod, the points iter_solutions_mod yields, and
-# calls of rank_mod.  Before each pure row was read at the earlier step it
-# constrains the first four were (3747, 565, 583, 946), (2290, 150, 162, 304),
-# (1550, 53, 65, 112) and (6, 0, 6, 16226); before the loop-free last step was
-# counted by its rank they were (767, 565, 574, 738), (190, 150, 162, 304),
-# (85, 53, 65, 112) and (6, 0, 6, 16226).  one_loop(4,1) has a cell whose loop
-# forms all vanish, so its one step is counted, not listed.
+# solve_mod and iter_solutions_mod, the points iter_solutions_mod yields,
+# the systems the count path eliminates (`_arrow_rows` under a loop-free
+# `_last_count`) and how many of those the rows the reference builder
+# makes would send to rank_mod.  The last column was the rank_mod column
+# when the count built the rows first and ranked them after: that builder
+# refused 157 of the 725 systems of kronecker_preinjective(4) by a row whose
+# coefficients vanish mod q before rank_mod saw them, and the elimination
+# reads each of the 725 once, as the builder did.  Before each pure row was
+# read at the earlier step it constrains the first four were (3747, 565,
+# 583, 946), (2290, 150, 162, 304), (1550, 53, 65, 112) and (6, 0, 6,
+# 16226); before the loop-free last step was counted by its rank they were
+# (767, 565, 574, 738), (190, 150, 162, 304), (85, 53, 65, 112) and (6, 0,
+# 6, 16226).  one_loop(4,1) has a cell whose loop forms all vanish, so its
+# one step is counted, not listed.
 PINNED_WORK = {
-    ("kronecker_preinjective(4)", (2, 3, 5)): (42, 0, 6, 725, 568),
-    ("kronecker_preprojective(5)", (2, 3)): (38, 0, 10, 152, 152),
-    ("ex_4_5_5", (2, 3)): (30, 0, 10, 57, 55),
-    ("one_loop(4,1)", (11,)): (5, 0, 5, 16225, 1),
+    ("kronecker_preinjective(4)", (2, 3, 5)): (42, 0, 6, 725, 725, 568),
+    ("kronecker_preprojective(5)", (2, 3)): (38, 0, 10, 152, 152, 152),
+    ("ex_4_5_5", (2, 3)): (30, 0, 10, 57, 55, 55),
+    ("one_loop(4,1)", (11,)): (5, 0, 5, 16225, 1, 1),
 }
 
 
 @pytest.mark.parametrize("spec, primes", sorted(PINNED_WORK))
 def test_pure_rows_and_loop_forms_save_images_not_solves(monkeypatch, spec, primes):
     """Pure rows read at the earlier step they constrain, and loops read as forms, save chart systems, not solves."""
-    calls = dict.fromkeys(("_chart_solutions", "solve_mod", "iter_solutions_mod", "yielded", "rank_mod"), 0)
+    calls = dict.fromkeys(("_chart_solutions", "solve_mod", "iter_solutions_mod", "yielded"), 0)
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -713,11 +825,12 @@ def test_pure_rows_and_loop_forms_save_images_not_solves(monkeypatch, spec, prim
 
     counted(oracle, "_chart_solutions")
     counted(linalg, "solve_mod")
-    counted(oracle, "rank_mod")
     monkeypatch.setattr(oracle, "iter_solutions_mod", yielding)
+    ranked = record_count_path_rows(monkeypatch)
     entry = catalog(spec)
     count(entry.representation, entry.dim_vector, primes=primes)
-    assert tuple(calls.values()) == PINNED_WORK[spec, primes]
+    built = sum(reference_arrow_rows(step, values, q) is not None for step, values, q, _ in ranked)
+    assert (*calls.values(), len(ranked), built) == PINNED_WORK[spec, primes]
 
 
 def _rank(columns, q):
@@ -1064,14 +1177,7 @@ def _cross_check_cases():
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_each_cell_count_equals_the_tally_of_the_listing_path(monkeypatch, q):
     """count, which ranks a loop-free last step instead of listing it, gives each cell the points enumerate_subreps lists."""
-    ranked = []
-    rank_mod = oracle.rank_mod
-
-    def recorded(rows, rhs, q):
-        ranked.append(rank_mod(rows, rhs, q))
-        return ranked[-1]
-
-    monkeypatch.setattr(oracle, "rank_mod", recorded)
+    ranked = record_count_path_rows(monkeypatch)
     checked = looped = 0
     for name, rep, e in _cross_check_cases():
         if oracle.ambient_size(rep, e, q) > oracle.DEFAULT_BUDGET:
@@ -1081,7 +1187,8 @@ def test_each_cell_count_equals_the_tally_of_the_listing_path(monkeypatch, q):
         checked += 1
         looped += any(a.src == a.tgt for a in rep.quiver.arrows)
     # consistent and inconsistent last steps were ranked, and modules with loops checked
-    assert checked >= 80 and looped >= 10 and None in ranked and any(ranked)
+    results = [rows for *_, rows in ranked]
+    assert checked >= 80 and looped >= 10 and None in results and any(results)
 
 
 def test_each_cell_count_equals_the_tally_of_the_listing_path_at_17():
