@@ -1,44 +1,35 @@
 """Echelon charts of one vertex, and the arrow and loop conditions on them as integer forms.
 
-A chart is the echelon pattern of one pivot tuple at one vertex: its
-points are the subspaces with those pivots, one per tuple of free
-coordinates.  An arrow's generator images on its source chart are built
-over Z as per-row integer forms, once per arrow and source chart; the
-rows and quadratic forms that say those images lie in a target chart's
-span are picked from them, once per pair of charts.  The oracle reduces
-them mod q only where it reads them, so one compiled form serves every
-prime.
+A chart is the echelon pattern of one pivot tuple at one vertex: each
+tuple of its free coordinates gives one subspace with those pivots.  An
+arrow's generator images on its source chart are built over Z as
+per-row integer forms, once per arrow and source chart; the rows and
+quadratic forms that say those images lie in a target chart's span are
+picked from them, once per pair of charts.  The oracle reduces them mod
+q only where it reads them, so one compiled form serves every prime.  A
+chart holds geometry and integer forms, and no memory policy: what the
+oracle stores, and what that costs, is the oracle's to decide.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator, Sequence
 
 from .linalg import Matrix, Vector
-
-_TUPLE_BYTES = sys.getsizeof(())  # plus 8 per item
 
 
 class Chart:
     """Echelon chart of one vertex: pivot pattern plus free positions.
 
-    Column j of a chart point is 1 in row pivot_rows[j], a free coordinate
-    in each nonpivot row above it and 0 elsewhere.  Free coordinates x are
-    numbered column by column, top to bottom: `column_free[j]` lists the
-    (row, var) pairs of column j, `row_free[k]` the (column, var) pairs of
-    row nonpivot_rows[k], and `entries` the row-major matrix as indices
-    into x + (0, 1).  `point` keeps each point once per chart, and
-    `points` each list of them; `build` makes a fresh one.  The oracle's
-    step memos hold bare x, and only a listing asks `points` for the
-    matrices of a memoised list, so the chart keeps no point and no list
-    that no memo holds.  `point_bytes` is what a memo is charged per
-    stored x: x, its ints (32 bytes each as CPython allocates one below
-    2**30, none below 257) and its slot in the memo's tuple.
-    `matrix_bytes` is what a listing is charged per x of a list it has
-    `points` intern: the pair, the matrix and its rows, one intern dict
-    entry and its slot in the interned list.  A count interns nothing, so
-    its memos pay `point_bytes` alone.
+    Column j of the matrix at x is 1 in row pivot_rows[j], a free
+    coordinate in each nonpivot row above it and 0 elsewhere.  Free
+    coordinates x are numbered column by column, top to bottom:
+    `column_free[j]` lists the (row, var) pairs of column j, `row_free[k]`
+    the (column, var) pairs of row nonpivot_rows[k], and `entries` the
+    row-major matrix as indices into x + (0, 1).  `build` makes the pair
+    (x, matrix at x) afresh.  `_lists` holds, keyed by a whole list of x
+    that an oracle step memo holds, the tuple of `build` pairs of that
+    list; the oracle fills it, charges it and empties it.
     """
 
     def __init__(self, block: Sequence[str], pivots: Sequence[str]):
@@ -62,11 +53,7 @@ class Chart:
             for r in range(self.nrows)
             for j, p in enumerate(self.pivot_rows)
         ]
-        self._points: dict[Vector, tuple[Vector, Matrix]] = {}
         self._lists: dict[tuple, tuple] = {}
-        self.point_bytes = _TUPLE_BYTES + 40 * self.nfree + 8
-        rows = self.nrows * (_TUPLE_BYTES + 8 + 8 * len(self.pivot_rows))
-        self.matrix_bytes = 2 * _TUPLE_BYTES + 16 + rows + 8 + 100
 
     def build(self, x: Vector) -> tuple[Vector, Matrix]:
         """(x, echelon matrix at x)."""
@@ -75,25 +62,6 @@ class Chart:
             flat = map((x + (0, 1)).__getitem__, self.entries)
             return x, tuple(zip(*[flat] * ncols))
         return x, ((),) * self.nrows
-
-    def point(self, x: Vector) -> tuple[Vector, Matrix]:
-        """`build(x)`, built on first use and shared after; the oracle asks only for memoised x."""
-        found = self._points.get(x)
-        if found is None:
-            found = self._points[x] = self.build(x)
-        return found
-
-    def points(self, xs: tuple[Vector, ...]) -> tuple[tuple[Vector, Matrix], ...]:
-        """`point(x)` for each x of a list, as one tuple built on first use and shared after.
-
-        Keyed by the list itself, so a listing that meets a memoised list
-        again takes its pairs with one lookup, not one per point.  The
-        oracle calls it only for a list it has charged `matrix_bytes` per x.
-        """
-        found = self._lists.get(xs)
-        if found is None:
-            found = self._lists[xs] = tuple(map(self.point, xs))
-        return found
 
     def images(self, columns: Sequence[Vector]) -> list:
         """Image of each chart generator under an arrow with these integer columns, as per-row forms.

@@ -44,14 +44,14 @@ its rows read, taken by one C `itemgetter` where the step reads all of
 some neighbours' coordinates or some of one neighbour's (see `_Step`).
 Cells that agree there get the same list in the same order, and every
 cell of the call solves each distinct system once, and stores it once.
-A memo holds each point as its bare chart coordinates, and is charged
-for no more; only a listing gives a point its echelon matrix, interned
-by the chart for a memoised list, and charged there, while there is
-room, and built afresh for a streamed one or one that does not fit.
-The memos of one prime take at most about `_MEMO_BYTES` and are emptied
-at the next; a step whose points would take more than half the room
-left streams them as a search without memos would, so memory stays
-bounded whatever the point count.
+A memo holds each point as its bare chart coordinates; only a listing
+builds matrices, interned whole per memoised list (`_with_matrices`).
+`_Tables.keep` writes every memo entry and interned list, charged
+against a room of `_MEMO_BYTES` per prime, so the memos of one prime
+take at most about that and are emptied at the next.  A step whose
+points would take more than half the room left streams them as a
+search without memos would, so memory stays bounded whatever the point
+count.
 The last step streams too when every earlier step is its neighbour, as
 its key then fixes the whole cell and the point before it.  Points come
 out in the same order as a plain recursion over the vertices would
@@ -73,6 +73,7 @@ cell (`_tail_total`).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -100,10 +101,22 @@ from .linalg import mat_vec_mod  # noqa: F401
 
 DEFAULT_BUDGET = 10**8
 
-# Memory that the step memos of one call may take, charged per entry and
-# per stored point; count(degenerate_flag(4)) at q = 3 is charged 4.2 MiB.
+# The room of each prime, for every entry `_Tables.keep` writes to a memo or
+# a chart's interned lists; count(degenerate_flag(4)) at q = 3 takes 4.2 MiB.
 _MEMO_BYTES = 32 * 2**20
 _MEMO_ENTRY_BYTES = 200  # key, dict slot and tuple header
+_TUPLE_BYTES = sys.getsizeof(())  # plus 8 per item
+
+
+def _point_bytes(chart: Chart) -> int:
+    """The charge per x of a stored list: x, its ints (32 bytes each below 2**30, none below 257) and its slot."""
+    return _TUPLE_BYTES + 40 * chart.nfree + 8
+
+
+def _matrix_bytes(chart: Chart) -> int:
+    """The charge per x of an interned list: pair, matrix, rows, slot, and 100 bytes of 16-byte rounding to ten rows."""
+    rows = chart.nrows * (_TUPLE_BYTES + 8 + 8 * len(chart.pivot_rows))
+    return 2 * _TUPLE_BYTES + 16 + rows + 8 + 100
 
 
 class BudgetExceededError(RuntimeError):
@@ -196,9 +209,9 @@ class _Step:
     key never recurs).  A kept last step also has `counts`, the memo of
     its number of points, which `count` fills when the step has no loops;
     the point and count memos never mix, so a listing never reads a
-    count.  A kept step just before the last has `tails`, made on first
-    use: for each kept last step after it, the memo of the last step's
-    count summed over this step's points (`_tail_total`).
+    count.  A kept step just before the last has `tails`, made with it:
+    for each kept last step after it, the memo of the last step's count
+    summed over this step's points (`_tail_total`).
     """
 
     __slots__ = ("chart", "rows", "loops", "lookahead", "reads", "key", "points", "counts", "tails")
@@ -226,9 +239,9 @@ class _Tables:
     (vertex step, pivot tuple), an arrow's images by (arrow, source pivot
     tuple) and its compiled rows by (arrow, source pivot tuple, target
     pivot tuple), none charged to `room`.  An arrow's rows are compiled
-    once per call: its pure rows go to the earlier end, as lookahead
-    rows, and the rest to the later end.  `neighbours[i]` lists
-    the earlier steps that share a non-loop arrow with step i.
+    once per call: its pure rows go to the earlier end, as lookahead rows,
+    and the rest to the later end.  `neighbours[i]` lists the earlier
+    steps that share a non-loop arrow with step i.
 
     `step(i, pivots)` is the wired `_Step` of step i.  It is keyed by i,
     the pivot tuples at i and at each earlier neighbour and the lookahead
@@ -242,11 +255,10 @@ class _Tables:
     of every step in `_steps`.  A key that fixes the whole cell gets a
     step with no memo, assembled afresh at each lookup and not kept.
     `room` is what is left of `_MEMO_BYTES` at `prime`, for all the memos
-    of all the steps and the lists the charts intern for them: each memo
-    entry, tail sums included, is charged `_MEMO_ENTRY_BYTES`, each solved
-    list `chart.point_bytes` per point, and each list that a listing
-    interns `_MEMO_ENTRY_BYTES` and `chart.matrix_bytes` per point
-    (`_with_matrices`).
+    of all the steps and the lists the charts intern for them.  `keep` is
+    the one writer of `room` and of their entries: a count, a tail sum, a
+    solved list (`_step_points`) or an interned list (`_with_matrices`)
+    is stored only if its charge fits the room, and the room pays it.
     """
 
     def __init__(self, m: Representation):
@@ -282,7 +294,7 @@ class _Tables:
         self.room = _MEMO_BYTES
 
     def use_prime(self, q: int) -> None:
-        """Search over F_q next: at another prime, empty every step memo and chart point store and refill `room`."""
+        """Search over F_q next: at another prime, empty every memo and interned list and refill `room`."""
         if q != self.prime:
             self.prime, self.room = q, _MEMO_BYTES
             for step in self._steps.values():
@@ -291,8 +303,13 @@ class _Tables:
                 for _, memo in (step.tails or {}).values():
                     memo.clear()
             for chart in self._charts.values():
-                chart._points.clear()
                 chart._lists.clear()
+
+    def keep(self, memo: dict, key, value, nbytes: int) -> None:
+        """Store value under key in memo and charge nbytes to `room`, if they fit; else store nothing."""
+        if nbytes <= self.room:
+            self.room -= nbytes
+            memo[key] = value
 
     def chart(self, i: int, pivots: tuple[str, ...]) -> Chart:
         key = (i, pivots)
@@ -348,6 +365,8 @@ class _Tables:
                 step.points = {}
                 if i == self._last:
                     step.counts = {}
+                elif i == self._last - 1:
+                    step.tails = {}
                 step.reads = _read_pairs(step)
                 step.key = self.reader(step.reads, pivots)
             self._lookup[around] = step
@@ -476,16 +495,14 @@ def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
     number of echelon rows that `_arrow_rows` returns, else 0.  The last
     step has no lookahead rows.  The search reads hits of `counts` itself
     and calls this only on a miss; a kept step stores the new count there
-    under `key(values)`, charged `_MEMO_ENTRY_BYTES`, while the table has
-    room.
+    under `key(values)`, charged `_MEMO_ENTRY_BYTES`, by `_Tables.keep`.
     """
     if step.loops:
         return sum(1 for _ in _step_points(tables, step, values, q))
     rows = _arrow_rows(step, values, q)
     found = 0 if rows is None else q ** (step.chart.nfree - len(rows))
-    if step.counts is not None and tables.room >= _MEMO_ENTRY_BYTES:
-        tables.room -= _MEMO_ENTRY_BYTES
-        step.counts[step.key(values)] = found
+    if step.counts is not None:
+        tables.keep(step.counts, step.key(values), found, _MEMO_ENTRY_BYTES)
     return found
 
 
@@ -496,15 +513,11 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     lookahead rows, which `iter_solutions_mod` reads with the arrow rows:
     no point that a later neighbour's pure row would refuse is listed or
     visited, and the rest come in the same order.  `points`, keyed by
-    `key(values)`, is read first; the search reads its hits itself and
-    calls this past the first step only on a miss, and `_last_count`
-    calls it on a looped last step either way.  A new list is stored
-    there as a tuple of the x, charged `_MEMO_ENTRY_BYTES` and
-    `chart.point_bytes` per x, when it takes at most half the table's
-    room: one long list, solved again when it recurs, must not crowd out
-    the many small entries, counts and tail sums, that later cells read.
-    A list without a memo, or that does not fit, is streamed as an
-    iterator and not kept.
+    `key(values)`, is read first.  `_Tables.keep` stores a new list there,
+    a tuple of the x charged `_MEMO_ENTRY_BYTES` and `_point_bytes` per x,
+    when it takes at most half the table's room: one long list, solved
+    again when it recurs, must not crowd out the many small entries,
+    counts and tail sums, that later cells read.  Any other list streams.
     """
     memo = step.points
     if memo is not None:
@@ -517,13 +530,12 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
         solutions = (x for x in solutions if _loops_hold(step, x, q))
     if memo is None:
         return solutions
-    point_bytes = step.chart.point_bytes
+    point_bytes = _point_bytes(step.chart)
     fits = max(tables.room // 2 - _MEMO_ENTRY_BYTES, -1) // point_bytes
     head = list(islice(solutions, fits + 1))
-    if len(head) <= fits:  # all of them
-        tables.room -= _MEMO_ENTRY_BYTES + len(head) * point_bytes
-        found = memo[key] = tuple(head)
-        return found
+    if len(head) <= fits:  # all of them, and within the room
+        tables.keep(memo, key, tuple(head), _MEMO_ENTRY_BYTES + len(head) * point_bytes)
+        return memo[key]
     return chain(head, solutions)
 
 
@@ -589,9 +601,7 @@ def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
                 found, tail = _tail_total(tables, steps, pivots, found, values, q)
                 total += found
                 continue
-            memo = step.points
-            found = None if memo is None else memo.get(step.key(values))
-            pending[j] = iter(_step_points(tables, step, values, q) if found is None else found)
+            pending[j] = iter(_step_points(tables, step, values, q))
             i = j
             break
         else:
@@ -615,10 +625,10 @@ def _tail_total(
     sum depends on them only through those pairs, and the memo keeps it
     under the values there.  On a miss, or with no memo, a plain loop
     adds the last step's count at each point, from `counts` or
-    `_last_count`, and a memo stores the sum while the table has room,
-    charged `_MEMO_ENTRY_BYTES`.  The memo is returned for the cell's
-    later arrivals: None while the last step is not wired, or when either
-    step is not kept.
+    `_last_count`, and `_Tables.keep` stores the sum in the memo, charged
+    `_MEMO_ENTRY_BYTES`.  The memo is returned for the cell's later
+    arrivals: None while the last step is not wired, or when either step
+    is not kept.
     """
     before, last = steps[-2], steps[-1]
     if points is None:
@@ -635,9 +645,7 @@ def _tail_total(
         last = steps[-1] = tables.step(len(values), pivots)
     i = len(values) - 1
     tail = None
-    if before.points is not None and last.points is not None:
-        if before.tails is None:
-            before.tails = {}
+    if before.tails is not None and last.points is not None:
         tail = before.tails.get(last)
         if tail is None:
             separator = tuple(sorted({*before.reads, *[(k, u) for k, u in last.reads if k < i]}))
@@ -653,30 +661,30 @@ def _tail_total(
         values[i] = x
         found = None if counts is None else counts.get(count_key(values))
         total += _last_count(tables, last, values, q) if found is None else found
-    if tail is not None and tables.room >= _MEMO_ENTRY_BYTES:
-        tables.room -= _MEMO_ENTRY_BYTES
-        memo[key] = total
+    if tail is not None:
+        tables.keep(memo, key, total, _MEMO_ENTRY_BYTES)
     return total, tail
 
 
 def _with_matrices(tables: _Tables, chart: Chart, found: Iterable) -> Iterator[tuple[Vector, Matrix]]:
     """(x, echelon matrix) for each x of a step's points.
 
-    A memoised list (a tuple) has its pairs interned by the chart
-    (`Chart.points`), once per chart and list: the first time, while the
-    table has room for `_MEMO_ENTRY_BYTES` and `chart.matrix_bytes` per x,
-    which it is charged.  A stream, or a list that does not fit, gets
-    fresh pairs from `Chart.build`.
+    A memoised list (a tuple) gets the tuple of its `Chart.build` pairs
+    interned whole in `chart._lists`, keyed by the list, the first time
+    the table has room for `_MEMO_ENTRY_BYTES` and `_matrix_bytes` per x,
+    by `_Tables.keep`.  Pairs are not shared between lists.  A stream, or
+    a list that does not fit, gets fresh pairs, built as it is read.
     """
-    if type(found) is tuple:
-        interned = chart._lists.get(found)
-        if interned is not None:
-            return iter(interned)
-        cost = _MEMO_ENTRY_BYTES + len(found) * chart.matrix_bytes
-        if tables.room >= cost:
-            tables.room -= cost
-            return iter(chart.points(found))
-    return map(chart.build, found)
+    if type(found) is not tuple:
+        return map(chart.build, found)
+    interned = chart._lists.get(found)
+    if interned is None:
+        cost = _MEMO_ENTRY_BYTES + len(found) * _matrix_bytes(chart)
+        if cost > tables.room:
+            return map(chart.build, found)
+        interned = tuple(map(chart.build, found))
+        tables.keep(chart._lists, found, interned, cost)
+    return iter(interned)
 
 
 def _cell_points(
@@ -691,10 +699,10 @@ def _cell_points(
     `tables` when the search first reaches it, so a cell whose search dies
     at one step never wires the later ones; as each step lists only points
     that its later neighbours' pure rows accept, a search dies at the
-    first step such a row refuses.  The points come from the step's memo
-    (see `_Tables`): the cells of one call solve each distinct chart
-    system once, while the memos have room; past that, new lists stream as
-    they are solved.  Each point x gets its matrix from `_with_matrices`.
+    first step such a row refuses.  The points come from `_step_points`:
+    the cells of one call solve each distinct chart system once, while the
+    memos have room; past that, new lists stream as they are solved.  Each
+    point x gets its matrix from `_with_matrices`.
     The last step is walked inside the loop over the step before it: each
     point is a copy of that prefix's dict plus the last vertex.  `tables`,
     built for m, is shared by the cells of one call, one prime at a time:
@@ -736,10 +744,7 @@ def _cell_points(
             step = steps[j]
             if step is None:
                 step = steps[j] = tables.step(j, pivots)
-            memo = step.points
-            found = None if memo is None else memo.get(step.key(values))
-            if found is None:
-                found = _step_points(tables, step, values, q)
+            found = _step_points(tables, step, values, q)
             if not found:  # a stored list may be empty; a stream is always true
                 continue
             found = _with_matrices(tables, step.chart, found)

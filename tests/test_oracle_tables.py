@@ -24,9 +24,19 @@ from conftest import (
 )
 from quiver_schubert import linalg, oracle
 from quiver_schubert.catalog import catalog
-from quiver_schubert.charts import _TUPLE_BYTES, Chart
+from quiver_schubert.charts import Chart
 from quiver_schubert.linalg import column_echelon_max_pivot, mat_vec_mod
-from quiver_schubert.oracle import _cell_points, _Tables, cell_count, cell_pivots, count, enumerate_subreps
+from quiver_schubert.oracle import (
+    _TUPLE_BYTES,
+    _cell_points,
+    _matrix_bytes,
+    _point_bytes,
+    _Tables,
+    cell_count,
+    cell_pivots,
+    count,
+    enumerate_subreps,
+)
 from quiver_schubert.quiver import full_subquiver, quiver
 from quiver_schubert.representation import OrderedBasis, representation, restrict
 from quiver_schubert.schubert import enumerate_cells
@@ -195,9 +205,9 @@ def _charged(tables):
     """
     entries = sum(map(len, _memos(tables))) * oracle._MEMO_ENTRY_BYTES
     kept = [step for step in tables._steps.values() if step.points is not None]
-    points = sum(step.chart.point_bytes * len(found) for step in kept for found in step.points.values())
+    points = sum(_point_bytes(step.chart) * len(found) for step in kept for found in step.points.values())
     charts = tables._charts.values()
-    interned = sum(oracle._MEMO_ENTRY_BYTES + chart.matrix_bytes * len(xs) for chart in charts for xs in chart._lists)
+    interned = sum(oracle._MEMO_ENTRY_BYTES + _matrix_bytes(chart) * len(xs) for chart in charts for xs in chart._lists)
     return entries + points + interned
 
 
@@ -301,7 +311,7 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
             summed = sum(map(len, _memos(self, "tails")))
             super().use_prime(q)
             charts = self._charts.values()
-            emptied = not any(_memos(self, "points")) and not any(c._points for c in charts)
+            emptied = not any(_memos(self, "points")) and not any(c._lists for c in charts)
             emptied = emptied and not any(_memos(self)) and not any(_memos(self, "tails"))
             if switched:
                 switches.append((q, kept, emptied and self.room == oracle._MEMO_BYTES))
@@ -334,15 +344,16 @@ def test_a_last_step_that_is_not_kept_gets_no_tail_memo(monkeypatch):
 
     The last step of kronecker_preinjective(4) has the first step as its
     neighbour, so its key fixes the whole cell and it is assembled afresh
-    at each lookup.  Two vertices with no arrow keep their last step; its
-    count summed over the first step's points reads no placed value.
+    at each lookup: the first step, wired with an empty `tails`, keeps it
+    empty.  Two vertices with no arrow keep their last step; its count
+    summed over the first step's points reads no placed value.
     """
     built = _record_tables(monkeypatch)
     entry = catalog("kronecker_preinjective(4)")
     assert [r.total for r in count(entry.representation, entry.dim_vector, primes=(2, 3, 5))] == [3, 4, 6]
     (tables,) = built
     assert tables._unshared == tables._last == 1
-    assert tables._steps and all(step.tails is None for step in tables._steps.values())
+    assert tables._steps and all(step.tails == {} for step in tables._steps.values())
     assert [r.total for r in count(*_unlinked(3, 1), primes=(2, 3))] == [7, 13]
     tables = built[-1]
     assert tables._unshared is None
@@ -380,7 +391,7 @@ def test_a_step_list_is_kept_only_in_half_the_room_left():
     for q, factor, kept in ((3, 1, False), (3, 2, True), (2, 2, True)):
         tables = _Tables(rep)
         step = tables.step(0, [("b3", "b4"), ("b5",)])
-        charge = oracle._MEMO_ENTRY_BYTES + q**4 * step.chart.point_bytes
+        charge = oracle._MEMO_ENTRY_BYTES + q**4 * _point_bytes(step.chart)
         tables.room = factor * charge
         found = oracle._step_points(tables, step, [()], q)
         assert len(list(found)) == q**4
@@ -388,12 +399,70 @@ def test_a_step_list_is_kept_only_in_half_the_room_left():
         assert tables.room == factor * charge - kept * charge, (q, factor)
 
 
+def test_keep_stores_when_the_room_equals_the_charge():
+    """`_Tables.keep` stores and charges an entry whose charge is the room left, and refuses one a byte dearer."""
+    tables, memo = _Tables(_unlinked(1, 1)[0]), {}
+    tables.room = 99
+    tables.keep(memo, "key", 7, 100)
+    assert memo == {} and tables.room == 99
+    tables.room = 100
+    tables.keep(memo, "key", 7, 100)
+    assert memo == {"key": 7} and tables.room == 0
+
+
+@pytest.mark.parametrize("budget", [oracle._MEMO_BYTES, 3000])
+def test_keep_writes_and_charges_every_memo_entry(monkeypatch, budget):
+    """`_Tables.keep` is the one writer of `room` and of every memo entry, for count and enumerate_subreps.
+
+    Over the cross-check cases at q = 2, each table's room is the budget
+    less the charges of the calls that stored, and each entry of the
+    steps' `points`, `counts` and tail memos and of the charts' interned
+    lists is the value of one such call, none of them written twice.
+    """
+    monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
+    built = _record_tables(monkeypatch)
+    calls = []  # (table, memo, key, value, charge, stored)
+    keep = _Tables.keep
+
+    def recorded(self, memo, key, value, nbytes):
+        calls.append((self, memo, key, value, nbytes, nbytes <= self.room))
+        keep(self, memo, key, value, nbytes)
+
+    monkeypatch.setattr(_Tables, "keep", recorded)
+    checked, stored_any, refused_any = 0, False, False
+    for name, rep, e in _cross_check_cases():
+        if oracle.ambient_size(rep, e, 2) > oracle.DEFAULT_BUDGET:
+            continue
+        del built[:], calls[:]
+        count(rep, e, primes=(2,))
+        for _ in enumerate_subreps(rep, e, 2):
+            pass
+        assert len(built) == 2, name
+        for tables in built:
+            mine = [call[1:] for call in calls if call[0] is tables]
+            stored = {(id(memo), key): value for memo, key, value, _, fits in mine if fits}
+            assert len(stored) == sum(fits for *_, fits in mine), name
+            assert tables.room == budget - sum(nbytes for *_, nbytes, fits in mine if fits), name
+            memos = [*_memos(tables), *(chart._lists for chart in tables._charts.values())]
+            entries = [(id(memo), key, value) for memo in memos for key, value in memo.items()]
+            assert len(entries) == len(stored), name
+            assert all((i, key) in stored and stored[i, key] is value for i, key, value in entries), name
+            stored_any |= bool(stored)
+            refused_any |= not all(fits for *_, fits in mine)
+        checked += 1
+    assert checked >= 80 and stored_any and refused_any == (budget == 3000)
+
+
 def test_memo_charges_bound_the_memory_they_stand_for():
-    """A memo list of x costs at most `point_bytes` per x, and interning its matrices at most `matrix_bytes` more.
+    """A memo list of x costs at most `_point_bytes` per x, and interning its matrices at most `_matrix_bytes` more.
 
     Measured with tracemalloc on lists of 500 and 3,000 points with
     distinct coordinates of at least 1,000, which CPython does not share.
+    Each list is interned by `_with_matrices`, charged to the table's
+    room; a second list of the same x but the first, in reverse order,
+    shares no pair with the first, and its matrices fit its own charge.
     """
+    tables = _Tables(_unlinked(1, 1)[0])
     for block, pivots in ((tuple("abcd"), ("a",)), (tuple("abcdef"), tuple("bdf")), (tuple("abcdef"), tuple("def")),
                           (tuple("abcdefgh"), tuple("efgh"))):
         chart = Chart(block, pivots)
@@ -403,14 +472,20 @@ def test_memo_charges_bound_the_memory_they_stand_for():
             try:
                 xs = tuple(tuple(range(1000 + i * n, 1000 + (i + 1) * n)) for i in range(size))
                 listed = tracemalloc.get_traced_memory()[0]
-                chart.points(xs)
-                interned = tracemalloc.get_traced_memory()[0] - listed
+                others = xs[:0:-1]
+                for found in (xs, others):
+                    charge = oracle._MEMO_ENTRY_BYTES + len(found) * _matrix_bytes(chart)
+                    room, before = tables.room, tracemalloc.get_traced_memory()[0]
+                    oracle._with_matrices(tables, chart, found)
+                    used = tracemalloc.get_traced_memory()[0] - before
+                    assert room - tables.room == charge and used <= charge, (pivots, size, used, charge)
             finally:
                 tracemalloc.stop()
-            assert listed <= size * chart.point_bytes + _TUPLE_BYTES, (pivots, size)
-            assert interned <= oracle._MEMO_ENTRY_BYTES + size * chart.matrix_bytes, (pivots, size)
-            chart._points.clear()
+            assert listed <= size * _point_bytes(chart) + _TUPLE_BYTES, (pivots, size)
+            first, second = chart._lists[xs], chart._lists[others]
+            assert second == first[:0:-1] and not set(map(id, first)) & set(map(id, second))
             chart._lists.clear()
+            tables.room = oracle._MEMO_BYTES
 
 
 def _vanishing_mod_small_primes():
@@ -1221,7 +1296,7 @@ def test_a_table_that_counted_lists_the_same_points_and_the_other_way_round():
 
 
 def test_the_count_path_builds_no_matrix(monkeypatch):
-    """count reads bare chart coordinates: with Chart.build and Chart.point raising, every total stays the same.
+    """count reads bare chart coordinates: with Chart.build raising, every total stays the same and no list is interned.
 
     Each case runs with the default memo room and with none, so memoised
     lists and streams are both counted.  The random cycles' totals are
@@ -1238,20 +1313,21 @@ def test_the_count_path_builds_no_matrix(monkeypatch):
         raise AssertionError("the count path built a matrix")
 
     monkeypatch.setattr(oracle.Chart, "build", refused)
-    monkeypatch.setattr(oracle.Chart, "point", refused)
+    built = _record_tables(monkeypatch)
     for budget in (oracle._MEMO_BYTES, 0):
         monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
         for rep, e, primes, totals in cases:
             assert [r.total for r in count(rep, e, primes=primes)] == totals, (budget, primes)
+            assert not any(chart._lists for chart in built[-1]._charts.values()), (budget, primes)
     assert any(totals[0] for *_, totals in cases[3:])
 
 
 def test_a_listing_interns_only_memoised_points(monkeypatch):
-    """enumerate_subreps interns a matrix only for a point that a step memo holds.
+    """enumerate_subreps interns matrices only for a whole list that a step memo holds.
 
-    With no memo room every list streams and no chart keeps a point or a
-    list.  With the default room each chart keeps only coordinates that
-    appear in a memo list of a step on that chart, and only such lists.
+    With no memo room every list streams and no chart keeps a list.  With
+    the default room each chart keeps only memo lists of a step on that
+    chart, each with the `Chart.build` pair of each of its x, in order.
     """
     built = _record_tables(monkeypatch)
     cases = [(*random_branching_cycle(seed), 2) for seed in range(10)]
@@ -1266,16 +1342,14 @@ def test_a_listing_interns_only_memoised_points(monkeypatch):
             for _ in enumerate_subreps(rep, e, q):
                 pass
             (tables,) = built
-            memoised = {}  # chart -> (its memo lists, the points in them)
+            memoised = {}  # chart -> its memo lists
             for step in tables._steps.values():
-                lists, held = memoised.setdefault(id(step.chart), (set(), set()))
-                if step.points:
-                    lists.update(step.points.values())
-                    held.update(chain.from_iterable(step.points.values()))
+                memoised.setdefault(id(step.chart), set()).update((step.points or {}).values())
             for chart in tables._charts.values():
-                lists, held = memoised.get(id(chart), (set(), set()))
-                assert set(chart._points) <= held and set(chart._lists) <= lists
+                assert set(chart._lists) <= memoised.get(id(chart), set())
                 if budget == 0:
-                    assert not chart._points and not chart._lists
-                interned += len(chart._points)
+                    assert not chart._lists
+                for xs, pairs in chart._lists.items():
+                    assert pairs == tuple(map(chart.build, xs))
+                interned += len(chart._lists)
     assert interned > 0
