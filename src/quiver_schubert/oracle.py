@@ -19,7 +19,7 @@ for the call, whatever the prime, and it wires each step once per key,
 when a search first reaches it; every cell with that key shares the
 step, and a cell whose search dies at one step never wires the next.
 
-The search is one flat depth-first loop.  At each step, containment
+A listing is one flat depth-first loop.  At each step, containment
 along arrows whose other endpoint is already placed is linear in the
 chart coordinates and solved exactly; loops are filtered.  An arrow's
 generator images are built once per call and source pivot tuple, and
@@ -56,18 +56,17 @@ The last step streams too when every earlier step is its neighbour, as
 its key then fixes the whole cell and the point before it.  Points come
 out in the same order as a plain recursion over the vertices would
 give, each chart in `iter_solutions_mod` order.  `enumerate_subreps`
-gets each as a fresh dict.  `count` only counts, in a walk over the
-coordinates that builds no matrix and no dict (`_cell_total`), and it
-does not list the points of a last step without loops: their number is
-q^(nfree - rank) of the step's arrow rows at the placed values, or 0
-when those are inconsistent, memoised like a point list.  The rank is
-the number of rows that `_arrow_rows`, the one evaluator of both paths,
-returns after eliminating each row as it reads it.  A last step with
-loops, and every earlier step, is listed as above.  The last step's
-count summed over the points of the step before it depends on the
-placed values only through the coordinates that the two steps' rows
-read, so that step keeps the sum under those values, shared by every
-cell (`_tail_total`).
+gets each as a fresh dict.  `count` only counts, over the coordinates,
+building no matrix, and it does not list the points of a last step
+without loops: their number is q^(nfree - rank) of the step's arrow rows
+at the placed values, or 0 when those are inconsistent, memoised like a
+point list.  The rank is the number of rows that `_arrow_rows`, the one
+evaluator of both paths, returns after eliminating each row as it reads
+it.  A last step with loops, and every earlier step, is listed as above.
+A count walks the steps of a cell forward once, as in bucket
+elimination (R. Dechter, Artificial Intelligence 113, 1999): as the
+later steps read the placed values only at their `reads`, it carries
+the number of prefixes per tuple of values there (`_forward`).
 """
 
 from __future__ import annotations
@@ -106,6 +105,9 @@ DEFAULT_BUDGET = 10**8
 _MEMO_BYTES = 32 * 2**20
 _MEMO_ENTRY_BYTES = 200  # key, dict slot and tuple header
 _TUPLE_BYTES = sys.getsizeof(())  # plus 8 per item
+# The most entries a message of `_forward` holds before it is passed on: a
+# quarter of the memo room at about 256 bytes each.
+_MESSAGE_ENTRIES = _MEMO_BYTES // 4 // 256
 
 
 def _point_bytes(chart: Chart) -> int:
@@ -209,12 +211,10 @@ class _Step:
     key never recurs).  A kept last step also has `counts`, the memo of
     its number of points, which `count` fills when the step has no loops;
     the point and count memos never mix, so a listing never reads a
-    count.  A kept step just before the last has `tails`, made with it:
-    for each kept last step after it, the memo of the last step's count
-    summed over this step's points (`_tail_total`).
+    count.
     """
 
-    __slots__ = ("chart", "rows", "loops", "lookahead", "reads", "key", "points", "counts", "tails")
+    __slots__ = ("chart", "rows", "loops", "lookahead", "reads", "key", "points", "counts")
 
     def __init__(self, chart: Chart, lookahead: tuple):
         self.chart = chart
@@ -225,7 +225,6 @@ class _Step:
         self.key = _no_coordinates  # set with `reads` on a kept step; a step with no memo never reads it
         self.points: dict | None = None
         self.counts: dict | None = None
-        self.tails: dict | None = None
 
 
 def _no_coordinates(values: list) -> tuple:
@@ -256,9 +255,11 @@ class _Tables:
     step with no memo, assembled afresh at each lookup and not kept.
     `room` is what is left of `_MEMO_BYTES` at `prime`, for all the memos
     of all the steps and the lists the charts intern for them.  `keep` is
-    the one writer of `room` and of their entries: a count, a tail sum, a
-    solved list (`_step_points`) or an interned list (`_with_matrices`)
-    is stored only if its charge fits the room, and the room pays it.
+    the one writer of `room` and of their entries: a count, a solved list
+    (`_step_points`) or an interned list (`_with_matrices`) is stored
+    only if its charge fits the room, and the room pays it.  `_later[i]`
+    lists step i + 1 and each later step with an earlier neighbour at or
+    before i, whose reads make the separator after step i (`separator`).
     """
 
     def __init__(self, m: Representation):
@@ -285,6 +286,11 @@ class _Tables:
         last = len(vertices) - 1
         self._last = last
         self._unshared = last if last >= 0 and self.neighbours[last] == tuple(range(last)) else None
+        self._later = [
+            tuple(j for j in range(i + 1, last + 1) if j == i + 1 or min(self.neighbours[j], default=j) <= i)
+            for i in range(last)
+        ]
+        self._separators: dict[tuple, object] = {}
         self._charts: dict[tuple[int, tuple[str, ...]], Chart] = {}
         self._images: dict[tuple, list] = {}
         self._compiled: dict[tuple, tuple] = {}
@@ -299,8 +305,6 @@ class _Tables:
             self.prime, self.room = q, _MEMO_BYTES
             for step in self._steps.values():
                 for memo in filter(None, (step.points, step.counts)):
-                    memo.clear()
-                for _, memo in (step.tails or {}).values():
                     memo.clear()
             for chart in self._charts.values():
                 chart._lists.clear()
@@ -365,8 +369,6 @@ class _Tables:
                 step.points = {}
                 if i == self._last:
                     step.counts = {}
-                elif i == self._last - 1:
-                    step.tails = {}
                 step.reads = _read_pairs(step)
                 step.key = self.reader(step.reads, pivots)
             self._lookup[around] = step
@@ -389,6 +391,29 @@ class _Tables:
             k, get = read[0], itemgetter(*[u for _, u in reads])
             return lambda values: get(values[k])
         return lambda values: tuple([values[k][u] for k, u in reads])
+
+    def separator(self, steps: list, pivots: Sequence[tuple[str, ...]], i: int):
+        """The key function of the values at the pairs (k <= i, u) that the cell's steps after i read.
+
+        It wires the steps of `_later[i]` into `steps` first.  With step
+        i + 1 alone there, it is that step's `key`; else it is built by
+        `reader` once per i and tuple of those steps, in `_separators`, but
+        for the unkept last step, whose pairs are read off its rows per cell.
+        """
+        later = self._later[i]
+        for j in later:
+            if steps[j] is None:
+                steps[j] = self.step(j, pivots)
+        if len(later) == 1:
+            return steps[i + 1].key
+        readers = tuple(steps[j] for j in later)
+        found = self._separators.get((i, readers))
+        if found is None:
+            pairs = {(k, u) for step in readers for k, u in step.reads or _read_pairs(step) if k <= i}
+            found = self.reader(tuple(sorted(pairs)), pivots)
+            if self._unshared not in later:
+                self._separators[i, readers] = found
+        return found
 
     def _assemble(self, i: int, pivots: Sequence[tuple[str, ...]], lookahead: tuple) -> _Step:
         """A step i with these lookahead rows, from its loops and the non-pure rows of its arrows to earlier steps."""
@@ -493,7 +518,7 @@ def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
     A loop-free one counts its arrow rows' solutions without listing
     them: q^(nfree - rank) when they are consistent, with the rank the
     number of echelon rows that `_arrow_rows` returns, else 0.  The last
-    step has no lookahead rows.  The search reads hits of `counts` itself
+    step has no lookahead rows.  A count reads hits of `counts` itself
     and calls this only on a miss; a kept step stores the new count there
     under `key(values)`, charged `_MEMO_ENTRY_BYTES`, by `_Tables.keep`.
     """
@@ -517,7 +542,7 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     a tuple of the x charged `_MEMO_ENTRY_BYTES` and `_point_bytes` per x,
     when it takes at most half the table's room: one long list, solved
     again when it recurs, must not crowd out the many small entries,
-    counts and tail sums, that later cells read.  Any other list streams.
+    counts and short lists, that later cells read.  Any other list streams.
     """
     memo = step.points
     if memo is not None:
@@ -556,114 +581,59 @@ def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
 
 
 def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
-    """The number of F_q points of one cell: `_cell_points`' search over bare coordinates, with no matrix or dict.
-
-    The search walks the steps before the one before the last.  At each
-    arrival there, the last step's count summed over the points of the
-    step before it is read from the cell's tail memo, filled by this cell
-    or another, and else found by `_tail_total`; an arrival where the
-    step's memo holds no point adds nothing.
-    """
+    """The number of F_q points of one cell, by one forward pass over its steps (`_forward`), with no matrix built."""
     last = len(tables.blocks) - 1
     if last < 0:
         return 1
     tables.use_prime(q)
-    steps: list = [None] * (last + 1)  # this cell's later steps, looked up on arrival
+    steps: list = [tables.step(0, pivots)] + [None] * last  # this cell's steps, wired as the pass reaches them
     values: list = [()] * last
-    first = steps[0] = tables.step(0, pivots)
     if last == 0:
-        return _last_count(tables, first, values, q)
-    before = last - 1
-    if before == 0:
-        return _tail_total(tables, steps, pivots, None, values, q)[0]
-    pending: list = [iter(())] * before
-    pending[0] = iter(_step_points(tables, first, values, q))
-    total = 0
-    tail = None  # (key, memo) of this cell's two last steps, once the last is wired, if both are kept
-    i = 0
-    while i >= 0:
-        for x in pending[i]:
-            values[i] = x
-            j = i + 1
-            step = steps[j]
-            if step is None:
-                step = steps[j] = tables.step(j, pivots)
-            if j == before:
-                if tail is not None:
-                    found = tail[1].get(tail[0](values))
-                    if found is not None:
-                        total += found
-                        continue
-                memo = step.points
-                found = None if memo is None else memo.get(step.key(values))
-                if found == ():
-                    continue
-                found, tail = _tail_total(tables, steps, pivots, found, values, q)
-                total += found
-                continue
-            pending[j] = iter(_step_points(tables, step, values, q))
-            i = j
-            break
-        else:
-            i -= 1
-    return total
+        return _last_count(tables, steps[0], values, q)
+    return _forward(tables, steps, pivots, 0, {(): [values, 1]}, q)
 
 
-def _tail_total(
-    tables: _Tables, steps: list, pivots: Sequence[tuple], points: tuple | None, values: list, q: int
-) -> tuple[int, tuple | None]:
-    """The last step's count summed over the points of the step before it, and the cell's tail memo.
+def _forward(tables: _Tables, steps: list, pivots: Sequence[tuple], i: int, message: dict, q: int) -> int:
+    """The number of completions through steps i to the last of the prefixes that `message` stands for.
 
-    `steps` holds the cell's steps up to the one before the last, and the
-    last once a point of the one before has wired it.  `points` are that
-    step's points when the caller found them in its memo, else None.
-    When both steps are kept, the one before the last has a tail memo for
-    this last step in `tails`, (key, memo), made once per pair of steps:
-    the key, built by `_Tables.reader`, takes the values at the pairs of
-    its own `reads` and of the last step's `reads` below it.  Each step's
-    result depends on the placed values only through its `reads`, so the
-    sum depends on them only through those pairs, and the memo keeps it
-    under the values there.  On a miss, or with no memo, a plain loop
-    adds the last step's count at each point, from `counts` or
-    `_last_count`, and `_Tables.keep` stores the sum in the memo, charged
-    `_MEMO_ENTRY_BYTES`.  The memo is returned for the cell's later
-    arrivals: None while the last step is not wired, or when either step
-    is not kept.
+    `message` maps the values at the pairs (k < i, u) that steps i and
+    later read to [values, n]: one prefix, placed at steps 0 to i - 1,
+    and the number n of prefixes with those values, which all complete
+    alike.  Step i lists its points at each prefix.  At the step before
+    the last, each adds n times the last step's count; before it, each
+    is keyed by `_Tables.separator`, once step i has a point, and merged
+    into the next message.  That is passed on whenever it holds
+    `_MESSAGE_ENTRIES` entries, and at the end: the total is linear in it.
     """
-    before, last = steps[-2], steps[-1]
-    if points is None:
-        points = _step_points(tables, before, values, q)
-    if last is None:  # wired only once the step before it has a point
-        if type(points) is not tuple:
-            points = iter(points)
-            head = next(points, None)
-            if head is None:
-                return 0, None
-            points = chain((head,), points)
-        elif not points:
-            return 0, None
-        last = steps[-1] = tables.step(len(values), pivots)
-    i = len(values) - 1
-    tail = None
-    if before.tails is not None and last.points is not None:
-        tail = before.tails.get(last)
-        if tail is None:
-            separator = tuple(sorted({*before.reads, *[(k, u) for k, u in last.reads if k < i]}))
-            tail = before.tails[last] = (tables.reader(separator, pivots), {})
-        read, memo = tail
-        key = read(values)
-        found = memo.get(key)
-        if found is not None:
-            return found, tail
-    counts, count_key = last.counts, last.key
+    step, last = steps[i], len(steps) - 1
     total = 0
-    for x in points:
-        values[i] = x
-        found = None if counts is None else counts.get(count_key(values))
-        total += _last_count(tables, last, values, q) if found is None else found
-    if tail is not None:
-        tables.keep(memo, key, total, _MEMO_ENTRY_BYTES)
-    return total, tail
+    if i == last - 1:
+        end = steps[last]
+        for values, n in message.values():
+            for x in _step_points(tables, step, values, q):
+                values[i] = x
+                if end is None:
+                    end = steps[last] = tables.step(last, pivots)
+                found = None if end.counts is None else end.counts.get(end.key(values))
+                total += n * (_last_count(tables, end, values, q) if found is None else found)
+        return total
+    after: dict = {}
+    separator = None
+    for values, n in message.values():
+        for x in _step_points(tables, step, values, q):
+            values[i] = x
+            if separator is None:
+                separator = tables.separator(steps, pivots, i)
+            key = separator(values)
+            entry = after.get(key)
+            if entry is not None:
+                entry[1] += n
+                continue
+            if len(after) == _MESSAGE_ENTRIES:
+                total += _forward(tables, steps, pivots, i + 1, after, q)
+                after = {}
+            after[key] = [values.copy(), n]
+    return total + _forward(tables, steps, pivots, i + 1, after, q) if after else total
 
 
 def _with_matrices(tables: _Tables, chart: Chart, found: Iterable) -> Iterator[tuple[Vector, Matrix]]:

@@ -106,7 +106,14 @@ def test_count_of_degenerate_flag_3_at_17_solves_each_system_once(monkeypatch):
 
 
 def test_count_of_degenerate_flag_5_at_2_is_the_dellac_sum():
-    """Sum of b_d 2^d = 3,132,699: a five-step flag, whose steps before the last keep tail sums across its cells."""
+    """Sum of b_d 2^d = 3,132,699: a five-step flag, whose messages carry three steps of prefixes in each cell."""
     entry = catalog("degenerate_flag(5)")
     (report,) = count(entry.representation, entry.dim_vector, primes=(2,), budget=10**13)
     assert report.total == sum(b * 2**d for d, b in enumerate(dellac_betti(5))) == 3132699
+
+
+def test_count_of_degenerate_flag_4_at_5_is_the_dellac_sum():
+    """Sum of b_d 5^d = 46,099,071, over an ambient of about 2.5 * 10^14 points."""
+    entry = catalog("degenerate_flag(4)")
+    (report,) = count(entry.representation, entry.dim_vector, primes=(5,), budget=10**15)
+    assert report.total == sum(b * 5**d for d, b in enumerate(dellac_betti(4))) == 46099071

@@ -41,6 +41,7 @@ from quiver_schubert.quiver import full_subquiver, quiver
 from quiver_schubert.representation import OrderedBasis, representation, restrict
 from quiver_schubert.schubert import enumerate_cells
 from test_chart_search import random_branching_cycle
+from test_dellac import dellac_betti
 
 # SHA-256 of the ordered enumerate_subreps streams (cell key, then the
 # point's matrices), taken when every cell built its own plan tables.
@@ -141,9 +142,8 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     one memo, keyed by the values its rows read, so each solve or rank is
     one entry and no result is stored twice (a second memo keyed by all
     the earlier neighbours' coordinates held 1,092 point and 345 count
-    entries).  The step before the last keeps the last step's count
-    summed over its points, 343 sums, under the values both steps' rows
-    read before it.
+    entries).  Counting each cell by one forward pass over its steps
+    leaves all three numbers as they were under the depth-first walk.
     """
     calls = {"_chart_solutions": 0, "solve_mod": 0}
     built = _record_tables(monkeypatch)
@@ -166,7 +166,6 @@ def test_each_distinct_step_system_is_solved_once(monkeypatch):
     (tables,) = built
     assert calls["_chart_solutions"] == sum(map(len, _memos(tables, "points"))) == 514
     assert len(ranked) == sum(map(len, _memos(tables, "counts"))) == 71
-    assert sum(map(len, _memos(tables, "tails"))) == 343
     assert calls == {"_chart_solutions": 514, "solve_mod": 180}
 
 
@@ -184,22 +183,17 @@ def _record_tables(monkeypatch):
 
 
 def _memos(tables, *names):
-    """The memos `names` of each kept step that has them; by default all: points, counts and tails.
-
-    "tails" names the tail memos of a step before the last, one per kept last step after it.
-    """
+    """The memos `names` of each kept step that has them; by default both: points and counts."""
     for step in tables._steps.values():
-        for name in names or ("points", "counts", "tails"):
-            if name == "tails":
-                yield from (memo for _, memo in (step.tails or {}).values())
-            elif getattr(step, name) is not None:
+        for name in names or ("points", "counts"):
+            if getattr(step, name) is not None:
                 yield getattr(step, name)
 
 
 def _charged(tables):
     """The room that the memos of tables hold, and the lists the charts intern for them.
 
-    One entry per key of each memo, tail memos included, each solved
+    One entry per key of each memo, each solved
     list's points, and one entry and the matrices of its points for each
     interned list.
     """
@@ -243,8 +237,7 @@ def test_each_cell_counts_as_many_points_as_it_streams(monkeypatch):
     a loop.  With no memo room every list streams, with a little some are
     kept, and with the default room all of them.  At every budget the
     count's table is charged exactly what its memos hold, one entry per
-    key, tail sums included; with 3,000 bytes and more, some steps before
-    the last keep tail sums.
+    key.
     """
     built = _record_tables(monkeypatch)
     cases = [(f"seed {seed}", *random_branching_cycle(seed), 2) for seed in range(10)]
@@ -252,10 +245,8 @@ def test_each_cell_counts_as_many_points_as_it_streams(monkeypatch):
                     ("degenerate_flag(3)", 3)):
         entry = catalog(spec)
         cases.append((spec, entry.representation, entry.dim_vector, q))
-    tails = {}
     for budget in (0, 500, 3000, oracle._MEMO_BYTES):
         monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
-        tails[budget] = 0
         for name, rep, e, q in cases:
             streamed = {beta.key(): 0 for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices)}
             for point in enumerate_subreps(rep, e, q):
@@ -265,8 +256,6 @@ def test_each_cell_counts_as_many_points_as_it_streams(monkeypatch):
             assert report.total > 0, (name, budget)
             tables = built[-1]
             assert 0 <= tables.room == budget - _charged(tables), (name, budget)
-            tails[budget] += sum(map(len, _memos(tables, "tails")))
-    assert tails[0] == 0 and tails[3000] and tails[oracle._MEMO_BYTES], tails
 
 
 def _unlinked(rank: int, e: int):
@@ -302,21 +291,17 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
 
     switches = []  # (prime, points kept before the switch, all emptied after it)
     counted = []  # last-step counts held before each switch
-    tails = []  # tail sums held before each switch
 
     class RecordedTables(_Tables):
         def use_prime(self, q):
             switched, kept = q != self.prime, sum(map(len, _memos(self, "points")))
             held = sum(map(len, _memos(self, "counts")))
-            summed = sum(map(len, _memos(self, "tails")))
             super().use_prime(q)
             charts = self._charts.values()
-            emptied = not any(_memos(self, "points")) and not any(c._lists for c in charts)
-            emptied = emptied and not any(_memos(self)) and not any(_memos(self, "tails"))
+            emptied = not any(_memos(self)) and not any(c._lists for c in charts)
             if switched:
                 switches.append((q, kept, emptied and self.room == oracle._MEMO_BYTES))
                 counted.append(held)
-                tails.append(summed)
 
     monkeypatch.setattr(oracle, "_Tables", RecordedTables)
     tracemalloc.start()
@@ -329,42 +314,40 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
     (_, _, first), (q, kept, second) = switches
     assert first and second and q == 3 and kept > 0  # q = 2 filled memos that the switch emptied
 
-    # degenerate_flag(3) has a loop-free last step and three steps:
-    # its last step's counts and the tail sums of its middle steps are emptied too
-    del switches[:], counted[:], tails[:]
+    # degenerate_flag(3) has a loop-free last step and three steps: its last step's counts are emptied too
+    del switches[:], counted[:]
     entry = catalog("degenerate_flag(3)")
     reports = count(entry.representation, entry.dim_vector, primes=(2, 3, 5))
     assert [r.total for r in reports] == [531, 3340, 42066]
     assert [emptied for _, _, emptied in switches] == [True] * 3 and counted[0] == 0 and all(counted[1:])
-    assert tails[0] == 0 and all(tails[1:])
 
 
-def test_a_last_step_that_is_not_kept_gets_no_tail_memo(monkeypatch):
-    """A tail memo needs both last steps kept: none on the Kronecker quiver, each under () for two unlinked vertices.
+def test_a_last_step_that_is_not_kept_is_counted_afresh_in_each_cell(monkeypatch):
+    """A last step whose key fixes the whole cell keeps no count: on the Kronecker quiver; two unlinked vertices share one.
 
     The last step of kronecker_preinjective(4) has the first step as its
     neighbour, so its key fixes the whole cell and it is assembled afresh
-    at each lookup: the first step, wired with an empty `tails`, keeps it
-    empty.  Two vertices with no arrow keep their last step; its count
-    summed over the first step's points reads no placed value.
+    at each lookup: only first steps are kept, and no count is stored.
+    Two vertices with no arrow keep their last step, shared by the three
+    cells; its count reads no placed value, so it is stored once, under ().
     """
     built = _record_tables(monkeypatch)
     entry = catalog("kronecker_preinjective(4)")
     assert [r.total for r in count(entry.representation, entry.dim_vector, primes=(2, 3, 5))] == [3, 4, 6]
     (tables,) = built
     assert tables._unshared == tables._last == 1
-    assert tables._steps and all(step.tails == {} for step in tables._steps.values())
+    assert tables._steps and all(key[0] == 0 for key in tables._steps) and not any(_memos(tables, "counts"))
     assert [r.total for r in count(*_unlinked(3, 1), primes=(2, 3))] == [7, 13]
     tables = built[-1]
     assert tables._unshared is None
-    assert [list(memo) for memo in _memos(tables, "tails")] == [[()]] * 3  # one first step per cell
+    assert [list(memo) for memo in _memos(tables, "counts")] == [[()]]
 
 
-def test_a_count_at_13_keeps_tail_sums_within_its_memory(monkeypatch):
-    """count(degenerate_flag(3), (13,)) stores tail sums, and its traced peak stays under the memo budget.
+def test_a_count_at_13_stays_within_its_memory(monkeypatch):
+    """count(degenerate_flag(3), (13,)) ends with memo room left, and its traced peak stays under the memo budget.
 
     Its memos are charged for bare coordinates, as the count interns no
-    matrix, so the lists of its earlier steps leave room for the tail sums.
+    matrix.
     """
     built = _record_tables(monkeypatch)
     entry = catalog("degenerate_flag(3)")
@@ -376,7 +359,7 @@ def test_a_count_at_13_keeps_tail_sums_within_its_memory(monkeypatch):
         tracemalloc.stop()
     (tables,) = built
     assert report.total == 7363370
-    assert sum(map(len, _memos(tables, "tails"))) > 0 and tables.room > 0
+    assert any(_memos(tables, "counts")) and tables.room > 0
     assert peak < oracle._MEMO_BYTES
 
 
@@ -983,8 +966,9 @@ def test_a_step_that_reads_part_of_two_neighbours_counts_exactly(monkeypatch, q)
     """Memos keyed by some coordinates of two neighbours give the brute-force total, and each cell what it lists.
 
     Each step at vertex 3 with pivot b8, over pivots b3 and b6, reads one
-    of the two coordinates of each, and keeps points; as the step before
-    the last it also keeps tail sums under those two values.
+    of the two coordinates of each, and keeps points.  The message before
+    it is keyed by those two values, and the one before vertex 2, which
+    reads nothing, by the one value of vertex 1 that vertex 3 reads.
     """
     built = _record_tables(monkeypatch)
     rep, e = _partly_read_pair()
@@ -994,7 +978,66 @@ def test_a_step_that_reads_part_of_two_neighbours_counts_exactly(monkeypatch, q)
     assert report.per_cell == _listed_per_cell(rep, e, q)
     steps = [step for key, step in tables._steps.items() if key[:4] == (2, ("b8",), ("b3",), ("b6",))]
     assert steps and all(step.reads == ((0, 0), (1, 0)) for step in steps)
-    assert any(step.points for step in steps) and any(_memos(tables, "tails"))
+    assert any(step.points for step in steps)
+    assert tables._later == [(1, 2), (2,), (3,)] and {i for i, _ in tables._separators} == {0}
+
+
+def _unshared_triangle():
+    """`_partly_read_pair` without vertex 4: its last step, at vertex 3, has both earlier steps as neighbours."""
+    rep, e = _partly_read_pair()
+    vertices = ["1", "2", "3"]
+    rep = restrict(rep, full_subquiver(rep.quiver, vertices))
+    return rep, {v: e[v] for v in vertices}
+
+
+def _message_cases():
+    """(name, module, dimension vector, q, total or None): the total by Dellac sums or raw matrices, where cheap."""
+    for n, q in ((3, 3), (4, 2)):
+        entry = catalog(f"degenerate_flag({n})")
+        total = sum(b * q**d for d, b in enumerate(dellac_betti(n)))
+        yield f"degenerate_flag({n})", entry.representation, entry.dim_vector, q, total
+    entry = catalog("ex_4_5_5")
+    yield "ex_4_5_5", entry.representation, entry.dim_vector, 3, None
+    cases = [(f"seed {seed}", *random_branching_cycle(seed), 2) for seed in range(40)]
+    entry = catalog("kronecker_preinjective(4)")
+    cases += [("partly read pair", *_partly_read_pair(), 3), ("unshared triangle", *_unshared_triangle(), 3),
+              ("kronecker_preinjective(4)", entry.representation, entry.dim_vector, 3)]
+    for name, rep, e, q in cases:
+        yield name, rep, e, q, independent_total(rep, e, q)
+
+
+@pytest.mark.parametrize("cap", [1, oracle._MESSAGE_ENTRIES])
+def test_a_message_cap_changes_no_cell_count(monkeypatch, cap):
+    """Each cell counts the same whether its messages are passed on at once or only when full.
+
+    With a cap of 1 a message is passed on as soon as a second tuple of
+    values comes, a depth-first walk; at the default cap none of these
+    fills.  Per-cell counts equal the tallies of the listing path, and
+    their sum the Dellac sum or the count by raw matrices, where those
+    are cheap.  The cases take in the cycles and loops,
+    `_partly_read_pair`, whose separator after its second step spans both
+    earlier steps, and two entries whose last step is not kept: on two
+    vertices, and on three, where that step's reads make the separator
+    after the first.
+    """
+    monkeypatch.setattr(oracle, "_MESSAGE_ENTRIES", cap)
+    sizes = []
+    forward = oracle._forward
+
+    def recorded(tables, steps, pivots, i, message, q):
+        sizes.append(len(message))
+        return forward(tables, steps, pivots, i, message, q)
+
+    monkeypatch.setattr(oracle, "_forward", recorded)
+    unkept = 0
+    for name, rep, e, q, total in _message_cases():
+        del sizes[:]
+        (report,) = count(rep, e, primes=(q,))
+        assert report.per_cell == _listed_per_cell(rep, e, q), name
+        assert total in (None, report.total), name
+        assert sizes and max(sizes) <= cap, name
+        unkept += _Tables(rep)._unshared is not None and len(rep.quiver.vertices) > 2
+    assert unkept > 0
 
 
 def _placed(tables, pivots, q, values, i=0):
