@@ -52,21 +52,20 @@ take at most about that and are emptied at the next.  A step whose
 points would take more than half the room left streams them as a
 search without memos would, so memory stays bounded whatever the point
 count.
-The last step streams too when every earlier step is its neighbour, as
-its key then fixes the whole cell and the point before it.  Points come
-out in the same order as a plain recursion over the vertices would
-give, each chart in `iter_solutions_mod` order.  `enumerate_subreps`
-gets each as a fresh dict.  `count` only counts, over the coordinates,
-building no matrix, and it does not list the points of a last step
-without loops: their number is q^(nfree - rank) of the step's arrow rows
-at the placed values, or 0 when those are inconsistent, memoised like a
-point list.  The rank is the number of rows that `_arrow_rows`, the one
+Points come out in the same order as a plain recursion over the
+vertices would give, each chart in `iter_solutions_mod` order.
+`enumerate_subreps` gets each as a fresh dict.  `count` only counts,
+over the coordinates, building no matrix.  It walks the steps of a cell
+forward once, as in bucket elimination (R. Dechter, Artificial
+Intelligence 113, 1999): as the later steps read the placed values only
+at their `reads`, it carries the number of prefixes per tuple of values
+there, up to the last step (`_forward`).  It does not list the points
+of a last step without loops: their number is q^(nfree - rank) of the
+step's arrow rows at the placed values, or 0 when those are
+inconsistent, taken once per cell and tuple of the values the step
+reads.  The rank is the number of rows that `_arrow_rows`, the one
 evaluator of both paths, returns after eliminating each row as it reads
 it.  A last step with loops, and every earlier step, is listed as above.
-A count walks the steps of a cell forward once, as in bucket
-elimination (R. Dechter, Artificial Intelligence 113, 1999): as the
-later steps read the placed values only at their `reads`, it carries
-the number of prefixes per tuple of values there (`_forward`).
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ from .linalg import mat_vec_mod  # noqa: F401
 DEFAULT_BUDGET = 10**8
 
 # The room of each prime, for every entry `_Tables.keep` writes to a memo or
-# a chart's interned lists; count(degenerate_flag(4)) at q = 3 takes 4.2 MiB.
+# a chart's interned lists; count(degenerate_flag(4)) at q = 3 takes 2.5 MiB.
 _MEMO_BYTES = 32 * 2**20
 _MEMO_ENTRY_BYTES = 200  # key, dict slot and tuple header
 _TUPLE_BYTES = sys.getsizeof(())  # plus 8 per item
@@ -202,29 +201,22 @@ class _Step:
     the (earlier neighbour, coordinate) pairs that some term of a b or an
     a_v of `rows` reads, sorted: the arrow rows read nothing else, and
     the loops and lookahead rows read only x, so the step's result at a
-    prime depends on the placed values only through those pairs.  The
-    memos below live on the step alone; `_Tables.use_prime` empties
-    those of every kept step.  Each is keyed by `key(values)`, the placed
-    values at `reads` in the shape `_Tables.reader` gives them, so cells
-    whose values agree there share one entry.  `points` is the memo of
-    the step's points, a tuple of bare chart coordinates x (None when the
-    key never recurs).  A kept last step also has `counts`, the memo of
-    its number of points, which `count` fills when the step has no loops;
-    the point and count memos never mix, so a listing never reads a
-    count.
+    prime depends on the placed values only through those pairs.
+    `points` is the step's one memo, of its points at the prime, each a
+    tuple of bare chart coordinates x; `_Tables.use_prime` empties it.
+    It is keyed by `key(values)`, the placed values at `reads` in the
+    shape `_Tables.reader` gives them, so cells whose values agree there
+    share one entry.  `_Tables._assemble` sets `reads` and `key`.
     """
 
-    __slots__ = ("chart", "rows", "loops", "lookahead", "reads", "key", "points", "counts")
+    __slots__ = ("chart", "rows", "loops", "lookahead", "reads", "key", "points")
 
     def __init__(self, chart: Chart, lookahead: tuple):
         self.chart = chart
         self.rows: list[tuple] = []
         self.loops: dict[tuple, None] = {}
         self.lookahead = lookahead
-        self.reads: tuple[tuple[int, int], ...] = ()
-        self.key = _no_coordinates  # set with `reads` on a kept step; a step with no memo never reads it
-        self.points: dict | None = None
-        self.counts: dict | None = None
+        self.points: dict = {}
 
 
 def _no_coordinates(values: list) -> tuple:
@@ -249,17 +241,16 @@ class _Tables:
     tuples of all of i's neighbours finds it without hashing forms.  It
     is built from the compiled rows when a search first reaches that key
     and shared by every cell with it, in `_steps` under the key.  Its
-    memos over F_prime sit on the step alone (see `_Step`), keyed by the
-    values at its `reads` through `reader`, and `use_prime` empties those
-    of every step in `_steps`.  A key that fixes the whole cell gets a
-    step with no memo, assembled afresh at each lookup and not kept.
-    `room` is what is left of `_MEMO_BYTES` at `prime`, for all the memos
-    of all the steps and the lists the charts intern for them.  `keep` is
-    the one writer of `room` and of their entries: a count, a solved list
-    (`_step_points`) or an interned list (`_with_matrices`) is stored
-    only if its charge fits the room, and the room pays it.  `_later[i]`
-    lists step i + 1 and each later step with an earlier neighbour at or
-    before i, whose reads make the separator after step i (`separator`).
+    memo over F_prime sits on the step (see `_Step`), keyed by the values
+    at its `reads` through `reader`, and `use_prime` empties that of
+    every step in `_steps`.  `room` is what is left of `_MEMO_BYTES` at
+    `prime`, for the memos of all the steps and the lists the charts
+    intern for them.  `keep` is the one writer of `room` and of their
+    entries: a solved list (`_step_points`) or an interned list
+    (`_with_matrices`) is stored only if its charge fits the room, and
+    the room pays it.  `_later[i]` lists step i + 1 and each later step
+    with an earlier neighbour at or before i, whose reads make the
+    separator after step i (`separator`).
     """
 
     def __init__(self, m: Representation):
@@ -284,8 +275,6 @@ class _Tables:
         self.neighbours = [tuple(sorted(ks)) for ks in earlier]
         self._around = [ks + tuple(js) for ks, js in zip(self.neighbours, later)]  # every neighbour, some twice
         last = len(vertices) - 1
-        self._last = last
-        self._unshared = last if last >= 0 and self.neighbours[last] == tuple(range(last)) else None
         self._later = [
             tuple(j for j in range(i + 1, last + 1) if j == i + 1 or min(self.neighbours[j], default=j) <= i)
             for i in range(last)
@@ -304,8 +293,7 @@ class _Tables:
         if q != self.prime:
             self.prime, self.room = q, _MEMO_BYTES
             for step in self._steps.values():
-                for memo in filter(None, (step.points, step.counts)):
-                    memo.clear()
+                step.points.clear()
             for chart in self._charts.values():
                 chart._lists.clear()
 
@@ -356,8 +344,6 @@ class _Tables:
 
     def step(self, i: int, pivots: Sequence[tuple[str, ...]]) -> _Step:
         """The wired step i of every cell with these pivot tuples at i and its neighbours."""
-        if i == self._unshared:  # its key fixes the whole cell: assembled afresh, not kept
-            return self._assemble(i, pivots, ())
         around = (i, pivots[i], *[pivots[k] for k in self._around[i]])
         step = self._lookup.get(around)
         if step is None:
@@ -366,11 +352,6 @@ class _Tables:
             step = self._steps.get(key)
             if step is None:
                 step = self._steps[key] = self._assemble(i, pivots, lookahead)
-                step.points = {}
-                if i == self._last:
-                    step.counts = {}
-                step.reads = _read_pairs(step)
-                step.key = self.reader(step.reads, pivots)
             self._lookup[around] = step
         return step
 
@@ -397,8 +378,7 @@ class _Tables:
 
         It wires the steps of `_later[i]` into `steps` first.  With step
         i + 1 alone there, it is that step's `key`; else it is built by
-        `reader` once per i and tuple of those steps, in `_separators`, but
-        for the unkept last step, whose pairs are read off its rows per cell.
+        `reader` once per i and tuple of those steps, in `_separators`.
         """
         later = self._later[i]
         for j in later:
@@ -409,10 +389,8 @@ class _Tables:
         readers = tuple(steps[j] for j in later)
         found = self._separators.get((i, readers))
         if found is None:
-            pairs = {(k, u) for step in readers for k, u in step.reads or _read_pairs(step) if k <= i}
-            found = self.reader(tuple(sorted(pairs)), pivots)
-            if self._unshared not in later:
-                self._separators[i, readers] = found
+            pairs = {(k, u) for step in readers for k, u in step.reads if k <= i}
+            found = self._separators[i, readers] = self.reader(tuple(sorted(pairs)), pivots)
         return found
 
     def _assemble(self, i: int, pivots: Sequence[tuple[str, ...]], lookahead: tuple) -> _Step:
@@ -424,6 +402,8 @@ class _Tables:
                 step.loops.update(dict.fromkeys(self.compiled(k, pivots)))
             else:
                 step.rows += self.compiled(k, pivots)[1]
+        step.reads = _read_pairs(step)
+        step.key = self.reader(step.reads, pivots)
         return step
 
 
@@ -518,17 +498,12 @@ def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
     A loop-free one counts its arrow rows' solutions without listing
     them: q^(nfree - rank) when they are consistent, with the rank the
     number of echelon rows that `_arrow_rows` returns, else 0.  The last
-    step has no lookahead rows.  A count reads hits of `counts` itself
-    and calls this only on a miss; a kept step stores the new count there
-    under `key(values)`, charged `_MEMO_ENTRY_BYTES`, by `_Tables.keep`.
+    step has no lookahead rows.
     """
     if step.loops:
         return sum(1 for _ in _step_points(tables, step, values, q))
     rows = _arrow_rows(step, values, q)
-    found = 0 if rows is None else q ** (step.chart.nfree - len(rows))
-    if step.counts is not None:
-        tables.keep(step.counts, step.key(values), found, _MEMO_ENTRY_BYTES)
-    return found
+    return 0 if rows is None else q ** (step.chart.nfree - len(rows))
 
 
 def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable[Vector]:
@@ -541,20 +516,16 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     `key(values)`, is read first.  `_Tables.keep` stores a new list there,
     a tuple of the x charged `_MEMO_ENTRY_BYTES` and `_point_bytes` per x,
     when it takes at most half the table's room: one long list, solved
-    again when it recurs, must not crowd out the many small entries,
-    counts and short lists, that later cells read.  Any other list streams.
+    again when it recurs, must not crowd out the many short lists that
+    later cells read.  Any other list streams.
     """
-    memo = step.points
-    if memo is not None:
-        key = step.key(values)
-        found = memo.get(key)
-        if found is not None:
-            return found
+    memo, key = step.points, step.key(values)
+    found = memo.get(key)
+    if found is not None:
+        return found
     solutions = _chart_solutions(step, values, q)
     if step.loops:
         solutions = (x for x in solutions if _loops_hold(step, x, q))
-    if memo is None:
-        return solutions
     point_bytes = _point_bytes(step.chart)
     fits = max(tables.room // 2 - _MEMO_ENTRY_BYTES, -1) // point_bytes
     head = list(islice(solutions, fits + 1))
@@ -587,10 +558,7 @@ def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
         return 1
     tables.use_prime(q)
     steps: list = [tables.step(0, pivots)] + [None] * last  # this cell's steps, wired as the pass reaches them
-    values: list = [()] * last
-    if last == 0:
-        return _last_count(tables, steps[0], values, q)
-    return _forward(tables, steps, pivots, 0, {(): [values, 1]}, q)
+    return _forward(tables, steps, pivots, 0, {(): [[()] * last, 1]}, q)
 
 
 def _forward(tables: _Tables, steps: list, pivots: Sequence[tuple], i: int, message: dict, q: int) -> int:
@@ -599,24 +567,16 @@ def _forward(tables: _Tables, steps: list, pivots: Sequence[tuple], i: int, mess
     `message` maps the values at the pairs (k < i, u) that steps i and
     later read to [values, n]: one prefix, placed at steps 0 to i - 1,
     and the number n of prefixes with those values, which all complete
-    alike.  Step i lists its points at each prefix.  At the step before
-    the last, each adds n times the last step's count; before it, each
-    is keyed by `_Tables.separator`, once step i has a point, and merged
-    into the next message.  That is passed on whenever it holds
+    alike.  The last step adds n times its count at each prefix
+    (`_last_count`).  An earlier step lists its points at each prefix;
+    each is keyed by `_Tables.separator`, once step i has a point, and
+    merged into the next message.  That is passed on whenever it holds
     `_MESSAGE_ENTRIES` entries, and at the end: the total is linear in it.
     """
-    step, last = steps[i], len(steps) - 1
+    step = steps[i]
+    if i == len(steps) - 1:
+        return sum(n * _last_count(tables, step, values, q) for values, n in message.values())
     total = 0
-    if i == last - 1:
-        end = steps[last]
-        for values, n in message.values():
-            for x in _step_points(tables, step, values, q):
-                values[i] = x
-                if end is None:
-                    end = steps[last] = tables.step(last, pivots)
-                found = None if end.counts is None else end.counts.get(end.key(values))
-                total += n * (_last_count(tables, end, values, q) if found is None else found)
-        return total
     after: dict = {}
     separator = None
     for values, n in message.values():

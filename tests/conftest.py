@@ -606,3 +606,25 @@ def record_count_path_rows(monkeypatch) -> list:
     monkeypatch.setattr(oracle, "_last_count", recorded_last_count)
     monkeypatch.setattr(oracle, "_arrow_rows", recorded_arrow_rows)
     return found
+
+
+def record_ranks_per_cell(monkeypatch, ranked: list) -> list:
+    """A list to which each count of one cell appends, as it ends, one list of what it added to `ranked`.
+
+    `ranked` is a list from `record_count_path_rows`; each of its entries
+    appears as (step, the step's memo key of the placed values).
+    """
+    from quiver_schubert import oracle
+
+    per_cell: list = []
+    cell_total = oracle._cell_total
+
+    def recorded(tables, pivots, q):
+        start = len(ranked)
+        try:
+            return cell_total(tables, pivots, q)
+        finally:
+            per_cell.append([(step, step.key(values)) for step, values, _, _ in ranked[start:]])
+
+    monkeypatch.setattr(oracle, "_cell_total", recorded)
+    return per_cell

@@ -9,7 +9,7 @@ t^(2 inv(C)) over the configurations C of size n + 1 (E. Feigin,
 Nothing here solves a linear system.
 """
 
-from conftest import record_count_path_rows
+from conftest import record_count_path_rows, record_ranks_per_cell
 from quiver_schubert import oracle
 from quiver_schubert.catalog import catalog
 from quiver_schubert.oracle import count, poincare_polynomial
@@ -66,16 +66,19 @@ def test_count_of_degenerate_flag_3_at_13_is_the_dellac_sum():
     assert report.total == sum(b * 13**d for d, b in enumerate(dellac_betti(3))) == 7363370
 
 
-def test_count_of_degenerate_flag_3_at_17_solves_each_system_once(monkeypatch):
-    """Sum of b_d 17^d = 33,543,126, with 644 listed systems and 639 ranks, and memo room left at the end.
+def test_count_of_degenerate_flag_3_at_17_lists_each_system_once_and_ranks_once_per_cell_and_key(monkeypatch):
+    """Sum of b_d 17^d = 33,543,126, with 644 listed systems and 1,302 ranks, and memo room left at the end.
 
     Each step keeps one memo, keyed by the values its rows read, so every
-    distinct system is solved once and stored once, and the memos fit the
+    distinct system is listed once and stored once, and the memos fit the
     default room.  Two memos per step, one of them keyed by every earlier
     neighbour's coordinates, filled the room here and listed 36,611
     systems.  A rank is one system that the count path eliminates
     (`_arrow_rows` under a loop-free `_last_count`), once one call of
-    `rank_mod` on the built rows.
+    `rank_mod` on the built rows.  The count's message into the last step
+    holds each tuple of the values that step reads once, so each cell
+    ranks each such tuple once; a last-step memo shared by the cells took
+    639 ranks.
     """
     calls = {"iter_solutions_mod": 0}
     built = []
@@ -96,11 +99,13 @@ def test_count_of_degenerate_flag_3_at_17_solves_each_system_once(monkeypatch):
 
     counted("iter_solutions_mod")
     ranked = record_count_path_rows(monkeypatch)
+    per_cell = record_ranks_per_cell(monkeypatch, ranked)
     monkeypatch.setattr(oracle, "_Tables", RecordedTables)
     entry = catalog("degenerate_flag(3)")
     (report,) = count(entry.representation, entry.dim_vector, primes=(17,), budget=10**13)
     assert report.total == sum(b * 17**d for d, b in enumerate(dellac_betti(3))) == 33543126
-    assert (calls["iter_solutions_mod"], len(ranked)) == (644, 639)
+    assert (calls["iter_solutions_mod"], len(ranked)) == (644, 1302) and sum(map(len, per_cell)) == len(ranked)
+    assert all(len(set(ranks)) == len(ranks) for ranks in per_cell)
     (tables,) = built
     assert tables.room > 0
 
