@@ -65,7 +65,14 @@ step's arrow rows at the placed values, or 0 when those are
 inconsistent, taken once per cell and tuple of the values the step
 reads.  The rank is the number of rows that `_arrow_rows`, the one
 evaluator of both paths, returns after eliminating each row as it reads
-it.  A last step with loops, and every earlier step, is listed as above.
+it.  A last step with loops is counted as its points stream, with no
+memo; every earlier step is listed as above.
+The message after step i is fixed by the pivot tuples of the cell's
+first `depends[i]` steps, so the table keeps a *trail* of at most one
+whole message per step with that pivot prefix, and each cell's pass
+resumes after the deepest step whose prefix it shares; a cell behind an
+empty message is 0 at once.  In `cell_plan`'s lexicographic order a run
+of neighbouring cells shares each prefix, so it counts it once.
 """
 
 from __future__ import annotations
@@ -251,6 +258,15 @@ class _Tables:
     the room pays it.  `_later[i]` lists step i + 1 and each later step
     with an earlier neighbour at or before i, whose reads make the
     separator after step i (`separator`).
+
+    `trail[i]`, where there is one, is (the pivot tuples at steps 0 to
+    `depends[i]` - 1, the whole message after step i) of the last cell
+    counted that reached step i: the steps up to i and their later
+    neighbours fix the message's points, and the steps of `_later[i]`
+    with their earlier neighbours fix its keys.  `_forward` writes it,
+    `_cell_total` reads and truncates it and `use_prime` empties it.  It
+    holds no more than the messages of one pass and is not charged to
+    `room`.
     """
 
     def __init__(self, m: Representation):
@@ -279,6 +295,10 @@ class _Tables:
             tuple(j for j in range(i + 1, last + 1) if j == i + 1 or min(self.neighbours[j], default=j) <= i)
             for i in range(last)
         ]
+        # The steps that fix the message after step i (see `trail`) end at the last of _later[i]: it holds
+        # the later neighbours of steps 0..i, and each earlier neighbour comes before its step.
+        self.depends = [later[-1] + 1 for later in self._later]
+        self.trail: list[tuple[Sequence, dict]] = []
         self._separators: dict[tuple, object] = {}
         self._charts: dict[tuple[int, tuple[str, ...]], Chart] = {}
         self._images: dict[tuple, list] = {}
@@ -292,6 +312,7 @@ class _Tables:
         """Search over F_q next: at another prime, empty every memo and interned list and refill `room`."""
         if q != self.prime:
             self.prime, self.room = q, _MEMO_BYTES
+            self.trail.clear()
             for step in self._steps.values():
                 step.points.clear()
             for chart in self._charts.values():
@@ -491,17 +512,18 @@ def _read_pairs(step: _Step) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-def _last_count(tables: _Tables, step: _Step, values: list, q: int) -> int:
+def _last_count(step: _Step, values: list, q: int) -> int:
     """The number of points of the last step at the placed values.
 
-    A step with loops lists its points (`_step_points`) and counts them.
-    A loop-free one counts its arrow rows' solutions without listing
-    them: q^(nfree - rank) when they are consistent, with the rank the
-    number of echelon rows that `_arrow_rows` returns, else 0.  The last
-    step has no lookahead rows.
+    A step with loops counts its chart solutions that pass them as they
+    stream, storing none: the message has merged the prefixes that would
+    read one list twice.  A loop-free one counts its arrow rows'
+    solutions without listing them: q^(nfree - rank) when they are
+    consistent, with the rank the number of echelon rows that
+    `_arrow_rows` returns, else 0.  The last step has no lookahead rows.
     """
     if step.loops:
-        return sum(1 for _ in _step_points(tables, step, values, q))
+        return sum(1 for x in _chart_solutions(step, values, q) if _loops_hold(step, x, q))
     rows = _arrow_rows(step, values, q)
     return 0 if rows is None else q ** (step.chart.nfree - len(rows))
 
@@ -552,13 +574,26 @@ def _loops_hold(step: _Step, x: Vector, q: int) -> bool:
 
 
 def _cell_total(tables: _Tables, pivots: Sequence[tuple], q: int) -> int:
-    """The number of F_q points of one cell, by one forward pass over its steps (`_forward`), with no matrix built."""
+    """The number of F_q points of one cell, by one forward pass over its steps (`_forward`), with no matrix built.
+
+    It resumes from the message after the deepest step whose trail entry
+    has the cell's pivot prefix, and drops the entries past that step.
+    """
     last = len(tables.blocks) - 1
     if last < 0:
         return 1
     tables.use_prime(q)
-    steps: list = [tables.step(0, pivots)] + [None] * last  # this cell's steps, wired as the pass reaches them
-    return _forward(tables, steps, pivots, 0, {(): [[()] * last, 1]}, q)
+    trail = tables.trail
+    i = 0
+    while i < len(trail) and trail[i][0] == pivots[: tables.depends[i]]:
+        i += 1
+    del trail[i:]
+    message = trail[i - 1][1] if i else {(): [[()] * last, 1]}
+    if not message:
+        return 0
+    steps: list = [None] * (last + 1)  # this cell's steps, wired as the pass reaches them
+    steps[i] = tables.step(i, pivots)
+    return _forward(tables, steps, pivots, i, message, q)
 
 
 def _forward(tables: _Tables, steps: list, pivots: Sequence[tuple], i: int, message: dict, q: int) -> int:
@@ -572,13 +607,17 @@ def _forward(tables: _Tables, steps: list, pivots: Sequence[tuple], i: int, mess
     each is keyed by `_Tables.separator`, once step i has a point, and
     merged into the next message.  That is passed on whenever it holds
     `_MESSAGE_ENTRIES` entries, and at the end: the total is linear in it.
+    The trail holds one entry for each step before i exactly when
+    `message` is whole; then the next message goes on the trail as step
+    i's entry, unless it was passed on before it was whole.
     """
     step = steps[i]
     if i == len(steps) - 1:
-        return sum(n * _last_count(tables, step, values, q) for values, n in message.values())
+        return sum(n * _last_count(step, values, q) for values, n in message.values())
     total = 0
     after: dict = {}
     separator = None
+    whole = len(tables.trail) == i
     for values, n in message.values():
         for x in _step_points(tables, step, values, q):
             values[i] = x
@@ -590,9 +629,12 @@ def _forward(tables: _Tables, steps: list, pivots: Sequence[tuple], i: int, mess
                 entry[1] += n
                 continue
             if len(after) == _MESSAGE_ENTRIES:
+                whole = False
                 total += _forward(tables, steps, pivots, i + 1, after, q)
                 after = {}
             after[key] = [values.copy(), n]
+    if whole:
+        tables.trail.append((pivots[: tables.depends[i]], after))
     return total + _forward(tables, steps, pivots, i + 1, after, q) if after else total
 
 

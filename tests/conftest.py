@@ -590,10 +590,10 @@ def record_count_path_rows(monkeypatch) -> list:
     counting: list = []
     last_count, arrow_rows = oracle._last_count, oracle._arrow_rows
 
-    def recorded_last_count(tables, step, values, q):
+    def recorded_last_count(step, values, q):
         counting.append(not step.loops)
         try:
-            return last_count(tables, step, values, q)
+            return last_count(step, values, q)
         finally:
             counting.pop()
 

@@ -40,7 +40,7 @@ from quiver_schubert.oracle import (
 )
 from quiver_schubert.quiver import full_subquiver, quiver
 from quiver_schubert.representation import OrderedBasis, representation, restrict
-from quiver_schubert.schubert import enumerate_cells
+from quiver_schubert.schubert import cell_plan, enumerate_cells
 from test_chart_search import random_branching_cycle
 from test_dellac import dellac_betti
 
@@ -175,6 +175,49 @@ def test_each_listed_system_is_solved_once_per_call_and_each_rank_once_per_cell_
     assert len(ranked) == sum(map(len, per_cell)) == 668
     assert all(len(set(ranks)) == len(ranks) for ranks in per_cell)
     assert calls == {"_chart_solutions": 514, "solve_mod": 180}
+
+
+def test_each_cell_resumes_after_the_prefix_it_shares_with_the_cell_before(monkeypatch):
+    """`_forward` entries per step of count(degenerate_flag(4)) at q = 2, and the trail they leave.
+
+    Starting every cell's pass at step 0 entered `_forward` 2,500, 1,300,
+    555 and 295 times at steps 0 to 3.  Each cell now resumes from the
+    trail after the deepest step whose message its pivot prefix fixes, so
+    a run of cells that agree on that prefix builds its message once, and
+    an empty message answers its cells at once: 50, 260, 555 and 295.  At
+    every entry the trail holds at most one message per step before it,
+    entry k keyed by the pivot tuples at steps 0 to `depends[k]` - 1.
+    """
+    built = _record_tables(monkeypatch)
+    entries = {}
+    forward = oracle._forward
+
+    def recorded(tables, steps, pivots, i, message, q):
+        entries[i] = entries.get(i, 0) + 1
+        trail = tables.trail
+        assert len(trail) <= i and [len(prefix) for prefix, _ in trail] == tables.depends[: len(trail)]
+        assert all(prefix == pivots[: len(prefix)] for prefix, _ in trail)
+        return forward(tables, steps, pivots, i, message, q)
+
+    monkeypatch.setattr(oracle, "_forward", recorded)
+    entry = catalog("degenerate_flag(4)")
+    (report,) = count(entry.representation, entry.dim_vector, primes=(2,))
+    assert report.total == 26961
+    assert entries == {0: 50, 1: 260, 2: 555, 3: 295}
+    (tables,) = built
+    assert tables.depends == [2, 3, 4] and len(tables.trail) == 3
+
+
+def test_a_looped_last_step_stores_no_point_list(monkeypatch):
+    """A last step with loops is counted as its points stream, once per message entry, and keeps none of them."""
+    built = _record_tables(monkeypatch)
+    entry = catalog("one_loop(5,1)")
+    (report,) = count(entry.representation, entry.dim_vector, primes=(5,))
+    assert report.total == sum(_listed_per_cell(entry.representation, entry.dim_vector, 5).values())
+    tables = built[0]
+    last = len(tables.blocks) - 1
+    looped = [step for key, step in tables._steps.items() if key[0] == last]
+    assert any(step.loops for step in looped) and not any(step.points for step in looped)
 
 
 def _record_tables(monkeypatch):
@@ -1034,6 +1077,46 @@ def test_a_message_cap_changes_no_cell_count(monkeypatch, cap):
     assert merged == (cap > 1)
 
 
+@pytest.mark.parametrize("cap", [1, oracle._MESSAGE_ENTRIES])
+def test_the_cell_order_changes_no_cell_count(monkeypatch, cap):
+    """One table counts each cell as a fresh one does, whichever cell came before it.
+
+    A cell resumes from the trail that the cell before it left, so the
+    natural, reversed and a shuffled order of `cell_plan` each resume
+    from other prefixes; each per-cell count must equal `cell_count`'s,
+    which builds a table for the one cell.  At a cap of 1 every message
+    of two or more entries is passed on before it is whole, and is kept
+    on no trail.
+    """
+    monkeypatch.setattr(oracle, "_MESSAGE_ENTRIES", cap)
+    starts = []  # the step of each entry of `_forward`
+    forward = oracle._forward
+
+    def recorded(tables, steps, pivots, i, message, q):
+        starts.append(i)
+        return forward(tables, steps, pivots, i, message, q)
+
+    monkeypatch.setattr(oracle, "_forward", recorded)
+    cases = [(name, rep, e, q) for name, rep, e, q, _ in _message_cases()]
+    for seed in (0, 3, 7, 11):
+        entry = catalog(f"forest_block({seed},10)")
+        cases.append((f"forest_block({seed},10)", entry.representation, entry.dim_vector, 2))
+    rng = random.Random(5)
+    resumed = 0  # orders in which fewer cells entered `_forward` at step 0 than were counted
+    for name, rep, e, q in cases:
+        cells = enumerate_cells(rep.basis, e, rep.quiver.vertices)
+        plan = cell_plan(rep.basis, e, rep.quiver.vertices)
+        fresh = {beta.key(): cell_count(rep, beta, q) for beta in cells}
+        shuffled = list(plan)
+        rng.shuffle(shuffled)
+        for order in (plan, plan[::-1], shuffled):
+            del starts[:]
+            tables = _Tables(rep)
+            assert {key: oracle._cell_total(tables, pivots, q) for key, pivots in order} == fresh, name
+            resumed += starts.count(0) < len(order)
+    assert resumed > 0
+
+
 def _placed(tables, pivots, q, values, i=0):
     """(step index, wired step) at each point the search of one cell places before that step.
 
@@ -1248,7 +1331,7 @@ def test_a_step_reads_nothing_but_its_read_coordinates(q):
                     ), (name, key, values, other)
                 if i == last:
                     fresh = [tables._assemble(i, pivots, ()) for _ in range(2)]
-                    counted = [oracle._last_count(tables, copy, v, q) for copy, v in zip(fresh, (other, values))]
+                    counted = [oracle._last_count(copy, v, q) for copy, v in zip(fresh, (other, values))]
                     assert counted[0] == counted[1], (name, key, values, other)
                     lasts += 1
                 checked += 1
