@@ -27,9 +27,7 @@ class Chart:
     `column_free[j]` lists the (row, var) pairs of column j, `row_free[k]`
     the (column, var) pairs of row nonpivot_rows[k], and `entries` the
     row-major matrix as indices into x + (0, 1).  `build` makes the pair
-    (x, matrix at x) afresh.  `_lists` holds, keyed by a whole list of x
-    that an oracle step memo holds, the tuple of `build` pairs of that
-    list; the oracle fills it, charges it and empties it.
+    (x, matrix at x) afresh; a chart keeps no points and no matrices.
     """
 
     def __init__(self, block: Sequence[str], pivots: Sequence[str]):
@@ -53,7 +51,6 @@ class Chart:
             for r in range(self.nrows)
             for j, p in enumerate(self.pivot_rows)
         ]
-        self._lists: dict[tuple, tuple] = {}
 
     def build(self, x: Vector) -> tuple[Vector, Matrix]:
         """(x, echelon matrix at x)."""

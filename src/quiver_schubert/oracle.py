@@ -19,7 +19,7 @@ for the call, whatever the prime, and it wires each step once per key,
 when a search first reaches it; every cell with that key shares the
 step, and a cell whose search dies at one step never wires the next.
 
-A listing is one flat depth-first loop.  At each step, containment
+A listing walks depth first (`_listed`).  At each step, containment
 along arrows whose other endpoint is already placed is linear in the
 chart coordinates and solved exactly; loops are filtered.  An arrow's
 generator images are built once per call and source pivot tuple, and
@@ -45,15 +45,14 @@ some neighbours' coordinates or some of one neighbour's (see `_Step`).
 Cells that agree there get the same list in the same order, and every
 cell of the call solves each distinct system once, and stores it once.
 A memo holds each point as its bare chart coordinates; only a listing
-builds matrices, interned whole per memoised list (`_with_matrices`).
-`_Tables.keep` writes every memo entry and interned list, charged
-against a room of `_MEMO_BYTES` per prime, so the memos of one prime
-take at most about that and are emptied at the next.  A step whose
-points would take more than half the room left streams them as a
-search without memos would, so memory stays bounded whatever the point
-count.
-Points come out in the same order as a plain recursion over the
-vertices would give, each chart in `iter_solutions_mod` order.
+builds matrices, one per point it lists, and keeps none.  Each list
+stored is charged against a room of `_MEMO_BYTES` per prime, so the
+memos of one prime take at most about that and are emptied at the
+next.  A step whose points would take more than half the room left
+streams them as a search without memos would, so memory stays bounded
+whatever the point count.
+Points come out in the order of that walk, vertex by vertex, each
+chart in `iter_solutions_mod` order.
 `enumerate_subreps` gets each as a fresh dict.  `count` only counts,
 over the coordinates, building no matrix.  It walks the steps of a cell
 forward once, as in bucket elimination (R. Dechter, Artificial
@@ -106,8 +105,8 @@ from .linalg import mat_vec_mod  # noqa: F401
 
 DEFAULT_BUDGET = 10**8
 
-# The room of each prime, for every entry `_Tables.keep` writes to a memo or
-# a chart's interned lists; count(degenerate_flag(4)) at q = 3 takes 2.5 MiB.
+# The room of each prime, for the step point lists that `_step_points` stores;
+# count(degenerate_flag(4)) at q = 3 takes 2.5 MiB.
 _MEMO_BYTES = 32 * 2**20
 _MEMO_ENTRY_BYTES = 200  # key, dict slot and tuple header
 _TUPLE_BYTES = sys.getsizeof(())  # plus 8 per item
@@ -119,12 +118,6 @@ _MESSAGE_ENTRIES = _MEMO_BYTES // 4 // 256
 def _point_bytes(chart: Chart) -> int:
     """The charge per x of a stored list: x, its ints (32 bytes each below 2**30, none below 257) and its slot."""
     return _TUPLE_BYTES + 40 * chart.nfree + 8
-
-
-def _matrix_bytes(chart: Chart) -> int:
-    """The charge per x of an interned list: pair, matrix, rows, slot, and 100 bytes of 16-byte rounding to ten rows."""
-    rows = chart.nrows * (_TUPLE_BYTES + 8 + 8 * len(chart.pivot_rows))
-    return 2 * _TUPLE_BYTES + 16 + rows + 8 + 100
 
 
 class BudgetExceededError(RuntimeError):
@@ -251,11 +244,9 @@ class _Tables:
     memo over F_prime sits on the step (see `_Step`), keyed by the values
     at its `reads` through `reader`, and `use_prime` empties that of
     every step in `_steps`.  `room` is what is left of `_MEMO_BYTES` at
-    `prime`, for the memos of all the steps and the lists the charts
-    intern for them.  `keep` is the one writer of `room` and of their
-    entries: a solved list (`_step_points`) or an interned list
-    (`_with_matrices`) is stored only if its charge fits the room, and
-    the room pays it.  `_later[i]` lists step i + 1 and each later step
+    `prime` for the memos of all the steps; `_step_points` is the one
+    writer of their entries and of `room`, which pays for each list it
+    stores.  `_later[i]` lists step i + 1 and each later step
     with an earlier neighbour at or before i, whose reads make the
     separator after step i (`separator`).
 
@@ -309,20 +300,12 @@ class _Tables:
         self.room = _MEMO_BYTES
 
     def use_prime(self, q: int) -> None:
-        """Search over F_q next: at another prime, empty every memo and interned list and refill `room`."""
+        """Search over F_q next: at another prime, empty every memo and the trail and refill `room`."""
         if q != self.prime:
             self.prime, self.room = q, _MEMO_BYTES
             self.trail.clear()
             for step in self._steps.values():
                 step.points.clear()
-            for chart in self._charts.values():
-                chart._lists.clear()
-
-    def keep(self, memo: dict, key, value, nbytes: int) -> None:
-        """Store value under key in memo and charge nbytes to `room`, if they fit; else store nothing."""
-        if nbytes <= self.room:
-            self.room -= nbytes
-            memo[key] = value
 
     def chart(self, i: int, pivots: tuple[str, ...]) -> Chart:
         key = (i, pivots)
@@ -535,9 +518,9 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     lookahead rows, which `iter_solutions_mod` reads with the arrow rows:
     no point that a later neighbour's pure row would refuse is listed or
     visited, and the rest come in the same order.  `points`, keyed by
-    `key(values)`, is read first.  `_Tables.keep` stores a new list there,
-    a tuple of the x charged `_MEMO_ENTRY_BYTES` and `_point_bytes` per x,
-    when it takes at most half the table's room: one long list, solved
+    `key(values)`, is read first.  A new list is stored there, a tuple of
+    the x, when it takes at most half the table's `room`, which pays
+    `_MEMO_ENTRY_BYTES` and `_point_bytes` per x: one long list, solved
     again when it recurs, must not crowd out the many short lists that
     later cells read.  Any other list streams.
     """
@@ -552,7 +535,8 @@ def _step_points(tables: _Tables, step: _Step, values: list, q: int) -> Iterable
     fits = max(tables.room // 2 - _MEMO_ENTRY_BYTES, -1) // point_bytes
     head = list(islice(solutions, fits + 1))
     if len(head) <= fits:  # all of them, and within the room
-        tables.keep(memo, key, tuple(head), _MEMO_ENTRY_BYTES + len(head) * point_bytes)
+        tables.room -= _MEMO_ENTRY_BYTES + len(head) * point_bytes
+        memo[key] = tuple(head)
         return memo[key]
     return chain(head, solutions)
 
@@ -638,27 +622,6 @@ def _forward(tables: _Tables, steps: list, pivots: Sequence[tuple], i: int, mess
     return total + _forward(tables, steps, pivots, i + 1, after, q) if after else total
 
 
-def _with_matrices(tables: _Tables, chart: Chart, found: Iterable) -> Iterator[tuple[Vector, Matrix]]:
-    """(x, echelon matrix) for each x of a step's points.
-
-    A memoised list (a tuple) gets the tuple of its `Chart.build` pairs
-    interned whole in `chart._lists`, keyed by the list, the first time
-    the table has room for `_MEMO_ENTRY_BYTES` and `_matrix_bytes` per x,
-    by `_Tables.keep`.  Pairs are not shared between lists.  A stream, or
-    a list that does not fit, gets fresh pairs, built as it is read.
-    """
-    if type(found) is not tuple:
-        return map(chart.build, found)
-    interned = chart._lists.get(found)
-    if interned is None:
-        cost = _MEMO_ENTRY_BYTES + len(found) * _matrix_bytes(chart)
-        if cost > tables.room:
-            return map(chart.build, found)
-        interned = tuple(map(chart.build, found))
-        tables.keep(chart._lists, found, interned, cost)
-    return iter(interned)
-
-
 def _cell_points(
     m: Representation, pivots: Sequence[tuple], q: int, tables: _Tables | None = None, *, _counting: bool = False
 ) -> Iterator[dict[str, Matrix]] | Iterator[int]:
@@ -667,19 +630,9 @@ def _cell_points(
     The cell comes as its pivot tuple at each vertex, in quiver order:
     `count` and `enumerate_subreps` take them from `cell_plan`, and a
     caller that holds a `CellIndex` from `cell_pivots`.  Depth-first over
-    the vertex steps with an explicit stack.  Each step is looked up in
-    `tables` when the search first reaches it, so a cell whose search dies
-    at one step never wires the later ones; as each step lists only points
-    that its later neighbours' pure rows accept, a search dies at the
-    first step such a row refuses.  The points come from `_step_points`:
-    the cells of one call solve each distinct chart system once, while the
-    memos have room; past that, new lists stream as they are solved.  Each
-    point x gets its matrix from `_with_matrices`.
-    The last step is walked inside the loop over the step before it: each
-    point is a copy of that prefix's dict plus the last vertex.  `tables`,
-    built for m, is shared by the cells of one call, one prime at a time:
-    a search at another prime empties its points.  Without it the cell
-    builds its own.
+    the vertex steps (`_listed`).  `tables`, built for m, is shared by the
+    cells of one call, one prime at a time: a search at another prime
+    empties its points.  Without it the cell builds its own.
 
     `_counting` is for `count`, which only counts: it yields one item per
     point, the int 1, of `_cell_total`'s sum, only so that the traced
@@ -690,47 +643,36 @@ def _cell_points(
         yield from repeat(1, _cell_total(tables, pivots, q))
         return
     order = m.quiver.vertices
-    n = len(order)
-    if n == 0:
-        yield {}
-        return
     tables.use_prime(q)
-    last = n - 1
-    head, name = order[:last], order[last]
-    steps: list = [None] * n  # this cell's later steps, looked up on arrival
-    values: list = [()] * last
-    mats: list = [()] * last
-    first = tables.step(0, pivots)
-    listed = _with_matrices(tables, first.chart, _step_points(tables, first, values, q))
-    if last == 0:
-        yield from ({name: mat} for _, mat in listed)
+    yield from _listed(tables, order, pivots, [None] * len(order), [()] * len(order), {}, 0, q)
+
+
+def _listed(
+    tables: _Tables, order: Sequence[str], pivots: Sequence[tuple], steps: list, values: list, point: dict, i: int, q: int
+) -> Iterator[dict[str, Matrix]]:
+    """The cell's points that extend the prefix placed in `values` and `point` before step i.
+
+    Step i is looked up in `tables` when the walk first reaches it, into
+    the cell's `steps`, so a cell whose walk dies at one step never wires
+    the later ones; as each step lists only points that its later
+    neighbours' pure rows accept, a walk dies at the first step such a
+    row refuses.  The points come from `_step_points`: the cells of one
+    call solve each distinct chart system once, while the memos have
+    room; past that, new lists stream as they are solved.  Each x is
+    written to `values[i]`, and its matrix from `Chart.build` to
+    `point` at the vertex; past the last step a copy of `point` is
+    yielded, so every point is a fresh dict in vertex order.
+    """
+    if i == len(order):
+        yield point.copy()
         return
-    pending: list = [iter(())] * last
-    pending[0] = listed
-    i = 0
-    while i >= 0:
-        for x, mat in pending[i]:
-            values[i] = x
-            mats[i] = mat
-            j = i + 1
-            step = steps[j]
-            if step is None:
-                step = steps[j] = tables.step(j, pivots)
-            found = _step_points(tables, step, values, q)
-            if not found:  # a stored list may be empty; a stream is always true
-                continue
-            found = _with_matrices(tables, step.chart, found)
-            if j < last:
-                pending[j] = found
-                i = j
-                break
-            base = dict(zip(head, mats))
-            for _, end in found:
-                point = base.copy()
-                point[name] = end
-                yield point
-        else:
-            i -= 1
+    step = steps[i]
+    if step is None:
+        step = steps[i] = tables.step(i, pivots)
+    for x in _step_points(tables, step, values, q):
+        values[i] = x
+        point[order[i]] = step.chart.build(x)[1]
+        yield from _listed(tables, order, pivots, steps, values, point, i + 1, q)
 
 
 def cell_pivots(m: Representation, beta: CellIndex) -> tuple[tuple[str, ...], ...]:
@@ -767,7 +709,7 @@ def enumerate_subreps(
 
 
 def assign_cell(point: SubrepPoint | Mapping[str, Matrix], basis, q: int | None = None) -> CellIndex:
-    """Cell of a subrepresentation point: pivot profile of canonical echelon forms; ValueError names a bad matrix."""
+    """Cell of a subrepresentation point: pivot profile of canonical echelon forms; ValueError names a bad or missing matrix."""
     if isinstance(point, SubrepPoint):
         subspaces = point.subspaces
         q = point.prime
@@ -791,6 +733,9 @@ def assign_cell(point: SubrepPoint | Mapping[str, Matrix], basis, q: int | None 
         if len(pivot_rows) != ncols:
             raise ValueError(f"generators at vertex {v!r} are dependent over F_{q}")
         pivots.extend(block[r] for r in pivot_rows)
+    missing = [v for v in dict.fromkeys(basis.vertex_of[b] for b in basis.order) if v not in subspaces]
+    if missing:
+        raise ValueError(f"vertices with basis ids but no matrix: {', '.join(map(repr, missing))}")
     return cell_index(basis, pivots)
 
 

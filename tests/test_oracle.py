@@ -74,10 +74,12 @@ def test_assign_cell_dependent_generators():
         ({"1": ((1,),)}, "the matrix at vertex '1' has 1 rows, not 2"),
         ({"1": ((1,), (0,), (0,))}, "the matrix at vertex '1' has 3 rows, not 2"),
         ({"1": ((1,), (0, 1))}, "the rows of the matrix at vertex '1' differ in length"),
+        ({"1": ((1,), (0,))}, "vertices with basis ids but no matrix: '2'"),
+        ({}, "vertices with basis ids but no matrix: '1', '2'"),
     ],
 )
 def test_assign_cell_refuses_a_malformed_raw_matrix(subspaces, message):
-    """An unknown vertex, a row count other than the block size and ragged rows are refused by vertex."""
+    """An unknown vertex, a row count other than the block size, ragged rows and a vertex left out are refused by vertex."""
     rep = catalog("two_lines").representation
     with pytest.raises(ValueError, match=f"^{message}$"):
         assign_cell(subspaces, rep.basis, 2)

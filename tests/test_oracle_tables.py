@@ -8,6 +8,7 @@ same counts and the same points in the same order, whatever order the
 cells come in.
 """
 
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -30,7 +31,6 @@ from quiver_schubert.linalg import column_echelon_max_pivot, mat_vec_mod
 from quiver_schubert.oracle import (
     _TUPLE_BYTES,
     _cell_points,
-    _matrix_bytes,
     _point_bytes,
     _Tables,
     cell_count,
@@ -239,18 +239,10 @@ def _memos(tables):
 
 
 def _charged(tables):
-    """The room that the memos of tables hold, and the lists the charts intern for them.
-
-    One entry per key of each memo, each solved
-    list's points, and one entry and the matrices of its points for each
-    interned list.
-    """
+    """The room that the memos of tables hold: one entry per key of each memo, and each stored list's points."""
     entries = sum(map(len, _memos(tables))) * oracle._MEMO_ENTRY_BYTES
     steps = tables._steps.values()
-    points = sum(_point_bytes(step.chart) * len(found) for step in steps for found in step.points.values())
-    charts = tables._charts.values()
-    interned = sum(oracle._MEMO_ENTRY_BYTES + _matrix_bytes(chart) * len(xs) for chart in charts for xs in chart._lists)
-    return entries + points + interned
+    return entries + sum(_point_bytes(step.chart) * len(found) for step in steps for found in step.points.values())
 
 
 def test_memos_that_do_not_fit_stream_the_same_points(monkeypatch):
@@ -343,8 +335,7 @@ def test_memo_memory_is_bounded_where_nothing_is_shared(monkeypatch):
         def use_prime(self, q):
             switched, kept = q != self.prime, sum(map(len, _memos(self)))
             super().use_prime(q)
-            charts = self._charts.values()
-            emptied = not any(_memos(self)) and not any(c._lists for c in charts)
+            emptied = not any(_memos(self))
             if switched:
                 switches.append((q, kept, emptied and self.room == oracle._MEMO_BYTES))
 
@@ -407,94 +398,54 @@ def test_a_step_list_is_kept_only_in_half_the_room_left():
         assert tables.room == factor * charge - kept * charge, (q, factor)
 
 
-def test_keep_stores_when_the_room_equals_the_charge():
-    """`_Tables.keep` stores and charges an entry whose charge is the room left, and refuses one a byte dearer."""
-    tables, memo = _Tables(_unlinked(1, 1)[0]), {}
-    tables.room = 99
-    tables.keep(memo, "key", 7, 100)
-    assert memo == {} and tables.room == 99
-    tables.room = 100
-    tables.keep(memo, "key", 7, 100)
-    assert memo == {"key": 7} and tables.room == 0
+@pytest.mark.parametrize("budget", [0, 3000, oracle._MEMO_BYTES])
+def test_the_room_pays_for_every_stored_list(monkeypatch, budget):
+    """After each count and each listing, the room used is the charge of the point lists the steps' memos hold.
 
-
-@pytest.mark.parametrize("budget", [oracle._MEMO_BYTES, 3000])
-def test_keep_writes_and_charges_every_memo_entry(monkeypatch, budget):
-    """`_Tables.keep` is the one writer of `room` and of every memo entry, for count and enumerate_subreps.
-
-    Over the cross-check cases at q = 2, each table's room is the budget
-    less the charges of the calls that stored, and each entry of the
-    steps' `points` memos and of the charts' interned lists is the value
-    of one such call, none of them written twice.  Each caller weighs the
-    room first, so none asks `keep` to store more than is left.
+    `_step_points` is the one writer of a memo entry and of `room`, and
+    takes a list only into half the room left, so a list written twice or
+    charged wrongly would break the ledger.  No room keeps no list.
     """
     monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
     built = _record_tables(monkeypatch)
-    calls = []  # (table, memo, key, value, charge, stored)
-    keep = _Tables.keep
-
-    def recorded(self, memo, key, value, nbytes):
-        calls.append((self, memo, key, value, nbytes, nbytes <= self.room))
-        keep(self, memo, key, value, nbytes)
-
-    monkeypatch.setattr(_Tables, "keep", recorded)
-    checked, stored_any, refused_any = 0, False, False
+    checked, stored = 0, 0
     for name, rep, e in _cross_check_cases():
         if oracle.ambient_size(rep, e, 2) > oracle.DEFAULT_BUDGET:
             continue
-        del built[:], calls[:]
+        del built[:]
         count(rep, e, primes=(2,))
         for _ in enumerate_subreps(rep, e, 2):
             pass
         assert len(built) == 2, name
         for tables in built:
-            mine = [call[1:] for call in calls if call[0] is tables]
-            stored = {(id(memo), key): value for memo, key, value, _, fits in mine if fits}
-            assert len(stored) == sum(fits for *_, fits in mine), name
-            assert tables.room == budget - sum(nbytes for *_, nbytes, fits in mine if fits), name
-            memos = [*_memos(tables), *(chart._lists for chart in tables._charts.values())]
-            entries = [(id(memo), key, value) for memo in memos for key, value in memo.items()]
-            assert len(entries) == len(stored), name
-            assert all((i, key) in stored and stored[i, key] is value for i, key, value in entries), name
-            stored_any |= bool(stored)
-            refused_any |= not all(fits for *_, fits in mine)
+            assert 0 <= tables.room and budget - tables.room == _charged(tables), name
+            stored += sum(map(len, _memos(tables)))
         checked += 1
-    assert checked >= 80 and stored_any and not refused_any
+    assert checked >= 80 and (stored > 0) == (budget > 0)
 
 
 def test_memo_charges_bound_the_memory_they_stand_for():
-    """A memo list of x costs at most `_point_bytes` per x, and interning its matrices at most `_matrix_bytes` more.
+    """A memo list of x costs at most `_point_bytes` per x.
 
     Measured with tracemalloc on lists of 500 and 3,000 points with
-    distinct coordinates of at least 1,000, which CPython does not share.
-    Each list is interned by `_with_matrices`, charged to the table's
-    room; a second list of the same x but the first, in reverse order,
-    shares no pair with the first, and its matrices fit its own charge.
+    distinct coordinates of at least 1,000, which CPython does not share,
+    with the collector off: a collection would run the finalizers of
+    earlier tests' garbage inside the measurement.
     """
-    tables = _Tables(_unlinked(1, 1)[0])
     for block, pivots in ((tuple("abcd"), ("a",)), (tuple("abcdef"), tuple("bdf")), (tuple("abcdef"), tuple("def")),
                           (tuple("abcdefgh"), tuple("efgh"))):
         chart = Chart(block, pivots)
         n = chart.nfree
         for size in (500, 3000):
+            gc.disable()
             tracemalloc.start()
             try:
                 xs = tuple(tuple(range(1000 + i * n, 1000 + (i + 1) * n)) for i in range(size))
                 listed = tracemalloc.get_traced_memory()[0]
-                others = xs[:0:-1]
-                for found in (xs, others):
-                    charge = oracle._MEMO_ENTRY_BYTES + len(found) * _matrix_bytes(chart)
-                    room, before = tables.room, tracemalloc.get_traced_memory()[0]
-                    oracle._with_matrices(tables, chart, found)
-                    used = tracemalloc.get_traced_memory()[0] - before
-                    assert room - tables.room == charge and used <= charge, (pivots, size, used, charge)
             finally:
                 tracemalloc.stop()
-            assert listed <= size * _point_bytes(chart) + _TUPLE_BYTES, (pivots, size)
-            first, second = chart._lists[xs], chart._lists[others]
-            assert second == first[:0:-1] and not set(map(id, first)) & set(map(id, second))
-            chart._lists.clear()
-            tables.room = oracle._MEMO_BYTES
+                gc.enable()
+            assert len(xs) == size and listed <= size * _point_bytes(chart) + _TUPLE_BYTES, (pivots, size)
 
 
 def _vanishing_mod_small_primes():
@@ -1423,7 +1374,7 @@ def test_a_table_that_counted_lists_the_same_points_and_the_other_way_round():
 
 
 def test_the_count_path_builds_no_matrix(monkeypatch):
-    """count reads bare chart coordinates: with Chart.build raising, every total stays the same and no list is interned.
+    """count reads bare chart coordinates: with Chart.build raising, every total stays the same.
 
     Each case runs with the default memo room and with none, so memoised
     lists and streams are both counted.  The random cycles' totals are
@@ -1440,43 +1391,26 @@ def test_the_count_path_builds_no_matrix(monkeypatch):
         raise AssertionError("the count path built a matrix")
 
     monkeypatch.setattr(oracle.Chart, "build", refused)
-    built = _record_tables(monkeypatch)
     for budget in (oracle._MEMO_BYTES, 0):
         monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
         for rep, e, primes, totals in cases:
             assert [r.total for r in count(rep, e, primes=primes)] == totals, (budget, primes)
-            assert not any(chart._lists for chart in built[-1]._charts.values()), (budget, primes)
     assert any(totals[0] for *_, totals in cases[3:])
 
 
-def test_a_listing_interns_only_memoised_points(monkeypatch):
-    """enumerate_subreps interns matrices only for a whole list that a step memo holds.
+def test_a_listing_charges_only_point_lists():
+    """Every cell listed through one table leaves the room charged for the stored point lists and nothing else.
 
-    With no memo room every list streams and no chart keeps a list.  With
-    the default room each chart keeps only memo lists of a step on that
-    chart, each with the `Chart.build` pair of each of its x, in order.
+    Each stored list is charged one `_MEMO_ENTRY_BYTES` and `_point_bytes`
+    per x; the listing builds each point's matrices afresh and keeps none.
     """
-    built = _record_tables(monkeypatch)
-    cases = [(*random_branching_cycle(seed), 2) for seed in range(10)]
-    for spec in ("degenerate_flag(3)", "ex_4_5_5"):
+    for spec, q, total in (("degenerate_flag(4)", 2, 26961), ("degenerate_flag(3)", 3, 3340)):
         entry = catalog(spec)
-        cases.append((entry.representation, entry.dim_vector, 3))
-    interned = 0
-    for budget in (0, oracle._MEMO_BYTES):
-        monkeypatch.setattr(oracle, "_MEMO_BYTES", budget)
-        for rep, e, q in cases:
-            del built[:]
-            for _ in enumerate_subreps(rep, e, q):
-                pass
-            (tables,) = built
-            memoised = {}  # chart -> its memo lists
-            for step in tables._steps.values():
-                memoised.setdefault(id(step.chart), set()).update((step.points or {}).values())
-            for chart in tables._charts.values():
-                assert set(chart._lists) <= memoised.get(id(chart), set())
-                if budget == 0:
-                    assert not chart._lists
-                for xs, pairs in chart._lists.items():
-                    assert pairs == tuple(map(chart.build, xs))
-                interned += len(chart._lists)
-    assert interned > 0
+        rep, e = entry.representation, entry.dim_vector
+        tables = _Tables(rep)
+        listed = sum(1 for _, pivots in cell_plan(rep.basis, e, rep.quiver.vertices)
+                     for _ in _cell_points(rep, pivots, q, tables))
+        lists = [(step.chart, xs) for step in tables._steps.values() for xs in step.points.values()]
+        assert listed == total and lists, spec
+        charges = sum(oracle._MEMO_ENTRY_BYTES + len(xs) * _point_bytes(chart) for chart, xs in lists)
+        assert oracle._MEMO_BYTES - tables.room == charges, spec
