@@ -1,4 +1,4 @@
-"""Exact linear algebra over prime fields and the rationals.
+"""Exact linear algebra over prime fields and the rationals, and `polynomial_text`, which prints every polynomial.
 
 Matrices are tuples of row tuples with integer entries.  All mod-q work
 assumes q prime; inverses go through pow(a, -1, q).  Callers that take a
@@ -257,3 +257,17 @@ def eval_poly(coeffs: Sequence[Fraction | int], x: int) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * x + Fraction(c)
     return acc
+
+
+def polynomial_text(terms: Iterable[tuple[Fraction | int, str]]) -> str:
+    """The text of a sum of (coefficient, monomial text) terms in the order given, "" standing for the monomial 1.
+
+    Zero terms drop out, a coefficient 1 or -1 on another monomial prints as its sign, and a Fraction that is not an
+    integer in parentheses.  Terms are joined by " + ", or " - " before a minus sign; with none the text is "0".
+    """
+    parts = []
+    for c, mono in terms:
+        if c:
+            c_str = str(c) if c.denominator == 1 else f"({c})"
+            parts.append(c_str if not mono else mono if c == 1 else f"-{mono}" if c == -1 else f"{c_str}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"

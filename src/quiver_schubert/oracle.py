@@ -93,6 +93,7 @@ from .linalg import (
     gaussian_binomial,
     iter_solutions_mod,
     lagrange_interpolate,
+    polynomial_text,
     primes_iter,
     require_prime,
 )
@@ -237,18 +238,17 @@ class _Tables:
     `step(i, pivots)` is the wired `_Step` of step i.  It is keyed by i,
     the pivot tuples at i and at each earlier neighbour and the lookahead
     rows that the later neighbours put on i, so that cells whose later
-    neighbours give the same rows share it; a first lookup on the pivot
-    tuples of all of i's neighbours finds it without hashing forms.  It
-    is built from the compiled rows when a search first reaches that key
-    and shared by every cell with it, in `_steps` under the key.  Its
-    memo over F_prime sits on the step (see `_Step`), keyed by the values
-    at its `reads` through `reader`, and `use_prime` empties that of
-    every step in `_steps`.  `room` is what is left of `_MEMO_BYTES` at
-    `prime` for the memos of all the steps; `_step_points` is the one
-    writer of their entries and of `room`, which pays for each list it
-    stores.  `_later[i]` lists step i + 1 and each later step
-    with an earlier neighbour at or before i, whose reads make the
-    separator after step i (`separator`).
+    neighbours give the same rows share it.  It is built from the
+    compiled rows when a search first reaches that key and shared by
+    every cell with it, in `_steps`, the one table of steps.  Its memo
+    over F_prime sits on the step (see `_Step`), keyed by the values at
+    its `reads` through `reader`, and `use_prime` empties that of every
+    step in `_steps`.  `room` is what is left of `_MEMO_BYTES` at `prime`
+    for the memos of all the steps; `_step_points` is the one writer of
+    their entries and of `room`, which pays for each list it stores.
+    `_later[i]` lists step i + 1 and each later step with an earlier
+    neighbour at or before i, whose reads make the separator after step
+    i (`separator`).
 
     `trail[i]`, where there is one, is (the pivot tuples at steps 0 to
     `depends[i]` - 1, the whole message after step i) of the last cell
@@ -268,7 +268,6 @@ class _Tables:
         self._arrows_at: list[list[int]] = [[] for _ in vertices]  # arrows wired at their later end
         self._ahead: list[list[int]] = [[] for _ in vertices]  # non-loop arrows at their earlier end
         earlier: list[set[int]] = [set() for _ in vertices]
-        later: list[list[int]] = [[] for _ in vertices]  # the later end of each arrow in _ahead
         for k, a in enumerate(m.quiver.arrows):
             s, t = index[a.src], index[a.tgt]
             ma = m.matrices[a.name]  # no rows when the target has rank 0
@@ -278,9 +277,7 @@ class _Tables:
             if s != t:
                 self._ahead[min(s, t)].append(k)
                 earlier[max(s, t)].add(min(s, t))
-                later[min(s, t)].append(max(s, t))
         self.neighbours = [tuple(sorted(ks)) for ks in earlier]
-        self._around = [ks + tuple(js) for ks, js in zip(self.neighbours, later)]  # every neighbour, some twice
         last = len(vertices) - 1
         self._later = [
             tuple(j for j in range(i + 1, last + 1) if j == i + 1 or min(self.neighbours[j], default=j) <= i)
@@ -294,7 +291,6 @@ class _Tables:
         self._charts: dict[tuple[int, tuple[str, ...]], Chart] = {}
         self._images: dict[tuple, list] = {}
         self._compiled: dict[tuple, tuple] = {}
-        self._lookup: dict[tuple, _Step] = {}
         self._steps: dict[tuple, _Step] = {}
         self.prime: int | None = None
         self.room = _MEMO_BYTES
@@ -347,16 +343,12 @@ class _Tables:
         return found
 
     def step(self, i: int, pivots: Sequence[tuple[str, ...]]) -> _Step:
-        """The wired step i of every cell with these pivot tuples at i and its neighbours."""
-        around = (i, pivots[i], *[pivots[k] for k in self._around[i]])
-        step = self._lookup.get(around)
+        """The wired step i, from `_steps`, of every cell with these pivot tuples at i and at all its neighbours."""
+        lookahead = tuple(sorted({b for k in self._ahead[i] for b in self.compiled(k, pivots)[0]}))
+        key = (i, pivots[i], *[pivots[k] for k in self.neighbours[i]], lookahead)
+        step = self._steps.get(key)
         if step is None:
-            lookahead = tuple(sorted({b for k in self._ahead[i] for b in self.compiled(k, pivots)[0]}))
-            key = (i, pivots[i], *[pivots[k] for k in self.neighbours[i]], lookahead)
-            step = self._steps.get(key)
-            if step is None:
-                step = self._steps[key] = self._assemble(i, pivots, lookahead)
-            self._lookup[around] = step
+            step = self._steps[key] = self._assemble(i, pivots, lookahead)
         return step
 
     def reader(self, reads: tuple[tuple[int, int], ...], pivots: Sequence[tuple[str, ...]]):
@@ -708,8 +700,8 @@ def enumerate_subreps(
             yield SubrepPoint(q, subspaces, beta)
 
 
-def assign_cell(point: SubrepPoint | Mapping[str, Matrix], basis, q: int | None = None) -> CellIndex:
-    """Cell of a subrepresentation point: pivot profile of canonical echelon forms; ValueError names a bad or missing matrix."""
+def assign_cell(point: SubrepPoint | Mapping[str, Matrix], m: Representation, q: int | None = None) -> CellIndex:
+    """Cell of a point of m by the pivots of canonical echelon forms; ValueError names a bad matrix or vertex."""
     if isinstance(point, SubrepPoint):
         subspaces = point.subspaces
         q = point.prime
@@ -718,6 +710,7 @@ def assign_cell(point: SubrepPoint | Mapping[str, Matrix], basis, q: int | None 
         if q is None:
             raise ValueError("a prime is required when passing raw matrices")
     require_prime(q)
+    basis = m.basis
     pivots: list[str] = []
     for v, mat in subspaces.items():
         block = basis.block(v)
@@ -733,9 +726,12 @@ def assign_cell(point: SubrepPoint | Mapping[str, Matrix], basis, q: int | None 
         if len(pivot_rows) != ncols:
             raise ValueError(f"generators at vertex {v!r} are dependent over F_{q}")
         pivots.extend(block[r] for r in pivot_rows)
-    missing = [v for v in dict.fromkeys(basis.vertex_of[b] for b in basis.order) if v not in subspaces]
+    missing = [v for v in m.quiver.vertices if basis.block(v) and v not in subspaces]
     if missing:
         raise ValueError(f"vertices with basis ids but no matrix: {', '.join(map(repr, missing))}")
+    unknown = [v for v in subspaces if v not in m.quiver.vertices]
+    if unknown:
+        raise ValueError(f"vertices not in the quiver: {', '.join(map(repr, unknown))}")
     return cell_index(basis, pivots)
 
 
@@ -775,20 +771,8 @@ class CountingPolynomial:
         return all(c >= 0 for c in self.coeffs)
 
     def to_text(self) -> str:
-        if all(c == 0 for c in self.coeffs):
-            return "0"
-        parts = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if c == 0:
-                continue
-            c_str = str(c.numerator) if c.denominator == 1 else f"({c})"
-            if d == 0:
-                parts.append(c_str)
-            else:
-                x = "x" if d == 1 else f"x^{d}"
-                parts.append(x if c == 1 else f"-{x}" if c == -1 else f"{c_str}*{x}")
-        return " + ".join(parts).replace("+ -", "- ")
+        degrees = range(len(self.coeffs) - 1, -1, -1)
+        return polynomial_text((self.coeffs[d], f"x^{d}" if d > 1 else "x" if d else "") for d in degrees)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -912,17 +896,7 @@ class PoincareReport:
     primes: tuple[int, ...] = ()
 
     def polynomial_text(self) -> str:
-        if not self.betti:
-            return "0"
-        parts = []
-        for deg in sorted(self.betti):
-            b = self.betti[deg]
-            if deg == 0:
-                parts.append(str(b))
-            else:
-                t = "t" if deg == 1 else f"t^{deg}"
-                parts.append(t if b == 1 else f"{b}*{t}")
-        return " + ".join(parts)
+        return polynomial_text((self.betti[d], f"t^{d}" if d > 1 else "t" if d else "") for d in sorted(self.betti))
 
 
 def poincare_polynomial(

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, product
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .linalg import int_det
+from .linalg import int_det, polynomial_text
 from .quiver import (
     QuiverMorphism,
     Subquiver,
@@ -205,6 +205,8 @@ Monomial = tuple[tuple[int, int], ...]  # ((var index, exponent), ...) sorted
 
 
 class Poly(NamedTuple):
+    """An integer polynomial in a cell's variables, by monomial; `render` prints it sorted, by `polynomial_text`."""
+
     terms: Mapping[Monomial, int]
 
     def __hash__(self) -> int:
@@ -223,24 +225,9 @@ class Poly(NamedTuple):
         return sorted(self.terms.items())
 
     def render(self, names: Sequence[str]) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            factors = []
-            for v, e in m:
-                factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return polynomial_text(
+            (c, "*".join(names[v] if e == 1 else f"{names[v]}^{e}" for v, e in m)) for m, c in self.sorted_terms()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -429,18 +416,8 @@ def generate_equations(
             if s is None:
                 continue
             acc: dict[str, dict[Monomial, int]] = {}  # the equations (br, bc), by br
-            for r, x in columns.get(bc, ()):
-                rows = chart.get(r)
-                if rows is None:
-                    terms = acc.setdefault(r, {})
-                    terms[()] = terms.get((), 0) - x
-                    continue
-                for br, w in rows:
-                    terms = acc.setdefault(br, {})
-                    prod = ((w, 1),)
-                    terms[prod] = terms.get(prod, 0) + x
-            for c, i in bc_rows:
-                mono = ((i, 1),)
+            for c, i in ((bc, None), *bc_rows):  # bc's stored column, then w_{c,bc} times each c's
+                mono = () if i is None else ((i, 1),)
                 for r, x in columns.get(c, ()):
                     rows = chart.get(r)
                     if rows is None:
@@ -449,7 +426,7 @@ def generate_equations(
                         continue
                     for br, w in rows:
                         terms = acc.setdefault(br, {})
-                        prod = ((w, 1), (i, 1)) if w < i else ((i, 1), (w, 1)) if i < w else ((i, 2),)
+                        prod = ((w, 1), *mono) if i is None or w < i else ((i, 1), (w, 1)) if i < w else ((i, 2),)
                         terms[prod] = terms.get(prod, 0) + x
             for br, terms in acc.items():
                 if 0 in terms.values():

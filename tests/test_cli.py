@@ -682,3 +682,14 @@ def test_pushforward_prints_its_sorted_dump_as_it_is_in_both_modes(monkeypatch, 
     for mode in ([], ["--json"]):
         code, out, _ = run(["pushforward", "--catalog", spec, *mode])
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), mode
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("ex_4_5_5", "23aa88e7353e4a454da1f08f03bbb3ca504576e62229371986f4084ebc89735d"),
+    ("kronecker_preprojective(5)", "d0ca669133b3cf75a63f4497679765b0c1c4b1400a2444b8e1fd6ff4791a8f1b"),
+    ("degenerate_flag(3)", "bb768b670351e822182b2d3ef9179a183cafe45c06178c0665ce2c1845394914"),
+])
+def test_equations_text_is_pinned(spec, digest):
+    """The SHA-256 of the text that `equations` prints for every cell: each polynomial as `Poly.render` writes it."""
+    code, out, _ = run(["equations", "--catalog", spec])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)

@@ -11,6 +11,7 @@ from quiver_schubert.oracle import (
     AffineCertificateError,
     BudgetExceededError,
     CountingPolynomial,
+    PoincareReport,
     assign_cell,
     cell_count,
     count,
@@ -48,7 +49,7 @@ def test_enumerate_ex451_unique_point():
 def test_assign_cell_top_basis_span():
     rep = catalog("one_vertex(3)").representation
     mat = ((1, 0), (0, 1), (0, 0))  # span{b1, b2}
-    beta = assign_cell({"1": mat}, rep.basis, 3)
+    beta = assign_cell({"1": mat}, rep, 3)
     assert beta.key() == "b1,b2"
 
 
@@ -57,14 +58,14 @@ def test_assign_cell_two_lines_example():
     # V_1 = <v b1 + b2>, V_2 = <b3>  ->  beta = {b2, b3}
     for v in (0, 1, 2):
         subspaces = {"1": ((v,), (1,)), "2": ((1,), (0,))}
-        beta = assign_cell(subspaces, rep.basis, 3)
+        beta = assign_cell(subspaces, rep, 3)
         assert beta.key() == "b2,b3"
 
 
 def test_assign_cell_dependent_generators():
     rep = catalog("one_vertex(2)").representation
     with pytest.raises(ValueError):
-        assign_cell({"1": ((1, 1), (1, 1))}, rep.basis, 2)
+        assign_cell({"1": ((1, 1), (1, 1))}, rep, 2)
 
 
 @pytest.mark.parametrize(
@@ -76,13 +77,17 @@ def test_assign_cell_dependent_generators():
         ({"1": ((1,), (0, 1))}, "the rows of the matrix at vertex '1' differ in length"),
         ({"1": ((1,), (0,))}, "vertices with basis ids but no matrix: '2'"),
         ({}, "vertices with basis ids but no matrix: '1', '2'"),
+        ({"1": ((0,), (1,)), "2": ((1,), (0,)), "9": ()}, "vertices not in the quiver: '9'"),
     ],
 )
 def test_assign_cell_refuses_a_malformed_raw_matrix(subspaces, message):
-    """An unknown vertex, a row count other than the block size, ragged rows and a vertex left out are refused by vertex."""
+    """An unknown vertex, a row count other than the block size, ragged rows and a vertex left out are refused by vertex.
+
+    A key that is no vertex of the quiver is refused after those checks, even with an empty matrix.
+    """
     rep = catalog("two_lines").representation
     with pytest.raises(ValueError, match=f"^{message}$"):
-        assign_cell(subspaces, rep.basis, 2)
+        assign_cell(subspaces, rep, 2)
 
 
 @pytest.mark.parametrize("q", [0, 1, 4, 6])
@@ -90,7 +95,7 @@ def test_assign_cell_refuses_a_modulus_that_is_not_prime(q):
     rep = catalog("two_lines").representation
     subspaces = {"1": ((1,), (1,)), "2": ((1,), (3,))}
     with pytest.raises(ValueError, match=f"modulus {q} is not a prime"):
-        assign_cell(subspaces, rep.basis, q)
+        assign_cell(subspaces, rep, q)
 
 
 def test_counts_partition_and_totals():
@@ -403,6 +408,18 @@ def test_counting_polynomial_text_unit_coefficients():
     assert text(0, 0, -1) == "-x^2"
     assert text(1, -1, 1) == "x^2 - x + 1"
     assert text(1, -2) == "-2*x + 1"
+
+
+def test_counting_polynomial_text_prints_fractions_in_parentheses():
+    """A coefficient that is not an integer prints in parentheses, its sign inside, with no fold of `+ (-`."""
+    F = Fraction
+    assert CountingPolynomial((F(-1, 2), F(0), F(1), F(-3)), 3, ()).to_text() == "-3*x^3 + x^2 + (-1/2)"
+    assert CountingPolynomial((F(5, 3), F(-7, 2)), 1, ()).to_text() == "(-7/2)*x + (5/3)"
+
+
+def test_poincare_polynomial_text_ascends_in_t():
+    assert PoincareReport({}).polynomial_text() == "0"
+    assert PoincareReport({0: 1, 2: 3, 6: 1}).polynomial_text() == "1 + 3*t^2 + t^6"
 
 
 def test_repeated_primes_are_rejected():

@@ -677,8 +677,12 @@ def test_the_count_path_elimination_reads_the_rank_of_the_built_rows(monkeypatch
 
 
 def _step_key(tables, pivots, i):
-    """Lookup key of step i: the step and the pivot tuples at i and at each of its neighbours, earlier and later."""
-    return (i, pivots[i], *[pivots[k] for k in tables._around[i]])
+    """Key of step i by pivots alone: the step and the pivot tuples at i and at each of its neighbours, earlier and later.
+
+    They fix the step's lookahead rows, so each such key meets one wired step.
+    """
+    later = [j for j, earlier in enumerate(tables.neighbours) if i in earlier]
+    return (i, pivots[i], *[pivots[k] for k in (*tables.neighbours[i], *later)])
 
 
 def _record_step_lookups(tables, lookups):
@@ -759,6 +763,7 @@ def test_a_cell_wires_only_the_steps_its_search_reaches():
     _record_step_lookups(tables, lookups)
     reached = 0
     eager = set()
+    looked_up = set()
     dead_early = 0
     shallower = 0
     for beta in cells:
@@ -774,12 +779,13 @@ def test_a_cell_wires_only_the_steps_its_search_reaches():
         shallower += len(steps) < depth
         dead_early += points == 0 and len(steps) < len(vertices)
         reached += len(steps)
+        looked_up.update(key for _, key, _ in lookups)
         chosen = set(beta.elements)
         pivots = [tuple(b for b in block if b in chosen) for block in tables.blocks]
         eager.update(_step_key(tables, pivots, i) for i in range(len(vertices)))
     assert len(cells) * len(vertices) == 10000
-    assert eager >= set(tables._lookup)
-    counts = (reached, len(tables._steps), len(tables._lookup), len(eager), dead_early, shallower)
+    assert eager >= looked_up
+    counts = (reached, len(tables._steps), len(looked_up), len(eager), dead_early, shallower)
     assert counts == (4650, 203, 546, 1100, 2205, 2205)
 
 

@@ -232,9 +232,9 @@ def test_assign_cell_reads_a_subrep_point_and_needs_a_prime_for_raw_matrices():
     entry = catalog("two_lines")
     rep, e = entry.representation, dict(entry.dim_vector)
     points = list(enumerate_subreps(rep, e, 3))
-    assert points and all(assign_cell(p, rep.basis) == p.cell for p in points)
+    assert points and all(assign_cell(p, rep) == p.cell for p in points)
     with pytest.raises(ValueError, match="^a prime is required when passing raw matrices$"):
-        assign_cell(points[0].subspaces, rep.basis)
+        assign_cell(points[0].subspaces, rep)
 
 
 def _leibniz(m):

@@ -16,6 +16,7 @@ from quiver_schubert.quiver import distances_to, full_subquiver, quiver, subquiv
 from quiver_schubert.representation import OrderedBasis, representation, restrict
 from quiver_schubert.schubert import (
     CellIndex,
+    Poly,
     PreconditionError,
     block_leq,
     cell_index,
@@ -110,6 +111,11 @@ def test_equations_ex452():
     eq = system.equations[0]
     assert eq.triple == ("at", "1", "7")
     assert eq.poly.render(system.var_names()) == "w_{1,2}*w_{4,7} + w_{1,3}*w_{5,7}"
+
+
+def test_poly_render_keeps_a_constant_of_minus_one_and_folds_signs():
+    """The constant term prints its coefficient even at -1; other terms drop a unit coefficient and fold `+ -`."""
+    assert Poly({(): -1, ((0, 1),): -2, ((0, 1), (1, 1)): 1}).render(["a", "b"]) == "-1 - 2*a + a*b"
 
 
 def test_equations_full_beta_empty_system():
@@ -264,7 +270,7 @@ def test_cell_points_round_trip_assign_cell():
         for beta in enumerate_cells(rep.basis, e, rep.quiver.vertices):
             for q in (2, 3):
                 for point in _cell_points(rep, cell_pivots(rep, beta), q):
-                    assert assign_cell(point, rep.basis, q).key() == beta.key()
+                    assert assign_cell(point, rep, q).key() == beta.key()
 
 
 def test_tree_cell_emptiness_flag():
@@ -578,7 +584,7 @@ def test_closure_specialisation_respects_preceq():
                         subspaces[v] = mat
                     if not ok:
                         continue
-                    beta = assign_cell(subspaces, rep.basis, q)
+                    beta = assign_cell(subspaces, rep, q)
                     assert preceq(rep.basis, beta, gamma), (spec, beta.key(), gamma.key())
 
 
